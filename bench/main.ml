@@ -126,16 +126,10 @@ let existing_baseline path =
           (close opening 0))
   end
 
-(* [baseline_rows], when given, seeds the baseline of a first-run file
-   (e.g. the legacy-transport numbers measured in the same process);
-   an existing committed baseline always wins. *)
-let write_bench_json ~path ~schema ?baseline_rows rows =
+let write_bench_json ~path ~schema rows =
   let current = results_json rows in
   let baseline =
-    match existing_baseline path with
-    | Some b -> b
-    | None -> (
-      match baseline_rows with Some b -> results_json b | None -> current)
+    match existing_baseline path with Some b -> b | None -> current
   in
   let oc = open_out path in
   Fun.protect
@@ -261,9 +255,9 @@ let e9_protocol () =
 (* A real n=4, b=1 cluster of Server_hosts on loopback; each measured
    op is one quorum RPC round (fan out to all n, resume at the write
    quorum ceil((n+b+1)/2) = 3), the access pattern every store
-   operation reduces to. Run once over the legacy connect-per-request
-   transport (the baseline BENCH_net.json preserves) and once over the
-   pooled pipelined one. *)
+   operation reduces to, over the pooled pipelined transport. The
+   connect-per-request transport it replaced is gone; its numbers stay
+   frozen as BENCH_net.json's baseline. *)
 let e10_net ~json () =
   let n = 4 and b = 1 in
   let keyring = Store.Keyring.create () in
@@ -291,9 +285,9 @@ let e10_net ~json () =
       (Sim.Runtime.call_many ~timeout:2.0 ~quorum all payload
         : Sim.Runtime.reply list)
   in
-  let latency transport iters =
+  let latency iters =
     let histo = Obs.Histo.create () in
-    Tcpnet.Live.run ~transport ~endpoints (fun () ->
+    Tcpnet.Live.run ~endpoints (fun () ->
         for _ = 1 to 10 do
           one_round ()
         done;
@@ -302,12 +296,12 @@ let e10_net ~json () =
         done);
     histo
   in
-  let throughput transport threads iters =
+  let throughput threads iters =
     let workers =
       List.init threads (fun _ ->
           Thread.create
             (fun () ->
-              Tcpnet.Live.run ~transport ~endpoints (fun () ->
+              Tcpnet.Live.run ~endpoints (fun () ->
                   for _ = 1 to iters do
                     one_round ()
                   done))
@@ -318,9 +312,9 @@ let e10_net ~json () =
     let dt = Unix.gettimeofday () -. t0 in
     dt *. 1e9 /. float_of_int (threads * iters)
   in
-  let measure transport =
-    let histo = latency transport 300 in
-    let c8 = throughput transport 8 150 in
+  let pooled =
+    let histo = latency 300 in
+    let c8 = throughput 8 150 in
     [
       ("net/rpc-quorum-p50", Obs.Histo.percentile histo 50.0);
       ("net/rpc-quorum-p95", Obs.Histo.percentile histo 95.0);
@@ -328,8 +322,6 @@ let e10_net ~json () =
       ("net/rpc-quorum-c8", c8);
     ]
   in
-  let legacy = measure `Legacy in
-  let pooled = measure `Pooled in
   Array.iter Tcpnet.Server_host.stop hosts;
   let pp_ns ns =
     if ns >= 1e6 then Printf.sprintf "%.2f ms" (ns /. 1e6)
@@ -342,22 +334,14 @@ let e10_net ~json () =
         Printf.sprintf
           "Loopback quorum RPC (real TCP, n=%d b=%d, quorum %d-of-%d)" n b
           quorum n;
-      header = [ "metric"; "per-connection"; "pooled+pipelined"; "speedup" ];
-      rows =
-        List.map2
-          (fun (name, base_ns) (_, pooled_ns) ->
-            [
-              name;
-              pp_ns base_ns;
-              pp_ns pooled_ns;
-              Printf.sprintf "%.1fx" (base_ns /. pooled_ns);
-            ])
-          legacy pooled;
+      header = [ "metric"; "pooled+pipelined" ];
+      rows = List.map (fun (name, ns) -> [ name; pp_ns ns ]) pooled;
       notes =
         [
-          "per-connection: dial + thread per destination per call, 1 ms poll-wait";
           "pooled: persistent connections, correlation-id pipelining, condition wakeup";
           "rpc-quorum-c8: ns/op across 8 concurrent client threads";
+          "the removed per-connection transport's numbers are frozen in \
+           BENCH_net.json's baseline, not re-measured";
         ];
     }
   in
@@ -371,8 +355,7 @@ let e10_net ~json () =
     (s.Store.Metrics.p50_ns /. 1e3)
     (s.Store.Metrics.p99_ns /. 1e3);
   if json then
-    write_bench_json ~path:"BENCH_net.json" ~schema:"bench-net-v1"
-      ~baseline_rows:legacy pooled
+    write_bench_json ~path:"BENCH_net.json" ~schema:"bench-net-v1" pooled
 
 (* ------------------------------------------------------------------ *)
 (* E15: chaos soak — live cluster under fault injection                *)
@@ -2080,8 +2063,8 @@ let e19_shard ~seed ~json () =
      r = 0..n-1. Process (r,c) hosts replica r of every shard s with
      s mod cols = c, so S=8 exercises multi-shard hosting (two shards
      per port) while S<=4 is one shard per process. Ports are reserved
-     up front so --peers (gossip, per shard, through the shard-tagged
-     frames) can be passed at spawn. *)
+     up front so --peers (gossip, per shard, through the shard field of
+     each frame) can be passed at spawn. *)
   let spawn_cluster ~shards ~w =
     let cols = min shards 4 in
     let ports =

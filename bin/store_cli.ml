@@ -41,13 +41,12 @@ let session_config ~n ~b ~cc ~multi ~dispersal =
   | Some s -> { c with Store.Client.dispersal_chunk = s }
   | None -> c
 
-let with_session ~servers ~b ~uid ~group ~cc ~multi ~legacy ~dispersal fn =
+let with_session ~servers ~b ~uid ~group ~cc ~multi ~dispersal fn =
   let eps = Array.of_list (endpoints_of servers) in
   let n = Array.length eps in
   let endpoints id = if id >= 0 && id < n then Some eps.(id) else None in
   let keyring = Keys.keyring [ uid ] in
-  let transport = if legacy then `Legacy else `Pooled in
-  Tcpnet.Live.run ~transport ~endpoints (fun () ->
+  Tcpnet.Live.run ~endpoints (fun () ->
       match
         Store.Client.connect
           ~config:(session_config ~n ~b ~cc ~multi ~dispersal)
@@ -62,11 +61,6 @@ let with_session ~servers ~b ~uid ~group ~cc ~multi ~legacy ~dispersal fn =
           Printf.eprintf "warning: context store failed: %s\n"
             (Store.Client.error_to_string e));
         result)
-
-let legacy_flag =
-  Arg.(value & flag
-       & info [ "legacy-transport" ]
-           ~doc:"Use the connect-per-request transport instead of the pooled one.")
 
 (* Coded bulk transport knobs (DESIGN.md section 13). The library
    defaults apply when a flag is absent; reads follow whatever the
@@ -93,8 +87,8 @@ let dispersal_term =
   Term.(const (fun t k c -> (t, k, c)) $ threshold $ k $ chunk)
 
 let write_cmd =
-  let run servers b uid group item value cc multi legacy dispersal =
-    with_session ~servers ~b ~uid ~group ~cc ~multi ~legacy ~dispersal
+  let run servers b uid group item value cc multi dispersal =
+    with_session ~servers ~b ~uid ~group ~cc ~multi ~dispersal
       (fun session ->
         match Store.Client.write session ~item value with
         | Ok () -> Printf.printf "ok\n"
@@ -110,11 +104,11 @@ let write_cmd =
   let multi = Arg.(value & flag & info [ "multi" ] ~doc:"Multi-writer mode.") in
   Cmd.v (Cmd.info "write" ~doc:"Write a value")
     Term.(const run $ servers $ b $ uid $ group $ item $ value $ cc $ multi
-          $ legacy_flag $ dispersal_term)
+          $ dispersal_term)
 
 let read_cmd =
-  let run servers b uid group item cc multi legacy dispersal =
-    with_session ~servers ~b ~uid ~group ~cc ~multi ~legacy ~dispersal
+  let run servers b uid group item cc multi dispersal =
+    with_session ~servers ~b ~uid ~group ~cc ~multi ~dispersal
       (fun session ->
         match Store.Client.read session ~item with
         | Ok v -> Printf.printf "%s\n" v
@@ -128,7 +122,7 @@ let read_cmd =
   let cc = Arg.(value & flag & info [ "cc" ] ~doc:"Causal consistency.") in
   let multi = Arg.(value & flag & info [ "multi" ] ~doc:"Multi-writer mode.") in
   Cmd.v (Cmd.info "read" ~doc:"Read a value")
-    Term.(const run $ servers $ b $ uid $ group $ item $ cc $ multi $ legacy_flag
+    Term.(const run $ servers $ b $ uid $ group $ item $ cc $ multi
           $ dispersal_term)
 
 (* Self-contained end-to-end demo: n servers on ephemeral localhost

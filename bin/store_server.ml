@@ -4,10 +4,11 @@
        --peers 127.0.0.1:7001,127.0.0.1:7002,127.0.0.1:7003
 
    Peers are the *other* servers' endpoints, used for gossip pushes.
+   Without --shards the daemon hosts shard 0 only.
 
    With --shards the process hosts one replica of *several* shard
-   groups behind the same port (frame tags 0x04/0x05 carry the shard
-   id; see Tcpnet.Server_host.start_sharded):
+   groups behind the same port (every request frame names its shard;
+   see Tcpnet.Server_host.start_sharded):
 
      dune exec bin/store_server.exe -- --id 2 --shards 0,4 \
        --shards-total 8 --port 7002 --peers ...
@@ -23,7 +24,7 @@ let run id port n b clients guard log_depth peers gossip_period snapshot
     epoch_admin =
   let shard_ids =
     match shards with
-    | "" -> []
+    | "" -> [ 0 ]
     | s -> (
       match List.map int_of_string_opt (Keys.split_commas s) with
       | exception _ -> failwith "bad --shards"
@@ -78,23 +79,18 @@ let run id port n b clients guard log_depth peers gossip_period snapshot
         Store.Server.create ~config ~id:gid ~keyring ~n ~b ())
     | Some _ | None -> Store.Server.create ~config ~id:gid ~keyring ~n ~b ()
   in
-  let snapshot_for shard =
-    match (snapshot, shard) with
-    | None, _ -> None
-    | Some path, None -> Some path
-    | Some path, Some s -> Some (Printf.sprintf "%s.s%d" path s)
-  in
-  (* (shard, server, snapshot path) per hosted shard; the legacy
-     unsharded daemon is the one-entry untagged case. *)
+  (* (shard, server, snapshot path) per hosted shard. *)
   let hosted =
-    match shard_ids with
-    | [] -> [ (None, make_server ~gid:id ~snapshot:(snapshot_for None), snapshot_for None) ]
-    | ids ->
-      List.map
-        (fun s ->
-          let snap = snapshot_for (Some s) in
-          (Some s, make_server ~gid:((s * n) + id) ~snapshot:snap, snap))
-        ids
+    List.map
+      (fun s ->
+        (* Without --shards the one snapshot file keeps its plain name. *)
+        let snap =
+          match snapshot with
+          | Some path when shards <> "" -> Some (Printf.sprintf "%s.s%d" path s)
+          | snapshot -> snapshot
+        in
+        (s, make_server ~gid:((s * n) + id) ~snapshot:snap, snap))
+      shard_ids
   in
   (if snapshot <> None then
      ignore
@@ -122,42 +118,26 @@ let run id port n b clients guard log_depth peers gossip_period snapshot
       | None -> failwith "bad --peers (expected host:port,host:port,...)")
   in
   let host =
-    match hosted with
-    | [ (None, server, _) ] ->
-      let gossip =
-        match peer_list with
-        | [] -> None
-        | peers -> Some { Tcpnet.Server_host.peers; period = gossip_period }
-      in
-      Tcpnet.Server_host.start ?gossip ~server ~port ()
-    | hosted ->
-      let specs =
-        List.map
-          (fun (shard, server, _) ->
-            {
-              Tcpnet.Server_host.shard = Option.get shard;
-              server;
-              behavior = Store.Faults.Honest;
-              peers = peer_list;
-            })
-          hosted
-      in
-      Tcpnet.Server_host.start_sharded ~gossip_period ~shards:specs ~port ()
+    let specs =
+      List.map
+        (fun (shard, server, _) ->
+          {
+            Tcpnet.Server_host.shard;
+            server;
+            behavior = Store.Faults.Honest;
+            peers = peer_list;
+          })
+        hosted
+    in
+    Tcpnet.Server_host.start_sharded ~gossip_period ~shards:specs ~port ()
   in
-  (match shard_ids with
-  | [] ->
-    Printf.printf
-      "secure store server %d/%d (b=%d, guard=%b) listening on 127.0.0.1:%d\n%!"
-      id n b guard
-      (Tcpnet.Server_host.port host)
-  | ids ->
-    Printf.printf
-      "secure store server replica %d of shards [%s] (n=%d, b=%d, guard=%b) \
-       listening on 127.0.0.1:%d\n%!"
-      id
-      (String.concat "," (List.map string_of_int ids))
-      n b guard
-      (Tcpnet.Server_host.port host));
+  Printf.printf
+    "secure store server replica %d of shards [%s] (n=%d, b=%d, guard=%b) \
+     listening on 127.0.0.1:%d\n%!"
+    id
+    (String.concat "," (List.map string_of_int shard_ids))
+    n b guard
+    (Tcpnet.Server_host.port host);
   (* Exposition endpoint: /metrics (Prometheus text format), /spans
      (the recent-span journal as JSON) and /trace?id=<hex> (one stitched
      trace from the flight recorder). Serving it turns tracing on — the
@@ -212,9 +192,8 @@ let run id port n b clients guard log_depth peers gossip_period snapshot
        let reqs = Store.Metrics.shard_request_stats () in
        List.iter
          (fun (shard, server, _) ->
-           let wire = match shard with Some s -> s | None -> 0 in
            let count, p50ms =
-             match List.assoc_opt wire reqs with
+             match List.assoc_opt shard reqs with
              | Some c ->
                ( c.Store.Metrics.shard_requests,
                  Obs.Histo.percentile c.Store.Metrics.shard_request_latency 50.0
@@ -223,7 +202,7 @@ let run id port n b clients guard log_depth peers gossip_period snapshot
            in
            Format.fprintf fmt "@,stats: shard %d: %d items, %d gossip queued, \
                                %d reqs, p50=%.2fms"
-             wire
+             shard
              (Store.Server.item_count server)
              (Store.Server.gossip_pending server)
              count p50ms)
@@ -357,8 +336,8 @@ let cmd =
     Arg.(value & opt string ""
          & info [ "shards" ]
              ~doc:"Comma-separated shard ids to host one replica of \
-                   (empty = unsharded legacy daemon). Replica $(b,--id) of \
-                   shard s is global node s*n + id.")
+                   (empty = shard 0 only). Replica $(b,--id) of shard s is \
+                   global node s*n + id.")
   in
   let shards_total =
     Arg.(value & opt int 1

@@ -204,15 +204,15 @@ type mont = {
   m' : int; (* -m^{-1} mod 2^26 *)
   r2 : int array; (* (2^26)^(2k) mod m, for conversion into the domain *)
   one_m : int array; (* R mod m: 1 in the Montgomery domain *)
-  scratch : int array; (* k+2 limbs reused across mont_mul_into calls *)
 }
 
 (* CIOS Montgomery product into [dst]: dst = x*y / R mod m with R = 2^(26k).
    x, y and dst are limb arrays of length k; dst may alias x or y because
-   the product accumulates in ctx.scratch and is blitted out at the end. *)
-let mont_mul_into ctx dst x y =
+   the product accumulates in the k+2-limb scratch [t] and is blitted out
+   at the end. Each exponentiation owns its scratch: in a shared context,
+   two threads signing with one key would mix their products. *)
+let mont_mul_into ctx t dst x y =
   let k = ctx.k and m = ctx.m and m' = ctx.m' in
-  let t = ctx.scratch in
   Array.fill t 0 (k + 2) 0;
   for i = 0 to k - 1 do
     let xi = Array.unsafe_get x i in
@@ -286,7 +286,7 @@ let mont_init mt =
   let m' = ((1 lsl limb_bits) - !inv) land limb_mask in
   let r2 = pad k (rem (shift_left one (2 * k * limb_bits)) m) in
   let one_m = pad k (rem (shift_left one (k * limb_bits)) m) in
-  { m; mt; k; m'; r2; one_m; scratch = Array.make (k + 2) 0 }
+  { m; mt; k; m'; r2; one_m }
 
 (* Rebuilding a context costs a division per modulus; RSA reuses the same
    handful of moduli for every sign/verify, so a small cache pays for
@@ -294,8 +294,10 @@ let mont_init mt =
    does not matter at this size. *)
 let mont_cache : (t, mont) Hashtbl.t = Hashtbl.create 16
 let mont_cache_limit = 16
+let mont_cache_lock = Mutex.create ()
 
 let mont_of_modulus m =
+  Mutex.protect mont_cache_lock @@ fun () ->
   match Hashtbl.find_opt mont_cache m with
   | Some ctx -> ctx
   | None ->
@@ -315,16 +317,17 @@ let mont_modexp_ctx ctx ~base ~exp =
   if is_zero exp then (if equal ctx.mt one then zero else one)
   else begin
     let k = ctx.k in
+    let t = Array.make (k + 2) 0 in
     let base = rem base ctx.mt in
     let bm = Array.make k 0 in
-    mont_mul_into ctx bm (pad k base) ctx.r2;
+    mont_mul_into ctx t bm (pad k base) ctx.r2;
     let b2 = Array.make k 0 in
-    mont_mul_into ctx b2 bm bm;
+    mont_mul_into ctx t b2 bm bm;
     (* odd_pows.(i) = base^(2i+1) in the Montgomery domain *)
     let odd_pows = Array.init 8 (fun _ -> Array.make k 0) in
     Array.blit bm 0 odd_pows.(0) 0 k;
     for i = 1 to 7 do
-      mont_mul_into ctx odd_pows.(i) odd_pows.(i - 1) b2
+      mont_mul_into ctx t odd_pows.(i) odd_pows.(i - 1) b2
     done;
     let acc = Array.copy ctx.one_m in
     let nwin = (num_bits exp + 3) / 4 in
@@ -335,7 +338,7 @@ let mont_modexp_ctx ctx ~base ~exp =
       done;
       if !v = 0 then
         for _ = 1 to 4 do
-          mont_mul_into ctx acc acc acc
+          mont_mul_into ctx t acc acc acc
         done
       else begin
         let z = ref 0 in
@@ -344,16 +347,16 @@ let mont_modexp_ctx ctx ~base ~exp =
           incr z
         done;
         for _ = 1 to 4 - !z do
-          mont_mul_into ctx acc acc acc
+          mont_mul_into ctx t acc acc acc
         done;
-        mont_mul_into ctx acc acc odd_pows.(!v lsr 1);
+        mont_mul_into ctx t acc acc odd_pows.(!v lsr 1);
         for _ = 1 to !z do
-          mont_mul_into ctx acc acc acc
+          mont_mul_into ctx t acc acc acc
         done
       end
     done;
     let out = Array.make k 0 in
-    mont_mul_into ctx out acc (pad k one);
+    mont_mul_into ctx t out acc (pad k one);
     normalize out
   end
 

@@ -68,9 +68,9 @@ val modexp : base:t -> exp:t -> modulus:t -> t
     @raise Division_by_zero on zero modulus. *)
 
 type mont
-(** Precomputed Montgomery context for one odd modulus: the limb-inverse,
-    the conversion constant R^2 mod m, and reusable scratch buffers.
-    Building one costs a long division; exponentiating with one does not. *)
+(** Precomputed Montgomery context for one odd modulus: the limb-inverse
+    and the conversion constant R^2 mod m. Immutable, so threads may share
+    one. Building one costs a long division; exponentiating does not. *)
 
 val mont_of_modulus : t -> mont
 (** Context for an odd modulus, served from a small global cache so hot

@@ -215,7 +215,6 @@ let plan ~k ~n ?stripe value =
    first; this only checks shape. *)
 let decode_fragments (meta : Payload.dispersal_meta) pieces =
   if not (meta_ok meta) then None
-  else if meta.total_length = 0 then Some ""
   else begin
     let fl = frag_length meta in
     let pieces =

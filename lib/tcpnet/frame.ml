@@ -1,5 +1,16 @@
 let max_frame = 16 * 1024 * 1024
 
+(* 4-byte big-endian: frame lengths and correlation ids. *)
+let put_u32 buf pos v =
+  Bytes.set buf pos (Char.chr ((v lsr 24) land 0xff));
+  Bytes.set buf (pos + 1) (Char.chr ((v lsr 16) land 0xff));
+  Bytes.set buf (pos + 2) (Char.chr ((v lsr 8) land 0xff));
+  Bytes.set buf (pos + 3) (Char.chr (v land 0xff))
+
+let get_u32 s pos =
+  let b i = Char.code s.[pos + i] in
+  (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3
+
 let rec write_all fd bytes pos len =
   if len > 0 then begin
     let n = Unix.write fd bytes pos len in
@@ -10,10 +21,7 @@ let write_frame fd payload =
   let len = String.length payload in
   if len > max_frame then invalid_arg "Frame.write_frame: frame too large";
   let buf = Bytes.create (4 + len) in
-  Bytes.set buf 0 (Char.chr ((len lsr 24) land 0xff));
-  Bytes.set buf 1 (Char.chr ((len lsr 16) land 0xff));
-  Bytes.set buf 2 (Char.chr ((len lsr 8) land 0xff));
-  Bytes.set buf 3 (Char.chr (len land 0xff));
+  put_u32 buf 0 len;
   Bytes.blit_string payload 0 buf 4 len;
   write_all fd buf 0 (4 + len)
 
@@ -39,42 +47,35 @@ let read_frame_ext fd =
   match read_exactly fd 4 with
   | None -> Eof
   | Some header ->
-    let b i = Char.code header.[i] in
-    let len = (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3 in
+    let len = get_u32 header 0 in
     if len > max_frame then Oversized len
     else (match read_exactly fd len with Some s -> Frame s | None -> Eof)
 
 let read_frame fd =
   match read_frame_ext fd with Frame s -> Some s | Eof | Oversized _ -> None
 
-(* --- pipelined sub-protocol (inside frames) ----------------------------- *)
+(* --- request header (inside frames) --------------------------------------
 
-(* Tag bytes. 0x00/0x01 are the original one-shot protocol and stay
-   valid; 0x02 adds a 4-byte big-endian correlation id so many requests
-   can be in flight on one connection and replies may arrive in any
-   order; 0x03 is a connection-level framed error (not id-correlated). *)
+   Every request has one layout: a kind byte (one-way or call), a flags
+   byte, the 4-byte big-endian correlation id (calls only), the 2-byte
+   big-endian shard id (always present; 0 on an unsharded host), the
+   trace context when flag bit 0 is set, then the payload. Responses
+   carry [tag_reply] + id + status byte, or [tag_conn_error] for a
+   request the server could not even parse. *)
 
-let tag_oneway = '\x00'
-let tag_call = '\x01'
-let tag_pipelined = '\x02'
+let kind_oneway = '\x00'
+let kind_call = '\x01'
+let tag_reply = '\x02'
 let tag_conn_error = '\x03'
-let tag_sharded_call = '\x04'
-let tag_sharded_oneway = '\x05'
-let tag_traced_call = '\x06'
-let tag_traced_sharded_call = '\x07'
-let tag_traced_oneway = '\x08'
-let tag_traced_sharded_oneway = '\x09'
+let flag_trace = 0x01
 
 let max_id = 0x3fffffff
 let max_shard = 0xffff
 
-(* --- trace-context extension --------------------------------------------
-   Tags 0x06-0x09 mirror 0x02/0x04/0x00/0x05 but carry a trace context
-   right after the fixed header: a 1-byte extension length (exactly
-   [ctx_bytes] today — a versioning hook, not a variable field), a
-   16-byte trace id, an 8-byte big-endian span id (top bit must be
-   clear) and a flags byte. Peers that predate the extension never see
-   these tags: an untraced sender emits the legacy tags byte-for-byte. *)
+(* --- trace context ------------------------------------------------------
+   A 1-byte length (exactly [ctx_bytes] today — a versioning hook, not a
+   variable field), a 16-byte trace id, an 8-byte big-endian span id (top
+   bit must be clear) and a flags byte. *)
 
 type trace_ctx = { trace : string; span : int; flags : int }
 
@@ -94,7 +95,7 @@ let put_ctx buf pos { trace; span; flags } =
   done;
   Bytes.set buf (pos + 1 + trace_id_bytes + 8) (Char.chr (flags land 0xff))
 
-(* [None] on any malformation: truncated extension, a length byte other
+(* [None] on any malformation: truncated context, a length byte other
    than [ctx_bytes] (over-long or short trace ids), or a span id with
    the top bit set (unrepresentable as a nonnegative int). *)
 let get_ctx s pos =
@@ -124,200 +125,131 @@ let put_shard buf pos shard =
 let get_shard s pos =
   (Char.code s.[pos] lsl 8) lor Char.code s.[pos + 1]
 
-let put_id buf pos id =
-  Bytes.set buf pos (Char.chr ((id lsr 24) land 0xff));
-  Bytes.set buf (pos + 1) (Char.chr ((id lsr 16) land 0xff));
-  Bytes.set buf (pos + 2) (Char.chr ((id lsr 8) land 0xff));
-  Bytes.set buf (pos + 3) (Char.chr (id land 0xff))
+let check_id id =
+  if id < 0 || id > max_id then invalid_arg "Frame: correlation id out of range"
 
-let get_id s pos =
-  let b i = Char.code s.[pos + i] in
-  (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3
-
-let with_id ~tag ~id ?status payload =
-  if id < 0 || id > max_id then invalid_arg "Frame: correlation id out of range";
-  let slen = match status with Some _ -> 1 | None -> 0 in
-  let buf = Bytes.create (5 + slen + String.length payload) in
-  Bytes.set buf 0 tag;
-  put_id buf 1 id;
-  (match status with Some s -> Bytes.set buf 5 s | None -> ());
-  Bytes.blit_string payload 0 buf (5 + slen) (String.length payload);
-  Bytes.unsafe_to_string buf
+(* The one request writer. [framed] prepends the 4-byte length so the
+   buffer is a complete wire image (the prebuilt broadcast path); the id
+   of a call always sits at the same offset, right after kind and flags. *)
+let build ~framed ?id ?(shard = 0) ?trace payload =
+  let plen = String.length payload in
+  let off = if framed then 4 else 0 in
+  let ipos = off + 2 in
+  let spos = match id with Some _ -> ipos + 4 | None -> ipos in
+  let cpos = spos + 2 in
+  let ppos = match trace with Some _ -> cpos + 1 + ctx_bytes | None -> cpos in
+  let body = ppos - off + plen in
+  (* Unframed requests meet the cap in [write_frame], where the pool
+     already handles a failed write. *)
+  if framed && body > max_frame then invalid_arg "Frame.prebuilt_call: frame too large";
+  let buf = Bytes.create (off + body) in
+  if framed then put_u32 buf 0 body;
+  Bytes.set buf off (match id with Some _ -> kind_call | None -> kind_oneway);
+  Bytes.set buf (off + 1)
+    (Char.chr (match trace with Some _ -> flag_trace | None -> 0));
+  (match id with
+  | Some id ->
+    check_id id;
+    put_u32 buf ipos id
+  | None -> ());
+  put_shard buf spos shard;
+  (match trace with Some ctx -> put_ctx buf cpos ctx | None -> ());
+  Bytes.blit_string payload 0 buf ppos plen;
+  buf
 
 let encode_oneway ?shard ?trace payload =
-  match (shard, trace) with
-  | None, None -> String.make 1 tag_oneway ^ payload
-  | Some shard, None ->
-    let len = String.length payload in
-    let buf = Bytes.create (3 + len) in
-    Bytes.set buf 0 tag_sharded_oneway;
-    put_shard buf 1 shard;
-    Bytes.blit_string payload 0 buf 3 len;
-    Bytes.unsafe_to_string buf
-  | None, Some ctx ->
-    let len = String.length payload in
-    let buf = Bytes.create (1 + 1 + ctx_bytes + len) in
-    Bytes.set buf 0 tag_traced_oneway;
-    put_ctx buf 1 ctx;
-    Bytes.blit_string payload 0 buf (2 + ctx_bytes) len;
-    Bytes.unsafe_to_string buf
-  | Some shard, Some ctx ->
-    let len = String.length payload in
-    let buf = Bytes.create (3 + 1 + ctx_bytes + len) in
-    Bytes.set buf 0 tag_traced_sharded_oneway;
-    put_shard buf 1 shard;
-    put_ctx buf 3 ctx;
-    Bytes.blit_string payload 0 buf (4 + ctx_bytes) len;
-    Bytes.unsafe_to_string buf
+  Bytes.unsafe_to_string (build ~framed:false ?shard ?trace payload)
 
-let encode_call ~id ?trace payload =
-  match trace with
-  | None -> with_id ~tag:tag_pipelined ~id payload
-  | Some ctx ->
-    if id < 0 || id > max_id then
-      invalid_arg "Frame: correlation id out of range";
-    let len = String.length payload in
-    let buf = Bytes.create (5 + 1 + ctx_bytes + len) in
-    Bytes.set buf 0 tag_traced_call;
-    put_id buf 1 id;
-    put_ctx buf 5 ctx;
-    Bytes.blit_string payload 0 buf (6 + ctx_bytes) len;
-    Bytes.unsafe_to_string buf
+let encode_call ~id ?shard ?trace payload =
+  Bytes.unsafe_to_string (build ~framed:false ~id ?shard ?trace payload)
 
 (* --- prebuilt call buffers ---------------------------------------------
    A quorum broadcast sends the same payload to every endpoint; only the
    per-connection correlation id differs. A prebuilt buffer is the full
-   wire image — frame length prefix included — built once per broadcast;
-   each submission patches the 4 id bytes in place and writes the buffer
-   directly. The caller must serialize patch+write per buffer (the pool's
-   group submit loop runs them sequentially in one thread). *)
+   wire image — frame length prefix included — built once per broadcast
+   (the trace context names the sending span, so it is the same for every
+   destination too); each submission patches the 4 id bytes in place and
+   writes the buffer directly. The caller must serialize patch+write per
+   buffer (the pool's group submit loop runs them sequentially in one
+   thread). *)
 
 type prebuilt = Bytes.t
 
 let prebuilt_call ?shard ?trace payload =
-  let plen = String.length payload in
-  let slen = match shard with Some _ -> 2 | None -> 0 in
-  (* The context is identical for every destination of a broadcast (it
-     names the sending span), so it is baked into the shared buffer at
-     build time; only the correlation id is patched per send. *)
-  let clen = match trace with Some _ -> 1 + ctx_bytes | None -> 0 in
-  let body = 5 + slen + clen + plen in
-  if body > max_frame then invalid_arg "Frame.prebuilt_call: frame too large";
-  let buf = Bytes.create (4 + body) in
-  Bytes.set buf 0 (Char.chr ((body lsr 24) land 0xff));
-  Bytes.set buf 1 (Char.chr ((body lsr 16) land 0xff));
-  Bytes.set buf 2 (Char.chr ((body lsr 8) land 0xff));
-  Bytes.set buf 3 (Char.chr (body land 0xff));
-  (match (shard, trace) with
-  | None, None -> Bytes.set buf 4 tag_pipelined
-  | Some s, None ->
-    Bytes.set buf 4 tag_sharded_call;
-    put_shard buf 9 s
-  | None, Some ctx ->
-    Bytes.set buf 4 tag_traced_call;
-    put_ctx buf 9 ctx
-  | Some s, Some ctx ->
-    Bytes.set buf 4 tag_traced_sharded_call;
-    put_shard buf 9 s;
-    put_ctx buf 11 ctx);
-  put_id buf 5 0;
-  Bytes.blit_string payload 0 buf (9 + slen + clen) plen;
-  buf
+  build ~framed:true ~id:0 ?shard ?trace payload
 
 let set_prebuilt_id buf id =
-  if id < 0 || id > max_id then invalid_arg "Frame: correlation id out of range";
-  put_id buf 5 id
+  check_id id;
+  put_u32 buf 6 id
 
 let write_prebuilt fd buf = write_all fd buf 0 (Bytes.length buf)
+
+type request = {
+  id : int option;
+  shard : int;
+  trace : trace_ctx option;
+  payload : string;
+}
+
+let parse_request frame =
+  let len = String.length frame in
+  if len < 2 then None
+  else
+    let call = frame.[0] = kind_call in
+    let flags = Char.code frame.[1] in
+    if ((not call) && frame.[0] <> kind_oneway) || flags land lnot flag_trace <> 0
+    then None
+    else
+      let spos = if call then 6 else 2 in
+      if len < spos + 2 then None
+      else
+        let id = if call then Some (get_u32 frame 2) else None in
+        match id with
+        (* Ids above [max_id] cannot be echoed back ({!encode_reply}
+           would refuse them), so a hostile id is rejected at parse time
+           and answered with a framed error — not an exception in the
+           connection thread. *)
+        | Some id when id > max_id -> None
+        | _ ->
+          let ctx =
+            if flags land flag_trace = 0 then Some (None, spos + 2)
+            else
+              Option.map (fun (c, pos) -> (Some c, pos)) (get_ctx frame (spos + 2))
+          in
+          Option.map
+            (fun (trace, pos) ->
+              {
+                id;
+                shard = get_shard frame spos;
+                trace;
+                payload = String.sub frame pos (len - pos);
+              })
+            ctx
+
+(* --- responses ---------------------------------------------------------- *)
 
 let status_no_reply = '\x00'
 let status_ok = '\x01'
 let status_rejected = '\x02'
 
+let reply_frame ~id status payload =
+  check_id id;
+  let buf = Bytes.create (6 + String.length payload) in
+  Bytes.set buf 0 tag_reply;
+  put_u32 buf 1 id;
+  Bytes.set buf 5 status;
+  Bytes.blit_string payload 0 buf 6 (String.length payload);
+  Bytes.unsafe_to_string buf
+
 let encode_reply ~id = function
-  | Some payload -> with_id ~tag:tag_pipelined ~id ~status:status_ok payload
-  | None -> with_id ~tag:tag_pipelined ~id ~status:status_no_reply ""
+  | Some payload -> reply_frame ~id status_ok payload
+  | None -> reply_frame ~id status_no_reply ""
 
-let encode_reject ~id message =
-  with_id ~tag:tag_pipelined ~id ~status:status_rejected message
-
+let encode_reject ~id message = reply_frame ~id status_rejected message
 let encode_conn_error message = String.make 1 tag_conn_error ^ message
-
-type request =
-  | Oneway of string
-  | Legacy_call of string
-  | Call of { id : int; payload : string }
-  | Sharded_call of { id : int; shard : int; payload : string }
-  | Sharded_oneway of { shard : int; payload : string }
-
-let parse_request_traced frame =
-  if String.length frame = 0 then None
-  else
-    let rest () = String.sub frame 1 (String.length frame - 1) in
-    let tail pos = String.sub frame pos (String.length frame - pos) in
-    match frame.[0] with
-    | c when c = tag_oneway -> Some (Oneway (rest ()), None)
-    | c when c = tag_call -> Some (Legacy_call (rest ()), None)
-    | c when c = tag_pipelined ->
-      if String.length frame < 5 then None
-      else
-        (* Ids above [max_id] cannot be echoed back ({!encode_reply}
-           would refuse them), so a hostile id is rejected at parse time
-           and answered with a framed error — not an exception in the
-           connection thread. *)
-        let id = get_id frame 1 in
-        if id > max_id then None
-        else Some (Call { id; payload = tail 5 }, None)
-    | c when c = tag_sharded_call ->
-      if String.length frame < 7 then None
-      else
-        let id = get_id frame 1 in
-        if id > max_id then None
-        else
-          Some (Sharded_call { id; shard = get_shard frame 5; payload = tail 7 }, None)
-    | c when c = tag_sharded_oneway ->
-      if String.length frame < 3 then None
-      else Some (Sharded_oneway { shard = get_shard frame 1; payload = tail 3 }, None)
-    | c when c = tag_traced_call ->
-      if String.length frame < 5 then None
-      else
-        let id = get_id frame 1 in
-        if id > max_id then None
-        else
-          Option.map
-            (fun (ctx, pos) -> (Call { id; payload = tail pos }, Some ctx))
-            (get_ctx frame 5)
-    | c when c = tag_traced_sharded_call ->
-      if String.length frame < 7 then None
-      else
-        let id = get_id frame 1 in
-        if id > max_id then None
-        else
-          Option.map
-            (fun (ctx, pos) ->
-              (Sharded_call { id; shard = get_shard frame 5; payload = tail pos },
-               Some ctx))
-            (get_ctx frame 7)
-    | c when c = tag_traced_oneway ->
-      Option.map
-        (fun (ctx, pos) -> (Oneway (tail pos), Some ctx))
-        (get_ctx frame 1)
-    | c when c = tag_traced_sharded_oneway ->
-      if String.length frame < 3 then None
-      else
-        Option.map
-          (fun (ctx, pos) ->
-            (Sharded_oneway { shard = get_shard frame 1; payload = tail pos },
-             Some ctx))
-          (get_ctx frame 3)
-    | _ -> None
-
-let parse_request frame =
-  Option.map fst (parse_request_traced frame)
 
 type response =
   | Reply of { id : int; payload : string option }
-      (** [None] is the pipelined analogue of the legacy "no reply". *)
   | Reject of { id : int; message : string }
   | Conn_error of string
 
@@ -327,10 +259,10 @@ let parse_response frame =
     match frame.[0] with
     | c when c = tag_conn_error ->
       Some (Conn_error (String.sub frame 1 (String.length frame - 1)))
-    | c when c = tag_pipelined ->
+    | c when c = tag_reply ->
       if String.length frame < 6 then None
       else
-        let id = get_id frame 1 in
+        let id = get_u32 frame 1 in
         let body = String.sub frame 6 (String.length frame - 6) in
         (match frame.[5] with
         | s when s = status_ok -> Some (Reply { id; payload = Some body })

@@ -25,29 +25,24 @@ val read_frame_ext : Unix.file_descr -> read_result
 (** Like {!read_frame} but distinguishes an oversized length prefix from
     EOF, so servers can answer a framed error before closing. *)
 
-(** {1 Pipelined sub-protocol}
+(** {1 Request header}
 
-    Inside each frame, the first byte is a tag: [0x00] one-way and
-    [0x01] one-shot call are the legacy protocol; [0x02] carries a
-    4-byte big-endian correlation id, letting many requests share one
-    connection with out-of-order replies; [0x03] is a connection-level
-    framed error for requests the server could not even parse. A
-    pipelined response carries a status byte after the id: [0x00] no
-    reply, [0x01] ok + payload, [0x02] rejected + message.
-
-    Sharded hosts add two tags: [0x04] is a pipelined call whose 4-byte
-    id is followed by a 2-byte big-endian shard id, and [0x05] is a
-    one-way with a 2-byte shard id — the host dispatches either to that
-    shard's server state. Responses are unchanged (the correlation id
-    already names the request, shard included).
-
-    Distributed tracing adds four more: [0x06]/[0x07] are the traced
-    twins of [0x02]/[0x04] and [0x08]/[0x09] of [0x00]/[0x05], each
-    carrying a trace-context extension right after the fixed header —
-    a 1-byte extension length (exactly {!ctx_bytes}), a 16-byte trace
-    id, an 8-byte big-endian span id (top bit clear) and a flags byte.
-    An untraced sender emits the legacy tags byte-for-byte, so peers
-    that predate the extension interoperate unchanged. *)
+    Inside each frame, a request has one layout:
+    {v
+    kind   1 byte   0x00 one-way, 0x01 call
+    flags  1 byte   bit 0: a trace context follows; other bits must be 0
+    id     4 bytes  big-endian correlation id, calls only
+    shard  2 bytes  big-endian shard id (0 on an unsharded host)
+    ctx    26 bytes only with flag bit 0: a length byte (exactly
+                    {!ctx_bytes}), 16-byte trace id, 8-byte big-endian
+                    span id (top bit clear), flags byte
+    payload         the rest of the frame
+    v}
+    A response is [0x02] + the request's id + a status byte ([0x00] no
+    reply, [0x01] ok + payload, [0x02] rejected + message), or [0x03] +
+    message: a connection-level error for a request the server could not
+    even parse. The correlation id already names the request, shard
+    included, so responses carry no shard. *)
 
 val max_id : int
 (** Correlation ids live in [0 .. max_id] (30 bits, wraps). *)
@@ -63,21 +58,23 @@ val trace_id_bytes : int
 (** 16 — raw length of a trace id. *)
 
 val ctx_bytes : int
-(** 25 — encoded context length (the value of the extension's length
+(** 25 — encoded context length (the value of the context's length
     byte; anything else is rejected as malformed). *)
 
 val encode_oneway : ?shard:int -> ?trace:trace_ctx -> string -> string
-(** With [shard], a sharded one-way; with [trace], the traced twin tag.
-    @raise Invalid_argument when [shard] exceeds {!max_shard} or the
-    trace id is not {!trace_id_bytes} bytes. *)
+(** [shard] defaults to 0.
+    @raise Invalid_argument when [shard] is outside [0 .. max_shard] or
+    the trace id is not {!trace_id_bytes} bytes. *)
 
-val encode_call : id:int -> ?trace:trace_ctx -> string -> string
+val encode_call : id:int -> ?shard:int -> ?trace:trace_ctx -> string -> string
+(** Like {!encode_oneway}, for a call with correlation id [id].
+    @raise Invalid_argument also when [id] is outside [0 .. max_id]. *)
 
 (** {2 Prebuilt call buffers}
 
     A quorum broadcast sends one payload to every endpoint; only the
     correlation id differs per connection. [prebuilt_call] builds the
-    full wire image (length prefix, tag, zeroed id, optional shard,
+    full wire image (length prefix, request header with a zeroed id,
     payload) once; each send patches the id with {!set_prebuilt_id} and
     writes the buffer with {!write_prebuilt} — no per-endpoint encode or
     copy. The caller must serialize patch+write pairs on one buffer. *)
@@ -91,24 +88,19 @@ val encode_reply : id:int -> string option -> string
 val encode_reject : id:int -> string -> string
 val encode_conn_error : string -> string
 
-type request =
-  | Oneway of string
-  | Legacy_call of string
-  | Call of { id : int; payload : string }
-  | Sharded_call of { id : int; shard : int; payload : string }
-  | Sharded_oneway of { shard : int; payload : string }
+type request = {
+  id : int option;  (** [Some] for a call, [None] for a one-way *)
+  shard : int;
+  trace : trace_ctx option;
+  payload : string;
+}
 
 val parse_request : string -> request option
-(** [None] on an empty frame, unknown tag, truncated pipelined header,
-    or a correlation id above {!max_id} — the server answers those with
-    {!encode_conn_error}. Traced frames parse to the same constructors
-    (their context is dropped); use {!parse_request_traced} to keep it. *)
-
-val parse_request_traced : string -> (request * trace_ctx option) option
-(** Like {!parse_request} but returns the trace context of a traced
-    frame. [None] additionally on a malformed context: a truncated
-    extension, a length byte other than {!ctx_bytes} (over-long or
-    short trace ids), or a span id with the top bit set. *)
+(** [None] — answered by the server with {!encode_conn_error} — on a
+    frame shorter than its header, an unknown kind, an unknown flag bit,
+    a correlation id above {!max_id}, or a malformed trace context (a
+    truncated context, a length byte other than {!ctx_bytes}, or a span
+    id with the top bit set). Never raises. *)
 
 type response =
   | Reply of { id : int; payload : string option }

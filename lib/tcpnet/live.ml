@@ -1,87 +1,6 @@
 open Effect.Deep
 
 type endpoints = Sim.Runtime.node_id -> (string * int) option
-type transport = [ `Pooled | `Legacy ]
-
-(* --- legacy one-shot transport (kept as the measured baseline) --------- *)
-
-(* One request per connection: the original demo transport. Retained so
-   `bench e10` can measure pooled-vs-per-connection on the same code
-   path, and as a fallback. [read_timeout] bounds the blocking read so a
-   silent server cannot pin the thread (and its fd) forever — the thread
-   reaps itself at the deadline instead of leaking. *)
-let call_once ~timeout endpoint payload =
-  match Addr.connect ~read_timeout:timeout endpoint with
-  | None -> None
-  | Some fd ->
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with _ -> ())
-      (fun () ->
-        match
-          Frame.write_frame fd ("\x01" ^ payload);
-          Frame.read_frame fd
-        with
-        | Some r when String.length r >= 1 && r.[0] = '\x01' ->
-          Some (String.sub r 1 (String.length r - 1))
-        | Some _ | None -> None
-        | exception _ -> None)
-
-let send_once endpoint payload =
-  match Addr.connect endpoint with
-  | None -> ()
-  | Some fd ->
-    (try Frame.write_frame fd (Frame.encode_oneway payload) with _ -> ());
-    (try Unix.close fd with _ -> ())
-
-let do_scatter_legacy ~endpoints ~parts ~quorum ~timeout =
-  let lock = Mutex.create () in
-  let replies = ref [] in
-  let arrived = ref 0 in
-  List.iter
-    (fun (dst, request) ->
-      match endpoints dst with
-      | None -> ()
-      | Some endpoint ->
-        ignore
-          (Thread.create
-             (fun () ->
-               match call_once ~timeout endpoint request with
-               | Some payload ->
-                 Mutex.lock lock;
-                 replies := { Sim.Runtime.from = dst; payload } :: !replies;
-                 incr arrived;
-                 Mutex.unlock lock
-               | None -> ())
-             ()))
-    parts;
-  (* The legacy waiter polls at 1 ms granularity — part of what the
-     pooled transport exists to avoid. *)
-  let deadline = Unix.gettimeofday () +. timeout in
-  let rec wait () =
-    let done_ =
-      Mutex.lock lock;
-      let d = !arrived >= quorum in
-      Mutex.unlock lock;
-      d
-    in
-    if done_ || Unix.gettimeofday () >= deadline then ()
-    else begin
-      Thread.delay 0.001;
-      wait ()
-    end
-  in
-  wait ();
-  Mutex.lock lock;
-  let result = List.rev !replies in
-  Mutex.unlock lock;
-  result
-
-let do_call_many_legacy ~endpoints (spec : Sim.Runtime.call_spec) =
-  do_scatter_legacy ~endpoints
-    ~parts:(List.map (fun dst -> (dst, spec.Sim.Runtime.request)) spec.dsts)
-    ~quorum:spec.Sim.Runtime.quorum ~timeout:spec.Sim.Runtime.timeout
-
-(* --- pooled transport (default) ---------------------------------------- *)
 
 let do_call_many ~pool ~endpoints ~shard_of (spec : Sim.Runtime.call_spec) =
   let dsts =
@@ -116,36 +35,12 @@ let do_call_scatter ~pool ~endpoints ~shard_of (spec : Sim.Runtime.scatter_spec)
     ~quorum:spec.Sim.Runtime.quorum parts
   |> List.map (fun (from, payload) -> { Sim.Runtime.from; payload })
 
-let run ?(transport = `Pooled) ?pool ?(shard_of = fun _ -> None) ~endpoints fn =
-  (* Lazy so the legacy path never materializes the shared pool (its
-     timekeeper thread and self-pipe fds) — in particular not in the
-     fd-leak scenarios the legacy baseline exists to measure. *)
-  let pool =
-    match pool with Some p -> lazy p | None -> lazy (Pool.shared ())
-  in
-  let call_many spec =
-    match transport with
-    | `Pooled -> do_call_many ~pool:(Lazy.force pool) ~endpoints ~shard_of spec
-    | `Legacy -> do_call_many_legacy ~endpoints spec
-  in
-  let call_scatter (spec : Sim.Runtime.scatter_spec) =
-    match transport with
-    | `Pooled ->
-      do_call_scatter ~pool:(Lazy.force pool) ~endpoints ~shard_of spec
-    | `Legacy ->
-      do_scatter_legacy ~endpoints ~parts:spec.parts ~quorum:spec.quorum
-        ~timeout:spec.timeout
-  in
+let run ?(pool = Pool.shared ()) ?(shard_of = fun _ -> None) ~endpoints fn =
   let send_oneway dst payload =
     match endpoints dst with
     | None -> ()
-    | Some endpoint -> (
-      match transport with
-      | `Pooled ->
-        ignore
-          (Pool.send (Lazy.force pool) ?shard:(shard_of dst) endpoint payload
-            : bool)
-      | `Legacy -> send_once endpoint payload)
+    | Some endpoint ->
+      ignore (Pool.send pool ?shard:(shard_of dst) endpoint payload : bool)
   in
   let rec interpret : 'a. (unit -> 'a) -> 'a =
     fun fn ->
@@ -178,11 +73,11 @@ let run ?(transport = `Pooled) ?pool ?(shard_of = fun _ -> None) ~endpoints fn =
               | Sim.Runtime.Call_many spec ->
                 Some
                   (fun (k : (a, _) continuation) ->
-                    continue k (call_many spec))
+                    continue k (do_call_many ~pool ~endpoints ~shard_of spec))
               | Sim.Runtime.Call_scatter spec ->
                 Some
                   (fun (k : (a, _) continuation) ->
-                    continue k (call_scatter spec))
+                    continue k (do_call_scatter ~pool ~endpoints ~shard_of spec))
               | _ -> None);
         }
   in

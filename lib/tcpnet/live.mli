@@ -1,25 +1,15 @@
 (** Real-time, real-socket interpretation of the {!Sim.Runtime} effects.
 
     The third interpreter for the same protocol code: [Now] is the wall
-    clock, [Sleep] blocks the thread, and [Call_many]/[Send_oneway] go
-    over TCP. Endpoint resolution maps node ids to [(host, port)] pairs
-    served by {!Server_host}.
-
-    Two transports interpret the network effects:
-    - [`Pooled] (default): {!Pool} — persistent per-endpoint
-      connections, correlation-id pipelining, condition-based quorum
-      wakeup, no per-call threads or sockets;
-    - [`Legacy]: the original connect-per-request transport (one thread
-      and one socket per destination per call, 1 ms poll-wait), kept as
-      the measured baseline for `bench e10` and as a fallback. Its
-      sockets now carry a read timeout so per-call threads always reap
-      themselves at the deadline. *)
+    clock, [Sleep] blocks the thread, and [Call_many]/[Call_scatter]/
+    [Send_oneway] go over TCP through {!Pool} — persistent per-endpoint
+    connections, correlation-id pipelining, condition-based quorum
+    wakeup, no per-call threads or sockets. Endpoint resolution maps node
+    ids to [(host, port)] pairs served by {!Server_host}. *)
 
 type endpoints = Sim.Runtime.node_id -> (string * int) option
-type transport = [ `Pooled | `Legacy ]
 
 val run :
-  ?transport:transport ->
   ?pool:Pool.t ->
   ?shard_of:(Sim.Runtime.node_id -> int option) ->
   endpoints:endpoints ->
@@ -31,8 +21,8 @@ val run :
     paper's model).
 
     [shard_of] (default [fun _ -> None]) maps a node id to the shard its
-    traffic must be tagged with on the wire — with the flat id scheme of
-    {!Store.Router.shard_servers}, [fun node -> Some (node / n)]. A
-    quorum round is tagged by its first destination's shard: the router
-    guarantees every round addresses a single shard's replica set. The
-    legacy transport ignores shards. *)
+    traffic is addressed to on the wire; [None] means shard 0. With the
+    flat id scheme of {!Store.Router.shard_servers} it is
+    [fun node -> Some (node / n)]. A quorum round is addressed by its
+    first destination's shard: the router guarantees every round
+    addresses a single shard's replica set. *)

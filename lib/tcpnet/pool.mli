@@ -41,7 +41,7 @@ type result =
 val call : t -> ?timeout:float -> ?shard:int -> string * int -> string -> result
 (** One RPC. The result distinguishes "server rejected" ([Rejected])
     from "connection died" ([Dropped]). Default timeout 5 s. [shard]
-    addresses one shard of a multi-shard host ({!Frame} tag [0x04]). *)
+    (default 0) addresses one shard of a multi-shard host. *)
 
 val call_many :
   t ->

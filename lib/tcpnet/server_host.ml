@@ -9,17 +9,13 @@ type shard_spec = {
 
 (* One hosted shard: its server state machine, its own lock (the whole
    point of sharded hosting — S independent locks instead of one global
-   store mutex), its behaviour wrapper, and its gossip peer set.
-   [tagged] records whether outgoing gossip must carry the wire shard id
-   (multi-shard hosts; a legacy single-server host pushes untagged
-   one-ways so pre-sharding peers keep understanding it). *)
+   store mutex), its behaviour wrapper, and its gossip peer set. *)
 type shard_state = {
   sid : int;
   sserver : Store.Server.t;
   sbehavior : Store.Faults.behavior;
   slock : Mutex.t;
   speers : (string * int) list;
-  tagged : bool;
   (* Most recent wire trace context seen by this shard, consumed (once)
      by the next gossip round so anti-entropy work triggered by a traced
      client op records as part of that op's distributed trace. A plain
@@ -34,7 +30,6 @@ type t = {
   mutable running : bool;
   mutable accept_th : Thread.t option;
   shards : (int, shard_state) Hashtbl.t;
-  default_shard : shard_state; (* untagged legacy traffic lands here *)
   conns_lock : Mutex.t;
   mutable conns : Unix.file_descr list; (* accepted sockets, for [stop] *)
 }
@@ -120,18 +115,6 @@ let process st ?ctx raw : (Store.Payload.response option, string) Result.t =
 
 let handle_connection t fd =
   Addr.set_nodelay fd;
-  (* A pipelined reply (or Byzantine silence) for one shard's call; the
-     correlation id already names the request, so responses need no
-     shard field of their own. *)
-  let reply_call st ~id ?ctx payload =
-    match process st ?ctx payload with
-    | Ok (Some r) ->
-      Frame.write_frame fd
-        (Frame.encode_reply ~id (Some (Store.Payload.encode_response r)))
-    | Ok None when st.sbehavior <> Store.Faults.Honest -> ()
-    | Ok None -> Frame.write_frame fd (Frame.encode_reply ~id None)
-    | Error msg -> Frame.write_frame fd (Frame.encode_reject ~id msg)
-  in
   let rec loop () =
     match Frame.read_frame_ext fd with
     | Frame.Eof -> ()
@@ -145,38 +128,32 @@ let handle_connection t fd =
               (Printf.sprintf "frame too large (%d > %d)" len Frame.max_frame))
        with Unix.Unix_error _ | Sys_error _ -> ())
     | Frame.Frame frame ->
-      (match Frame.parse_request_traced frame with
-      | Some (Frame.Oneway payload, ctx) ->
-        ignore (process t.default_shard ?ctx payload : (_, _) Result.t)
-      | Some (Frame.Sharded_oneway { shard; payload }, ctx) -> (
-        (* A one-way for a shard we do not host is dropped, like any
-           one-way failure: the gossip protocol self-heals via summaries. *)
-        match Hashtbl.find_opt t.shards shard with
-        | Some st -> ignore (process st ?ctx payload : (_, _) Result.t)
-        | None -> ())
-      | Some (Frame.Legacy_call payload, _) ->
-        (* Legacy semantics preserved: malformed or reply-less requests
-           answer with the bare "no reply" byte. A Byzantine behaviour
-           that answers nothing is genuinely silent on the wire, exactly
-           as in the simulator — the client meets its deadline, not a
-           framed "nothing". *)
-        let st = t.default_shard in
-        (match process st payload with
-        | Ok (Some r) ->
-          Frame.write_frame fd ("\x01" ^ Store.Payload.encode_response r)
-        | Ok None when st.sbehavior <> Store.Faults.Honest -> ()
-        | Ok None | Error _ -> Frame.write_frame fd "\x00")
-      | Some (Frame.Call { id; payload }, ctx) ->
-        reply_call t.default_shard ~id ?ctx payload
-      | Some (Frame.Sharded_call { id; shard; payload }, ctx) -> (
-        match Hashtbl.find_opt t.shards shard with
-        | Some st -> reply_call st ~id ?ctx payload
-        | None ->
+      (match Frame.parse_request frame with
+      | Some { Frame.id; shard; trace = ctx; payload } -> (
+        match (Hashtbl.find_opt t.shards shard, id) with
+        | Some st, Some id -> (
+          (* The correlation id already names the request, shard
+             included. A Byzantine behaviour that answers nothing is
+             silent on the wire, as in the simulator: the client meets
+             its deadline, not a framed "no reply". *)
+          match process st ?ctx payload with
+          | Ok (Some r) ->
+            Frame.write_frame fd
+              (Frame.encode_reply ~id (Some (Store.Payload.encode_response r)))
+          | Ok None when st.sbehavior <> Store.Faults.Honest -> ()
+          | Ok None -> Frame.write_frame fd (Frame.encode_reply ~id None)
+          | Error msg -> Frame.write_frame fd (Frame.encode_reject ~id msg))
+        | Some st, None -> ignore (process st ?ctx payload : (_, _) Result.t)
+        | None, Some id ->
           (* A shard we do not host is a routing error on the client's
              side (stale table, wrong endpoint) — answered, not dropped,
              so the router can tell misrouting from a dead server. *)
           Frame.write_frame fd
-            (Frame.encode_reject ~id (Printf.sprintf "shard %d not hosted" shard)))
+            (Frame.encode_reject ~id (Printf.sprintf "shard %d not hosted" shard))
+        | None, None ->
+          (* A one-way for a shard we do not host is dropped, like any
+             one-way failure: the gossip protocol self-heals via summaries. *)
+          ())
       | None ->
         (* A frame we cannot even parse gets a framed error rather than
            a silent drop, so clients can tell "server rejected" from
@@ -190,10 +167,10 @@ let handle_connection t fd =
   try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* Gossip pushes ride the shared connection pool: one persistent
-   connection per peer instead of a dial per push per peer. A tagged
-   (multi-shard) host addresses the peer's same-shard state. *)
-let push_to_peer ?shard ~host ~port payload =
-  Pool.send (Pool.shared ()) ?shard (host, port) payload
+   connection per peer instead of a dial per push per peer, addressed to
+   the peer's same-shard state. *)
+let push_to_peer ~shard ~host ~port payload =
+  Pool.send (Pool.shared ()) ~shard (host, port) payload
 
 (* Writes popped off the gossip buffer are the server's only copy of
    "what my peers have not seen": if a push fails they must be requeued,
@@ -210,7 +187,7 @@ let max_backlog = 512
    peer replicas and nowhere else — partners are per shard, exactly like
    the locks. *)
 let gossip_loop t st ~period =
-  let shard = if st.tagged then Some st.sid else None in
+  let shard = st.sid in
   let backlog : (string * int, Store.Payload.write list) Hashtbl.t =
     Hashtbl.create (List.length st.speers)
   in
@@ -259,7 +236,7 @@ let gossip_loop t st ~period =
                }
            in
            let host, port = peer in
-           if push_to_peer ?shard ~host ~port payload then begin
+           if push_to_peer ~shard ~host ~port payload then begin
              (* gossip rides the same wire as client RPCs: count its
                 bytes into the global tally so a co-located bench can
                 report total bytes-on-wire to full dissemination *)
@@ -299,7 +276,7 @@ let gossip_loop t st ~period =
         List.find_map
           (fun endpoint ->
             match
-              Pool.call (Pool.shared ()) ~timeout:1.0 ?shard endpoint payload
+              Pool.call (Pool.shared ()) ~timeout:1.0 ~shard endpoint payload
             with
             | Pool.Reply r -> (
               match Store.Payload.decode_response r with
@@ -318,7 +295,16 @@ let gossip_loop t st ~period =
     end
   done
 
-let launch ~specs ~tagged ~gossip_period ~port =
+(* A shard with no peers has nobody to tell, so each period it discards
+   the writes buffered since the last: kept, the buffer would grow with
+   every accepted write, snapshots included. *)
+let discard_loop t st ~period =
+  while t.running do
+    Thread.delay period;
+    ignore (with_lock st (fun () -> Store.Server.take_gossip_buffer st.sserver))
+  done
+
+let launch ~specs ~gossip_period ~port =
   (match specs with [] -> invalid_arg "Server_host: no shards to host" | _ -> ());
   let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listener Unix.SO_REUSEADDR true;
@@ -338,7 +324,6 @@ let launch ~specs ~tagged ~gossip_period ~port =
           sbehavior = spec.behavior;
           slock = Mutex.create ();
           speers = spec.peers;
-          tagged;
           slast_trace = None;
         })
       specs
@@ -357,7 +342,6 @@ let launch ~specs ~tagged ~gossip_period ~port =
       running = true;
       accept_th = None;
       shards;
-      default_shard = List.hd states;
       conns_lock = Mutex.create ();
       conns = [];
     }
@@ -375,23 +359,19 @@ let launch ~specs ~tagged ~gossip_period ~port =
   t.accept_th <- Some (Thread.create accept_loop ());
   List.iter
     (fun st ->
-      if st.speers <> [] then
-        ignore (Thread.create (fun () -> gossip_loop t st ~period:gossip_period) ()))
+      let loop = if st.speers = [] then discard_loop else gossip_loop in
+      ignore (Thread.create (fun () -> loop t st ~period:gossip_period) ()))
     states;
   t
 
 let start ?gossip ?(behavior = Store.Faults.Honest) ~server ~port () =
-  let peers, period =
-    match gossip with
-    | Some (g : gossip) -> (g.peers, g.period)
-    | None -> ([], 1.0)
+  let peers, gossip_period =
+    match gossip with Some (g : gossip) -> (g.peers, g.period) | None -> ([], 1.0)
   in
-  launch
-    ~specs:[ { shard = 0; server; behavior; peers } ]
-    ~tagged:false ~gossip_period:period ~port
+  launch ~specs:[ { shard = 0; server; behavior; peers } ] ~gossip_period ~port
 
 let start_sharded ?(gossip_period = 1.0) ~shards ~port () =
-  launch ~specs:shards ~tagged:true ~gossip_period ~port
+  launch ~specs:shards ~gossip_period ~port
 
 let port t = t.bound_port
 let hosted_shards t = List.sort compare (Hashtbl.fold (fun s _ acc -> s :: acc) t.shards [])
@@ -406,7 +386,6 @@ let drain ?(max_passes = 10) t =
     (fun _ st -> with_lock st (fun () -> Store.Server.begin_drain st.sserver))
     t.shards;
   let flush_shard st =
-    let shard = if st.tagged then Some st.sid else None in
     let passes = ref 0 in
     let more = ref true in
     while !more && !passes < max_passes do
@@ -428,7 +407,7 @@ let drain ?(max_passes = 10) t =
             }
         in
         List.iter
-          (fun (host, port) -> ignore (push_to_peer ?shard ~host ~port payload))
+          (fun (host, port) -> ignore (push_to_peer ~shard:st.sid ~host ~port payload))
           st.speers
     done
   in

@@ -1,22 +1,24 @@
-(** Host a {!Store.Server} behind a TCP listener.
+(** Host {!Store.Server}s behind a TCP listener.
 
-    Wire sub-protocol (inside {!Frame}s): the original one-shot tags
-    ([0x00] one-way, [0x01] call) remain, and [0x02] adds correlation-id
-    pipelining — many requests in flight on one connection, replies in
-    any order of completion, each echoing the request id and a status
-    byte. Unparsable frames are answered with a framed [0x03] error
+    Every request names its shard in the one {!Frame} request header,
+    and the host dispatches it to that shard's server state; an
+    unsharded host is the one-shard case, shard 0. Calls are pipelined —
+    many in flight on one connection, replies in any order of
+    completion, each echoing the request's correlation id and a status
+    byte. Unparsable frames are answered with a framed connection error
     instead of a silent drop, so a client can tell "server rejected"
     from "connection died".
 
-    One thread per connection. The store mutex is scoped to server-state
-    mutation only: envelope decode and signature verification (RSA) run
-    outside it, so connections contend only on the state update. The
-    optional gossip thread pushes newly accepted writes to peers over
-    the shared connection {!Pool} (persistent connections, not a dial
-    per push); pushes that fail (peer down, endpoint suspected) are
-    requeued in a bounded per-peer backlog and retried next round, so a
-    write accepted during a partition still reaches peers once the
-    partition heals. *)
+    One thread per connection. Each shard's lock is scoped to
+    server-state mutation only: envelope decode and signature
+    verification (RSA) run outside it, so connections contend only on
+    the state update. Each shard's gossip thread pushes newly accepted
+    writes to its peers over the shared connection {!Pool} (persistent
+    connections, not a dial per push); pushes that fail (peer down,
+    endpoint suspected) are requeued in a bounded per-peer backlog and
+    retried next round, so a write accepted during a partition still
+    reaches peers once the partition heals. A shard without peers
+    discards its gossip buffer every round instead of keeping it. *)
 
 type gossip = { peers : (string * int) list; period : float }
 
@@ -39,8 +41,9 @@ val start :
   port:int ->
   unit ->
   t
-(** Bind, listen and serve on a background thread; returns immediately.
-    [port = 0] picks an ephemeral port (see {!port}).
+(** Bind, listen and serve [server] as shard 0 on a background thread;
+    returns immediately. [port = 0] picks an ephemeral port (see
+    {!port}). Without [gossip] the shard has no peers and a 1 s period.
 
     [behavior] (default {!Store.Faults.Honest}) hosts the server behind
     the corresponding Byzantine wrapper, so the simulator's fault suite
@@ -50,14 +53,13 @@ val start :
 
 val start_sharded :
   ?gossip_period:float -> shards:shard_spec list -> port:int -> unit -> t
-(** Host several shard replicas behind one listener. Sharded frames
-    ([0x04]/[0x05]) dispatch to the matching shard's server under that
-    shard's own lock — S independent locks instead of one global store
-    mutex — and each shard gossips to its own peer set on its own
-    thread, with the shard tag on the wire. Calls for a shard this host
-    does not serve are rejected with a framed error (a stale shard
-    table looks different from a dead server). Untagged legacy traffic
-    lands on the first listed shard.
+(** Host several shard replicas behind one listener. A request
+    dispatches to its shard's server under that shard's own lock — S
+    independent locks instead of one global store mutex — and each
+    shard gossips to its own peer set on its own thread. A call for a
+    shard this host does not serve is rejected with "shard N not
+    hosted" (a stale shard table looks different from a dead server); a
+    one-way for one is dropped.
     @raise Invalid_argument on an empty or duplicate shard list. *)
 
 val port : t -> int

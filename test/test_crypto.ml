@@ -501,6 +501,21 @@ let prop_rsa_crt_roundtrip =
       && Rsa.verify key.public ~msg ~signature
       && not (Rsa.verify key.public ~msg:(msg ^ "!") ~signature))
 
+(* Two threads signing with one key at once: a systhread switch in the
+   middle of one exponentiation must not corrupt the other's. *)
+let test_rsa_concurrent_signing () =
+  let key = Rsa.generate ~bits:512 (Prng.create ~seed:"rsa-shared") in
+  let bad = Atomic.make 0 in
+  let worker id () =
+    for i = 1 to 300 do
+      let msg = Printf.sprintf "thread %d message %d" id i in
+      if not (Rsa.verify key.public ~msg ~signature:(Rsa.sign key msg)) then
+        Atomic.incr bad
+    done
+  in
+  List.iter Thread.join (List.init 2 (fun id -> Thread.create (worker id) ()));
+  Alcotest.(check int) "every signature verifies" 0 (Atomic.get bad)
+
 let test_rsa_public_serialization () =
   let rng = Prng.create ~seed:"rsa-serde" in
   let key = Rsa.generate ~bits:512 rng in
@@ -1068,6 +1083,7 @@ let () =
           Alcotest.test_case "key consistency" `Quick test_rsa_key_internal_consistency;
           Alcotest.test_case "crt = plain" `Quick test_rsa_crt_matches_plain;
           Alcotest.test_case "public serde" `Quick test_rsa_public_serialization;
+          Alcotest.test_case "concurrent signing" `Quick test_rsa_concurrent_signing;
         ]
         @ qsuite [ prop_rsa_crt_roundtrip ] );
       ( "aead",

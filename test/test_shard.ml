@@ -100,36 +100,39 @@ let strip_len b = Bytes.sub_string b 4 (Bytes.length b - 4)
 let test_frame_sharded_roundtrip () =
   let buf = Tcpnet.Frame.prebuilt_call ~shard:9 "payload!" in
   (match Tcpnet.Frame.parse_request (strip_len buf) with
-  | Some (Tcpnet.Frame.Sharded_call { id; shard; payload }) ->
-    Alcotest.(check int) "fresh id is 0" 0 id;
+  | Some { Tcpnet.Frame.id; shard; payload; trace = None } ->
+    Alcotest.(check (option int)) "fresh id is 0" (Some 0) id;
     Alcotest.(check int) "shard" 9 shard;
     Alcotest.(check string) "payload" "payload!" payload
-  | _ -> Alcotest.fail "expected Sharded_call");
+  | _ -> Alcotest.fail "expected a shard-9 call");
   Tcpnet.Frame.set_prebuilt_id buf 123456;
   (match Tcpnet.Frame.parse_request (strip_len buf) with
-  | Some (Tcpnet.Frame.Sharded_call { id; shard; payload }) ->
-    Alcotest.(check int) "patched id" 123456 id;
+  | Some { Tcpnet.Frame.id; shard; payload; trace = None } ->
+    Alcotest.(check (option int)) "patched id" (Some 123456) id;
     Alcotest.(check int) "shard untouched" 9 shard;
     Alcotest.(check string) "payload untouched" "payload!" payload
-  | _ -> Alcotest.fail "expected Sharded_call after patch");
-  (* Unsharded prebuilt stays on the 0x02 pipelined tag. *)
+  | _ -> Alcotest.fail "expected a shard-9 call after patch");
+  (* Without a shard the header still names one: shard 0. *)
   let plain = Tcpnet.Frame.prebuilt_call "p" in
   (match Tcpnet.Frame.parse_request (strip_len plain) with
-  | Some (Tcpnet.Frame.Call { id = 0; payload = "p" }) -> ()
-  | _ -> Alcotest.fail "expected plain Call");
+  | Some { Tcpnet.Frame.id = Some 0; shard = 0; payload = "p"; trace = None } -> ()
+  | _ -> Alcotest.fail "expected a shard-0 call");
   match Tcpnet.Frame.parse_request (Tcpnet.Frame.encode_oneway ~shard:3 "gossip") with
-  | Some (Tcpnet.Frame.Sharded_oneway { shard = 3; payload = "gossip" }) -> ()
-  | _ -> Alcotest.fail "expected Sharded_oneway"
+  | Some { Tcpnet.Frame.id = None; shard = 3; payload = "gossip"; trace = None } -> ()
+  | _ -> Alcotest.fail "expected a shard-3 one-way"
 
 let test_frame_shard_bounds () =
   Alcotest.check_raises "shard over 16 bits"
     (Invalid_argument "Frame: shard id out of range") (fun () ->
       ignore (Tcpnet.Frame.prebuilt_call ~shard:(Tcpnet.Frame.max_shard + 1) "x"));
-  (* Truncated sharded frames parse to None, not garbage. *)
-  Alcotest.(check bool) "truncated sharded call" true
-    (Tcpnet.Frame.parse_request "\x04\x00\x00\x00\x01\x00" = None);
-  Alcotest.(check bool) "truncated sharded oneway" true
-    (Tcpnet.Frame.parse_request "\x05\x00" = None)
+  Alcotest.check_raises "negative shard"
+    (Invalid_argument "Frame: shard id out of range") (fun () ->
+      ignore (Tcpnet.Frame.encode_oneway ~shard:(-1) "x"));
+  (* Truncated shard fields parse to None, not garbage. *)
+  Alcotest.(check bool) "truncated call shard" true
+    (Tcpnet.Frame.parse_request "\x01\x00\x00\x00\x00\x01\x00" = None);
+  Alcotest.(check bool) "truncated oneway shard" true
+    (Tcpnet.Frame.parse_request "\x00\x00\x00" = None)
 
 (* ---- Router over the Direct world --------------------------------- *)
 

@@ -1252,6 +1252,18 @@ let prop_dispersal_plan_decode =
       && Dispersal.decode_fragments meta indexed = Some value
       && (k = 1 || Dispersal.decode_fragments meta (List.tl subset) = None))
 
+(* The property's shrunk counterexample, pinned: an empty value dispersed
+   2-of-2 decodes from both fragments and from neither one alone. *)
+let test_dispersal_empty_value_needs_k () =
+  let meta, frags = Dispersal.plan ~k:2 ~n:2 ~stripe:32 "" in
+  let indexed = [ (1, frags.(0)); (2, frags.(1)) ] in
+  Alcotest.(check (option string)) "k fragments" (Some "")
+    (Dispersal.decode_fragments meta indexed);
+  Alcotest.(check (option string)) "k-1 fragments" None
+    (Dispersal.decode_fragments meta (List.tl indexed));
+  Alcotest.(check (option string)) "no fragments" None
+    (Dispersal.decode_fragments meta [])
+
 let prop_dispersal_refragment =
   QCheck.Test.make ~name:"dispersal refragment rebuilds any index" ~count:60
     QCheck.(pair (string_of_size Gen.(1 -- 300)) (int_range 1 4))
@@ -3029,6 +3041,8 @@ let () =
           Alcotest.test_case "orphans invisible" `Quick test_coded_orphans_stay_invisible;
           Alcotest.test_case "fragment repair" `Quick test_coded_fragment_repair;
           Alcotest.test_case "snapshot keeps fragments" `Quick test_coded_snapshot_keeps_fragments;
+          Alcotest.test_case "empty value needs k fragments" `Quick
+            test_dispersal_empty_value_needs_k;
         ]
         @ qsuite
             [

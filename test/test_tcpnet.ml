@@ -42,10 +42,10 @@ let test_pipelined_codec () =
   (* Pure codec roundtrips for the correlation-id sub-protocol. *)
   let open Tcpnet.Frame in
   (match parse_request (encode_call ~id:77 "payload") with
-  | Some (Call { id = 77; payload = "payload" }) -> ()
+  | Some { id = Some 77; shard = 0; trace = None; payload = "payload" } -> ()
   | _ -> Alcotest.fail "call roundtrip");
   (match parse_request (encode_oneway "gossip") with
-  | Some (Oneway "gossip") -> ()
+  | Some { id = None; shard = 0; trace = None; payload = "gossip" } -> ()
   | _ -> Alcotest.fail "oneway roundtrip");
   (match parse_response (encode_reply ~id:max_id (Some "r")) with
   | Some (Reply { id; payload = Some "r" }) ->
@@ -60,9 +60,9 @@ let test_pipelined_codec () =
   (match parse_response (encode_conn_error "oops") with
   | Some (Conn_error "oops") -> ()
   | _ -> Alcotest.fail "conn-error roundtrip");
-  Alcotest.(check bool) "unknown tag" true (parse_request "\xff" = None);
+  Alcotest.(check bool) "unknown kind" true (parse_request "\xff\x00\x00\x00" = None);
   Alcotest.(check bool) "empty" true (parse_request "" = None);
-  Alcotest.(check bool) "short pipelined" true (parse_request "\x02\x00" = None)
+  Alcotest.(check bool) "short call header" true (parse_request "\x01\x00\x00" = None)
 
 let test_traced_codec () =
   let open Tcpnet.Frame in
@@ -73,38 +73,28 @@ let test_traced_codec () =
       flags = 3;
     }
   in
-  (match parse_request_traced (encode_call ~id:42 ~trace:ctx "pay") with
-  | Some (Call { id = 42; payload = "pay" }, Some c) ->
+  (match parse_request (encode_call ~id:42 ~trace:ctx "pay") with
+  | Some { id = Some 42; shard = 0; trace = Some c; payload = "pay" } ->
     Alcotest.(check bool) "call ctx roundtrips" true (c = ctx)
   | _ -> Alcotest.fail "traced call roundtrip");
-  (match parse_request_traced (encode_oneway ~trace:ctx "g") with
-  | Some (Oneway "g", Some c) ->
+  (match parse_request (encode_oneway ~trace:ctx "g") with
+  | Some { id = None; shard = 0; trace = Some c; payload = "g" } ->
     Alcotest.(check bool) "oneway ctx roundtrips" true (c = ctx)
   | _ -> Alcotest.fail "traced oneway roundtrip");
-  (match parse_request_traced (encode_oneway ~shard:9 ~trace:ctx "g") with
-  | Some (Sharded_oneway { shard = 9; payload = "g" }, Some c) ->
+  (match parse_request (encode_oneway ~shard:9 ~trace:ctx "g") with
+  | Some { id = None; shard = 9; trace = Some c; payload = "g" } ->
     Alcotest.(check bool) "sharded oneway ctx roundtrips" true (c = ctx)
   | _ -> Alcotest.fail "traced sharded oneway roundtrip");
   (* The broadcast fast path must carry the context too. *)
   let pb = prebuilt_call ~shard:3 ~trace:ctx "body" in
   set_prebuilt_id pb 7;
   let s = Bytes.to_string pb in
-  (match parse_request_traced (String.sub s 4 (String.length s - 4)) with
-  | Some (Sharded_call { id = 7; shard = 3; payload = "body" }, Some c) ->
+  (match parse_request (String.sub s 4 (String.length s - 4)) with
+  | Some { id = Some 7; shard = 3; trace = Some c; payload = "body" } ->
     Alcotest.(check bool) "prebuilt ctx roundtrips" true (c = ctx)
   | _ -> Alcotest.fail "traced prebuilt roundtrip");
-  (* Backward compatibility both ways: an untraced sender emits the
-     legacy tags byte-for-byte, and the legacy parser accepts traced
-     frames by dropping the context. *)
-  Alcotest.(check char) "untraced call keeps legacy tag" '\x02'
-    (encode_call ~id:1 "p").[0];
-  Alcotest.(check char) "untraced oneway keeps legacy tag" '\x00'
-    (encode_oneway "p").[0];
-  (match parse_request (encode_call ~id:2 ~trace:ctx "p") with
-  | Some (Call { id = 2; payload = "p" }) -> ()
-  | _ -> Alcotest.fail "legacy parse of a traced frame");
-  (match parse_request_traced (encode_call ~id:3 "p") with
-  | Some (Call _, None) -> ()
+  (match parse_request (encode_call ~id:3 "p") with
+  | Some { trace = None; _ } -> ()
   | _ -> Alcotest.fail "untraced frame must carry no ctx");
   (* A wrong-length trace id is the sender's bug — refuse to encode. *)
   Alcotest.check_raises "short trace id refused at encode"
@@ -123,19 +113,96 @@ let traced_codec_qcheck =
       let open Tcpnet.Frame in
       let ctx = { trace; span = (hi lsl 31) lor lo; flags } in
       let call =
-        match parse_request_traced (encode_call ~id:11 ~trace:ctx payload) with
-        | Some (Call { id = 11; payload = p }, Some c) -> p = payload && c = ctx
+        match parse_request (encode_call ~id:11 ~trace:ctx payload) with
+        | Some { id = Some 11; shard = 0; trace = Some c; payload = p } ->
+          p = payload && c = ctx
         | _ -> false
       in
       let oneway =
-        match
-          parse_request_traced (encode_oneway ~shard:2 ~trace:ctx payload)
-        with
-        | Some (Sharded_oneway { shard = 2; payload = p }, Some c) ->
+        match parse_request (encode_oneway ~shard:2 ~trace:ctx payload) with
+        | Some { id = None; shard = 2; trace = Some c; payload = p } ->
           p = payload && c = ctx
         | _ -> false
       in
       call && oneway)
+
+(* A request drawn over the header's whole space: kind (id or none),
+   shard (edges included), trace (absent or any context) and payload. *)
+let request_arb =
+  let open QCheck in
+  let ctx =
+    Gen.(
+      map3
+        (fun trace span flags -> { Tcpnet.Frame.trace; span; flags })
+        (string_size ~gen:char (return Tcpnet.Frame.trace_id_bytes))
+        (map2 (fun hi lo -> (hi lsl 31) lor lo) (int_bound 0x3fffffff)
+           (int_bound 0x3fffffff))
+        (int_bound 255))
+  in
+  let gen =
+    Gen.(
+      map4
+        (fun id shard trace payload -> { Tcpnet.Frame.id; shard; trace; payload })
+        (opt (int_bound Tcpnet.Frame.max_id))
+        (oneof
+           [ return 0; return Tcpnet.Frame.max_shard;
+             int_bound Tcpnet.Frame.max_shard ])
+        (opt ctx)
+        (string_size ~gen:char (0 -- 64)))
+  in
+  make gen
+
+let encode (r : Tcpnet.Frame.request) =
+  let open Tcpnet.Frame in
+  match r.id with
+  | Some id -> encode_call ~id ~shard:r.shard ?trace:r.trace r.payload
+  | None -> encode_oneway ~shard:r.shard ?trace:r.trace r.payload
+
+let header_roundtrip_qcheck =
+  QCheck.Test.make ~name:"request header round-trips" ~count:500 request_arb
+    (fun r ->
+      let open Tcpnet.Frame in
+      let direct = parse_request (encode r) = Some r in
+      (* The broadcast path: built with id 0, patched to the drawn id. *)
+      let prebuilt =
+        match r.id with
+        | None -> true
+        | Some id ->
+          let pb = prebuilt_call ~shard:r.shard ?trace:r.trace r.payload in
+          let fresh = Bytes.sub_string pb 4 (Bytes.length pb - 4) in
+          set_prebuilt_id pb id;
+          let patched = Bytes.sub_string pb 4 (Bytes.length pb - 4) in
+          parse_request fresh = Some { r with id = Some 0 }
+          && parse_request patched = Some r
+          && patched = encode r
+      in
+      direct && prebuilt)
+
+(* Hostile input: no strict prefix of a valid request's header parses
+   (the payload runs to the end of the frame, so cutting into it only
+   shortens the payload), nor does a frame whose kind is unknown or whose
+   flags set any bit but the trace bit — and none of them raises. *)
+let header_hostile_qcheck =
+  QCheck.Test.make ~name:"request header refuses prefixes and unknown bits"
+    ~count:300
+    QCheck.(pair request_arb (pair (int_range 2 255) (int_range 1 127)))
+    (fun (r, (kind, flag_bits)) ->
+      let wire = encode r in
+      let prefixes_refused =
+        List.for_all
+          (fun len -> Tcpnet.Frame.parse_request (String.sub wire 0 len) = None)
+          (List.init
+             (String.length wire - String.length r.Tcpnet.Frame.payload)
+             Fun.id)
+      in
+      let with_byte i c =
+        let b = Bytes.of_string wire in
+        Bytes.set b i (Char.chr c);
+        Tcpnet.Frame.parse_request (Bytes.to_string b)
+      in
+      prefixes_refused
+      && with_byte 0 kind = None
+      && with_byte 1 ((flag_bits lsl 1) lor Char.code wire.[1]) = None)
 
 let with_cluster ?(n = 4) ?(b = 1) ?(behavior = fun _ -> Store.Faults.Honest) fn =
   let keyring = Store.Keyring.create () in
@@ -226,7 +293,7 @@ let test_gossip_over_tcp () =
   let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect fd addr;
-  Tcpnet.Frame.write_frame fd ("\x00" ^ payload);
+  Tcpnet.Frame.write_frame fd (Tcpnet.Frame.encode_oneway payload);
   Unix.close fd;
   (* One-way delivery is asynchronous; poll briefly. *)
   let rec wait tries =
@@ -240,6 +307,34 @@ let test_gossip_over_tcp () =
   let delivered = wait 100 in
   Array.iter (function Some h -> Tcpnet.Server_host.stop h | None -> ()) hosts;
   Alcotest.(check bool) "gossip push delivered over tcp" true delivered
+
+(* A host with no gossip peers must not keep every accepted write in its
+   gossip buffer (and every snapshot) forever: one gossip period after
+   the writes, nothing is pending. *)
+let test_peerless_gossip_bounded () =
+  let keyring = Store.Keyring.create () in
+  Store.Keyring.register keyring "alice" alice_key.Crypto.Rsa.public;
+  let server = Store.Server.create ~id:0 ~keyring ~n:1 ~b:0 () in
+  let period = 0.2 in
+  let host =
+    Tcpnet.Server_host.start
+      ~gossip:{ Tcpnet.Server_host.peers = []; period }
+      ~server ~port:0 ()
+  in
+  let ep = ("127.0.0.1", Tcpnet.Server_host.port host) in
+  let endpoints id = if id = 0 then Some ep else None in
+  Fun.protect
+    ~finally:(fun () -> Tcpnet.Server_host.stop host)
+    (fun () ->
+      Tcpnet.Live.run ~endpoints (fun () ->
+          let alice = connect ~keyring ~n:1 ~b:0 "alice" alice_key in
+          for i = 1 to 200 do
+            ok (Store.Client.write alice ~item:(string_of_int (i mod 7))
+                  (string_of_int i))
+          done);
+      Thread.delay (period *. 1.5);
+      Alcotest.(check int) "nothing pending" 0
+        (Store.Server.gossip_pending server))
 
 (* --- pooled transport ---------------------------------------------------- *)
 
@@ -342,7 +437,7 @@ let test_pipelined_out_of_order () =
               match Tcpnet.Frame.read_frame fd with
               | Some frame -> (
                 match Tcpnet.Frame.parse_request frame with
-                | Some (Tcpnet.Frame.Call { id; payload }) -> (id, payload)
+                | Some { Tcpnet.Frame.id = Some id; payload; _ } -> (id, payload)
                 | _ -> Alcotest.fail "expected pipelined call")
               | None -> Alcotest.fail "unexpected EOF")
         in
@@ -800,7 +895,7 @@ let test_frame_hostile_inputs () =
       Unix.close fd;
       (* Truncated pipelined header inside a well-formed frame. *)
       let fd = dial () in
-      Tcpnet.Frame.write_frame fd "\x02\x00";
+      Tcpnet.Frame.write_frame fd "\x01\x00";
       (match Tcpnet.Frame.read_frame fd with
       | Some frame -> (
         match Tcpnet.Frame.parse_response frame with
@@ -831,21 +926,23 @@ let test_frame_hostile_inputs () =
         | None -> Alcotest.failf "server dropped %s silently" what
       in
       expect_conn_error "truncated trace context" (String.sub traced 0 12);
+      (* call header: kind, flags, id (2-5), shard (6-7), then the
+         context: length byte (8), trace id (9-24), span id (25-32) *)
       let relen c =
         let b = Bytes.of_string traced in
-        Bytes.set b 5 c;
+        Bytes.set b 8 c;
         Bytes.to_string b
       in
       expect_conn_error "over-long trace id" (relen '\x30');
       expect_conn_error "short trace id" (relen '\x05');
       let evil_span = Bytes.of_string traced in
-      Bytes.set evil_span 22
-        (Char.chr (Char.code (Bytes.get evil_span 22) lor 0x80));
+      Bytes.set evil_span 25
+        (Char.chr (Char.code (Bytes.get evil_span 25) lor 0x80));
       expect_conn_error "span id top bit" (Bytes.to_string evil_span);
       (* Correlation id above max_id: the server must reject it at parse
          time — echoing it in a reply would be an encode error killing
          the connection thread. The connection keeps serving. *)
-      let evil_id = "\x02\xff\xff\xff\xff" ^ meta_query_payload in
+      let evil_id = "\x01\x00\xff\xff\xff\xff\x00\x00" ^ meta_query_payload in
       Tcpnet.Frame.write_frame fd evil_id;
       (match Tcpnet.Frame.read_frame fd with
       | Some frame -> (
@@ -1102,6 +1199,8 @@ let () =
           Alcotest.test_case "pipelined codec" `Quick test_pipelined_codec;
           Alcotest.test_case "traced codec" `Quick test_traced_codec;
           QCheck_alcotest.to_alcotest traced_codec_qcheck;
+          QCheck_alcotest.to_alcotest header_roundtrip_qcheck;
+          QCheck_alcotest.to_alcotest header_hostile_qcheck;
         ] );
       ( "live",
         [
@@ -1109,6 +1208,8 @@ let () =
           Alcotest.test_case "other reader" `Quick test_live_other_reader;
           Alcotest.test_case "crash tolerated" `Quick test_live_crash_tolerated;
           Alcotest.test_case "gossip push" `Quick test_gossip_over_tcp;
+          Alcotest.test_case "peerless host drops gossip" `Quick
+            test_peerless_gossip_bounded;
         ] );
       ( "pool",
         [
