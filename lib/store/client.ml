@@ -88,6 +88,12 @@ type opstats = {
   mutable read_failures : int;
 }
 
+(* The stored record a session holds, with how many servers were seen
+   storing it byte for byte and the epoch version they were counted
+   under: the record connect loaded (copies = its byte-identical
+   replies), then the record a write-back stored (copies = acks). *)
+type held = { record : Payload.ctx_record; copies : int; at_epoch : int }
+
 type t = {
   uid : string;
   key : Crypto.Rsa.keypair;
@@ -103,6 +109,7 @@ type t = {
   mutable cur_trace_hex : string;  (* same id, lowercase hex; "" = none *)
   mutable ctx : Context.t;
   mutable ctx_seq : int;
+  mutable held : held option;  (* [None]: fresh or rebuilt context *)
   mutable last_time : int;
   mutable connected : bool;
   mutable unescalated : Payload.write list;
@@ -116,6 +123,7 @@ type t = {
 
 let uid t = t.uid
 let stats t = t.opstats
+let held_context t = Option.map (fun h -> h.record) t.held
 let group t = t.group
 let context t = t.ctx
 let config t = t.cfg
@@ -407,37 +415,63 @@ let backoff_sleep t ~start ~attempt =
 
 (* ---------------- Context operations (Fig. 1) ------------------------- *)
 
-let best_valid_context t replies =
-  let records =
+(* The freshest record that verifies, and how many replies carried it
+   byte for byte. A [Ctx_same] reply vouches for [known], the record
+   the caller already holds (it loaded or stored it before), so that
+   candidate needs no verification. *)
+let best_valid_context t ~known replies =
+  let same = List.length (List.filter (fun (_, r) -> r = Payload.Ctx_same) replies) in
+  let full =
     List.filter_map
-      (fun (from, resp) ->
-        match resp with
-        | Payload.Ctx_reply (Some record) -> Some (from, record)
-        | Payload.Ctx_reply None | _ -> None)
+      (function
+        | from, Payload.Ctx_reply (Some record) -> Some (Some from, record)
+        | _ -> None)
       replies
   in
+  let vouched =
+    match known with Some k when same > 0 -> [ (None, k) ] | _ -> []
+  in
   let sorted =
-    List.sort
-      (fun ((_, a) : int * Payload.ctx_record) (_, b) -> compare b.seq a.seq)
-      records
+    List.stable_sort
+      (fun (_, (a : Payload.ctx_record)) (_, b) -> compare b.seq a.seq)
+      (vouched @ full)
   in
   (* Verify in freshness order; the first valid record is the answer, so
      the best case costs exactly one verification (section 6). *)
-  Obs.Span.with_phase "verify" @@ fun () ->
-  List.find_map
-    (fun (from, record) ->
-      if Signing.verify_context t.keyring ~client:t.uid ~group:t.group record
-      then Some record
-      else begin
-        report_proof t ~server:from Fault_evidence.Forged_context;
-        None
-      end)
-    sorted
+  let best =
+    Obs.Span.with_phase "verify" @@ fun () ->
+    List.find_map
+      (fun (from, record) ->
+        match from with
+        | None -> Some record
+        | Some from ->
+          if Signing.verify_context t.keyring ~client:t.uid ~group:t.group record
+          then Some record
+          else begin
+            report_proof t ~server:from Fault_evidence.Forged_context;
+            None
+          end)
+      sorted
+  in
+  Option.map
+    (fun record ->
+      let digest = Payload.ctx_record_digest record in
+      let identical (_, r) = String.equal (Payload.ctx_record_digest r) digest in
+      let vouched_copies = if List.exists identical vouched then same else 0 in
+      (record, vouched_copies + List.length (List.filter identical full)))
+    best
 
-let ctx_read t =
+let ctx_read t ~known =
   Obs.Span.with_op "ctx_read" @@ fun () ->
+  let at_epoch = epoch_version t in
   let q = Quorums.context_quorum ~n:(active_n t) ~b:(effective_b t) in
-  let request = Payload.Ctx_read { client = t.uid; group = t.group } in
+  let request =
+    match known with
+    | Some k ->
+      Payload.Ctx_check
+        { client = t.uid; group = t.group; known = Payload.ctx_record_digest k }
+    | None -> Payload.Ctx_read { client = t.uid; group = t.group }
+  in
   let initial = server_set t q in
   let replies =
     Obs.Span.with_phase "ctx_poll" (fun () -> rpc t ~quorum:q initial request)
@@ -455,17 +489,45 @@ let ctx_read t =
   in
   if List.length replies < q then
     Error (No_quorum { wanted = q; got = List.length replies })
-  else Ok (best_valid_context t replies)
+  else
+    Ok
+      (Option.map
+         (fun (record, copies) -> { record; copies; at_epoch })
+         (best_valid_context t ~known replies))
 
-let ctx_store t =
+(* A write-back adds nothing when a quorum already holds this session's
+   context: connect loaded it from at least [context_quorum]
+   byte-identical copies, nothing has changed it since, and the
+   membership those copies were counted in is still current. The
+   quorum-intersection argument of a write-back (at least
+   [context_quorum - b] honest holders) then already holds for it. *)
+let quorum_holds_context t =
+  match t.held with
+  | None -> false
+  | Some h ->
+    h.at_epoch = epoch_version t
+    && h.record.seq = t.ctx_seq
+    && Context.equal h.record.ctx t.ctx
+    && h.copies >= Quorums.context_quorum ~n:(active_n t) ~b:(effective_b t)
+
+(* A context write-back in two halves, so a {!Router} can sign many
+   sessions' bodies at once: [ctx_prepare] bumps the session counter and
+   builds the body to sign; [ctx_store] attaches the evidence and runs
+   the quorum round. *)
+type ctx_prepared = { pseq : int; pctx : Context.t; body : string }
+
+let ctx_prepare t =
+  t.ctx_seq <- t.ctx_seq + 1;
+  {
+    pseq = t.ctx_seq;
+    pctx = t.ctx;
+    body = Payload.ctx_body ~client:t.uid ~group:t.group ~seq:t.ctx_seq t.ctx;
+  }
+
+let ctx_store t p evidence =
   Obs.Span.with_op "ctx_store" @@ fun () ->
   let q = Quorums.context_quorum ~n:(active_n t) ~b:(effective_b t) in
-  t.ctx_seq <- t.ctx_seq + 1;
-  let record =
-    Obs.Span.with_phase "sign" (fun () ->
-        Signing.sign_context ~key:t.key ~client:t.uid ~group:t.group
-          ~seq:t.ctx_seq t.ctx)
-  in
+  let record = { Payload.seq = p.pseq; ctx = p.pctx; evidence } in
   let request =
     Payload.Ctx_write { client = t.uid; group = t.group; record }
   in
@@ -488,7 +550,11 @@ let ctx_store t =
                rpc t ~quorum:(q - got) (remaining_servers t initial) request))
     end
   in
-  if got < q then Error (No_quorum { wanted = q; got }) else Ok ()
+  if got < q then Error (No_quorum { wanted = q; got })
+  else begin
+    t.held <- Some { record; copies = got; at_epoch = epoch_version t };
+    Ok ()
+  end
 
 (* ---------------- Dissemination and evidence escalation ---------------- *)
 
@@ -956,18 +1022,21 @@ let read_write_resolved t ~item =
         t.opstats.read_failures <- t.opstats.read_failures + 1;
         Error e)
   in
-  trace t ~op:opid ~phase:Trace.Return
-    ~outcome:
-      (outcome_of_result
-         (fun ((w : Payload.write), value) ->
-           Trace.Ok_value
-             {
-               stamp = w.stamp;
-               digest = Crypto.Sha256.hex_digest value;
-               writer = w.writer;
-             })
-         result)
-    (Trace.Read { uid });
+  (* Guarded: the outcome digests the whole value, which costs more than
+     the rest of a large read when nobody records the history. *)
+  if Trace.enabled () then
+    trace t ~op:opid ~phase:Trace.Return
+      ~outcome:
+        (outcome_of_result
+           (fun ((w : Payload.write), value) ->
+             Trace.Ok_value
+               {
+                 stamp = w.stamp;
+                 digest = Crypto.Sha256.hex_digest value;
+                 writer = w.writer;
+               })
+           result)
+      (Trace.Read { uid });
   result
 
 let read_write t ~item = Result.map fst (read_write_resolved t ~item)
@@ -1339,7 +1408,7 @@ let reconstruct t =
 
 (* ---------------- Session lifecycle ----------------------------------- *)
 
-let connect ?(recover = `Fresh) ~config:cfg ~uid ~key ~keyring ~group () =
+let connect ?(recover = `Fresh) ?known ~config:cfg ~uid ~key ~keyring ~group () =
   (match Quorums.validate ~n:cfg.n ~b:cfg.b with
   | Ok () -> ()
   | Error msg -> invalid_arg ("Client.connect: " ^ msg));
@@ -1359,6 +1428,7 @@ let connect ?(recover = `Fresh) ~config:cfg ~uid ~key ~keyring ~group () =
       cur_trace_hex = "";
       ctx = Context.empty;
       ctx_seq = 0;
+      held = None;
       last_time = 0;
       connected = true;
       unescalated = [];
@@ -1393,15 +1463,16 @@ let connect ?(recover = `Fresh) ~config:cfg ~uid ~key ~keyring ~group () =
       ~outcome:(Trace.Connected recovery) Trace.Connect;
     Ok t
   in
-  match ctx_read t with
+  match ctx_read t ~known with
   | Error e ->
     trace t ~op:opid ~phase:Trace.Return
       ~outcome:(Trace.Failed (error_to_string e))
       Trace.Connect;
     Error e
-  | Ok (Some record) ->
+  | Ok (Some ({ record; _ } as h)) ->
     t.ctx <- record.ctx;
     t.ctx_seq <- record.seq;
+    t.held <- Some h;
     (* Timestamps must keep increasing across sessions. *)
     List.iter
       (fun (_, stamp) -> t.last_time <- max t.last_time (Stamp.time stamp))
@@ -1417,23 +1488,49 @@ let connect ?(recover = `Fresh) ~config:cfg ~uid ~key ~keyring ~group () =
         (Context.bindings t.ctx);
       finish Trace.Rebuilt)
 
-let disconnect t =
-  ensure_connected t @@ fun () ->
-  (* Escalate before storing the context: the stored floor may name
-     MAC-held stamps, and a future session must be able to read them. *)
-  if t.unescalated <> [] then flush_escalations t;
-  Obs.Span.with_op "disconnect" @@ fun () ->
+(* A session close in two halves around the signature, so a {!Router}
+   can sign every session's write-back with one Merkle batch. *)
+type closing = { session : t; opid : int; write_back : ctx_prepared option }
+
+let begin_close ~skip_held t =
   begin_trace t;
   let opid = trace_op () in
   trace t ~op:opid ~phase:Trace.Invoke Trace.Disconnect;
-  let result =
-    match ctx_store t with
-    | Ok () ->
-      t.connected <- false;
-      Ok ()
-    | Error e -> Error e
+  let write_back =
+    if skip_held && quorum_holds_context t then None else Some (ctx_prepare t)
   in
-  trace t ~op:opid ~phase:Trace.Return
+  { session = t; opid; write_back }
+
+(* Escalate before storing the context: the stored floor may name
+   MAC-held stamps, and a future session must be able to read them. *)
+let prepare_close t =
+  ensure_connected t @@ fun () ->
+  if t.unescalated <> [] then flush_escalations t;
+  Ok (begin_close ~skip_held:true t)
+
+let close_body c = Option.map (fun p -> p.body) c.write_back
+
+let finish_close c evidence =
+  let t = c.session in
+  let result =
+    match (c.write_back, evidence) with
+    | None, None -> Ok ()
+    | Some p, Some evidence -> ctx_store t p evidence
+    | None, Some _ | Some _, None ->
+      invalid_arg "Client.finish_close: evidence must match close_body"
+  in
+  (match result with Ok () -> t.connected <- false | Error _ -> ());
+  trace t ~op:c.opid ~phase:Trace.Return
     ~outcome:(outcome_of_result (fun () -> Trace.Ok_unit) result)
     Trace.Disconnect;
   result
+
+let disconnect t =
+  ensure_connected t @@ fun () ->
+  if t.unescalated <> [] then flush_escalations t;
+  Obs.Span.with_op "disconnect" @@ fun () ->
+  let c = begin_close ~skip_held:false t in
+  finish_close c
+    (Option.map
+       (fun body -> List.hd (Signbatch.sign_contexts ~key:t.key [ body ]))
+       (close_body c))

@@ -169,6 +169,7 @@ val epoch : t -> Config_epoch.t option
 
 val connect :
   ?recover:[ `Fresh | `Reconstruct ] ->
+  ?known:Payload.ctx_record ->
   config:config ->
   uid:string ->
   key:Crypto.Rsa.keypair ->
@@ -178,11 +179,48 @@ val connect :
   (t, error) result
 (** Acquire the stored context (Fig. 1). When no validly signed context
     is found: [`Fresh] (default) starts empty, [`Reconstruct] rebuilds it
-    from all servers' signed writes (section 5.1's recovery path). *)
+    from all servers' signed writes (section 5.1's recovery path).
+
+    [known] is a record this client loaded or stored for [group] before
+    ({!held_context} of an earlier session). The read then asks for it
+    by digest ({!Payload.Ctx_check}): servers storing exactly that
+    record answer {!Payload.Ctx_same} instead of resending it, and it is
+    adopted without a verification unless a fresher valid record
+    turns up. *)
+
+val held_context : t -> Payload.ctx_record option
+(** The stored record this session holds: the one its connect loaded,
+    or the one its last successful write-back stored. [None] for a
+    fresh or rebuilt context. *)
 
 val disconnect : t -> (unit, error) result
 (** Store the updated context with a ⌈(n+b+1)/2⌉ quorum and end the
-    session. Further operations return {!Disconnected}. *)
+    session. Further operations return {!Disconnected}. The record
+    carries one signature ([Sig] evidence), as in Fig. 1. *)
+
+(** {2 Closing in two halves}
+
+    {!disconnect} split around its signature, so a {!Router} can close
+    all of its sessions with one Merkle-batch signature. *)
+
+type closing
+
+val prepare_close : t -> (closing, error) result
+(** Flush pending escalations, open the disconnect in the history, and
+    prepare the write-back: bump the session counter and build its
+    {!Payload.ctx_body}. There is no write-back when a quorum already
+    holds the context: connect loaded it from at least [context_quorum]
+    byte-identical replies, nothing changed it since, and the session's
+    epoch is the one that read went out under. *)
+
+val close_body : closing -> string option
+(** The body to sign, or [None] when the write-back is skipped. *)
+
+val finish_close : closing -> Payload.evidence option -> (unit, error) result
+(** Store the prepared record with [evidence] (its quorum round and
+    escalation, as {!disconnect}) and end the session; pass [None]
+    exactly when {!close_body} is [None].
+    @raise Invalid_argument when [evidence] does not match. *)
 
 val write : t -> item:string -> string -> (unit, error) result
 (** Write a value to [group/item] under the session's consistency level.

@@ -44,8 +44,8 @@ let inflate stamp =
 
 let is_query (env : Payload.envelope) =
   match env.request with
-  | Payload.Ctx_read _ | Payload.Meta_query _ | Payload.Value_read _
-  | Payload.Log_query _ | Payload.Group_query _ | Payload.Read_inline _
+  | Payload.Ctx_read _ | Payload.Ctx_check _ | Payload.Meta_query _
+  | Payload.Value_read _ | Payload.Log_query _ | Payload.Group_query _ | Payload.Read_inline _
   | Payload.Epoch_get | Payload.Frag_get _ ->
     true
   | Payload.Ctx_write _ | Payload.Write_req _ | Payload.Gossip_push _

@@ -3,10 +3,10 @@ open Wire
 let digest_len = 32
 
 type batch_evidence = {
-  root : string; (* 32-byte Merkle root over the batch's write bodies *)
+  root : string; (* 32-byte Merkle root over the batch's leaf bodies *)
   size : int; (* leaves under the root *)
-  proof : Crypto.Merkle.proof; (* this write's inclusion proof *)
-  root_sig : string; (* writer's signature over batch_body root size *)
+  proof : Crypto.Merkle.proof; (* this leaf's inclusion proof *)
+  root_sig : string; (* signer's signature over batch_body *)
 }
 
 type evidence =
@@ -36,7 +36,7 @@ type write = {
   frags : dispersal_meta option;
 }
 
-type ctx_record = { seq : int; ctx : Context.t; signature : string }
+type ctx_record = { seq : int; ctx : Context.t; evidence : evidence }
 
 let encode_dispersal_meta enc m =
   Codec.Enc.varint enc m.k;
@@ -73,13 +73,18 @@ let write_body w =
       Codec.Enc.string enc w.writer)
     ()
 
+type batch_domain = Writes | Contexts
+
 (* The batch signature binds root and size together: verification then
    derives the proof shape from the signed size, so no server can relabel
-   a leaf's position without breaking the signature or the hash chain. *)
-let batch_body ~root ~size =
+   a leaf's position without breaking the signature or the hash chain.
+   The domain tag keeps a signed root of write bodies from ever standing
+   for a batch of contexts, and the reverse. *)
+let batch_body domain ~root ~size =
   Codec.encode
     (fun enc () ->
-      Codec.Enc.string enc "write-batch";
+      Codec.Enc.string enc
+        (match domain with Writes -> "write-batch" | Contexts -> "context-batch");
       Codec.Enc.varint enc size;
       Codec.Enc.fixed enc ~len:digest_len root)
     ()
@@ -106,6 +111,10 @@ let ctx_body ~client ~group ~seq ctx =
 
 type request =
   | Ctx_read of { client : string; group : string }
+  | Ctx_check of { client : string; group : string; known : string }
+      (* a [Ctx_read] from a client already holding the record whose
+         digest is [known]: a server storing that record answers
+         [Ctx_same] instead of sending it back *)
   | Ctx_write of { client : string; group : string; record : ctx_record }
   | Meta_query of { uid : Uid.t }
   | Value_read of { uid : Uid.t; stamp : Stamp.t }
@@ -167,6 +176,7 @@ type response =
   | Frag_reply of frag_chunk option
       (* [Some] carries the requested byte range plus the fragment's
          full length; [None] means the server holds no such fragment *)
+  | Ctx_same  (* answer to [Ctx_check]: I store exactly the known record *)
 
 let encode_proof enc (p : Crypto.Merkle.proof) =
   Codec.Enc.varint enc p.index;
@@ -253,13 +263,29 @@ let decode_write_v3 dec =
 let encode_ctx_record enc r =
   Codec.Enc.varint enc r.seq;
   Context.encode enc r.ctx;
-  Codec.Enc.string enc r.signature
+  encode_evidence enc r.evidence
 
 let decode_ctx_record dec =
   let seq = Codec.Dec.varint dec in
   let ctx = Context.decode dec in
+  let evidence = decode_evidence dec in
+  { seq; ctx; evidence }
+
+(* Pre-evidence image (snapshot versions <= 4): a bare signature. *)
+let decode_ctx_record_v4 dec =
+  let seq = Codec.Dec.varint dec in
+  let ctx = Context.decode dec in
   let signature = Codec.Dec.string dec in
-  { seq; ctx; signature }
+  { seq; ctx; evidence = Sig signature }
+
+(* A record is named by a 128-bit prefix of the SHA-256 of its
+   encoding: it only has to tell apart one client's own records, and a
+   server can deny holding a record whatever the name's width. *)
+let ctx_digest_len = 16
+
+let ctx_record_digest r =
+  String.sub (Crypto.Sha256.digest (Codec.encode encode_ctx_record r)) 0
+    ctx_digest_len
 
 let encode_request enc = function
   | Ctx_read { client; group } ->
@@ -326,6 +352,11 @@ let encode_request enc = function
     Codec.Enc.varint enc index;
     Codec.Enc.varint enc off;
     Codec.Enc.varint enc len
+  | Ctx_check { client; group; known } ->
+    Codec.Enc.u8 enc 14;
+    Codec.Enc.string enc client;
+    Codec.Enc.string enc group;
+    Codec.Enc.fixed enc ~len:ctx_digest_len known
 
 let decode_request dec =
   match Codec.Dec.u8 dec with
@@ -384,6 +415,11 @@ let decode_request dec =
     let off = Codec.Dec.varint dec in
     let len = Codec.Dec.varint dec in
     Frag_get { uid; stamp; index; off; len }
+  | 14 ->
+    let client = Codec.Dec.string dec in
+    let group = Codec.Dec.string dec in
+    let known = Codec.Dec.fixed dec ~len:ctx_digest_len in
+    Ctx_check { client; group; known }
   | _ -> raise (Codec.Error "bad request tag")
 
 let encode_envelope env =
@@ -442,7 +478,8 @@ let encode_response r =
             Codec.Enc.string enc data)
           (match chunk with
           | None -> None
-          | Some { total; data } -> Some (total, data)))
+          | Some { total; data } -> Some (total, data))
+      | Ctx_same -> Codec.Enc.u8 enc 10)
     ()
 
 let decode_response s =
@@ -470,6 +507,7 @@ let decode_response s =
                let total = Codec.Dec.varint dec in
                let data = Codec.Dec.string dec in
                { total; data }))
+      | 10 -> Ctx_same
       | _ -> raise (Codec.Error "bad response tag"))
     s
 
@@ -492,3 +530,4 @@ let pp_response fmt = function
   | Frag_reply None -> Format.pp_print_string fmt "Frag_reply None"
   | Frag_reply (Some { total; data }) ->
     Format.fprintf fmt "Frag_reply (%d of %d bytes)" (String.length data) total
+  | Ctx_same -> Format.pp_print_string fmt "Ctx_same"

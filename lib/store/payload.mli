@@ -18,10 +18,10 @@
       {!Evidence_upgrade}. *)
 
 type batch_evidence = {
-  root : string;  (** 32-byte Merkle root over the batch's write bodies *)
+  root : string;  (** 32-byte Merkle root over the batch's leaf bodies *)
   size : int;  (** number of leaves under [root] *)
-  proof : Crypto.Merkle.proof;  (** this write's inclusion proof *)
-  root_sig : string;  (** writer's signature over {!batch_body} *)
+  proof : Crypto.Merkle.proof;  (** this leaf's inclusion proof *)
+  root_sig : string;  (** signer's signature over {!batch_body} *)
 }
 
 type evidence =
@@ -65,25 +65,43 @@ val write_body : write -> string
     use a domain-separated prefix that also covers the coding
     descriptor. *)
 
-val batch_body : root:string -> size:int -> string
+type batch_domain =
+  | Writes  (** leaves are {!write_body}s *)
+  | Contexts  (** leaves are {!ctx_body}s *)
+
+val batch_body : batch_domain -> root:string -> size:int -> string
 (** Canonical signed bytes for a Merkle batch root: domain-separated
-    from {!write_body} and binding the leaf count, so the proof shape a
-    verifier derives from [size] is covered by the signature. *)
+    from {!write_body}, from {!ctx_body} and from the other batch
+    domain, and binding the leaf count, so the proof shape a verifier
+    derives from [size] is covered by the signature. *)
 
 val mac_body : server:int -> string -> string
 (** [mac_body ~server body] — the bytes a per-server MAC tag
     authenticates: the write body plus the destination server id, so a
     tag replayed at a different server fails even before key lookup. *)
 
-type ctx_record = { seq : int; ctx : Context.t; signature : string }
+type ctx_record = { seq : int; ctx : Context.t; evidence : evidence }
 (** A stored context: [seq] is the client's session counter, so "latest"
-    is well defined even before checking vector dominance. *)
+    is well defined even before checking vector dominance. [evidence]
+    authenticates {!ctx_body}: [Sig] (one session's close) or [Batch]
+    (a {!Router} close certifying several groups' contexts under one
+    signed root). [Mac] evidence is never valid for a context. *)
 
 val ctx_body : client:string -> group:string -> seq:int -> Context.t -> string
-(** Canonical signed bytes for a context write. *)
+(** Canonical signed bytes for a context write (the batch leaf too). *)
+
+val ctx_record_digest : ctx_record -> string
+(** The first 16 bytes of the SHA-256 of the record's canonical
+    encoding: equal exactly when two records are byte-identical (128
+    bits is ample to tell apart one client's own records). *)
 
 type request =
   | Ctx_read of { client : string; group : string }
+  | Ctx_check of { client : string; group : string; known : string }
+      (** a {!Ctx_read} from a client that already holds a record (a
+          {!Router} reconnecting a group it closed before): [known] is
+          its {!ctx_record_digest}. A server storing exactly that record
+          answers {!Ctx_same}; otherwise it answers as to [Ctx_read]. *)
   | Ctx_write of { client : string; group : string; record : ctx_record }
   | Meta_query of { uid : Uid.t }
   | Value_read of { uid : Uid.t; stamp : Stamp.t }
@@ -172,6 +190,9 @@ type response =
   | Frag_reply of frag_chunk option
       (** answer to [Frag_get]; [None] when the server holds no such
           fragment *)
+  | Ctx_same
+      (** answer to [Ctx_check]: the server stores exactly the known
+          record *)
 
 val encode_write : Wire.Codec.Enc.t -> write -> unit
 val decode_write : Wire.Codec.Dec.t -> write
@@ -181,6 +202,13 @@ val decode_write : Wire.Codec.Dec.t -> write
 val decode_write_v3 : Wire.Codec.Dec.t -> write
 (** Decoder for the pre-dispersal wire image (snapshot versions <= 3):
     no [frags] field; restored writes get [frags = None]. *)
+
+val encode_ctx_record : Wire.Codec.Enc.t -> ctx_record -> unit
+val decode_ctx_record : Wire.Codec.Dec.t -> ctx_record
+
+val decode_ctx_record_v4 : Wire.Codec.Dec.t -> ctx_record
+(** Decoder for the pre-evidence image (snapshot versions <= 4): a bare
+    signature string, restored as [Sig] evidence. *)
 
 val encode_evidence : Wire.Codec.Enc.t -> evidence -> unit
 val decode_evidence : Wire.Codec.Dec.t -> evidence

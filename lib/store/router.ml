@@ -5,6 +5,9 @@ type t = {
   keyring : Keyring.t;
   config_of : int -> Client.config;
   sessions : (string, Client.t) Hashtbl.t;
+  known : (string, Payload.ctx_record) Hashtbl.t;
+      (* per group, the record the last closed session held: the next
+         connect asks for it by digest instead of fetching it again *)
 }
 
 let shard_servers ~n shard = List.init n (fun r -> (shard * n) + r)
@@ -14,7 +17,15 @@ let create ?admin ~table ~uid ~key ~keyring ~config_of () =
   | Some pub when not (Shardmap.verify table pub) ->
     invalid_arg "Router.create: shard table signature invalid"
   | _ -> ());
-  { table; uid; key; keyring; config_of; sessions = Hashtbl.create 16 }
+  {
+    table;
+    uid;
+    key;
+    keyring;
+    config_of;
+    sessions = Hashtbl.create 16;
+    known = Hashtbl.create 16;
+  }
 
 let shard_of t uid = Shardmap.shard_of_uid t.table uid
 let table t = t.table
@@ -26,7 +37,8 @@ let session t ~group =
     let shard = Shardmap.shard_of_group t.table group in
     let config = t.config_of shard in
     match
-      Client.connect ~config ~uid:t.uid ~key:t.key ~keyring:t.keyring ~group ()
+      Client.connect ?known:(Hashtbl.find_opt t.known group) ~config ~uid:t.uid
+        ~key:t.key ~keyring:t.keyring ~group ()
     with
     | Ok c ->
       Hashtbl.replace t.sessions group c;
@@ -53,20 +65,47 @@ let write t ~uid value =
 let read t ~uid =
   routed t ~uid ~write:false (fun c -> Client.read c ~item:(Uid.item uid))
 
-(* Fold an action over every open session, reporting the first error but
+let first_error results =
+  List.fold_left
+    (fun acc r -> match acc with Ok () -> r | Error _ -> acc)
+    (Ok ()) results
+
+(* Run an action on every open session, reporting the first error but
    visiting all of them (a failed shard must not strand another shard's
-   pending escalations or context write-back). *)
-let each t f =
-  Hashtbl.fold
-    (fun _group c acc ->
-      match f c with Ok () -> acc | Error _ as e when acc = Ok () -> e | _ -> acc)
-    t.sessions (Ok ())
+   pending escalations). *)
+let flush_all t =
+  first_error (Hashtbl.fold (fun _ c acc -> Client.flush c :: acc) t.sessions [])
 
-let flush_all t = each t Client.flush
-
+(* Close every session with one signature: prepare each write-back,
+   sign the bodies as one batch (a lone body keeps a plain signature),
+   then store each record. Sessions whose context a quorum already holds
+   send nothing. Every session is visited even when another fails. *)
 let disconnect t =
-  let r = each t Client.disconnect in
+  Obs.Span.with_op "disconnect" @@ fun () ->
+  let prepared =
+    Hashtbl.fold
+      (fun _ c acc -> Client.prepare_close c :: acc)
+      t.sessions []
+  in
+  let dirty, held =
+    List.partition
+      (fun c -> Client.close_body c <> None)
+      (List.filter_map Result.to_option prepared)
+  in
+  let evidence =
+    Signbatch.sign_contexts ~key:t.key (List.filter_map Client.close_body dirty)
+  in
+  let stored =
+    List.map2 (fun c e -> Client.finish_close c (Some e)) dirty evidence
+    @ List.map (fun c -> Client.finish_close c None) held
+  in
+  Hashtbl.iter
+    (fun group c ->
+      match Client.held_context c with
+      | Some r -> Hashtbl.replace t.known group r
+      | None -> Hashtbl.remove t.known group)
+    t.sessions;
   Hashtbl.reset t.sessions;
-  r
+  first_error (List.map (Result.map ignore) prepared @ stored)
 
 let sessions t = Hashtbl.fold (fun g c acc -> (g, c) :: acc) t.sessions []

@@ -49,8 +49,13 @@ val flush_all : t -> (unit, Client.error) result
 (** Flush pending Mac_fast escalations on every open session. *)
 
 val disconnect : t -> (unit, Client.error) result
-(** Disconnect every open session (contexts written back per group);
-    the first error is reported, but all sessions are attempted. *)
+(** Disconnect every open session with at most one RSA signature: the
+    context write-backs of all sessions are signed as one Merkle batch
+    ({!Signbatch.sign_contexts}; a lone write-back keeps plain [Sig]
+    evidence), then each is stored with its own quorum round. A session
+    sends no write-back when a quorum already holds its context (see
+    {!Client.prepare_close}). The first error is reported,
+    but all sessions are attempted. *)
 
 val sessions : t -> (string * Client.t) list
 (** Open sessions as [(group, session)] — diagnostics and tests. *)

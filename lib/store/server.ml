@@ -607,10 +607,10 @@ let epoch_exempt = function
        reconstructing its fragment must not be refused for lagging an
        epoch, exactly like gossip. *)
     true
-  | Payload.Ctx_read _ | Payload.Ctx_write _ | Payload.Meta_query _
-  | Payload.Value_read _ | Payload.Write_req _ | Payload.Log_query _
-  | Payload.Group_query _ | Payload.Read_inline _ | Payload.Evidence_upgrade _
-  | Payload.Frag_put _ ->
+  | Payload.Ctx_read _ | Payload.Ctx_check _ | Payload.Ctx_write _
+  | Payload.Meta_query _ | Payload.Value_read _ | Payload.Write_req _
+  | Payload.Log_query _ | Payload.Group_query _ | Payload.Read_inline _
+  | Payload.Evidence_upgrade _ | Payload.Frag_put _ ->
     false
 
 let handle t ~now ~from (env : Payload.envelope) : Payload.response option =
@@ -633,6 +633,12 @@ let handle t ~now ~from (env : Payload.envelope) : Payload.response option =
   | Payload.Ctx_read { client; group } ->
     auth ~group ~op:`Read (fun () ->
         Some (Payload.Ctx_reply (Hashtbl.find_opt t.contexts (client, group))))
+  | Payload.Ctx_check { client; group; known } ->
+    auth ~group ~op:`Read (fun () ->
+        match Hashtbl.find_opt t.contexts (client, group) with
+        | Some r when String.equal (Payload.ctx_record_digest r) known ->
+          Some Payload.Ctx_same
+        | stored -> Some (Payload.Ctx_reply stored))
   | Payload.Ctx_write { client; group; record } ->
     auth ~expect_client:client ~group ~op:`Write (fun () ->
         if t.draining then
@@ -876,8 +882,9 @@ let preverify t (env : Payload.envelope) =
     Signing.warm_context t.keyring ~client ~group record
   | Payload.Evidence_upgrade { writer; evidence; _ } ->
     Signing.warm_batch t.keyring ~writer evidence
-  | Payload.Ctx_read _ | Payload.Meta_query _ | Payload.Value_read _
-  | Payload.Log_query _ | Payload.Read_inline _ | Payload.Group_query _
+  | Payload.Ctx_read _ | Payload.Ctx_check _ | Payload.Meta_query _
+  | Payload.Value_read _ | Payload.Log_query _ | Payload.Read_inline _
+  | Payload.Group_query _
   | Payload.Epoch_get | Payload.Epoch_announce _
   (* fragment traffic carries no signatures: the metadata's digests are
      the authority *)
@@ -1054,8 +1061,11 @@ let repair_fragments t ~fetch =
    the dispersal-aware write image and appends the fragment store —
    including orphans, so a crash between a client's fragment scatter and
    its metadata quorum still commits once the metadata arrives after
-   restart. Versions 2/3 restore through {!Payload.decode_write_v3}. *)
-let snapshot_version = 4
+   restart. Versions 2/3 restore through {!Payload.decode_write_v3}.
+   Version 5 stores each context record's evidence (a signature or a
+   batch leaf) in place of its bare signature; older contexts restore as
+   signature evidence. *)
+let snapshot_version = 5
 
 let integrity_len = 32
 
@@ -1083,12 +1093,10 @@ let snapshot_body t =
         Hashtbl.fold (fun key record acc -> (key, record) :: acc) t.contexts []
       in
       Enc.list enc
-        (fun enc ((client, group), (r : Payload.ctx_record)) ->
+        (fun enc ((client, group), r) ->
           Enc.string enc client;
           Enc.string enc group;
-          Enc.varint enc r.seq;
-          Context.encode enc r.ctx;
-          Enc.string enc r.signature)
+          Payload.encode_ctx_record enc r)
         contexts;
       Enc.list enc Enc.string
         (Hashtbl.fold (fun writer () acc -> writer :: acc) t.faulty_writers []);
@@ -1166,14 +1174,16 @@ let restore_result ?config ~id ~keyring ~n ~b blob =
                 } ))
         in
         List.iter (fun (key, st) -> Hashtbl.replace t.items key st) items;
+        (* pre-v5 blobs store a context's bare signature *)
+        let decode_ctx_record =
+          if version >= 5 then Payload.decode_ctx_record
+          else Payload.decode_ctx_record_v4
+        in
         let contexts =
           Dec.list dec (fun dec ->
               let client = Dec.string dec in
               let group = Dec.string dec in
-              let seq = Dec.varint dec in
-              let ctx = Context.decode dec in
-              let signature = Dec.string dec in
-              ((client, group), { Payload.seq; ctx; signature }))
+              ((client, group), decode_ctx_record dec))
         in
         List.iter (fun (key, r) -> Hashtbl.replace t.contexts key r) contexts;
         List.iter

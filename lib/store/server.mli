@@ -195,7 +195,8 @@ val repair_fragments :
 
 val snapshot : t -> string
 (** Serialize the server's durable state — items (current, log, held
-    writes, fork flags, erasure watermarks), stored contexts,
+    writes, fork flags, erasure watermarks), stored contexts with their
+    evidence (v5; older contexts restore as signature evidence),
     quarantined writers, pending gossip, the audit log, and (v3) the
     installed config epoch and drain flag — so a repository survives
     restarts, as a long-term store must. The blob ends in a SHA-256 of

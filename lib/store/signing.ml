@@ -90,9 +90,9 @@ let sign_write ~key ~writer ~uid ~stamp ?wctx ?frags value =
     evidence = Payload.Sig (Crypto.Rsa.sign key (Payload.write_body unsigned));
   }
 
-let sign_batch_root ~key ~root ~size =
+let sign_batch_root ~key domain ~root ~size =
   Metrics.incr_sign ();
-  Crypto.Rsa.sign key (Payload.batch_body ~root ~size)
+  Crypto.Rsa.sign key (Payload.batch_body domain ~root ~size)
 
 (* Build the MAC-evidence form of a write: one HMAC tag per server in
    [servers]. [None] when any pairwise key is missing — the caller falls
@@ -117,6 +117,23 @@ let mac_write keyring ~writer ~uid ~stamp ?wctx ?frags ~servers value =
     Some { unsigned with evidence = Payload.Mac tags }
   else None
 
+(* One leaf of a signed Merkle batch: the root signature goes through
+   the cache (k leaves of one batch cost one RSA verify), the inclusion
+   path is checked against the signed size, and [domain] fixes which
+   kind of leaf the root may certify. *)
+let check_batch ~count pub domain ~leaf
+    ({ root; size; proof; root_sig } : Payload.batch_evidence) =
+  size > 0
+  && proof.Crypto.Merkle.index >= 0
+  && proof.Crypto.Merkle.index < size
+  && cached_verify ~count pub
+       ~msg:(Payload.batch_body domain ~root ~size)
+       ~signature:root_sig
+  && begin
+       if count then Metrics.incr_digest ();
+       Crypto.Merkle.verify ~root ~size ~leaf proof
+     end
+
 (* Third-party verification: signature or batch evidence only. MAC
    evidence is deliberately unverifiable here — a client or gossip peer
    holding no pairwise key must treat such a write as unauthenticated,
@@ -130,17 +147,8 @@ let check_write ?(count = true) keyring (w : Payload.write) =
     | Payload.Sig signature ->
       cached_verify ~count pub ~msg:(Payload.write_body w) ~signature
       && Stamp.matches_value w.stamp w.value
-    | Payload.Batch { root; size; proof; root_sig } ->
-      size > 0
-      && proof.Crypto.Merkle.index >= 0
-      && proof.Crypto.Merkle.index < size
-      && cached_verify ~count pub
-           ~msg:(Payload.batch_body ~root ~size)
-           ~signature:root_sig
-      && begin
-           if count then Metrics.incr_digest ();
-           Crypto.Merkle.verify ~root ~size ~leaf:(Payload.write_body w) proof
-         end
+    | Payload.Batch b ->
+      check_batch ~count pub Payload.Writes ~leaf:(Payload.write_body w) b
       && Stamp.matches_value w.stamp w.value
     | Payload.Mac _ -> false)
 
@@ -193,23 +201,36 @@ let warm_batch keyring ~writer evidence =
     match Keyring.find keyring writer with
     | Some pub ->
       ignore
-        (cached_verify pub ~msg:(Payload.batch_body ~root ~size)
+        (cached_verify pub
+           ~msg:(Payload.batch_body Payload.Writes ~root ~size)
            ~signature:root_sig
           : bool)
     | None -> ())
   | Payload.Sig _ | Payload.Mac _ -> ()
 
-let sign_context ~key ~client ~group ~seq ctx =
+let sign_body ~key body =
   Metrics.incr_sign ();
-  let body = Payload.ctx_body ~client ~group ~seq ctx in
-  { Payload.seq; ctx; signature = Crypto.Rsa.sign key body }
+  Crypto.Rsa.sign key body
 
-let check_context ?count keyring ~client ~group (r : Payload.ctx_record) =
+let sign_context ~key ~client ~group ~seq ctx =
+  let body = Payload.ctx_body ~client ~group ~seq ctx in
+  { Payload.seq; ctx; evidence = Payload.Sig (sign_body ~key body) }
+
+(* A context is certified by its own signature or by one leaf of a
+   signed batch of contexts; the group and client are inside the leaf,
+   so a record of another group in the same batch does not verify here.
+   MAC evidence is refused: a context must convince the session's next
+   connect, which holds no pairwise key. *)
+let check_context ?(count = true) keyring ~client ~group
+    (r : Payload.ctx_record) =
   match Keyring.find keyring client with
   | None -> false
-  | Some pub ->
+  | Some pub -> (
     let body = Payload.ctx_body ~client ~group ~seq:r.seq r.ctx in
-    cached_verify ?count pub ~msg:body ~signature:r.signature
+    match r.evidence with
+    | Payload.Sig signature -> cached_verify ~count pub ~msg:body ~signature
+    | Payload.Batch b -> check_batch ~count pub Payload.Contexts ~leaf:body b
+    | Payload.Mac _ -> false)
 
 let verify_context keyring ~client ~group r =
   Metrics.incr_verify ();
@@ -219,5 +240,7 @@ let server_verify_context keyring ~client ~group r =
   Metrics.incr_server_verify ();
   check_context keyring ~client ~group r
 
+(* Warming a batch-evidenced record runs its root-signature check, the
+   one RSA verify every other record of that batch then hits. *)
 let warm_context keyring ~client ~group r =
   ignore (check_context keyring ~client ~group r : bool)

@@ -40,9 +40,14 @@ val sign_write :
     descriptor (fragment digests included) via the domain-separated
     {!Payload.write_body}. *)
 
-val sign_batch_root : key:Crypto.Rsa.keypair -> root:string -> size:int -> string
+val sign_batch_root :
+  key:Crypto.Rsa.keypair -> Payload.batch_domain -> root:string -> size:int -> string
 (** Sign {!Payload.batch_body} — one signature certifying a whole
-    Merkle batch of write bodies (used by {!Signbatch}). *)
+    Merkle batch of write or context bodies (used by {!Signbatch}). *)
+
+val sign_body : key:Crypto.Rsa.keypair -> string -> string
+(** One accounted RSA signature over canonical bytes the caller built
+    (a {!Payload.ctx_body}, say). *)
 
 val mac_write :
   Keyring.t ->
@@ -83,9 +88,17 @@ val sign_context :
   seq:int ->
   Context.t ->
   Payload.ctx_record
+(** A one-session context record: [Sig] evidence over
+    {!Payload.ctx_body}. *)
 
 val verify_context :
   Keyring.t -> client:string -> group:string -> Payload.ctx_record -> bool
+(** Client-side check (counts toward [verifies]). [Sig] evidence is a
+    signature over the record's {!Payload.ctx_body} for this [client]
+    and [group]; [Batch] evidence is that body as one leaf under a
+    signed {!Payload.Contexts} root, checked like batch write evidence
+    (root verdict shared through the cache, size-aware proof). [Mac]
+    evidence always fails. *)
 
 val server_verify_context :
   Keyring.t -> client:string -> group:string -> Payload.ctx_record -> bool
@@ -103,4 +116,5 @@ val warm_batch : Keyring.t -> writer:string -> Payload.evidence -> unit
 
 val warm_context :
   Keyring.t -> client:string -> group:string -> Payload.ctx_record -> unit
-(** Context analogue of {!warm_write}. *)
+(** Context analogue of {!warm_write}: for [Batch] evidence this runs
+    the root-signature check that the batch's other records then hit. *)

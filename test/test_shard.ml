@@ -367,6 +367,221 @@ let test_router_oracle () =
         (List.map Check.Oracle.violation_to_string (Check.Oracle.check evs)))
     (List.init shards Fun.id)
 
+(* ---- Router closes: one signature, no redundant write-backs -------- *)
+
+type close_world = {
+  keyring : Store.Keyring.t;
+  servers : Store.Server.t array;
+  down : (int, unit) Hashtbl.t;
+  mutable ctx_writes : int;  (** [Ctx_write] requests delivered *)
+}
+
+let alice = lazy (key_of "alice")
+
+let close_world ?server_config count =
+  let keyring = Store.Keyring.create () in
+  Store.Keyring.register keyring "alice" (Lazy.force alice).Crypto.Rsa.public;
+  let servers =
+    Array.init count (fun id ->
+        Store.Server.create ?config:server_config ~id ~keyring ~n:4 ~b:1 ())
+  in
+  { keyring; servers; down = Hashtbl.create 4; ctx_writes = 0 }
+
+let close_handlers w dst ~from req =
+  if dst < 0 || dst >= Array.length w.servers || Hashtbl.mem w.down dst then None
+  else begin
+    (match Store.Payload.decode_envelope req with
+    | Some { Store.Payload.request = Store.Payload.Ctx_write _; _ } ->
+      w.ctx_writes <- w.ctx_writes + 1
+    | _ -> ());
+    Store.Server.handler w.servers.(dst) ~now:0.0 ~from req
+  end
+
+let stored_record ?(epoch = 0) w s group =
+  match
+    Store.Server.handle w.servers.(s) ~now:0.0 ~from:(-1)
+      {
+        Store.Payload.token = None;
+        epoch;
+        request = Store.Payload.Ctx_read { client = "alice"; group };
+      }
+  with
+  | Some (Store.Payload.Ctx_reply r) -> r
+  | _ -> None
+
+let router ?(config_of = config_of_shard ~n:4 ~b:1) w table =
+  Store.Router.create ~table ~uid:"alice" ~key:(Lazy.force alice)
+    ~keyring:w.keyring ~config_of ()
+
+let okr what = function
+  | Ok v -> v
+  | Error e -> Alcotest.failf "%s: %s" what (Store.Client.error_to_string e)
+
+let signs_during f =
+  Store.Metrics.reset ();
+  let before = Store.Metrics.read () in
+  let v = f () in
+  (v, (Store.Metrics.diff (Store.Metrics.read ()) before).Store.Metrics.signs)
+
+let test_router_close_signs_once () =
+  let table = Store.Shardmap.make ~seed:"close" ~shards:2 () in
+  let w = close_world 8 in
+  let groups = List.init 10 (fun i -> Printf.sprintf "c%d" i) in
+  Sim.Direct.run ~handlers:(close_handlers w) (fun () ->
+      let r = router w table in
+      List.iter
+        (fun g -> okr "write" (Store.Router.write r ~uid:(Store.Uid.make ~group:g ~item:"x") g))
+        groups;
+      w.ctx_writes <- 0;
+      let (), signs = signs_during (fun () -> okr "disconnect" (Store.Router.disconnect r)) in
+      Alcotest.(check int) "one RSA signature closes ten dirty sessions" 1 signs;
+      Alcotest.(check int) "every session written back to a quorum" 30 w.ctx_writes;
+      List.iter
+        (fun g ->
+          let s = 4 * Store.Shardmap.shard_of_group table g in
+          match stored_record w s g with
+          | Some ({ Store.Payload.evidence = Store.Payload.Batch _; _ } as rc) ->
+            Alcotest.(check bool) ("record of " ^ g ^ " verifies") true
+              (Store.Signing.verify_context w.keyring ~client:"alice" ~group:g rc)
+          | _ -> Alcotest.failf "no batch-evidenced record for %s" g)
+        groups;
+      (* A router with nothing cached loads every context back. *)
+      let fresh = router w table in
+      List.iter
+        (fun g ->
+          let c = okr "connect" (Store.Router.session fresh ~group:g) in
+          Alcotest.(check bool) ("context of " ^ g ^ " restored") true
+            (Store.Context.mem (Store.Client.context c) (Store.Uid.make ~group:g ~item:"x")))
+        groups)
+
+let test_router_skips_held_contexts () =
+  let table = Store.Shardmap.make ~seed:"held" ~shards:1 () in
+  let w = close_world 4 in
+  let uid = Store.Uid.make ~group:"h" ~item:"x" in
+  Sim.Direct.run ~handlers:(close_handlers w) (fun () ->
+      let r = router w table in
+      okr "write" (Store.Router.write r ~uid "v");
+      okr "first close" (Store.Router.disconnect r);
+      let close_after r op =
+        w.ctx_writes <- 0;
+        op r;
+        let (), signs = signs_during (fun () -> okr "close" (Store.Router.disconnect r)) in
+        (signs, w.ctx_writes)
+      in
+      let read_back r =
+        Alcotest.(check string) "reads back" "v" (okr "read" (Store.Router.read r ~uid))
+      in
+      Alcotest.(check (pair int int)) "reload by digest: no sign, no Ctx_write" (0, 0)
+        (close_after r read_back);
+      Alcotest.(check (pair int int)) "full reload: no sign, no Ctx_write" (0, 0)
+        (close_after (router w table) read_back);
+      (* A session whose context moved writes it back. *)
+      let signs, writes =
+        close_after r (fun r ->
+            okr "write" (Store.Router.write r ~uid:(Store.Uid.make ~group:"h" ~item:"y") "w"))
+      in
+      Alcotest.(check int) "changed context signed once" 1 signs;
+      Alcotest.(check bool) "changed context written back" true (writes > 0);
+      (* With server 2 silent the connect finds the record on two
+         servers only: fewer than the quorum, so it is written back. *)
+      Hashtbl.replace w.down 2 ();
+      let signs, writes = close_after r read_back in
+      Alcotest.(check int) "rewritten with one signature" 1 signs;
+      Alcotest.(check bool) "record on too few servers is rewritten" true (writes > 0))
+
+let test_router_rewrites_after_epoch_change () =
+  let admin = key_of "admin" in
+  let server_config =
+    {
+      (Store.Server.default_config ~n:4 ~b:1) with
+      Store.Server.epoch_admin = Some admin.Crypto.Rsa.public;
+    }
+  in
+  let w = close_world ~server_config 6 in
+  let force = function Ok e -> e | Error m -> Alcotest.fail m in
+  let genesis =
+    Store.Config_epoch.sign
+      (force (Store.Config_epoch.genesis ~servers:[ 0; 1; 2; 3 ] ~b:1 ()))
+      admin
+  in
+  Array.iter (fun s -> Store.Server.set_epoch s genesis) w.servers;
+  let table = Store.Shardmap.make ~seed:"epoch" ~shards:1 () in
+  let config_of shard =
+    {
+      (config_of_shard ~n:4 ~b:1 shard) with
+      Store.Client.epoch_admin = Some admin.Crypto.Rsa.public;
+    }
+  in
+  let uid = Store.Uid.make ~group:"e" ~item:"x" in
+  Sim.Direct.run ~handlers:(close_handlers w) (fun () ->
+      let r = router ~config_of w table in
+      okr "write" (Store.Router.write r ~uid "v");
+      okr "first close" (Store.Router.disconnect r);
+      Alcotest.(check string) "reads back" "v" (okr "read" (Store.Router.read r ~uid));
+      (* Servers 1 and 2 leave: the record, stored on 0, 1 and 2, is now
+         on one current member. *)
+      let e2 =
+        Store.Config_epoch.sign
+          (force (Store.Config_epoch.next genesis ~servers:[ 0; 3; 4; 5 ] ~b:1 ()))
+          admin
+      in
+      Array.iter (fun s -> Store.Server.set_epoch s e2) w.servers;
+      (* The session learns the new epoch on its next round; the read
+         leaves its context unchanged. *)
+      ignore (Store.Router.read r ~uid:(Store.Uid.make ~group:"e" ~item:"missing"));
+      (match Store.Router.sessions r with
+      | [ (_, c) ] ->
+        Alcotest.(check (option int)) "session moved to epoch 2" (Some 2)
+          (Option.map (fun e -> e.Store.Config_epoch.version) (Store.Client.epoch c))
+      | _ -> Alcotest.fail "one open session");
+      w.ctx_writes <- 0;
+      okr "close" (Store.Router.disconnect r);
+      Alcotest.(check bool) "context rewritten after the epoch change" true
+        (w.ctx_writes > 0);
+      let holders =
+        List.filter
+          (fun s ->
+            match stored_record ~epoch:2 w s "e" with
+            | Some rc -> rc.Store.Payload.seq = 2
+            | None -> false)
+          [ 0; 3; 4; 5 ]
+      in
+      Alcotest.(check bool) "a quorum of current members holds it" true
+        (List.length holders >= Store.Quorums.context_quorum ~n:4 ~b:1))
+
+let test_router_close_visits_every_session () =
+  let table = Store.Shardmap.make ~seed:"visit" ~shards:2 () in
+  let w = close_world 8 in
+  let candidates = List.init 40 (fun i -> Printf.sprintf "v%d" i) in
+  let on shard =
+    List.filter (fun g -> Store.Shardmap.shard_of_group table g = shard) candidates
+    |> List.filteri (fun i _ -> i < 3)
+  in
+  let healthy = on 0 and failing = on 1 in
+  if List.length healthy < 3 || List.length failing < 3 then
+    Alcotest.fail "sample groups do not cover both shards";
+  Sim.Direct.run ~handlers:(close_handlers w) (fun () ->
+      let r = router w table in
+      List.iter
+        (fun g -> okr "write" (Store.Router.write r ~uid:(Store.Uid.make ~group:g ~item:"x") g))
+        (failing @ healthy);
+      (* Shard 1 loses three replicas: its write-backs cannot reach a
+         quorum, shard 0's still must be stored. *)
+      List.iter (fun s -> Hashtbl.replace w.down s ()) [ 5; 6; 7 ];
+      (match Store.Router.disconnect r with
+      | Error (Store.Client.No_quorum _) -> ()
+      | Ok () -> Alcotest.fail "a failed write-back went unreported"
+      | Error e -> Alcotest.failf "unexpected error: %s" (Store.Client.error_to_string e));
+      Alcotest.(check int) "all sessions closed" 0 (List.length (Store.Router.sessions r));
+      List.iter
+        (fun g ->
+          let holders =
+            List.filter (fun s -> stored_record w s g <> None) [ 0; 1; 2; 3 ]
+          in
+          Alcotest.(check bool) ("context of " ^ g ^ " stored") true
+            (List.length holders >= 3))
+        healthy)
+
 (* ---- Router over live TCP: multi-shard hosting end to end --------- *)
 
 let test_router_live_sharded () =
@@ -560,6 +775,13 @@ let () =
           Alcotest.test_case "table signature" `Quick
             test_router_table_signature;
           Alcotest.test_case "oracle clean" `Quick test_router_oracle;
+          Alcotest.test_case "close signs once" `Quick test_router_close_signs_once;
+          Alcotest.test_case "held contexts not rewritten" `Quick
+            test_router_skips_held_contexts;
+          Alcotest.test_case "rewrite after epoch change" `Quick
+            test_router_rewrites_after_epoch_change;
+          Alcotest.test_case "close visits every session" `Quick
+            test_router_close_visits_every_session;
           Alcotest.test_case "live sharded" `Slow test_router_live_sharded;
         ] );
       ( "openloop",

@@ -238,13 +238,32 @@ let test_payload_roundtrips () =
         {
           client = "alice";
           group = "g";
-          record = { Payload.seq = 3; ctx = Context.empty; signature = "sig" };
+          record = { Payload.seq = 3; ctx = Context.empty; evidence = Payload.Sig "sig" };
         };
       Payload.Meta_query { uid = u1 };
       Payload.Value_read { uid = u2; stamp = Stamp.scalar 4 };
       Payload.Write_req { write = sample_write; await_ack = true };
       Payload.Log_query { uid = u1 };
       Payload.Group_query { group = "g" };
+      Payload.Ctx_check { client = "alice"; group = "g"; known = String.make 16 'k' };
+      Payload.Ctx_write
+        {
+          client = "alice";
+          group = "g";
+          record =
+            {
+              Payload.seq = 4;
+              ctx = Context.of_bindings [ (u1, Stamp.scalar 2) ];
+              evidence =
+                Payload.Batch
+                  {
+                    root = String.make 32 'r';
+                    size = 3;
+                    proof = { Crypto.Merkle.index = 2; path = [ (String.make 32 'p', `Left) ] };
+                    root_sig = "rs";
+                  };
+            };
+        };
       Payload.Gossip_push { writes = [ sample_write; sample_write ]; have = [ (u1, Stamp.scalar 9) ]; epoch = None };
     ]
   in
@@ -259,7 +278,8 @@ let test_payload_roundtrips () =
   let responses =
     [
       Payload.Ctx_reply None;
-      Payload.Ctx_reply (Some { Payload.seq = 1; ctx = Context.empty; signature = "s" });
+      Payload.Ctx_same;
+      Payload.Ctx_reply (Some { Payload.seq = 1; ctx = Context.empty; evidence = Payload.Sig "s" });
       Payload.Meta_reply { stamp = Some (Stamp.scalar 2); writer_faulty = true };
       Payload.Meta_reply { stamp = None; writer_faulty = false };
       Payload.Value_reply (Some sample_write);
@@ -1971,7 +1991,7 @@ let test_server_ctx_seq_ordering () =
   | Some (Payload.Ctx_reply (Some r)) -> Alcotest.(check int) "kept newest seq" 5 r.Payload.seq
   | _ -> Alcotest.fail "no context");
   (* Forged context: rejected before storage. *)
-  let forged = { (record 9) with Payload.signature = String.make 64 'x' } in
+  let forged = { (record 9) with Payload.evidence = Payload.Sig (String.make 64 'x') } in
   (match send forged with
   | Some (Payload.Denied _) -> ()
   | _ -> Alcotest.fail "forged context accepted");
@@ -2936,6 +2956,326 @@ let test_downgrade_strips_batch_proofs_detected () =
       Alcotest.(check bool) "proof stripping proven" true
         (Fault_evidence.is_proven evidence 0))
 
+(* ------------------------------------------------------------------ *)
+(* Batched context evidence (one signature per Router close)          *)
+(* ------------------------------------------------------------------ *)
+
+let ctx_keyring = lazy (make_world ()).keyring
+
+let flip_at s i =
+  String.mapi (fun j c -> if j = i then Char.chr (Char.code c lxor 1) else c) s
+
+(* [(group, seq, ctx)] signed as one close of [client]: a batch of
+   several contexts shares one root signature. *)
+let sign_close ?(client = "alice") entries =
+  let bodies =
+    List.map
+      (fun (group, seq, ctx) -> Payload.ctx_body ~client ~group ~seq ctx)
+      entries
+  in
+  List.map2
+    (fun (group, seq, ctx) evidence -> (group, { Payload.seq; ctx; evidence }))
+    entries
+    (Signbatch.sign_contexts ~key:(key_of client) bodies)
+
+let close_entries ~k ~salt =
+  List.init k (fun j ->
+      let group = Printf.sprintf "g%d" j in
+      let ctx =
+        Context.of_bindings
+          (List.init (1 + ((salt + j) mod 3)) (fun e ->
+               ( Uid.make ~group ~item:(Printf.sprintf "i%d" e),
+                 Stamp.scalar (salt + j + e + 1) )))
+      in
+      (group, 1 + ((salt * 7) + j) mod 50, ctx))
+
+let both_reject ~client ~group r =
+  let keyring = Lazy.force ctx_keyring in
+  (not (Signing.verify_context keyring ~client ~group r))
+  && not (Signing.server_verify_context keyring ~client ~group r)
+
+(* Every single-field mutation of a batch-evidenced record is refused by
+   the client's and the server's check alike. *)
+let prop_ctx_batch_mutations =
+  QCheck.Test.make ~name:"batched context evidence: mutations rejected"
+    ~count:60
+    QCheck.(triple (int_range 2 9) (int_range 0 1000) (int_range 0 1_000_000))
+    (fun (k, salt, pos) ->
+      let closed = sign_close (close_entries ~k ~salt) in
+      let group, r = List.nth closed (pos mod k) in
+      let keyring = Lazy.force ctx_keyring in
+      let b =
+        match r.Payload.evidence with
+        | Payload.Batch b -> b
+        | _ -> QCheck.Test.fail_report "a batch of several is not Batch"
+      in
+      let with_batch b' = { r with Payload.evidence = Payload.Batch b' } in
+      let ctx_bytes = Wire.Codec.encode Context.encode r.ctx in
+      let ctx_mutant =
+        match
+          Wire.Codec.decode_opt Context.decode
+            (flip_at ctx_bytes (pos mod String.length ctx_bytes))
+        with
+        | Some c when not (Context.equal c r.ctx) -> c
+        | _ ->
+          (* the flipped byte did not decode to another context: move
+             one entry's stamp instead *)
+          let uid, stamp = List.hd (Context.bindings r.ctx) in
+          Context.set r.ctx uid (Stamp.scalar (Stamp.time stamp + 1))
+      in
+      let path = b.proof.Crypto.Merkle.path in
+      let sibling = pos mod List.length path in
+      let proof =
+        {
+          b.proof with
+          Crypto.Merkle.path =
+            List.mapi
+              (fun i (h, side) -> if i = sibling then (flip_at h 0, side) else (h, side))
+              path;
+        }
+      in
+      Signing.verify_context keyring ~client:"alice" ~group r
+      && Signing.server_verify_context keyring ~client:"alice" ~group r
+      && List.for_all
+           (fun (client, group, r) -> both_reject ~client ~group r)
+           [
+             ("alice", group, { r with seq = r.seq + 1 });
+             ("alice", group ^ "'", r);
+             ("bob", group, r);
+             ("alice", group, { r with ctx = ctx_mutant });
+             ("alice", group, with_batch { b with proof });
+             ( "alice",
+               group,
+               with_batch
+                 { b with root_sig = flip_at b.root_sig (pos mod String.length b.root_sig) } );
+             ("alice", group, with_batch { b with root = flip_at b.root 0 });
+             ("alice", group, with_batch { b with size = b.size + 1 });
+             ("alice", group, with_batch { b with size = b.size - 1 });
+           ])
+
+(* A batch of one keeps the one-session form: the same record, the same
+   bytes, as [Signing.sign_context]. *)
+let test_ctx_batch_of_one_is_sig () =
+  let ctx = Context.of_bindings [ (u1, Stamp.scalar 4) ] in
+  let single = Signing.sign_context ~key:(key_of "alice") ~client:"alice" ~group:"g" ~seq:3 ctx in
+  match sign_close [ ("g", 3, ctx) ] with
+  | [ (_, r) ] ->
+    Alcotest.(check bool) "plain signature evidence" true
+      (match r.Payload.evidence with Payload.Sig _ -> true | _ -> false);
+    Alcotest.(check string) "byte-identical encoding"
+      (Wire.Codec.encode Payload.encode_ctx_record single)
+      (Wire.Codec.encode Payload.encode_ctx_record r)
+  | _ -> Alcotest.fail "one body, one record"
+
+(* Both batch domains over the very same leaves: only the domain in the
+   signed root differs, and it alone decides what verifies. *)
+let test_ctx_batch_domains_separated () =
+  let keyring = Lazy.force ctx_keyring in
+  let key = key_of "alice" in
+  let write =
+    Signing.sign_write ~key ~writer:"alice" ~uid:u1 ~stamp:(Stamp.scalar 5) "v"
+  in
+  let ctx = Context.of_bindings [ (u1, Stamp.scalar 5) ] in
+  let leaves =
+    [ Payload.write_body write; Payload.ctx_body ~client:"alice" ~group:"g" ~seq:2 ctx ]
+  in
+  let as_write b = { write with Payload.evidence = Payload.Batch b } in
+  let as_ctx b = { Payload.seq = 2; ctx; evidence = Payload.Batch b } in
+  let check_ctx r = Signing.verify_context keyring ~client:"alice" ~group:"g" r in
+  (match
+     (Signbatch.sign ~key Payload.Writes leaves, Signbatch.sign ~key Payload.Contexts leaves)
+   with
+  | [ ww; wc ], [ cw; cc ] ->
+    Alcotest.(check bool) "write leaf under a write root" true
+      (Signing.verify_write keyring (as_write ww));
+    Alcotest.(check bool) "write leaf under a context root" false
+      (Signing.verify_write keyring (as_write cw));
+    Alcotest.(check bool) "context leaf under a context root" true (check_ctx (as_ctx cc));
+    Alcotest.(check bool) "context leaf under a write root" false (check_ctx (as_ctx wc))
+  | _ -> Alcotest.fail "two leaves, two proofs");
+  Alcotest.(check bool) "MAC evidence refused for contexts" false
+    (check_ctx { Payload.seq = 2; ctx; evidence = Payload.Mac [ (0, String.make 32 'm') ] })
+
+(* A record of group g2 from the same batch, served for group g, is
+   refused and proven against the server that served it. *)
+let test_ctx_batch_cross_group_forged () =
+  let w = make_world () in
+  let ctx_g = Context.of_bindings [ (Uid.make ~group:"g" ~item:"x", Stamp.scalar 3) ] in
+  let ctx_g2 = Context.of_bindings [ (Uid.make ~group:"g2" ~item:"x", Stamp.scalar 9) ] in
+  let closed = sign_close [ ("g", 4, ctx_g); ("g2", 8, ctx_g2) ] in
+  let rec_g = List.assoc "g" closed and rec_g2 = List.assoc "g2" closed in
+  Alcotest.(check bool) "g2's record does not verify for g" false
+    (Signing.verify_context w.keyring ~client:"alice" ~group:"g" rec_g2);
+  for i = 1 to 3 do
+    match
+      Server.handle w.servers.(i) ~now:0.0 ~from:(-1)
+        {
+          Payload.token = None;
+          epoch = 0;
+          request = Payload.Ctx_write { client = "alice"; group = "g"; record = rec_g };
+        }
+    with
+    | Some Payload.Ack -> ()
+    | _ -> Alcotest.failf "server %d refused a valid batched record" i
+  done;
+  (* Server 0 answers every context read of g with g2's (fresher) record. *)
+  w.hmap.(0) <-
+    (fun ~now ~from req ->
+      match Payload.decode_envelope req with
+      | Some { Payload.request = Payload.Ctx_read { group = "g"; _ }; _ } ->
+        Some (Payload.encode_response (Payload.Ctx_reply (Some rec_g2)))
+      | _ -> Server.handler w.servers.(0) ~now ~from req);
+  let evidence = Fault_evidence.create ~servers:[ 0; 1; 2; 3 ] ~b:1 in
+  in_world w (fun () ->
+      let alice =
+        connect w "alice" ~group:"g" ~cfg:(fun c -> { c with Client.evidence = Some evidence })
+      in
+      Alcotest.(check bool) "the genuine record is loaded" true
+        (Context.equal ctx_g (Client.context alice)));
+  Alcotest.(check bool) "reported as a forged context" true
+    (Fault_evidence.proof_of evidence 0 = Some Fault_evidence.Forged_context)
+
+(* The history tap still sees what the caller read: the value digest of
+   a replicated and of a dispersed read. *)
+let test_read_trace_carries_digest () =
+  let w = make_world () in
+  let small = "small value" and big = String.make 3000 'z' in
+  let hist = Check.History.create () in
+  Check.History.recording hist (fun () ->
+      in_world w (fun () ->
+          let alice =
+            connect w "alice" ~group:"g"
+              ~cfg:(fun c -> { c with Client.dispersal_threshold = 1024 })
+          in
+          ok (Client.write alice ~item:"s" small);
+          ok (Client.write alice ~item:"b" big);
+          Alcotest.(check string) "replicated read" small (ok (Client.read alice ~item:"s"));
+          Alcotest.(check string) "dispersed read" big (ok (Client.read alice ~item:"b"))));
+  let digests =
+    List.filter_map
+      (fun (e : Trace.event) ->
+        match (e.phase, e.kind, e.outcome) with
+        | Trace.Return, Trace.Read { uid }, Some (Trace.Ok_value { digest; _ }) ->
+          Some (Uid.to_string uid, digest)
+        | _ -> None)
+      (Check.History.events hist)
+  in
+  Alcotest.(check (list (pair string string))) "read returns carry value digests"
+    [ ("g/s", Crypto.Sha256.hex_digest small); ("g/b", Crypto.Sha256.hex_digest big) ]
+    digests
+
+(* Snapshot version 5 keeps a context's evidence: batch-evidenced
+   records come back byte for byte and still verify. *)
+let test_snapshot_keeps_ctx_batches () =
+  let w = make_world () in
+  let closed = sign_close (close_entries ~k:5 ~salt:11) in
+  List.iter
+    (fun (group, record) ->
+      ignore
+        (Server.handle w.servers.(0) ~now:0.0 ~from:(-1)
+           {
+             Payload.token = None;
+             epoch = 0;
+             request = Payload.Ctx_write { client = "alice"; group; record };
+           }))
+    closed;
+  let read s group =
+    match
+      Server.handle s ~now:0.0 ~from:(-1)
+        { Payload.token = None; epoch = 0; request = Payload.Ctx_read { client = "alice"; group } }
+    with
+    | Some (Payload.Ctx_reply (Some r)) -> r
+    | _ -> Alcotest.failf "no context for %s" group
+  in
+  match Server.restore_result ~id:0 ~keyring:w.keyring ~n:4 ~b:1 (Server.snapshot w.servers.(0)) with
+  | Error e -> Alcotest.failf "restore: %s" e
+  | Ok restored ->
+    List.iter
+      (fun (group, record) ->
+        let r = read restored group in
+        Alcotest.(check string) ("record of " ^ group ^ " byte-identical")
+          (Payload.ctx_record_digest record) (Payload.ctx_record_digest r);
+        Alcotest.(check bool) ("record of " ^ group ^ " verifies") true
+          (Signing.verify_context w.keyring ~client:"alice" ~group r))
+      closed
+
+(* A version-4 snapshot (contexts with a bare signature) still loads;
+   its records become signature evidence. *)
+let test_snapshot_v4_contexts_load () =
+  let w = make_world () in
+  let ctx = Context.of_bindings [ (u1, Stamp.scalar 7) ] in
+  let record = Signing.sign_context ~key:(key_of "alice") ~client:"alice" ~group:"g" ~seq:6 ctx in
+  let signature =
+    match record.Payload.evidence with Payload.Sig s -> s | _ -> assert false
+  in
+  let open Wire.Codec in
+  let body =
+    encode
+      (fun enc () ->
+        Enc.string enc "securestore-snapshot";
+        Enc.varint enc 4;
+        Enc.varint enc 0;
+        Enc.list enc (fun _ () -> ()) [];
+        Enc.list enc
+          (fun enc (client, group) ->
+            Enc.string enc client;
+            Enc.string enc group;
+            Enc.varint enc 6;
+            Context.encode enc ctx;
+            Enc.string enc signature)
+          [ ("alice", "g") ];
+        Enc.list enc Enc.string [];
+        Enc.list enc (fun _ () -> ()) [];
+        Enc.list enc (fun _ () -> ()) [];
+        Enc.option enc Config_epoch.encode None;
+        Enc.bool enc false;
+        Enc.list enc (fun _ () -> ()) [])
+      ()
+  in
+  match
+    Server.restore_result ~id:0 ~keyring:w.keyring ~n:4 ~b:1
+      (body ^ Crypto.Sha256.digest body)
+  with
+  | Error e -> Alcotest.failf "v4 snapshot refused: %s" e
+  | Ok restored -> (
+    match
+      Server.handle restored ~now:0.0 ~from:(-1)
+        { Payload.token = None; epoch = 0; request = Payload.Ctx_read { client = "alice"; group = "g" } }
+    with
+    | Some (Payload.Ctx_reply (Some r)) ->
+      Alcotest.(check bool) "restored as the signed record" true
+        (Payload.ctx_record_digest r = Payload.ctx_record_digest record);
+      Alcotest.(check bool) "verifies" true
+        (Signing.verify_context w.keyring ~client:"alice" ~group:"g" r)
+    | _ -> Alcotest.fail "v4 context lost")
+
+(* Every truncation of a version-5 body, even one carrying a matching
+   integrity trailer, is refused with an error — never an exception. *)
+let test_snapshot_v5_truncations_refused () =
+  let w = make_world () in
+  List.iter
+    (fun (group, record) ->
+      ignore
+        (Server.handle w.servers.(0) ~now:0.0 ~from:(-1)
+           {
+             Payload.token = None;
+             epoch = 0;
+             request = Payload.Ctx_write { client = "alice"; group; record };
+           }))
+    (sign_close (close_entries ~k:3 ~salt:5));
+  let blob = Server.snapshot w.servers.(0) in
+  let body = String.sub blob 0 (String.length blob - 32) in
+  for cut = 0 to String.length body - 1 do
+    let prefix = String.sub body 0 cut in
+    match
+      Server.restore_result ~id:0 ~keyring:w.keyring ~n:4 ~b:1
+        (prefix ^ Crypto.Sha256.digest prefix)
+    with
+    | Ok _ -> Alcotest.failf "a %d-byte prefix loaded" cut
+    | Error _ -> ()
+    | exception e -> Alcotest.failf "a %d-byte prefix raised %s" cut (Printexc.to_string e)
+  done
+
 let qsuite props = List.map QCheck_alcotest.to_alcotest props
 
 let () =
@@ -3076,6 +3416,23 @@ let () =
           Alcotest.test_case "corruption rejected" `Quick
             test_snapshot_corruption_rejected;
         ] );
+      ( "context-batches",
+        [
+          Alcotest.test_case "batch of one is a signature" `Quick
+            test_ctx_batch_of_one_is_sig;
+          Alcotest.test_case "domains separated" `Quick test_ctx_batch_domains_separated;
+          Alcotest.test_case "cross-group record forged" `Quick
+            test_ctx_batch_cross_group_forged;
+          Alcotest.test_case "snapshot keeps batches" `Quick
+            test_snapshot_keeps_ctx_batches;
+          Alcotest.test_case "v4 snapshot contexts load" `Quick
+            test_snapshot_v4_contexts_load;
+          Alcotest.test_case "v5 truncations refused" `Quick
+            test_snapshot_v5_truncations_refused;
+          Alcotest.test_case "read trace carries digest" `Quick
+            test_read_trace_carries_digest;
+        ]
+        @ qsuite [ prop_ctx_batch_mutations ] );
       ( "reconfiguration",
         [
           Alcotest.test_case "epoch chain + codec" `Quick test_epoch_chain_and_codec;
