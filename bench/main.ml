@@ -1,36 +1,44 @@
-(* Benchmark harness: regenerates every quantitative claim of the paper's
-   section 6 (experiments E1-E10; see DESIGN.md and EXPERIMENTS.md).
+(* Benchmark harness: regenerates the quantitative claims of the paper's
+   section 6 (experiments E1-E14) and runs the live-cluster experiments
+   E15, E16, E18 and E20; see DESIGN.md and EXPERIMENTS.md. Whole-store
+   performance on a multi-process cluster is perfbench's job.
 
-     dune exec bench/main.exe            -- all experiments + E9 microbench
+     dune exec bench/main.exe            -- all experiments
      dune exec bench/main.exe -- e3 e9   -- a subset
      dune exec bench/main.exe -- --seed 7 e7
      dune exec bench/main.exe -- e9 --json   -- also write BENCH_crypto.json
 
-   Output is plain text, one table per experiment. With --json, the E9
-   crypto and end-to-end numbers are additionally written to
-   BENCH_crypto.json (ns/op) so the perf trajectory is machine-tracked;
-   an existing "baseline" object in that file is preserved across runs. *)
+   Output is plain text, one table per experiment. With --json, e9, e10,
+   e15, e16, e18 and e20 also write their BENCH_*.json file; an existing
+   "baseline" object in that file is preserved across runs. *)
 
 let fmt = Format.std_formatter
 
-(* Latency distributions throughout the harness use the obs log-scale
-   histograms — the same counters a /metrics scrape exports — so bench
-   tables and live exposition agree on what a percentile means. (This
-   replaced per-experiment Sim.Stats reservoirs and hand-rolled
-   percentile helpers.) *)
 let time_ns f =
   let t0 = Unix.gettimeofday () in
   let r = f () in
   ((Unix.gettimeofday () -. t0) *. 1e9, r)
 
-let observe_ns histo f =
-  let ns, r = time_ns f in
-  Obs.Histo.observe histo ns;
-  r
+(* Nearest-rank percentile of an ascending array of raw samples (0 when
+   empty), the rule perfbench uses. *)
+let pct sorted p =
+  let len = Array.length sorted in
+  if len = 0 then 0.0
+  else
+    let rank = max 1 (min len (int_of_float (ceil (p /. 100.0 *. float_of_int len)))) in
+    sorted.(rank - 1)
 
-let histo_mean h =
-  let n = Obs.Histo.count h in
-  if n = 0 then 0.0 else Obs.Histo.sum h /. float_of_int n
+let reserve_port () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt fd Unix.SO_REUSEADDR true;
+  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  let p =
+    match Unix.getsockname fd with
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> assert false
+  in
+  Unix.close fd;
+  p
 
 (* ------------------------------------------------------------------ *)
 (* E9: crypto and protocol microbenchmarks via Bechamel                *)
@@ -55,7 +63,7 @@ let bechamel_run tests =
     results;
   List.sort (fun (a, _) (b, _) -> String.compare a b) !rows
 
-(* ---- BENCH_crypto.json -------------------------------------------- *)
+(* ---- BENCH_*.json ------------------------------------------------- *)
 
 let json_key name =
   (* "crypto/rsa1024-sign" -> "rsa1024_sign"; "store-ops/write(b+1)" ->
@@ -80,14 +88,8 @@ let json_key name =
     String.sub s 0 (String.length s - 1)
   else s
 
-let results_json rows =
-  "{ "
-  ^ String.concat ", "
-      (List.map
-         (fun (name, ns) ->
-           Printf.sprintf "\"%s_ns\": %.1f" (json_key name) ns)
-         rows)
-  ^ " }"
+let ns_rows rows =
+  List.map (fun (name, ns) -> (json_key name ^ "_ns", Printf.sprintf "%.1f" ns)) rows
 
 (* The first --json run records its numbers as the baseline; later runs
    keep that baseline so before/after is visible in one committed file. *)
@@ -126,19 +128,23 @@ let existing_baseline path =
           (close opening 0))
   end
 
-let write_bench_json ~path ~schema rows =
-  let current = results_json rows in
-  let baseline =
-    match existing_baseline path with Some b -> b | None -> current
+(* Every BENCH_*.json but BENCH_check.json: [header] holds extra
+   top-level fields (rendered JSON values) between the schema and the
+   baseline; [rows] are (key, JSON value) pairs. *)
+let write_json ~path ~schema ?(header = []) rows =
+  let current =
+    "{ "
+    ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k v) rows)
+    ^ " }"
   in
+  let baseline = Option.value (existing_baseline path) ~default:current in
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
     (fun () ->
-      Printf.fprintf oc
-        "{\n  \"schema\": \"%s\",\n  \"unit\": \"ns/op\",\n\
-        \  \"baseline\": %s,\n  \"current\": %s\n}\n"
-        schema baseline current);
+      Printf.fprintf oc "{\n  \"schema\": \"%s\",\n" schema;
+      List.iter (fun (k, v) -> Printf.fprintf oc "  \"%s\": %s,\n" k v) header;
+      Printf.fprintf oc "  \"baseline\": %s,\n  \"current\": %s\n}\n" baseline current);
   Format.fprintf fmt "wrote %s@." path
 
 let e9 () =
@@ -286,15 +292,15 @@ let e10_net ~json () =
         : Sim.Runtime.reply list)
   in
   let latency iters =
-    let histo = Obs.Histo.create () in
-    Tcpnet.Live.run ~endpoints (fun () ->
-        for _ = 1 to 10 do
-          one_round ()
-        done;
-        for _ = 1 to iters do
-          observe_ns histo one_round
-        done);
-    histo
+    let samples =
+      Tcpnet.Live.run ~endpoints (fun () ->
+          for _ = 1 to 10 do
+            one_round ()
+          done;
+          Array.init iters (fun _ -> fst (time_ns one_round)))
+    in
+    Array.sort compare samples;
+    samples
   in
   let throughput threads iters =
     let workers =
@@ -313,12 +319,13 @@ let e10_net ~json () =
     dt *. 1e9 /. float_of_int (threads * iters)
   in
   let pooled =
-    let histo = latency 300 in
+    let samples = latency 300 in
     let c8 = throughput 8 150 in
     [
-      ("net/rpc-quorum-p50", Obs.Histo.percentile histo 50.0);
-      ("net/rpc-quorum-p95", Obs.Histo.percentile histo 95.0);
-      ("net/rpc-quorum-mean", histo_mean histo);
+      ("net/rpc-quorum-p50", pct samples 50.0);
+      ("net/rpc-quorum-p95", pct samples 95.0);
+      ( "net/rpc-quorum-mean",
+        Array.fold_left ( +. ) 0.0 samples /. float_of_int (Array.length samples) );
       ("net/rpc-quorum-c8", c8);
     ]
   in
@@ -355,36 +362,12 @@ let e10_net ~json () =
     (s.Store.Metrics.p50_ns /. 1e3)
     (s.Store.Metrics.p99_ns /. 1e3);
   if json then
-    write_bench_json ~path:"BENCH_net.json" ~schema:"bench-net-v1" pooled
+    write_json ~path:"BENCH_net.json" ~schema:"bench-net-v1"
+      ~header:[ ("unit", "\"ns/op\"") ] (ns_rows pooled)
 
 (* ------------------------------------------------------------------ *)
 (* E15: chaos soak — live cluster under fault injection                *)
 (* ------------------------------------------------------------------ *)
-
-(* BENCH_chaos.json is counts and milliseconds, not ns/op, so it gets
-   its own writer (same baseline-preserving convention as
-   [write_bench_json]). *)
-let write_chaos_json ~path ~seed ~digest rows =
-  let obj rows =
-    "{ "
-    ^ String.concat ", "
-        (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k v) rows)
-    ^ " }"
-  in
-  let current = obj rows in
-  let baseline =
-    match existing_baseline path with Some b -> b | None -> current
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Printf.fprintf oc
-        "{\n  \"schema\": \"bench-chaos-v1\",\n  \"seed\": %d,\n\
-        \  \"schedule_digest\": \"%s\",\n  \"baseline\": %s,\n\
-        \  \"current\": %s\n}\n"
-        seed digest baseline current);
-  Format.fprintf fmt "wrote %s@." path
 
 (* A real n=4 b=1 loopback cluster where every endpoint sits behind a
    seeded {!Tcpnet.Chaos} proxy (drops, delays, corruption, mid-frame
@@ -430,18 +413,6 @@ let e15_chaos ~seed ~json () =
   (* Proxies must know the server ports and servers gossip *through the
      proxies*, so: reserve the server ports first, aim a proxy at each,
      then bind the hosts to the reserved ports. *)
-  let reserve_port () =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-    let p =
-      match Unix.getsockname fd with
-      | Unix.ADDR_INET (_, p) -> p
-      | Unix.ADDR_UNIX _ -> assert false
-    in
-    Unix.close fd;
-    p
-  in
   let host_ports = Array.init n (fun _ -> reserve_port ()) in
   let plans =
     [|
@@ -533,10 +504,8 @@ let e15_chaos ~seed ~json () =
     r
   in
   let ops_attempted = ref 0 and ops_succeeded = ref 0 in
-  (* Recovery times (ns) go into an obs histogram: lock-cheap to record
-     from both workers and the same percentile machinery every other
-     latency number uses. *)
-  let recovery = Obs.Histo.create () in
+  (* Recovery times (ns), recorded from both workers. *)
+  let recovery = ref [] in
   (* Per-worker recovery tracking: first failure of a failing streak to
      the next success. *)
   let make_op_tracker () =
@@ -550,9 +519,9 @@ let e15_chaos ~seed ~json () =
       if ok then begin
         Mutex.lock lock;
         incr ops_succeeded;
-        Mutex.unlock lock;
         if not (Float.is_nan !fail_since) then
-          Obs.Histo.observe recovery ((now -. !fail_since) *. 1e9);
+          recovery := (now -. !fail_since) *. 1e9 :: !recovery;
+        Mutex.unlock lock;
         fail_since := nan
       end
       else if Float.is_nan !fail_since then fail_since := now
@@ -725,9 +694,10 @@ let e15_chaos ~seed ~json () =
   let forwarded = sum (fun (s : Tcpnet.Chaos.stats) -> s.forwarded) in
   Array.iter Tcpnet.Chaos.stop proxies;
   Array.iter Tcpnet.Server_host.stop hosts;
-  (* ns -> ms at the reporting boundary; percentiles resolve to the
-     histogram's bucket bounds. *)
-  let rec_pct p = Obs.Histo.percentile recovery p /. 1e6 in
+  let recovery = Array.of_list !recovery in
+  Array.sort compare recovery;
+  (* ns -> ms at the reporting boundary *)
+  let rec_pct p = pct recovery p /. 1e6 in
   let m = Store.Metrics.read () in
   (* --- Sharded-isolation phase: a Byzantine replica *inside one
      shard* must leave the other shard untouched, and its own shard's
@@ -876,7 +846,7 @@ let e15_chaos ~seed ~json () =
               m.Store.Metrics.escalations ];
           [ "recovery p50 / p95 / max (ms)";
             Printf.sprintf "%.0f / %.0f / %.0f" (rec_pct 50.0) (rec_pct 95.0)
-              (Obs.Histo.max_value recovery /. 1e6) ];
+              (rec_pct 100.0) ];
           [ "frames forwarded / dropped / corrupted";
             Printf.sprintf "%d / %d / %d" forwarded dropped corrupted ];
           [ "resets / conns refused / conns killed";
@@ -902,7 +872,8 @@ let e15_chaos ~seed ~json () =
   in
   Workload.Table.print fmt table;
   if json then
-    write_chaos_json ~path:"BENCH_chaos.json" ~seed ~digest
+    write_json ~path:"BENCH_chaos.json" ~schema:"bench-chaos-v1"
+      ~header:[ ("seed", string_of_int seed); ("schedule_digest", "\"" ^ digest ^ "\"") ]
       [
         ("ops_attempted", string_of_int !ops_attempted);
         ("ops_succeeded", string_of_int !ops_succeeded);
@@ -914,7 +885,7 @@ let e15_chaos ~seed ~json () =
         ("recovery_p50_ms", Printf.sprintf "%.1f" (rec_pct 50.0));
         ("recovery_p95_ms", Printf.sprintf "%.1f" (rec_pct 95.0));
         ("recovery_max_ms",
-          Printf.sprintf "%.1f" (Obs.Histo.max_value recovery /. 1e6));
+          Printf.sprintf "%.1f" (rec_pct 100.0));
         ("frames_forwarded", string_of_int forwarded);
         ("frames_dropped", string_of_int dropped);
         ("frames_corrupted", string_of_int corrupted);
@@ -1262,298 +1233,8 @@ let e16_check ~seed ~json () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* E17: observability — per-phase latency and tracing overhead         *)
+(* E18: write-signing modes over live TCP                              *)
 (* ------------------------------------------------------------------ *)
-
-(* BENCH_obs.json mixes units (ns medians, bucket-bound percentiles,
-   an overhead percentage), so it gets its own writer on the shared
-   baseline-preserving convention. *)
-let write_obs_json ~path rows =
-  let obj rows =
-    "{ "
-    ^ String.concat ", "
-        (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k v) rows)
-    ^ " }"
-  in
-  let current = obj rows in
-  let baseline =
-    match existing_baseline path with Some b -> b | None -> current
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Printf.fprintf oc
-        "{\n  \"schema\": \"bench-obs-v1\",\n  \"baseline\": %s,\n\
-        \  \"current\": %s\n}\n"
-        baseline current);
-  Format.fprintf fmt "wrote %s@." path
-
-(* The E10b setup (real n=4 b=1 cluster on loopback, pooled transport)
-   driven through full client ops, twice over: tracing off and tracing
-   on, in interleaved batches so thermal/scheduler drift hits both
-   sides equally. Medians of per-batch means answer "what does tracing
-   cost" (budget: < 3% on the pooled path — percentile buckets are too
-   coarse at ~26% steps, means are exact); the tracing-on batches also
-   fill the span registry, which answers "where does the time go"
-   per phase. *)
-let e17_obs ~json () =
-  let n = 4 and b = 1 in
-  Store.Metrics.reset ();
-  Obs.Span.set_enabled false;
-  Obs.Span.reset_stats ();
-  Obs.Span.reset_journal ();
-  (* The cluster is in-process, so server_request spans would serialize
-     into client latency through the shared runtime lock and be billed
-     to tracing — cost that lives in other processes in a deployment.
-     Measure the client side only. *)
-  Tcpnet.Server_host.set_request_tracing false;
-  let key_of name =
-    Crypto.Rsa.generate ~bits:512 (Crypto.Prng.create ~seed:("e17-" ^ name))
-  in
-  let alice_key = key_of "alice" and bob_key = key_of "bob" in
-  let keyring = Store.Keyring.create () in
-  Store.Keyring.register keyring "alice" alice_key.Crypto.Rsa.public;
-  Store.Keyring.register keyring "bob" bob_key.Crypto.Rsa.public;
-  let servers =
-    Array.init n (fun id -> Store.Server.create ~id ~keyring ~n ~b ())
-  in
-  let hosts =
-    Array.map (fun server -> Tcpnet.Server_host.start ~server ~port:0 ()) servers
-  in
-  let eps = Array.map (fun h -> ("127.0.0.1", Tcpnet.Server_host.port h)) hosts in
-  let endpoints id = if id >= 0 && id < n then Some eps.(id) else None in
-  let cfg = { (Store.Client.default_config ~n ~b) with Store.Client.timeout = 2.0 } in
-  let connect name key =
-    match
-      Store.Client.connect ~config:cfg ~uid:name ~key ~keyring ~group:"obs" ()
-    with
-    | Ok c -> c
-    | Error e -> failwith ("e17 connect: " ^ Store.Client.error_to_string e)
-  in
-  let batches = 5 and iters = 200 in
-  (* (write_off, write_on, read_off, read_on) medians per batch, once
-     for whole-op wall time and once for the op's pooled-transport time
-     (sum of its rpc rounds, diffed off the always-on rpc histogram —
-     the window [Pool.run_group] itself measures, which contains every
-     transport tracing hook and none of the client span machinery). *)
-  let op_results = ref [] and tr_results = ref [] in
-  Tcpnet.Live.run ~endpoints (fun () ->
-      let alice = connect "alice" alice_key in
-      let bob = connect "bob" bob_key in
-      let counter = ref 0 in
-      let one_write () =
-        incr counter;
-        match Store.Client.write alice ~item:"k" (string_of_int !counter) with
-        | Ok () -> ()
-        | Error e -> failwith ("e17 write: " ^ Store.Client.error_to_string e)
-      in
-      let one_read () =
-        match Store.Client.read bob ~item:"k" with
-        | Ok _ -> ()
-        | Error e -> failwith ("e17 read: " ^ Store.Client.error_to_string e)
-      in
-      (* Loopback op latency is heavily right-skewed: a single
-         descheduled op (3 ms against a 70 us read) would dominate a
-         batch mean and read as fake tracing overhead. Compare batch
-         medians instead — robust against the scheduler tail on both
-         sides of the pairing. *)
-      let batch_median samples =
-        Array.sort compare samples;
-        samples.(Array.length samples / 2)
-      in
-      (* Alternate tracing off/on per op, not per batch: loopback RPC
-         latency drifts on the order of the effect being measured, and
-         pairing at the finest grain cancels that drift. *)
-      let rpc_h = Store.Metrics.rpc_latency_histo () in
-      let batch () =
-        let wo = Array.make iters 0.0 and wn = Array.make iters 0.0 in
-        let ro = Array.make iters 0.0 and rn = Array.make iters 0.0 in
-        let wto = Array.make iters 0.0 and wtn = Array.make iters 0.0 in
-        let rto = Array.make iters 0.0 and rtn = Array.make iters 0.0 in
-        let timed op_arr tr_arr i f =
-          let s = Obs.Histo.sum rpc_h in
-          op_arr.(i) <- fst (time_ns f);
-          tr_arr.(i) <- Obs.Histo.sum rpc_h -. s
-        in
-        for i = 0 to iters - 1 do
-          Obs.Span.set_enabled false;
-          timed wo wto i one_write;
-          timed ro rto i one_read;
-          Obs.Span.set_enabled true;
-          timed wn wtn i one_write;
-          timed rn rtn i one_read
-        done;
-        Obs.Span.set_enabled false;
-        op_results :=
-          (batch_median wo, batch_median wn, batch_median ro, batch_median rn)
-          :: !op_results;
-        tr_results :=
-          (batch_median wto, batch_median wtn, batch_median rto,
-           batch_median rtn)
-          :: !tr_results
-      in
-      (* Warmup: dials, sigcache, allocator. *)
-      for _ = 1 to 10 do one_write (); one_read () done;
-      for _ = 1 to batches do batch () done;
-      ignore (Store.Client.disconnect alice);
-      ignore (Store.Client.disconnect bob));
-  Array.iter Tcpnet.Server_host.stop hosts;
-  Tcpnet.Server_host.set_request_tracing true;
-  let median xs =
-    match List.sort compare xs with
-    | [] -> 0.0
-    | sorted -> List.nth sorted (List.length sorted / 2)
-  in
-  let pick results f = median (List.map f !results) in
-  let quad results =
-    ( pick results (fun (w, _, _, _) -> w),
-      pick results (fun (_, w, _, _) -> w),
-      pick results (fun (_, _, r, _) -> r),
-      pick results (fun (_, _, _, r) -> r) )
-  in
-  let w_off, w_on, r_off, r_on = quad op_results in
-  let tw_off, tw_on, tr_off, tr_on = quad tr_results in
-  let pct off on = if off = 0.0 then 0.0 else (on -. off) /. off *. 100.0 in
-  let w_overhead = pct w_off w_on and r_overhead = pct r_off r_on in
-  let tw_overhead = pct tw_off tw_on and tr_overhead = pct tr_off tr_on in
-  let budget = 3.0 in
-  let phase_rows =
-    List.filter_map
-      (fun (op, phase, h) ->
-        if op = "read" || op = "write" then
-          Some
-            [
-              op;
-              phase;
-              string_of_int (Obs.Histo.count h);
-              Printf.sprintf "%.0f" (Obs.Histo.percentile h 50.0 /. 1e3);
-              Printf.sprintf "%.0f" (Obs.Histo.percentile h 95.0 /. 1e3);
-              Printf.sprintf "%.0f" (Obs.Histo.percentile h 99.0 /. 1e3);
-            ]
-        else None)
-      (Obs.Span.phase_stats ())
-  in
-  let table =
-    {
-      Workload.Table.id = "E17";
-      title =
-        Printf.sprintf
-          "Tracing spans: per-phase latency and overhead (real TCP, n=%d \
-           b=%d, %d batches x %d op-paired off/on samples)"
-          n b batches iters;
-      header = [ "op"; "phase"; "n"; "p50 (us)"; "p95 (us)"; "p99 (us)" ];
-      rows = phase_rows;
-      notes =
-        [
-          Printf.sprintf
-            "whole op:  write off %.0f us -> on %.0f us (%+.1f%%), read \
-             off %.0f us -> on %.0f us (%+.1f%%)"
-            (w_off /. 1e3) (w_on /. 1e3) w_overhead (r_off /. 1e3)
-            (r_on /. 1e3) r_overhead;
-          Printf.sprintf
-            "transport: write off %.0f us -> on %.0f us (%+.1f%%), read \
-             off %.0f us -> on %.0f us (%+.1f%%)"
-            (tw_off /. 1e3) (tw_on /. 1e3) tw_overhead (tr_off /. 1e3)
-            (tr_on /. 1e3) tr_overhead;
-          Printf.sprintf
-            "tracing budget %.0f%% on the pooled-transport path%s" budget
-            (if tw_overhead <= budget && tr_overhead <= budget then " — met"
-             else " — EXCEEDED");
-          "transport = the op's rpc rounds (the Pool.run_group window, \
-           which contains every transport hook);";
-          "whole op adds the client span machinery on top — an \
-           in-process worst case (sub-100us loopback ops);";
-          "percentiles resolve to log-bucket bounds (10/decade);";
-          Printf.sprintf
-            "overheads compare per-batch medians (%d paired samples), \
-             median of %d batches"
-            iters batches;
-        ];
-    }
-  in
-  Workload.Table.print fmt table;
-  (* The journal captured the traced batches: show one read span's shape. *)
-  (match
-     List.find_opt (fun c -> c.Obs.Span.op = "read") (Obs.Span.recent ())
-   with
-  | None -> ()
-  | Some c ->
-    Format.fprintf fmt "sample read span (%.0f us): %s@."
-      (c.Obs.Span.dur_ns /. 1e3)
-      (String.concat ", "
-         (List.map
-            (fun p ->
-              Printf.sprintf "%s %.0fus" p.Obs.Span.pname
-                (p.Obs.Span.pdur_ns /. 1e3))
-            c.Obs.Span.phases)));
-  if json then begin
-    let key op phase stat =
-      let buf = Buffer.create 32 in
-      String.iter
-        (fun c ->
-          match c with
-          | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' -> Buffer.add_char buf c
-          | _ -> Buffer.add_char buf '_')
-        (op ^ "_" ^ phase);
-      Buffer.contents buf ^ "_" ^ stat
-    in
-    let phase_json =
-      List.concat_map
-        (fun (op, phase, h) ->
-          if op = "read" || op = "write" then
-            [
-              (key op phase "p50_ns",
-               Printf.sprintf "%.0f" (Obs.Histo.percentile h 50.0));
-              (key op phase "p95_ns",
-               Printf.sprintf "%.0f" (Obs.Histo.percentile h 95.0));
-              (key op phase "p99_ns",
-               Printf.sprintf "%.0f" (Obs.Histo.percentile h 99.0));
-            ]
-          else [])
-        (Obs.Span.phase_stats ())
-    in
-    write_obs_json ~path:"BENCH_obs.json"
-      ([
-         ("write_off_ns", Printf.sprintf "%.0f" w_off);
-         ("write_on_ns", Printf.sprintf "%.0f" w_on);
-         ("read_off_ns", Printf.sprintf "%.0f" r_off);
-         ("read_on_ns", Printf.sprintf "%.0f" r_on);
-         ("overhead_write_pct", Printf.sprintf "%.2f" w_overhead);
-         ("overhead_read_pct", Printf.sprintf "%.2f" r_overhead);
-         ("transport_write_off_ns", Printf.sprintf "%.0f" tw_off);
-         ("transport_write_on_ns", Printf.sprintf "%.0f" tw_on);
-         ("transport_read_off_ns", Printf.sprintf "%.0f" tr_off);
-         ("transport_read_on_ns", Printf.sprintf "%.0f" tr_on);
-         ("overhead_transport_write_pct", Printf.sprintf "%.2f" tw_overhead);
-         ("overhead_transport_read_pct", Printf.sprintf "%.2f" tr_overhead);
-         ("overhead_budget_pct", Printf.sprintf "%.0f" budget);
-       ]
-      @ phase_json)
-  end
-
-(* ---- BENCH_sign.json ---------------------------------------------- *)
-
-let write_sign_json ~path rows =
-  let obj rows =
-    "{ "
-    ^ String.concat ", "
-        (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k v) rows)
-    ^ " }"
-  in
-  let current = obj rows in
-  let baseline =
-    match existing_baseline path with Some b -> b | None -> current
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Printf.fprintf oc
-        "{\n  \"schema\": \"bench-sign-v1\",\n  \"baseline\": %s,\n\
-        \  \"current\": %s\n}\n"
-        baseline current);
-  Format.fprintf fmt "wrote %s@." path
 
 (* E17 put the number on the table: RSA signing is ~80%% of write
    latency on loopback. E18 measures what the two fast paths buy back,
@@ -1593,11 +1274,6 @@ let e18_sign ~json () =
   let endpoints id = if id >= 0 && id < n then Some eps.(id) else None in
   let batch_k = 8 in
   let writes = 304 (* divisible by batch_k *) in
-  let pct sorted p =
-    let len = Array.length sorted in
-    let rank = max 1 (min len (int_of_float (ceil (p /. 100.0 *. float_of_int len)))) in
-    sorted.(rank - 1)
-  in
   (* Run one mode: fresh client, warmup, [writes] measured writes (as
      write_batch chunks under Merkle batching, each sample = batch time /
      batch size), read-back check, then metrics. *)
@@ -1732,7 +1408,7 @@ let e18_sign ~json () =
   in
   Workload.Table.print fmt table;
   if json then
-    write_sign_json ~path:"BENCH_sign.json"
+    write_json ~path:"BENCH_sign.json" ~schema:"bench-sign-v1"
       (List.concat_map
          (fun (label, sorted, m) ->
            [
@@ -1750,664 +1426,8 @@ let e18_sign ~json () =
         ])
 
 (* ------------------------------------------------------------------ *)
-(* E19: keyspace sharding — multi-process scale-out, open-loop zipfian *)
-(* ------------------------------------------------------------------ *)
-
-(* BENCH_shard.json records saturation throughput per (shards, workers)
-   cell plus the measured core count: scale-out is a statement about
-   hardware — one core cannot run S quorum groups in parallel no matter
-   how the keyspace is partitioned — so CI gates its scaling assertion
-   on "cores", never on hope. *)
-let write_shard_json ~path ~cores rows =
-  let obj rows =
-    "{ "
-    ^ String.concat ", "
-        (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k v) rows)
-    ^ " }"
-  in
-  let current = obj rows in
-  let baseline =
-    match existing_baseline path with Some b -> b | None -> current
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Printf.fprintf oc
-        "{\n  \"schema\": \"bench-shard-v1\",\n  \"cores\": %d,\n\
-        \  \"baseline\": %s,\n  \"current\": %s\n}\n"
-        cores baseline current);
-  Format.fprintf fmt "wrote %s@." path
-
-let cpu_cores () =
-  try
-    let ic = open_in "/proc/cpuinfo" in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let count = ref 0 in
-        (try
-           while true do
-             let line = input_line ic in
-             if String.length line >= 9 && String.sub line 0 9 = "processor"
-             then incr count
-           done
-         with End_of_file -> ());
-        max 1 !count)
-  with Sys_error _ -> 1
-
-let reserve_port () =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  let p =
-    match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> assert false
-  in
-  Unix.close fd;
-  p
-
-(* One bench worker (the hidden [e19-worker] argv mode): a shard router
-   over live TCP driving one open-loop plan, as its own process so
-   client-side crypto runs beside the servers the way a real client
-   fleet would. The parent owns the sweep; a worker knows only its cell
-   and prints one RESULT line to merge.
-
-   Latency is measured from each op's *scheduled* arrival (see
-   {!Workload.Openloop}), so queueing under overload counts; an op
-   "meets SLO" when it completed (ok, or a clean miss on a never-written
-   key) within [slo_ms] of when it was due. Groups are spread over the
-   worker's [conc] threads by group id, which combined with the plan's
-   owned-group write remapping keeps every group single-writer and
-   every {!Store.Client} session single-threaded. *)
-let e19_worker argv =
-  let tbl = Hashtbl.create 16 in
-  List.iter
-    (fun a ->
-      match String.index_opt a '=' with
-      | Some i ->
-        Hashtbl.replace tbl (String.sub a 0 i)
-          (String.sub a (i + 1) (String.length a - i - 1))
-      | None -> ())
-    argv;
-  let geti k = int_of_string (Hashtbl.find tbl k) in
-  let getf k = float_of_string (Hashtbl.find tbl k) in
-  let gets k = Hashtbl.find tbl k in
-  let windex = geti "windex" and workers = geti "workers" in
-  let shards = geti "shards" and n = geti "n" and b = geti "b" in
-  let rate = getf "rate" and duration = getf "duration" in
-  let theta = getf "theta" and keys = geti "keys" and groups = geti "groups" in
-  let write_ratio = getf "wr" and conc = geti "conc" in
-  let slo_ns = getf "slo_ms" *. 1e6 in
-  let seed = gets "seed" in
-  let eps =
-    match Demokeys.parse_endpoints (gets "eps") with
-    | Some l -> Array.of_list l
-    | None -> failwith "e19-worker: bad eps"
-  in
-  let uid = Printf.sprintf "w%d" windex in
-  let key = Demokeys.keypair uid in
-  let keyring =
-    Demokeys.keyring ~mac_servers:(shards * n)
-      (List.init workers (fun i -> Printf.sprintf "w%d" i))
-  in
-  let table = Store.Shardmap.make ~seed:("e19!" ^ seed) ~shards () in
-  let owned =
-    List.filter (fun g -> g mod workers = windex) (List.init groups Fun.id)
-  in
-  let plan =
-    Workload.Openloop.plan
-      ~seed:(Printf.sprintf "%s!w%d!%.3f" seed windex rate)
-      ~keys ~theta ~groups ~rate ~duration ~write_ratio ~owned_groups:owned
-  in
-  let config_of shard =
-    {
-      (Store.Client.default_config ~n ~b) with
-      Store.Client.servers = Store.Router.shard_servers ~n shard;
-      timeout = 1.0;
-      signing = Store.Client.Mac_fast;
-      escalate_every = 64;
-      read_retries = 2;
-      write_retries = 1;
-      retry_delay = 0.02;
-      retry_backoff_max = 0.1;
-      op_deadline = 5.0;
-    }
-  in
-  let gid_of u =
-    let g = Store.Uid.group u in
-    int_of_string (String.sub g 1 (String.length g - 1))
-  in
-  let endpoints id =
-    if id >= 0 && id < Array.length eps then Some eps.(id) else None
-  in
-  let lock = Mutex.create () and cond = Condition.create () in
-  let ready = ref 0 and start = ref 0.0 in
-  let offered = ref 0 and ok = ref 0 and failed = ref 0 in
-  let miss = ref 0 and in_slo = ref 0 in
-  let histos = Array.init conc (fun _ -> Obs.Histo.create ()) in
-  let run_thread tid =
-    Tcpnet.Live.run ~endpoints
-      ~shard_of:(fun node -> Some (node / n))
-      (fun () ->
-        let router =
-          Store.Router.create ~table ~uid ~key ~keyring ~config_of ()
-        in
-        (* Prewarm every session this thread will use — connects (RSA,
-           context recovery) happen before the clock starts, the way a
-           fleet holds warm sessions. *)
-        for g = 0 to groups - 1 do
-          if g mod conc = tid then
-            ignore
-              (Store.Router.session router ~group:(Printf.sprintf "g%d" g))
-        done;
-        Mutex.lock lock;
-        incr ready;
-        Condition.broadcast cond;
-        while !start = 0.0 do
-          Condition.wait cond lock
-        done;
-        let t0 = !start in
-        Mutex.unlock lock;
-        let nops = ref 0 and nok = ref 0 and nfail = ref 0 in
-        let nmiss = ref 0 and nslo = ref 0 in
-        Array.iteri
-          (fun i (op : Workload.Openloop.op) ->
-            if gid_of op.uid mod conc = tid then begin
-              incr nops;
-              let due = t0 +. op.at in
-              let now = Unix.gettimeofday () in
-              if due > now then Thread.delay (due -. now);
-              let outcome =
-                match op.kind with
-                | Workload.Openloop.Write -> (
-                  match
-                    Store.Router.write router ~uid:op.uid
-                      (Printf.sprintf "v%d.%d" windex i)
-                  with
-                  | Ok () -> `Ok
-                  | Error _ -> `Fail)
-                | Workload.Openloop.Read -> (
-                  match Store.Router.read router ~uid:op.uid with
-                  | Ok _ -> `Ok
-                  | Error (Store.Client.Not_found _) -> `Miss
-                  | Error _ -> `Fail)
-              in
-              let lat = (Unix.gettimeofday () -. due) *. 1e9 in
-              Obs.Histo.observe histos.(tid) lat;
-              (match outcome with
-              | `Ok -> incr nok
-              | `Miss -> incr nmiss
-              | `Fail -> incr nfail);
-              if outcome <> `Fail && lat <= slo_ns then incr nslo
-            end)
-          plan;
-        ignore (Store.Router.flush_all router);
-        ignore (Store.Router.disconnect router);
-        Mutex.lock lock;
-        offered := !offered + !nops;
-        ok := !ok + !nok;
-        failed := !failed + !nfail;
-        miss := !miss + !nmiss;
-        in_slo := !in_slo + !nslo;
-        Mutex.unlock lock)
-  in
-  let threads = Array.init conc (fun tid -> Thread.create run_thread tid) in
-  Mutex.lock lock;
-  while !ready < conc do
-    Condition.wait cond lock
-  done;
-  start := Unix.gettimeofday () +. 0.05;
-  Condition.broadcast cond;
-  Mutex.unlock lock;
-  Array.iter Thread.join threads;
-  let h = Array.fold_left Obs.Histo.merge (Obs.Histo.create ()) histos in
-  Printf.printf
-    "RESULT offered=%d ok=%d failed=%d miss=%d in_slo=%d count=%d sum=%.0f \
-     max=%.0f counts=%s\n%!"
-    !offered !ok !failed !miss !in_slo (Obs.Histo.count h) (Obs.Histo.sum h)
-    (Obs.Histo.max_value h)
-    (String.concat ","
-       (Array.to_list (Array.map string_of_int (Obs.Histo.counts h))))
-
-type e19_merged = {
-  sh_offered : int;
-  sh_ok : int;
-  sh_failed : int;
-  sh_miss : int;
-  sh_in_slo : int;
-  sh_count : int;
-  sh_sum : float;
-  sh_max : float;
-  sh_counts : int array;
-}
-
-(* Nearest-rank percentile over merged histogram counts, resolved to the
-   bucket's upper bound (the overflow bucket answers with the max). *)
-let e19_pct m p =
-  if m.sh_count = 0 then 0.0
-  else begin
-    let rank =
-      max 1 (int_of_float (ceil (p /. 100.0 *. float_of_int m.sh_count)))
-    in
-    let acc = ref 0 and res = ref m.sh_max in
-    (try
-       Array.iteri
-         (fun i c ->
-           acc := !acc + c;
-           if !acc >= rank then begin
-             (res :=
-                if i < Array.length Obs.Histo.bounds then Obs.Histo.bounds.(i)
-                else m.sh_max);
-             raise Exit
-           end)
-         m.sh_counts
-     with Exit -> ());
-    !res
-  end
-
-(* The tentpole's scaling question, answered end to end: S independent
-   shard groups (each its own n=4 b=1 quorum group, hosted by real
-   store_server processes that serve several shard replicas per port),
-   W router workers (separate processes) offering a zipfian open-loop
-   load, rates swept per cell until the completion-within-SLO ratio
-   drops below 0.95. Saturation = the completed-in-SLO throughput of
-   the highest passing rate. Fresh cluster per step so every
-   measurement starts from empty stores and cold queues.
-
-   Env knobs (CI runs a reduced sweep): E19_SHARDS, E19_WORKERS,
-   E19_RATES (per-worker op/s ladder), E19_DURATION, E19_KEYS,
-   E19_SLO_MS. *)
-let e19_shard ~seed ~json () =
-  let n = 4 and b = 1 in
-  let env_list name default parse =
-    match Sys.getenv_opt name with
-    | None -> default
-    | Some s -> (
-      match List.filter_map parse (Demokeys.split_commas s) with
-      | [] -> default
-      | l -> l)
-  in
-  let env_float name default =
-    match Sys.getenv_opt name with
-    | None -> default
-    | Some s -> (
-      match float_of_string_opt s with Some f -> f | None -> default)
-  in
-  let env_int name default = int_of_float (env_float name (float_of_int default)) in
-  let shards_list = env_list "E19_SHARDS" [ 1; 2; 4; 8 ] int_of_string_opt in
-  let workers_list = env_list "E19_WORKERS" [ 2; 4 ] int_of_string_opt in
-  let rates =
-    env_list "E19_RATES" [ 100.; 200.; 400.; 800.; 1600. ] float_of_string_opt
-  in
-  let duration = env_float "E19_DURATION" 1.5 in
-  let keys = env_int "E19_KEYS" 10_000 in
-  let slo_ms = env_float "E19_SLO_MS" 250.0 in
-  let theta = 0.9 and groups = 64 and conc = 4 and write_ratio = 0.5 in
-  let cores = cpu_cores () in
-  let self = Sys.executable_name in
-  let server_exe =
-    Filename.concat
-      (Filename.dirname (Filename.dirname self))
-      "bin/store_server.exe"
-  in
-  if not (Sys.file_exists server_exe) then
-    failwith
-      (Printf.sprintf "e19: %s not built (run a full dune build)" server_exe);
-  let devnull = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
-  let clients_arg w =
-    String.concat "," (List.init w (fun i -> Printf.sprintf "w%d" i))
-  in
-  (* Server layout for S shards: columns c = 0..min(S,4)-1, replica rows
-     r = 0..n-1. Process (r,c) hosts replica r of every shard s with
-     s mod cols = c, so S=8 exercises multi-shard hosting (two shards
-     per port) while S<=4 is one shard per process. Ports are reserved
-     up front so --peers (gossip, per shard, through the shard field of
-     each frame) can be passed at spawn. *)
-  let spawn_cluster ~shards ~w =
-    let cols = min shards 4 in
-    let ports =
-      Array.init n (fun _ -> Array.init cols (fun _ -> reserve_port ()))
-    in
-    let pids = ref [] in
-    for r = 0 to n - 1 do
-      for c = 0 to cols - 1 do
-        let shard_ids =
-          List.filter (fun s -> s mod cols = c) (List.init shards Fun.id)
-        in
-        let peers =
-          String.concat ","
-            (List.filter_map
-               (fun r' ->
-                 if r' = r then None
-                 else Some (Printf.sprintf "127.0.0.1:%d" ports.(r').(c)))
-               (List.init n Fun.id))
-        in
-        let argv =
-          [|
-            server_exe;
-            "--id"; string_of_int r;
-            "--port"; string_of_int ports.(r).(c);
-            "-n"; string_of_int n;
-            "-b"; string_of_int b;
-            "--shards"; String.concat "," (List.map string_of_int shard_ids);
-            "--shards-total"; string_of_int shards;
-            "--clients"; clients_arg w;
-            "--peers"; peers;
-            "--gossip-period"; "0.5";
-          |]
-        in
-        pids := Unix.create_process server_exe argv devnull devnull devnull
-                :: !pids
-      done
-    done;
-    let eps =
-      String.concat ","
-        (List.init (shards * n) (fun gid ->
-             let s = gid / n and r = gid mod n in
-             Printf.sprintf "127.0.0.1:%d" ports.(r).(s mod cols)))
-    in
-    (!pids, ports, eps)
-  in
-  let kill_cluster pids =
-    List.iter
-      (fun pid -> try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ())
-      pids;
-    List.iter
-      (fun pid -> try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
-      pids
-  in
-  let wait_listening port =
-    let deadline = Unix.gettimeofday () +. 10.0 in
-    let rec loop () =
-      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-      let up =
-        try
-          Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-          true
-        with Unix.Unix_error _ -> false
-      in
-      Unix.close fd;
-      if not up then
-        if Unix.gettimeofday () > deadline then
-          failwith (Printf.sprintf "e19: server on port %d never came up" port)
-        else begin
-          Thread.delay 0.02;
-          loop ()
-        end
-    in
-    loop ()
-  in
-  let parse_result line =
-    let kvs =
-      List.filter_map
-        (fun part ->
-          match String.index_opt part '=' with
-          | Some i ->
-            Some
-              ( String.sub part 0 i,
-                String.sub part (i + 1) (String.length part - i - 1) )
-          | None -> None)
-        (String.split_on_char ' ' line)
-    in
-    let geti k = int_of_string (List.assoc k kvs) in
-    let getf k = float_of_string (List.assoc k kvs) in
-    {
-      sh_offered = geti "offered";
-      sh_ok = geti "ok";
-      sh_failed = geti "failed";
-      sh_miss = geti "miss";
-      sh_in_slo = geti "in_slo";
-      sh_count = geti "count";
-      sh_sum = getf "sum";
-      sh_max = getf "max";
-      sh_counts =
-        Array.of_list
-          (List.map int_of_string
-             (String.split_on_char ',' (List.assoc "counts" kvs)));
-    }
-  in
-  let merge a b =
-    {
-      sh_offered = a.sh_offered + b.sh_offered;
-      sh_ok = a.sh_ok + b.sh_ok;
-      sh_failed = a.sh_failed + b.sh_failed;
-      sh_miss = a.sh_miss + b.sh_miss;
-      sh_in_slo = a.sh_in_slo + b.sh_in_slo;
-      sh_count = a.sh_count + b.sh_count;
-      sh_sum = a.sh_sum +. b.sh_sum;
-      sh_max = Float.max a.sh_max b.sh_max;
-      sh_counts =
-        (if Array.length a.sh_counts = 0 then b.sh_counts
-         else Array.mapi (fun i c -> c + b.sh_counts.(i)) a.sh_counts);
-    }
-  in
-  let empty =
-    {
-      sh_offered = 0; sh_ok = 0; sh_failed = 0; sh_miss = 0; sh_in_slo = 0;
-      sh_count = 0; sh_sum = 0.0; sh_max = 0.0; sh_counts = [||];
-    }
-  in
-  (* One ladder step: fresh cluster, W worker processes at [rate] ops/s
-     each, merged worker results. Workers re-exec this binary in the
-     e19-worker mode; a worker that dies without a RESULT line makes the
-     step count as fully failed rather than killing the sweep. *)
-  let run_step ~shards ~w ~rate =
-    let pids, ports, eps = spawn_cluster ~shards ~w in
-    Fun.protect
-      ~finally:(fun () -> kill_cluster pids)
-      (fun () ->
-        Array.iter (fun row -> Array.iter wait_listening row) ports;
-        let workers =
-          List.init w (fun i ->
-              let rd, wr = Unix.pipe () in
-              let argv =
-                [|
-                  self; "e19-worker";
-                  Printf.sprintf "windex=%d" i;
-                  Printf.sprintf "workers=%d" w;
-                  Printf.sprintf "shards=%d" shards;
-                  Printf.sprintf "n=%d" n;
-                  Printf.sprintf "b=%d" b;
-                  Printf.sprintf "seed=%d" seed;
-                  Printf.sprintf "rate=%f" rate;
-                  Printf.sprintf "duration=%f" duration;
-                  Printf.sprintf "theta=%f" theta;
-                  Printf.sprintf "keys=%d" keys;
-                  Printf.sprintf "groups=%d" groups;
-                  Printf.sprintf "wr=%f" write_ratio;
-                  Printf.sprintf "conc=%d" conc;
-                  Printf.sprintf "slo_ms=%f" slo_ms;
-                  "eps=" ^ eps;
-                |]
-              in
-              let pid = Unix.create_process self argv devnull wr Unix.stderr in
-              Unix.close wr;
-              (pid, Unix.in_channel_of_descr rd))
-        in
-        List.fold_left
-          (fun acc (pid, ic) ->
-            let result = ref None in
-            (try
-               while true do
-                 let line = input_line ic in
-                 if
-                   String.length line >= 7 && String.sub line 0 7 = "RESULT "
-                 then result := Some (parse_result line)
-               done
-             with End_of_file -> ());
-            close_in_noerr ic;
-            (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
-            match !result with
-            | Some m -> merge acc m
-            | None ->
-              Format.fprintf fmt "E19: worker died without a RESULT line@.";
-              acc)
-          empty workers)
-  in
-  (* One cell: climb the rate ladder until the in-SLO completion ratio
-     drops below 0.95; saturation is the last passing step. *)
-  let run_cell ~shards ~w =
-    let ratio m =
-      if m.sh_offered = 0 then 0.0
-      else float_of_int m.sh_in_slo /. float_of_int m.sh_offered
-    in
-    let rec climb best = function
-      | [] -> (best, best)
-      | rate :: rest ->
-        Format.fprintf fmt "E19: shards=%d workers=%d rate=%.0f/worker ...@."
-          shards w rate;
-        let m = run_step ~shards ~w ~rate in
-        Format.fprintf fmt
-          "  offered %d | ok %d miss %d failed %d | in-SLO ratio %.3f@."
-          m.sh_offered m.sh_ok m.sh_miss m.sh_failed (ratio m);
-        if ratio m >= 0.95 then
-          match rest with
-          | [] -> (Some (rate, m), Some (rate, m))
-          | _ -> climb (Some (rate, m)) rest
-        else (best, Some (rate, m))
-    in
-    let best, last = climb None rates in
-    let sat, satm =
-      match (best, last) with
-      | Some (rate, m), _ -> (rate, m)
-      | None, Some (rate, m) -> (rate, m)
-      | None, None -> (0.0, empty)
-    in
-    let saturated = best <> None in
-    let sat_ops =
-      if duration > 0.0 then float_of_int satm.sh_in_slo /. duration else 0.0
-    in
-    (shards, w, saturated, sat *. float_of_int w, sat_ops, ratio satm, satm)
-  in
-  let cells =
-    List.concat_map
-      (fun s -> List.map (fun w -> run_cell ~shards:s ~w) workers_list)
-      shards_list
-  in
-  Unix.close devnull;
-  let rows =
-    List.map
-      (fun (s, w, saturated, offered_rate, sat_ops, r, m) ->
-        [
-          string_of_int s;
-          string_of_int w;
-          Printf.sprintf "%.0f%s" offered_rate (if saturated then "" else "*");
-          Printf.sprintf "%.0f" sat_ops;
-          Printf.sprintf "%.3f" r;
-          Printf.sprintf "%.1f" (e19_pct m 50.0 /. 1e6);
-          Printf.sprintf "%.1f" (e19_pct m 95.0 /. 1e6);
-          Printf.sprintf "%.1f" (e19_pct m 99.0 /. 1e6);
-        ])
-      cells
-  in
-  (* Scaling ratio at the largest worker count present: S-shard
-     saturation over 1-shard saturation. *)
-  let wmax = List.fold_left max 0 workers_list in
-  let sat_of s =
-    List.find_map
-      (fun (s', w, _, _, sat_ops, _, _) ->
-        if s' = s && w = wmax then Some sat_ops else None)
-      cells
-  in
-  let speedups =
-    List.filter_map
-      (fun s ->
-        if s = 1 then None
-        else
-          match (sat_of 1, sat_of s) with
-          | Some one, Some many when one > 0.0 -> Some (s, many /. one)
-          | _ -> None)
-      shards_list
-  in
-  let table =
-    {
-      Workload.Table.id = "E19";
-      title =
-        Printf.sprintf
-          "Keyspace sharding scale-out (open-loop zipfian theta=%.2f, %d \
-           keys, %d groups, write ratio %.2f, SLO %.0f ms, %.1f s/step, %d \
-           core%s)"
-          theta keys groups write_ratio slo_ms duration cores
-          (if cores = 1 then "" else "s");
-      header =
-        [ "shards"; "workers"; "offered/s"; "sat ops/s"; "in-SLO";
-          "p50 (ms)"; "p95 (ms)"; "p99 (ms)" ];
-      rows;
-      notes =
-        [
-          "sat ops/s = completed-within-SLO throughput at the highest \
-           offered rate whose in-SLO ratio stayed >= 0.95;";
-          "offered/s marked * = never saturated cleanly (first ladder rate \
-           already below 0.95) — numbers are that step's;";
-          (match speedups with
-          | [] -> "scaling ratio: n/a (no 1-shard cell to compare against)"
-          | sp ->
-            "scaling vs 1 shard: "
-            ^ String.concat ", "
-                (List.map
-                   (fun (s, r) -> Printf.sprintf "%dx shards -> %.2fx" s r)
-                   sp));
-          "latency counted from each op's scheduled arrival (queueing \
-           under overload included); see EXPERIMENTS.md on core-count \
-           caveats.";
-        ];
-    }
-  in
-  Workload.Table.print fmt table;
-  if json then
-    write_shard_json ~path:"BENCH_shard.json" ~cores
-      (List.concat_map
-         (fun (s, w, saturated, offered_rate, sat_ops, r, m) ->
-           let p = Printf.sprintf "s%dw%d_" s w in
-           [
-             (p ^ "sat_ops_per_s", Printf.sprintf "%.1f" sat_ops);
-             (p ^ "offered_per_s", Printf.sprintf "%.1f" offered_rate);
-             (p ^ "saturated", string_of_bool saturated);
-             (p ^ "in_slo_ratio", Printf.sprintf "%.3f" r);
-             (p ^ "p50_ns", Printf.sprintf "%.0f" (e19_pct m 50.0));
-             (p ^ "p95_ns", Printf.sprintf "%.0f" (e19_pct m 95.0));
-             (p ^ "p99_ns", Printf.sprintf "%.0f" (e19_pct m 99.0));
-           ])
-         cells
-      @ List.map
-          (fun (s, r) ->
-            (Printf.sprintf "speedup_%dx_over_1" s, Printf.sprintf "%.3f" r))
-          speedups
-      @ [
-          ("duration_s", Printf.sprintf "%.2f" duration);
-          ("slo_ms", Printf.sprintf "%.1f" slo_ms);
-          ("theta", Printf.sprintf "%.2f" theta);
-          ("keys", string_of_int keys);
-          ("groups", string_of_int groups);
-          ("worker_threads", string_of_int conc);
-        ])
-
-(* ------------------------------------------------------------------ *)
 (* E20: asynchronous reconfiguration — rolling replacement under chaos *)
 (* ------------------------------------------------------------------ *)
-
-let write_reconfig_json ~path ~seed rows =
-  let obj rows =
-    "{ "
-    ^ String.concat ", "
-        (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k v) rows)
-    ^ " }"
-  in
-  let current = obj rows in
-  let baseline =
-    match existing_baseline path with Some b -> b | None -> current
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Printf.fprintf oc
-        "{\n  \"schema\": \"bench-reconfig-v1\",\n  \"seed\": %d,\n\
-        \  \"baseline\": %s,\n  \"current\": %s\n}\n"
-        seed baseline current);
-  Format.fprintf fmt "wrote %s@." path
 
 (* Live-TCP churn soak: an n=4, b=1 fleet behind chaos proxies has every
    server replaced, one at a time, by a fresh standby — four admin-signed
@@ -2872,7 +1892,8 @@ let e20_reconfig ~seed ~json () =
   in
   Workload.Table.print fmt table;
   if json then
-    write_reconfig_json ~path:"BENCH_reconfig.json" ~seed
+    write_json ~path:"BENCH_reconfig.json" ~schema:"bench-reconfig-v1"
+      ~header:[ ("seed", string_of_int seed) ]
       [
         ("transitions", string_of_int (List.length transitions));
         ("final_epoch_version", string_of_int !final_epoch_seen);
@@ -2900,873 +1921,7 @@ let e20_reconfig ~seed ~json () =
   end
 
 (* ------------------------------------------------------------------ *)
-(* E21: coded bulk storage — dispersal as the live transport path      *)
-(* ------------------------------------------------------------------ *)
-
-let write_dispersal_json ~path rows =
-  let obj rows =
-    "{ "
-    ^ String.concat ", "
-        (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k v) rows)
-    ^ " }"
-  in
-  let current = obj rows in
-  let baseline =
-    match existing_baseline path with Some b -> b | None -> current
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Printf.fprintf oc
-        "{\n  \"schema\": \"bench-dispersal-v1\",\n\
-        \  \"baseline\": %s,\n  \"current\": %s\n}\n"
-        baseline current);
-  Format.fprintf fmt "wrote %s@." path
-
-(* Coded bulk transport vs full replication, over real sockets: an
-   n=4, b=1 fleet with live gossip, one fresh cluster per (mode, value
-   size) cell. Per cell a writer stores two values, the writer and a
-   second client read them all back, and the cell then waits for full
-   dissemination (every server announces every write; under dispersal
-   every server also holds its verified fragment). Bytes on wire =
-   client RPC bytes + gossip push bytes, both counted into the global
-   tally by the transport; storage = every server's retained
-   value-plus-fragment bytes. Every operation is recorded into the E16
-   oracle's history — a coded read returning wrong or stale bytes would
-   be flagged — and the bench fails on any violation or if the 1 MiB
-   savings fall under 1.5x. *)
-let e21_dispersal ~seed:_ ~json () =
-  let n = 4 and b = 1 in
-  let items = 2 in
-  let sizes = [ 65_536; 262_144; 1_048_576 ] in
-  let reserve_port () =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-    let p =
-      match Unix.getsockname fd with
-      | Unix.ADDR_INET (_, p) -> p
-      | Unix.ADDR_UNIX _ -> assert false
-    in
-    Unix.close fd;
-    p
-  in
-  let key_of name =
-    Crypto.Rsa.generate ~bits:512 (Crypto.Prng.create ~seed:("e21-" ^ name))
-  in
-  let alice_key = key_of "alice" and bob_key = key_of "bob" in
-  let mk_value ~label ~size i =
-    let tag = Printf.sprintf "e21-%s-%d-%d:" label size i in
-    tag
-    ^ String.init (size - String.length tag) (fun j ->
-          Char.chr ((j * 131 + i) land 0xff))
-  in
-  let violations = ref [] in
-  let violate fmt_str = Printf.ksprintf (fun s -> violations := s :: !violations) fmt_str in
-  let history = Check.History.create () in
-  let cell ~label ~dispersed ~size =
-    let keyring = Store.Keyring.create () in
-    Store.Keyring.register keyring "alice" alice_key.Crypto.Rsa.public;
-    Store.Keyring.register keyring "bob" bob_key.Crypto.Rsa.public;
-    let servers =
-      Array.init n (fun id -> Store.Server.create ~id ~keyring ~n ~b ())
-    in
-    let ports = Array.init n (fun _ -> reserve_port ()) in
-    let eps = Array.map (fun p -> ("127.0.0.1", p)) ports in
-    let hosts =
-      Array.mapi
-        (fun i server ->
-          let peers = List.filteri (fun j _ -> j <> i) (Array.to_list eps) in
-          Tcpnet.Server_host.start
-            ~gossip:{ Tcpnet.Server_host.peers; period = 0.02 }
-            ~server ~port:ports.(i) ())
-        servers
-    in
-    Fun.protect ~finally:(fun () -> Array.iter Tcpnet.Server_host.stop hosts)
-    @@ fun () ->
-    let endpoints id = if id >= 0 && id < n then Some eps.(id) else None in
-    (* unique group per cell: cells are independent clusters and must
-       not alias item uids in the shared oracle history *)
-    let group = Printf.sprintf "e21-%s-%d" label size in
-    let names = Array.init items (fun i -> Printf.sprintf "doc%d" i) in
-    let values = Array.init items (mk_value ~label ~size) in
-    let m0 = Store.Metrics.read () in
-    let t0 = Unix.gettimeofday () in
-    Tcpnet.Live.run ~endpoints (fun () ->
-        let cfg =
-          {
-            (Store.Client.default_config ~n ~b) with
-            Store.Client.timeout = 5.0;
-            dispersal_threshold = (if dispersed then 4096 else 0);
-            dispersal_chunk = 262_144;
-          }
-        in
-        let connect name key =
-          match
-            Store.Client.connect ~config:cfg ~uid:name ~key ~keyring ~group ()
-          with
-          | Ok c -> c
-          | Error e -> failwith ("e21 connect: " ^ Store.Client.error_to_string e)
-        in
-        let alice = connect "alice" alice_key in
-        Array.iteri
-          (fun i item ->
-            match Store.Client.write alice ~item values.(i) with
-            | Ok () -> ()
-            | Error e -> failwith ("e21 write: " ^ Store.Client.error_to_string e))
-          names;
-        let read_all c who =
-          Array.iteri
-            (fun i item ->
-              match Store.Client.read c ~item with
-              | Ok v when String.equal v values.(i) -> ()
-              | Ok _ -> violate "%s: %s read wrong bytes for %s" group who item
-              | Error e ->
-                failwith ("e21 read: " ^ Store.Client.error_to_string e))
-            names
-        in
-        read_all alice "alice";
-        let bob = connect "bob" bob_key in
-        read_all bob "bob";
-        ignore (Store.Client.disconnect alice);
-        ignore (Store.Client.disconnect bob));
-    let ops_s = Unix.gettimeofday () -. t0 in
-    let uids = Array.map (fun item -> Store.Uid.make ~group ~item) names in
-    let settled () =
-      Array.for_all
-        (fun s ->
-          Array.for_all
-            (fun uid -> Store.Server.current_write s uid <> None)
-            uids
-          && ((not dispersed) || Store.Server.fragment_count s >= items))
-        servers
-    in
-    let deadline = Unix.gettimeofday () +. 30.0 in
-    while (not (settled ())) && Unix.gettimeofday () < deadline do
-      Thread.delay 0.05
-    done;
-    if not (settled ()) then violate "%s: dissemination never settled" group;
-    (* a final beat so in-flight gossip byte accounting lands *)
-    Thread.delay 0.1;
-    let d = Store.Metrics.diff (Store.Metrics.read ()) m0 in
-    let storage =
-      Array.fold_left (fun acc s -> acc + Store.Server.storage_bytes s) 0 servers
-    in
-    (label, size, d.Store.Metrics.bytes, d.Store.Metrics.messages, storage, ops_s)
-  in
-  let cells = ref [] in
-  Check.History.recording history (fun () ->
-      List.iter
-        (fun size ->
-          cells := cell ~label:"replicated" ~dispersed:false ~size :: !cells;
-          cells := cell ~label:"dispersed" ~dispersed:true ~size :: !cells)
-        sizes);
-  let cells = List.rev !cells in
-  let oracle_violations = Check.Oracle.check (Check.History.events history) in
-  List.iter
-    (fun v -> violate "oracle: %s" (Check.Oracle.violation_to_string v))
-    oracle_violations;
-  let find label size =
-    List.find_map
-      (fun (l, s, bytes, msgs, storage, el) ->
-        if String.equal l label && s = size then Some (bytes, msgs, storage, el)
-        else None)
-      cells
-  in
-  let ratios =
-    List.filter_map
-      (fun size ->
-        match (find "replicated" size, find "dispersed" size) with
-        | Some (rb, _, rs, _), Some (db, _, ds, _) when db > 0 && ds > 0 ->
-          Some
-            ( size,
-              float_of_int rb /. float_of_int db,
-              float_of_int rs /. float_of_int ds )
-        | _ -> None)
-      sizes
-  in
-  let mib bytes = float_of_int bytes /. (1024.0 *. 1024.0) in
-  List.iter
-    (fun v -> Format.fprintf fmt "VIOLATION: %s@." v)
-    (List.rev !violations);
-  let table =
-    {
-      Workload.Table.id = "E21";
-      title =
-        Printf.sprintf
-          "Coded bulk storage: dispersal (k=%d of %d) vs full replication \
-           over live TCP with gossip (%d values per cell, 2 readers)"
-          (b + 1) n items;
-      header =
-        [ "mode"; "value"; "wire (MiB)"; "msgs"; "stored (MiB)"; "ops (s)" ];
-      rows =
-        List.map
-          (fun (label, size, bytes, msgs, storage, el) ->
-            [
-              label;
-              Printf.sprintf "%d KiB" (size / 1024);
-              Printf.sprintf "%.2f" (mib bytes);
-              string_of_int msgs;
-              Printf.sprintf "%.2f" (mib storage);
-              Printf.sprintf "%.2f" el;
-            ])
-          cells;
-      notes =
-        [
-          "wire = client RPC bytes + gossip push bytes to full dissemination;";
-          "stored = retained write bodies + verified fragments across all \
-           servers;";
-          (match ratios with
-          | [] -> "savings: n/a"
-          | rs ->
-            "savings (replicated/dispersed): "
-            ^ String.concat ", "
-                (List.map
-                   (fun (size, w, s) ->
-                     Printf.sprintf "%d KiB wire %.2fx storage %.2fx"
-                       (size / 1024) w s)
-                   rs));
-          Printf.sprintf
-            "oracle: %d events checked, %d violation(s); every read's \
-             reconstructed bytes fed the linkage/freshness checks"
-            (Check.History.length history)
-            (List.length oracle_violations);
-        ];
-    }
-  in
-  Workload.Table.print fmt table;
-  let wire_1m, storage_1m =
-    match List.find_opt (fun (s, _, _) -> s = 1_048_576) ratios with
-    | Some (_, w, s) -> (w, s)
-    | None -> (0.0, 0.0)
-  in
-  if json then
-    write_dispersal_json ~path:"BENCH_dispersal.json"
-      (List.concat_map
-         (fun (label, size, bytes, msgs, storage, el) ->
-           let p = Printf.sprintf "%s_%dk_" label (size / 1024) in
-           [
-             (p ^ "wire_bytes", string_of_int bytes);
-             (p ^ "messages", string_of_int msgs);
-             (p ^ "storage_bytes", string_of_int storage);
-             (p ^ "ops_s", Printf.sprintf "%.3f" el);
-           ])
-         cells
-      @ List.concat_map
-          (fun (size, w, s) ->
-            let p = Printf.sprintf "savings_%dk_" (size / 1024) in
-            [
-              (p ^ "wire", Printf.sprintf "%.3f" w);
-              (p ^ "storage", Printf.sprintf "%.3f" s);
-            ])
-          ratios
-      @ [
-          ("oracle_events", string_of_int (Check.History.length history));
-          ("oracle_violations", string_of_int (List.length oracle_violations));
-          ("safety_violations", string_of_int (List.length !violations));
-        ]);
-  if !violations <> [] || wire_1m < 1.5 || storage_1m < 1.5 then begin
-    Format.fprintf fmt
-      "E21: failed — %d violation(s), 1 MiB savings wire %.2fx storage %.2fx \
-       (want >= 1.5x)@."
-      (List.length !violations) wire_1m storage_1m;
-    exit 1
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
-(* ------------------------------------------------------------------ *)
-(* E22: end-to-end distributed tracing                                 *)
-(* ------------------------------------------------------------------ *)
-
-let write_trace_json ~path rows =
-  let obj rows =
-    "{ "
-    ^ String.concat ", "
-        (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" k v) rows)
-    ^ " }"
-  in
-  let current = obj rows in
-  let baseline =
-    match existing_baseline path with Some b -> b | None -> current
-  in
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () ->
-      Printf.fprintf oc
-        "{\n  \"schema\": \"bench-trace-v1\",\n  \"baseline\": %s,\n\
-        \  \"current\": %s\n}\n"
-        baseline current);
-  Format.fprintf fmt "wrote %s@." path
-
-(* Three questions, one experiment. (1) What does end-to-end tracing
-   cost when on — trace minting, the 26-byte wire extension on every
-   frame, server-side context parsing — measured with E17's paired-op
-   methodology against the same 3% transport budget. (2) Does a
-   sharded, chaos-proxied transaction stitch into ONE trace: client
-   phases, a write quorum's worth of server spans on each of two
-   shards, and a gossip hop, assembled by the flight recorder and
-   fetchable over /trace (saved as TRACE_sample.json). (3) Does an
-   injected freshness violation — a canary client reading from servers
-   swapped to Stale mid-run — yield an oracle report whose trace id
-   resolves in the flight recorder (dumped as
-   FLIGHT_violation_<id>.json)? *)
-let e22_trace ~seed ~json () =
-  let failures = ref [] in
-  let fail fmt_ =
-    Printf.ksprintf (fun s -> failures := s :: !failures) fmt_
-  in
-  let reserve_port () =
-    let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-    Unix.setsockopt fd Unix.SO_REUSEADDR true;
-    Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-    let p =
-      match Unix.getsockname fd with
-      | Unix.ADDR_INET (_, p) -> p
-      | Unix.ADDR_UNIX _ -> assert false
-    in
-    Unix.close fd;
-    p
-  in
-  let key_of name =
-    Crypto.Rsa.generate ~bits:512 (Crypto.Prng.create ~seed:("e22-" ^ name))
-  in
-  (* --- (1) overhead: E17's interleaved off/on batches --------------- *)
-  let n = 4 and b = 1 in
-  Store.Metrics.reset ();
-  Obs.Span.set_enabled false;
-  Obs.Span.reset_stats ();
-  Obs.Span.reset_journal ();
-  Obs.Span.reset_flight ();
-  (* Client-side cost only, like E17: the in-process servers would bill
-     their span work to client latency through the shared machine. The
-     wire extension still rides every traced frame and the server still
-     parses it — that cost is in scope and measured. *)
-  Tcpnet.Server_host.set_request_tracing false;
-  let alice_key = key_of "alice" and bob_key = key_of "bob" in
-  let keyring = Store.Keyring.create () in
-  Store.Keyring.register keyring "alice" alice_key.Crypto.Rsa.public;
-  Store.Keyring.register keyring "bob" bob_key.Crypto.Rsa.public;
-  let servers =
-    Array.init n (fun id -> Store.Server.create ~id ~keyring ~n ~b ())
-  in
-  let hosts =
-    Array.map (fun server -> Tcpnet.Server_host.start ~server ~port:0 ()) servers
-  in
-  let eps = Array.map (fun h -> ("127.0.0.1", Tcpnet.Server_host.port h)) hosts in
-  let endpoints id = if id >= 0 && id < n then Some eps.(id) else None in
-  let cfg =
-    { (Store.Client.default_config ~n ~b) with Store.Client.timeout = 2.0 }
-  in
-  let batches = 5 and iters = 150 in
-  let op_results = ref [] and tr_results = ref [] in
-  (* Every paired sample, pooled across batches, so the JSON can carry
-     off/on percentiles and not just the batch-median headline. *)
-  let pool_w_off = ref [] and pool_w_on = ref [] in
-  let pool_r_off = ref [] and pool_r_on = ref [] in
-  Tcpnet.Live.run ~endpoints (fun () ->
-      let connect name key =
-        match
-          Store.Client.connect ~config:cfg ~uid:name ~key ~keyring ~group:"e22"
-            ()
-        with
-        | Ok c -> c
-        | Error e -> failwith ("e22 connect: " ^ Store.Client.error_to_string e)
-      in
-      let alice = connect "alice" alice_key in
-      let bob = connect "bob" bob_key in
-      let counter = ref 0 in
-      let one_write () =
-        incr counter;
-        match Store.Client.write alice ~item:"k" (string_of_int !counter) with
-        | Ok () -> ()
-        | Error e -> failwith ("e22 write: " ^ Store.Client.error_to_string e)
-      in
-      let one_read () =
-        match Store.Client.read bob ~item:"k" with
-        | Ok _ -> ()
-        | Error e -> failwith ("e22 read: " ^ Store.Client.error_to_string e)
-      in
-      let batch_median samples =
-        Array.sort compare samples;
-        samples.(Array.length samples / 2)
-      in
-      let rpc_h = Store.Metrics.rpc_latency_histo () in
-      let batch () =
-        let wo = Array.make iters 0.0 and wn = Array.make iters 0.0 in
-        let ro = Array.make iters 0.0 and rn = Array.make iters 0.0 in
-        let wto = Array.make iters 0.0 and wtn = Array.make iters 0.0 in
-        let rto = Array.make iters 0.0 and rtn = Array.make iters 0.0 in
-        let timed op_arr tr_arr i f =
-          let s = Obs.Histo.sum rpc_h in
-          op_arr.(i) <- fst (time_ns f);
-          tr_arr.(i) <- Obs.Histo.sum rpc_h -. s
-        in
-        for i = 0 to iters - 1 do
-          Obs.Span.set_enabled false;
-          timed wo wto i one_write;
-          timed ro rto i one_read;
-          Obs.Span.set_enabled true;
-          timed wn wtn i one_write;
-          timed rn rtn i one_read
-        done;
-        Obs.Span.set_enabled false;
-        let pour pool arr = pool := Array.to_list arr @ !pool in
-        pour pool_w_off wo;
-        pour pool_w_on wn;
-        pour pool_r_off ro;
-        pour pool_r_on rn;
-        op_results :=
-          (batch_median wo, batch_median wn, batch_median ro, batch_median rn)
-          :: !op_results;
-        tr_results :=
-          (batch_median wto, batch_median wtn, batch_median rto,
-           batch_median rtn)
-          :: !tr_results
-      in
-      for _ = 1 to 10 do one_write (); one_read () done;
-      for _ = 1 to batches do batch () done;
-      ignore (Store.Client.disconnect alice);
-      ignore (Store.Client.disconnect bob));
-  Array.iter Tcpnet.Server_host.stop hosts;
-  Tcpnet.Server_host.set_request_tracing true;
-  let median xs =
-    match List.sort compare xs with
-    | [] -> 0.0
-    | sorted -> List.nth sorted (List.length sorted / 2)
-  in
-  let pick results f = median (List.map f !results) in
-  let quad results =
-    ( pick results (fun (w, _, _, _) -> w),
-      pick results (fun (_, w, _, _) -> w),
-      pick results (fun (_, _, r, _) -> r),
-      pick results (fun (_, _, _, r) -> r) )
-  in
-  let w_off, w_on, r_off, r_on = quad op_results in
-  let tw_off, tw_on, tr_off, tr_on = quad tr_results in
-  let pct off on = if off = 0.0 then 0.0 else (on -. off) /. off *. 100.0 in
-  let w_overhead = pct w_off w_on and r_overhead = pct r_off r_on in
-  let tw_overhead = pct tw_off tw_on and tr_overhead = pct tr_off tr_on in
-  let budget = 3.0 in
-  let percentile p pool =
-    match Array.of_list !pool with
-    | [||] -> 0.0
-    | a ->
-      Array.sort compare a;
-      let i = int_of_float (p /. 100.0 *. float_of_int (Array.length a - 1)) in
-      a.(i)
-  in
-  let pct_fields tag pool =
-    List.map
-      (fun p ->
-        ( Printf.sprintf "%s_p%.0f_ns" tag p,
-          Printf.sprintf "%.0f" (percentile p pool) ))
-      [ 50.0; 90.0; 99.0 ]
-  in
-  (* --- (2) one stitched trace across shards, chaos in the path ------ *)
-  let shards = 2 in
-  Store.Metrics.reset ();
-  Obs.Span.reset_stats ();
-  Obs.Span.reset_journal ();
-  Obs.Span.reset_flight ();
-  Obs.Span.set_node "bench-e22";
-  (* Head-sample everything: this phase is about stitching, not the
-     sampling rate, and the one transaction must be retained. *)
-  Obs.Span.set_sample_interval 1;
-  Obs.Span.set_enabled true;
-  let tr_key = key_of "tr" in
-  let tr_keyring = Store.Keyring.create () in
-  Store.Keyring.register tr_keyring "tr" tr_key.Crypto.Rsa.public;
-  let sh_servers =
-    Array.init (shards * n) (fun gid ->
-        Store.Server.create ~id:gid ~keyring:tr_keyring ~n ~b ())
-  in
-  let sh_ports = Array.init n (fun _ -> reserve_port ()) in
-  (* Mild seeded chaos between everyone — clients and gossip alike go
-     through the proxies, so the stitched trace is of a transaction
-     that really crossed a lossy network. *)
-  let sh_plans =
-    Array.init n (fun i ->
-        Tcpnet.Chaos.plan ~seed:(seed + i) ~drop:0.01 ~delay:0.001
-          ~jitter:0.002 ())
-  in
-  let sh_proxies =
-    Array.init n (fun i ->
-        Tcpnet.Chaos.start ~plan:sh_plans.(i)
-          ~target:("127.0.0.1", sh_ports.(i))
-          ())
-  in
-  let sh_proxy_eps =
-    Array.map (fun p -> ("127.0.0.1", Tcpnet.Chaos.port p)) sh_proxies
-  in
-  let gossip_period = 0.1 in
-  let sh_hosts =
-    Array.init n (fun r ->
-        let peers =
-          List.filteri (fun j _ -> j <> r) (Array.to_list sh_proxy_eps)
-        in
-        let specs =
-          List.init shards (fun s ->
-              {
-                Tcpnet.Server_host.shard = s;
-                server = sh_servers.((s * n) + r);
-                behavior = Store.Faults.Honest;
-                peers;
-              })
-        in
-        Tcpnet.Server_host.start_sharded ~gossip_period ~shards:specs
-          ~port:sh_ports.(r) ())
-  in
-  let sh_table = Store.Shardmap.make ~seed:"e22-shard" ~shards () in
-  let groups = List.init 8 (fun g -> Printf.sprintf "tg%d" g) in
-  let group_on s =
-    List.find_opt
-      (fun g -> Store.Shardmap.shard_of_group sh_table g = s)
-      groups
-  in
-  let sh_eps gid =
-    if gid >= 0 && gid < shards * n then Some sh_proxy_eps.(gid mod n)
-    else None
-  in
-  let config_of shard =
-    {
-      (Store.Client.default_config ~n ~b) with
-      Store.Client.servers = Store.Router.shard_servers ~n shard;
-      timeout = 1.0;
-      op_deadline = 6.0;
-      write_retries = 2;
-      read_retries = 2;
-      retry_delay = 0.02;
-      retry_backoff_max = 0.1;
-    }
-  in
-  let trace_hex = ref "" in
-  (match (group_on 0, group_on 1) with
-  | Some ga, Some gb ->
-    Tcpnet.Live.run ~endpoints:sh_eps
-      ~shard_of:(fun node -> Some (node / n))
-      (fun () ->
-        let router =
-          Store.Router.create ~table:sh_table ~uid:"tr" ~key:tr_key
-            ~keyring:tr_keyring ~config_of ()
-        in
-        (* The transaction: one op spanning writes to both shards. The
-           first nested client op mints the trace on this root;
-           everything after — second shard's quorum, retries, the
-           servers' decode/verify/apply, the gossip pushes — joins it. *)
-        Obs.Span.with_op "sharded_txn" (fun () ->
-            List.iter
-              (fun g ->
-                let uid = Store.Uid.make ~group:g ~item:"k" in
-                match Store.Router.write router ~uid (g ^ "#payload") with
-                | Ok () -> ()
-                | Error e ->
-                  fail "E22 stitched write %s failed: %s" g
-                    (Store.Client.error_to_string e))
-              [ ga; gb ];
-            match Obs.Span.current_ctx () with
-            | Some c -> trace_hex := Obs.Jsonx.to_hex c.Obs.Span.trace
-            | None -> fail "E22: no trace context on the transaction root");
-        (* Two gossip periods: each shard's gossip round adopts the
-           trace it last served and pushes under it. *)
-        Thread.delay (2.5 *. gossip_period);
-        ignore (Store.Router.disconnect router))
-  | _ -> fail "E22: shard table put all sample groups on one shard");
-  Array.iter Tcpnet.Server_host.stop sh_hosts;
-  Array.iter Tcpnet.Chaos.stop sh_proxies;
-  Obs.Span.set_sample_interval 8;
-  (* Assemble, assert, and save the artifact through the same HTTP
-     route a deployment scrapes. *)
-  let spans =
-    match Obs.Jsonx.of_hex !trace_hex with
-    | Some raw when String.length raw = Obs.Span.trace_bytes ->
-      Obs.Span.trace_spans ~trace:raw
-    | _ -> []
-  in
-  let with_op op = List.filter (fun c -> c.Obs.Span.op = op) spans in
-  let server_spans = with_op "server_request" in
-  let shard_of_span c =
-    List.find_map
-      (fun a ->
-        let t = Obs.Span.attr_text a in
-        try Scanf.sscanf t "server=%d shard=%d" (fun s sh -> Some (s, sh))
-        with Scanf.Scan_failure _ | End_of_file -> None)
-      (List.rev c.Obs.Span.attrs)
-  in
-  let servers_on shard =
-    List.sort_uniq compare
-      (List.filter_map
-         (fun c ->
-           match shard_of_span c with
-           | Some (s, sh) when sh = shard -> Some s
-           | _ -> None)
-         server_spans)
-  in
-  let wq = n - b in
-  let gossip_spans = with_op "gossip_round" in
-  (match with_op "sharded_txn" with
-  | [ root ] ->
-    if root.Obs.Span.parent <> 0 then fail "E22: transaction root has a parent";
-    if root.Obs.Span.phases = [] then
-      fail "E22: transaction root carries no client phases"
-  | l -> fail "E22: expected exactly one transaction root, found %d"
-           (List.length l));
-  List.iter
-    (fun s ->
-      let got = List.length (servers_on s) in
-      if got < wq then
-        fail "E22: shard %d shows %d traced server spans, want >= %d (quorum)"
-          s got wq)
-    [ 0; 1 ];
-  if gossip_spans = [] then
-    fail "E22: no gossip span joined the trace within %.1fs"
-      (2.5 *. gossip_period);
-  let fetched =
-    let http =
-      Tcpnet.Metrics_http.start ~port:0
-        ~routes:
-          [
-            ( "/trace",
-              fun query ->
-                let id =
-                  List.find_map
-                    (fun kv ->
-                      match String.index_opt kv '=' with
-                      | Some i when String.sub kv 0 i = "id" ->
-                        Some
-                          (String.sub kv (i + 1) (String.length kv - i - 1))
-                      | _ -> None)
-                    (String.split_on_char '&' query)
-                in
-                ( "application/json",
-                  Obs.Span.trace_json
-                    ~id:(Option.value ~default:"" id)
-                    () ) );
-          ]
-        ()
-    in
-    Fun.protect ~finally:(fun () -> Tcpnet.Metrics_http.stop http) @@ fun () ->
-    Tcpnet.Metrics_http.get
-      ~port:(Tcpnet.Metrics_http.port http)
-      ~path:("/trace?id=" ^ !trace_hex)
-      ()
-  in
-  (match fetched with
-  | Error e -> fail "E22: /trace fetch failed: %s" e
-  | Ok body -> (
-    match Obs.Jsonx.parse body with
-    | None -> fail "E22: /trace body is not valid JSON"
-    | Some v ->
-      (match Option.bind (Obs.Jsonx.member "trace" v) Obs.Jsonx.str_of with
-      | Some t when t = !trace_hex -> ()
-      | _ -> fail "E22: /trace body names the wrong trace");
-      let oc = open_out "TRACE_sample.json" in
-      Fun.protect
-        ~finally:(fun () -> close_out_noerr oc)
-        (fun () -> output_string oc body);
-      Format.fprintf fmt "wrote TRACE_sample.json@."));
-  (* --- (3) violation-triggered flight dump -------------------------- *)
-  Obs.Span.reset_journal ();
-  Obs.Span.reset_flight ();
-  let v_keyring = Store.Keyring.create () in
-  let canary_key = key_of "canary" in
-  Store.Keyring.register v_keyring "canary" canary_key.Crypto.Rsa.public;
-  let v_servers =
-    Array.init n (fun id -> Store.Server.create ~id ~keyring:v_keyring ~n ~b ())
-  in
-  let v_ports = Array.init n (fun _ -> reserve_port ()) in
-  let start_host ?behavior i =
-    Tcpnet.Server_host.start ?behavior ~server:v_servers.(i) ~port:v_ports.(i)
-      ()
-  in
-  let v_hosts = Array.init n (fun i -> start_host i) in
-  let v_eps gid =
-    if gid >= 0 && gid < n then Some ("127.0.0.1", v_ports.(gid)) else None
-  in
-  let v_cfg =
-    {
-      (Store.Client.default_config ~n ~b) with
-      Store.Client.timeout = 0.5;
-      read_retries = 1;
-      write_retries = 1;
-      (* The broken client the oracle must catch: skips the
-         context-freshness floor, so the stale pair below satisfies its
-         read. Never enable outside oracle tests. *)
-      canary_skip_freshness = true;
-    }
-  in
-  let history = Check.History.create () in
-  let got_stale_read = ref false in
-  Check.History.recording history (fun () ->
-      Tcpnet.Live.run ~endpoints:v_eps (fun () ->
-          match
-            Store.Client.connect ~config:v_cfg ~uid:"canary" ~key:canary_key
-              ~keyring:v_keyring ~group:"flight" ()
-          with
-          | Error e ->
-            fail "E22 canary connect: %s" (Store.Client.error_to_string e)
-          | Ok canary ->
-            (match Store.Client.write canary ~item:"x" "v1" with
-            | Ok () -> ()
-            | Error e ->
-              fail "E22 canary write v1: %s" (Store.Client.error_to_string e));
-            (* Freeze the two servers the canary's read set will hit:
-               they hold v1, will ack v2 without storing it, and serve
-               v1 back — the freshness violation the canary cannot see
-               without its floor. *)
-            Tcpnet.Server_host.stop v_hosts.(0);
-            Tcpnet.Server_host.stop v_hosts.(1);
-            v_hosts.(0) <- start_host ~behavior:Store.Faults.Stale 0;
-            v_hosts.(1) <- start_host ~behavior:Store.Faults.Stale 1;
-            (match Store.Client.write canary ~item:"x" "v2" with
-            | Ok () -> ()
-            | Error e ->
-              fail "E22 canary write v2: %s" (Store.Client.error_to_string e));
-            (match Store.Client.read canary ~item:"x" with
-            | Ok "v1" -> got_stale_read := true
-            | Ok v -> fail "E22 canary read returned %S, want the stale v1" v
-            | Error e ->
-              fail "E22 canary read: %s" (Store.Client.error_to_string e));
-            (* Stale servers sit on Ctx_write, so the disconnect times
-               out its context quorum; the violation is already on
-               record either way. *)
-            ignore (Store.Client.disconnect canary)));
-  Array.iter Tcpnet.Server_host.stop v_hosts;
-  Obs.Span.set_enabled false;
-  let violations = Check.Oracle.check (Check.History.events history) in
-  let flight_dump = ref "" in
-  (match violations with
-  | [] -> fail "E22: seeded stale schedule produced no oracle violation"
-  | v :: _ -> (
-    Format.fprintf fmt "oracle: %a@." Check.Oracle.pp_violation v;
-    let vid = v.Check.Oracle.first.Store.Trace.trace in
-    if vid = "" then fail "E22: violation event carries no trace id"
-    else
-      match Obs.Jsonx.of_hex vid with
-      | Some raw when String.length raw = Obs.Span.trace_bytes ->
-        if not (Obs.Span.pin ~trace:raw) then
-          fail "E22: violation trace %s not held by the flight recorder" vid
-        else begin
-          let dump = Obs.Span.trace_json ~id:vid () in
-          (match Obs.Jsonx.parse dump with
-          | Some d
-            when Option.bind (Obs.Jsonx.member "trace" d) Obs.Jsonx.str_of
-                 = Some vid
-                 && (match
-                       Option.bind (Obs.Jsonx.member "spans" d)
-                         Obs.Jsonx.arr_of
-                     with
-                    | Some (_ :: _) -> true
-                    | _ -> false) ->
-            ()
-          | _ -> fail "E22: flight dump for %s is empty or malformed" vid);
-          let path = Printf.sprintf "FLIGHT_violation_%s.json" vid in
-          let oc = open_out path in
-          Fun.protect
-            ~finally:(fun () -> close_out_noerr oc)
-            (fun () -> output_string oc dump);
-          flight_dump := path;
-          Format.fprintf fmt "wrote %s@." path
-        end
-      | _ -> fail "E22: violation trace id %S is not a 128-bit hex id" vid));
-  (* --- report -------------------------------------------------------- *)
-  let sampled, forced, occupancy = Obs.Span.flight_stats () in
-  let table =
-    {
-      Workload.Table.id = "E22";
-      title =
-        Printf.sprintf
-          "End-to-end distributed tracing (n=%d b=%d; %d batches x %d \
-           op-paired off/on samples; S=%d stitched sharded txn under \
-           chaos; canary flight dump)"
-          n b batches iters shards;
-      header = [ "metric"; "value" ];
-      rows =
-        [
-          [ "whole op: write off -> on (us)";
-            Printf.sprintf "%.0f -> %.0f (%+.1f%%)" (w_off /. 1e3)
-              (w_on /. 1e3) w_overhead ];
-          [ "whole op: read off -> on (us)";
-            Printf.sprintf "%.0f -> %.0f (%+.1f%%)" (r_off /. 1e3)
-              (r_on /. 1e3) r_overhead ];
-          [ "transport: write off -> on (us)";
-            Printf.sprintf "%.0f -> %.0f (%+.1f%%)" (tw_off /. 1e3)
-              (tw_on /. 1e3) tw_overhead ];
-          [ "transport: read off -> on (us)";
-            Printf.sprintf "%.0f -> %.0f (%+.1f%%)" (tr_off /. 1e3)
-              (tr_on /. 1e3) tr_overhead ];
-          [ Printf.sprintf "transport budget %.0f%%" budget;
-            (if tw_overhead <= budget && tr_overhead <= budget then "met"
-             else "EXCEEDED") ];
-          [ "stitched trace id"; !trace_hex ];
-          [ "stitched spans (total / server / gossip)";
-            Printf.sprintf "%d / %d / %d" (List.length spans)
-              (List.length server_spans)
-              (List.length gossip_spans) ];
-          [ "traced server quorum (shard 0 / shard 1, want >= 3)";
-            Printf.sprintf "%d / %d" (List.length (servers_on 0))
-              (List.length (servers_on 1)) ];
-          [ "canary stale read observed"; string_of_bool !got_stale_read ];
-          [ "oracle violations"; string_of_int (List.length violations) ];
-          [ "flight dump"; (if !flight_dump = "" then "MISSING" else !flight_dump) ];
-          [ "flight recorder (sampled / forced / held)";
-            Printf.sprintf "%d / %d / %d" sampled forced occupancy ];
-        ];
-      notes =
-        [
-          "overheads compare per-batch medians of paired off/on ops (E17 \
-           methodology);";
-          "transport = the op's rpc rounds; whole op adds client span + \
-           trace minting;";
-          "the stitched trace crosses 2 shards and a chaos proxy, and is \
-           fetched over /trace?id=...;";
-          "the flight dump is the full causal trace of the op the \
-           consistency oracle flagged.";
-        ];
-    }
-  in
-  Workload.Table.print fmt table;
-  if json then
-    write_trace_json ~path:"BENCH_trace.json"
-      ([
-        ("write_off_ns", Printf.sprintf "%.0f" w_off);
-        ("write_on_ns", Printf.sprintf "%.0f" w_on);
-        ("read_off_ns", Printf.sprintf "%.0f" r_off);
-        ("read_on_ns", Printf.sprintf "%.0f" r_on);
-        ("overhead_write_pct", Printf.sprintf "%.2f" w_overhead);
-        ("overhead_read_pct", Printf.sprintf "%.2f" r_overhead);
-        ("transport_write_off_ns", Printf.sprintf "%.0f" tw_off);
-        ("transport_write_on_ns", Printf.sprintf "%.0f" tw_on);
-        ("transport_read_off_ns", Printf.sprintf "%.0f" tr_off);
-        ("transport_read_on_ns", Printf.sprintf "%.0f" tr_on);
-        ("overhead_transport_write_pct", Printf.sprintf "%.2f" tw_overhead);
-        ("overhead_transport_read_pct", Printf.sprintf "%.2f" tr_overhead);
-        ("overhead_budget_pct", Printf.sprintf "%.0f" budget);
-      ]
-      @ pct_fields "write_off" pool_w_off
-      @ pct_fields "write_on" pool_w_on
-      @ pct_fields "read_off" pool_r_off
-      @ pct_fields "read_on" pool_r_on
-      @ [
-        ("stitched_spans", string_of_int (List.length spans));
-        ("stitched_server_spans", string_of_int (List.length server_spans));
-        ("stitched_gossip_spans", string_of_int (List.length gossip_spans));
-        ("stitched_shard0_servers",
-         string_of_int (List.length (servers_on 0)));
-        ("stitched_shard1_servers",
-         string_of_int (List.length (servers_on 1)));
-        ("oracle_violations", string_of_int (List.length violations));
-        ("violation_trace_resolved",
-         string_of_bool (!flight_dump <> ""));
-      ]);
-  if !failures <> [] then begin
-    List.iter (fun s -> Format.fprintf fmt "E22 FAILURE: %s@." s)
-      (List.rev !failures);
-    exit 1
-  end
-
 (* ------------------------------------------------------------------ *)
 
 let experiments ~seed ~json : (string * (unit -> unit)) list =
@@ -3786,8 +1941,8 @@ let experiments ~seed ~json : (string * (unit -> unit)) list =
         let micro = e9 () in
         let proto = e9_protocol () in
         if json then
-          write_bench_json ~path:"BENCH_crypto.json" ~schema:"bench-crypto-v1"
-            (micro @ proto) );
+          write_json ~path:"BENCH_crypto.json" ~schema:"bench-crypto-v1"
+            ~header:[ ("unit", "\"ns/op\"") ] (ns_rows (micro @ proto)) );
     ( "e10",
       fun () ->
         Workload.Table.print fmt (Workload.Experiments.e10_wan_latency ~seed ());
@@ -3798,12 +1953,8 @@ let experiments ~seed ~json : (string * (unit -> unit)) list =
     ("e14", t Workload.Experiments.e14_context_size);
     ("e15", fun () -> e15_chaos ~seed ~json ());
     ("e16", fun () -> e16_check ~seed ~json ());
-    ("e17", fun () -> e17_obs ~json ());
     ("e18", fun () -> e18_sign ~json ());
-    ("e19", fun () -> e19_shard ~seed ~json ());
     ("e20", fun () -> e20_reconfig ~seed ~json ());
-    ("e21", fun () -> e21_dispersal ~seed ~json ());
-    ("e22", fun () -> e22_trace ~seed ~json ());
   ]
 
 let main args =
@@ -3829,7 +1980,4 @@ let main args =
           (String.concat ", " (List.map fst table)))
     to_run
 
-let () =
-  match List.tl (Array.to_list Sys.argv) with
-  | "e19-worker" :: rest -> e19_worker rest
-  | args -> main args
+let () = main (List.tl (Array.to_list Sys.argv))

@@ -33,8 +33,8 @@
     Tracing is globally disabled by default. When disabled, {!with_op}
     and {!with_phase} run their argument with nothing but a flag check —
     no clock reads, no allocation, no locking — so instrumented hot
-    paths pay nothing (the <3% tracing-on budget is measured by bench
-    e17/e22). Span state is per-OS-thread; the simulation engine's
+    paths pay nothing (perfbench's [obs.trace_overhead_pct] measures the
+    <3% tracing-on budget). Span state is per-OS-thread; the simulation engine's
     single-thread cooperative scheduling would interleave clients, so
     enable tracing only around live-transport (or single-client
     in-process) work. *)

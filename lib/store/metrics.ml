@@ -320,8 +320,6 @@ let inflight_high_water () = !inflight_hwm
 
 let record_rpc_ns ns = Obs.Histo.observe rpc_histo ns
 
-let rpc_latency_histo () = rpc_histo
-
 type rpc_stats = {
   rpc_count : int;
   p50_ns : float;

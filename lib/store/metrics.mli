@@ -184,9 +184,6 @@ val record_rpc_ns : float -> unit
     latency histogram (fixed bucket counters; replaced the old
     4096-sample reservoir). *)
 
-val rpc_latency_histo : unit -> Obs.Histo.t
-(** The global RPC-latency histogram itself (live reference). *)
-
 val endpoint_rpc_histo : string -> Obs.Histo.t
 (** The per-endpoint ("host:port") RPC-latency histogram, created on
     first use. The pool records into it while tracing is enabled. *)

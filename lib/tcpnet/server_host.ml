@@ -61,16 +61,10 @@ let untrack_conn t fd =
    misbehaving host diverges only in what it says on the wire, never in
    the underlying honest state machine. Behaviour is per shard, so one
    host can be Byzantine inside one shard and honest in the others. *)
-(* Server-side request spans ride the same global Span switch, plus
-   this local one: an in-process cluster (bench e17, tests) silences the
-   server half to measure *client* tracing overhead — the deployment
-   shape, where servers are separate processes and their span cost
-   cannot serialize into client latency through the shared runtime
-   lock. The untraced arm repeats the six-line body rather than calling
-   [with_phase] no-ops, which would still pay a span lookup per phase
-   on every request. *)
-let trace_requests = ref true
-let set_request_tracing v = trace_requests := v
+(* Server-side request spans ride the global Span switch. The untraced
+   arm repeats the six-line body rather than calling [with_phase]
+   no-ops, which would still pay a span lookup per phase on every
+   request. *)
 
 let span_ctx = function
   | Some (c : Frame.trace_ctx) ->
@@ -81,7 +75,7 @@ let process st ?ctx raw : (Store.Payload.response option, string) Result.t =
   let t0 = Unix.gettimeofday () in
   (match ctx with Some _ -> st.slast_trace <- ctx | None -> ());
   let result =
-    if !trace_requests && Obs.Span.enabled () then
+    if Obs.Span.enabled () then
       Obs.Span.with_op ?ctx:(span_ctx ctx) "server_request" @@ fun () ->
       Obs.Span.annotate
         (Printf.sprintf "server=%d shard=%d" (Store.Server.id st.sserver)

@@ -75,13 +75,6 @@ val drain : ?max_passes:int -> t -> unit
     up to [max_passes] (default 10) rounds, so a dead peer cannot wedge
     the drain. The caller then snapshots and {!stop}s. *)
 
-val set_request_tracing : bool -> unit
-(** Whether request handling opens [server_request] spans (decode /
-    verify / apply phases) when tracing is globally enabled. On by
-    default. An in-process cluster turns it off to measure client-only
-    tracing overhead — the deployment shape, where server span cost
-    lives in other processes (bench e17 does this). *)
-
 val stop : t -> unit
 (** Close the listener, stop the gossip thread, and shut down accepted
     connections (pooled clients see EOF and redial on next use). *)

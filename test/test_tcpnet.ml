@@ -204,22 +204,52 @@ let header_hostile_qcheck =
       && with_byte 0 kind = None
       && with_byte 1 ((flag_bits lsl 1) lor Char.code wire.[1]) = None)
 
-let with_cluster ?(n = 4) ?(b = 1) ?(behavior = fun _ -> Store.Faults.Honest) fn =
+let reserve_port () =
+  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt fd Unix.SO_REUSEADDR true;
+  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  let p =
+    match Unix.getsockname fd with
+    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_UNIX _ -> assert false
+  in
+  Unix.close fd;
+  p
+
+(* An n-server loopback cluster. With [gossip_period] every host gossips
+   with all the others, so the ports are reserved up front for each host
+   to name its peers. *)
+let with_cluster ?(n = 4) ?(b = 1) ?(behavior = fun _ -> Store.Faults.Honest)
+    ?gossip_period fn =
   let keyring = Store.Keyring.create () in
   Store.Keyring.register keyring "alice" alice_key.Crypto.Rsa.public;
   Store.Keyring.register keyring "bob" bob_key.Crypto.Rsa.public;
   let servers = Array.init n (fun id -> Store.Server.create ~id ~keyring ~n ~b ()) in
+  let ports =
+    Array.init n (fun _ -> if gossip_period = None then 0 else reserve_port ())
+  in
   let hosts =
     Array.mapi
       (fun i server ->
-        Tcpnet.Server_host.start ~behavior:(behavior i) ~server ~port:0 ())
+        let gossip =
+          Option.map
+            (fun period ->
+              let peers =
+                List.filteri (fun j _ -> j <> i)
+                  (Array.to_list (Array.map (fun p -> ("127.0.0.1", p)) ports))
+              in
+              { Tcpnet.Server_host.peers; period })
+            gossip_period
+        in
+        Tcpnet.Server_host.start ?gossip ~behavior:(behavior i) ~server
+          ~port:ports.(i) ())
       servers
   in
   let eps = Array.map (fun h -> ("127.0.0.1", Tcpnet.Server_host.port h)) hosts in
   let endpoints id = if id >= 0 && id < n then Some eps.(id) else None in
   Fun.protect
     ~finally:(fun () -> Array.iter Tcpnet.Server_host.stop hosts)
-    (fun () -> fn ~keyring ~endpoints ~hosts ~n ~b)
+    (fun () -> fn ~keyring ~endpoints ~hosts ~servers ~n ~b)
 
 let connect ~keyring ~n ~b ?(timeout = 2.0) name key =
   let config = { (Store.Client.default_config ~n ~b) with Store.Client.timeout } in
@@ -232,7 +262,7 @@ let ok = function
   | Error e -> Alcotest.failf "error: %s" (Store.Client.error_to_string e)
 
 let test_live_write_read () =
-  with_cluster (fun ~keyring ~endpoints ~hosts:_ ~n ~b ->
+  with_cluster (fun ~keyring ~endpoints ~hosts:_ ~servers:_ ~n ~b ->
       Tcpnet.Live.run ~endpoints (fun () ->
           let alice = connect ~keyring ~n ~b "alice" alice_key in
           ok (Store.Client.write alice ~item:"x" "over tcp");
@@ -244,7 +274,7 @@ let test_live_write_read () =
             (ok (Store.Client.read again ~item:"x"))))
 
 let test_live_other_reader () =
-  with_cluster (fun ~keyring ~endpoints ~hosts:_ ~n ~b ->
+  with_cluster (fun ~keyring ~endpoints ~hosts:_ ~servers:_ ~n ~b ->
       Tcpnet.Live.run ~endpoints (fun () ->
           let alice = connect ~keyring ~n ~b "alice" alice_key in
           ok (Store.Client.write alice ~item:"news" "hello bob");
@@ -253,7 +283,7 @@ let test_live_other_reader () =
             (ok (Store.Client.read bob ~item:"news"))))
 
 let test_live_crash_tolerated () =
-  with_cluster (fun ~keyring ~endpoints ~hosts ~n ~b ->
+  with_cluster (fun ~keyring ~endpoints ~hosts ~servers:_ ~n ~b ->
       Tcpnet.Live.run ~endpoints (fun () ->
           let alice = connect ~timeout:0.5 ~keyring ~n ~b "alice" alice_key in
           ok (Store.Client.write alice ~item:"x" "v1");
@@ -478,7 +508,7 @@ let test_pipelined_out_of_order () =
   Unix.close listener
 
 let test_framed_errors () =
-  with_cluster (fun ~keyring:_ ~endpoints:_ ~hosts ~n:_ ~b:_ ->
+  with_cluster (fun ~keyring:_ ~endpoints:_ ~hosts ~servers:_ ~n:_ ~b:_ ->
       let ep = ("127.0.0.1", Tcpnet.Server_host.port hosts.(0)) in
       (* An unparsable frame gets a framed connection error, not a
          silent drop, and the connection keeps serving. *)
@@ -583,7 +613,7 @@ let test_backoff_cap () =
   | [] -> assert false
 
 let test_concurrent_quorum_clients () =
-  with_cluster (fun ~keyring ~endpoints ~hosts:_ ~n ~b ->
+  with_cluster (fun ~keyring ~endpoints ~hosts:_ ~servers:_ ~n ~b ->
       let errors = ref [] in
       let errors_lock = Mutex.create () in
       let client name key items =
@@ -623,18 +653,6 @@ let test_concurrent_quorum_clients () =
       | e :: _ -> Alcotest.failf "concurrent client failed: %s" e)
 
 (* --- robustness: hostile frames, health, chaos, Byzantine hosts ---------- *)
-
-let reserve_port () =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  let p =
-    match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> assert false
-  in
-  Unix.close fd;
-  p
 
 (* Regression for the gossip write-loss bug: writes popped off the
    gossip buffer used to be dropped forever when the push failed. With a
@@ -822,7 +840,7 @@ let test_pool_evict () =
 let test_live_context_reconstruction () =
   with_cluster
     ~behavior:(fun i -> if i = 3 then Store.Faults.Stale else Store.Faults.Honest)
-    (fun ~keyring ~endpoints ~hosts:_ ~n ~b ->
+    (fun ~keyring ~endpoints ~hosts:_ ~servers:_ ~n ~b ->
       Tcpnet.Live.run ~endpoints (fun () ->
           let config = Store.Client.default_config ~n ~b in
           let session ?recover () =
@@ -862,7 +880,7 @@ let test_live_context_reconstruction () =
    and out-of-range correlation ids all get a framed error (or a clean
    hangup) and the host keeps serving. *)
 let test_frame_hostile_inputs () =
-  with_cluster (fun ~keyring:_ ~endpoints:_ ~hosts ~n:_ ~b:_ ->
+  with_cluster (fun ~keyring:_ ~endpoints:_ ~hosts ~servers:_ ~n:_ ~b:_ ->
       let port = Tcpnet.Server_host.port hosts.(0) in
       let dial () =
         let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -1034,7 +1052,7 @@ let test_byzantine_hosts () =
   (* Corrupt_value as server 0 — first in every preferred read set. *)
   with_cluster
     ~behavior:(fun i -> if i = 0 then Store.Faults.Corrupt_value else Store.Faults.Honest)
-    (fun ~keyring ~endpoints ~hosts:_ ~n ~b ->
+    (fun ~keyring ~endpoints ~hosts:_ ~servers:_ ~n ~b ->
       Tcpnet.Live.run ~endpoints (fun () ->
           let alice = connect ~keyring ~n ~b "alice" alice_key in
           ok (Store.Client.write alice ~item:"x" "the real value");
@@ -1044,12 +1062,13 @@ let test_byzantine_hosts () =
 
 (* --- coded bulk transport over real sockets ------------------------------ *)
 
-let coded_connect ~keyring ~n ~b ?(timeout = 2.0) name key =
+let coded_connect ~keyring ~n ~b ?(timeout = 2.0) ?(dispersal_threshold = 4096)
+    name key =
   let config =
     {
       (Store.Client.default_config ~n ~b) with
       Store.Client.timeout;
-      dispersal_threshold = 4096;
+      dispersal_threshold;
       dispersal_chunk = 16_384;
     }
   in
@@ -1060,7 +1079,7 @@ let coded_connect ~keyring ~n ~b ?(timeout = 2.0) name key =
 let bulk_value n = String.init n (fun i -> Char.chr ((i * 31 + i / 997) land 0xff))
 
 let test_live_dispersal_roundtrip () =
-  with_cluster (fun ~keyring ~endpoints ~hosts:_ ~n ~b ->
+  with_cluster (fun ~keyring ~endpoints ~hosts:_ ~servers:_ ~n ~b ->
       Tcpnet.Live.run ~endpoints (fun () ->
           let alice = coded_connect ~keyring ~n ~b "alice" alice_key in
           (* fragments of ~50 KB stream as several 16 KB Frag_put chunks
@@ -1079,7 +1098,7 @@ let test_live_dispersal_under_chaos () =
      needs k+b = 3 clean ack streams and the other three servers provide
      them — and readers reconstruct around the damaged holder: a
      corrupted fragment fails its descriptor digest and is replaced. *)
-  with_cluster (fun ~keyring ~endpoints ~hosts:_ ~n ~b ->
+  with_cluster (fun ~keyring ~endpoints ~hosts:_ ~servers:_ ~n ~b ->
       let target =
         match endpoints 1 with Some e -> e | None -> Alcotest.fail "no endpoint"
       in
@@ -1103,82 +1122,266 @@ let test_live_dispersal_under_chaos () =
           Alcotest.(check string) "bob too" value
             (ok (Store.Client.read bob ~item:"bulk"))))
 
+(* Poll [probe] every 50 ms, failing after [tries] polls. *)
+let await ?(tries = 100) what probe =
+  let rec go tries =
+    if probe () then ()
+    else if tries = 0 then Alcotest.failf "timed out waiting for %s" what
+    else begin
+      Thread.delay 0.05;
+      go (tries - 1)
+    end
+  in
+  go tries
+
 let test_live_fragment_repair () =
   (* A full gossip mesh over real sockets: the metadata write reaches
      every server by anti-entropy, each holder's staged fragment turns
      verified, and when one holder loses its fragment the gossip loop's
      repair phase pulls peer fragments and recodes its own. *)
-  let n = 4 and b = 1 in
+  with_cluster ~gossip_period:0.05
+    (fun ~keyring ~endpoints ~hosts:_ ~servers ~n ~b ->
+      let value = bulk_value 30_000 in
+      Tcpnet.Live.run ~endpoints (fun () ->
+          let alice = coded_connect ~keyring ~n ~b "alice" alice_key in
+          ok (Store.Client.write alice ~item:"bulk" value));
+      let uid = Store.Uid.make ~group:"net" ~item:"bulk" in
+      await "gossip to verify every fragment" (fun () ->
+          Array.for_all (fun s -> Store.Server.fragment_count s = 1) servers);
+      let stamp =
+        match Store.Server.current_write servers.(0) uid with
+        | Some w -> w.Store.Payload.stamp
+        | None -> Alcotest.fail "no metadata at server 0"
+      in
+      let repairs0 = Store.Metrics.frag_repairs () in
+      Store.Server.drop_fragment servers.(2) uid ~stamp ~index:3;
+      await "the gossip loop to repair the fragment" (fun () ->
+          Store.Server.fragment servers.(2) uid ~stamp ~index:3 <> None);
+      Alcotest.(check bool) "repair counted in metrics" true
+        (Store.Metrics.frag_repairs () > repairs0);
+      (* the restored holder serves reads again *)
+      Tcpnet.Live.run ~endpoints (fun () ->
+          let alice = coded_connect ~keyring ~n ~b "alice" alice_key in
+          Alcotest.(check string) "read after repair" value
+            (ok (Store.Client.read alice ~item:"bulk"))))
+
+(* Coded bulk storage pays off at 1 MiB. On one gossiping n=4, b=1
+   cluster alice stores a value replicated, then one dispersed (k = b+1
+   = 2 of n), each read back and gossiped to every server before it is
+   measured: replication ships and keeps n full copies, dispersal n
+   half-size fragments, so both ratios should be near 2 or above. The
+   oracle checks the history of both writes and read-backs. *)
+let test_live_coded_savings () =
+  let value = bulk_value 1_048_576 in
+  let history = Check.History.create () in
+  let store ~keyring ~endpoints ~servers ~n ~b ~dispersal_threshold item =
+    let stored () =
+      Array.fold_left (fun acc s -> acc + Store.Server.storage_bytes s) 0 servers
+    in
+    let m0 = Store.Metrics.read () and stored0 = stored () in
+    Tcpnet.Live.run ~endpoints (fun () ->
+        let alice =
+          coded_connect ~timeout:5.0 ~dispersal_threshold ~keyring ~n ~b "alice"
+            alice_key
+        in
+        ok (Store.Client.write alice ~item value);
+        Alcotest.(check string) (item ^ " read back") value
+          (ok (Store.Client.read alice ~item));
+        ok (Store.Client.disconnect alice));
+    let uid = Store.Uid.make ~group:"net" ~item in
+    let dispersed = dispersal_threshold > 0 in
+    await ~tries:400 ("gossip to disseminate " ^ item) (fun () ->
+        Array.for_all
+          (fun s ->
+            Store.Server.current_write s uid <> None
+            && ((not dispersed) || Store.Server.fragment_count s >= 1))
+          servers);
+    (* a final beat so in-flight gossip bytes are counted *)
+    Thread.delay 0.1;
+    let d = Store.Metrics.diff (Store.Metrics.read ()) m0 in
+    (d.Store.Metrics.bytes, stored () - stored0)
+  in
+  let (rep_wire, rep_stored), (dis_wire, dis_stored) =
+    with_cluster ~gossip_period:0.02
+      (fun ~keyring ~endpoints ~hosts:_ ~servers ~n ~b ->
+        Check.History.recording history (fun () ->
+            let rep =
+              store ~keyring ~endpoints ~servers ~n ~b ~dispersal_threshold:0
+                "replicated"
+            in
+            let dis =
+              store ~keyring ~endpoints ~servers ~n ~b ~dispersal_threshold:4096
+                "dispersed"
+            in
+            (rep, dis)))
+  in
+  let ratio a b = float_of_int a /. float_of_int (max 1 b) in
+  let at_least what got =
+    if got < 1.5 then Alcotest.failf "%s savings %.2fx < 1.5x" what got
+  in
+  at_least "storage" (ratio rep_stored dis_stored);
+  at_least "transport" (ratio rep_wire dis_wire);
+  Alcotest.(check bool) "history recorded" true (Check.History.length history > 0);
+  Alcotest.(check (list string)) "oracle finds no violation" []
+    (List.map Check.Oracle.violation_to_string
+       (Check.Oracle.check (Check.History.events history)))
+
+(* --- distributed tracing over real sockets -------------------------------- *)
+
+(* Distinct server ids among a trace's server_request spans for one
+   shard (each span is annotated "server=<id> shard=<shard>"). *)
+let traced_servers spans shard =
+  List.sort_uniq compare
+    (List.filter_map
+       (fun (c : Obs.Span.closed) ->
+         if c.op <> "server_request" then None
+         else
+           List.find_map
+             (fun a ->
+               try
+                 Scanf.sscanf (Obs.Span.attr_text a) "server=%d shard=%d"
+                   (fun id sh -> if sh = shard then Some id else None)
+               with Scanf.Scan_failure _ | End_of_file -> None)
+             c.attrs)
+       spans)
+
+(* One Router transaction writing to both shards of a two-shard cluster
+   stitches into one trace: a write quorum's worth of server spans per
+   shard and a gossip round that joined it. Then an oracle violation —
+   a canary (no freshness floor) reading from servers swapped to Stale —
+   names a trace the flight recorder still holds. *)
+let test_stitched_trace () =
+  let n = 4 and b = 1 and shards = 2 in
+  Obs.Span.reset_journal ();
+  Obs.Span.reset_flight ();
+  Obs.Span.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.Span.set_enabled false;
+      Obs.Span.set_sample_interval 8;
+      Obs.Span.reset_journal ();
+      Obs.Span.reset_flight ())
+  @@ fun () ->
+  (* head-sample every trace: the one transaction must be retained *)
+  Obs.Span.set_sample_interval 1;
   let keyring = Store.Keyring.create () in
   Store.Keyring.register keyring "alice" alice_key.Crypto.Rsa.public;
   let servers =
-    Array.init n (fun id -> Store.Server.create ~id ~keyring ~n ~b ())
+    Array.init (shards * n) (fun gid -> Store.Server.create ~id:gid ~keyring ~n ~b ())
   in
-  (* reserve ephemeral ports first so every host can name all its peers *)
-  let ports =
-    Array.init n (fun _ ->
-        let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Unix.setsockopt s Unix.SO_REUSEADDR true;
-        Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-        let p =
-          match Unix.getsockname s with
-          | Unix.ADDR_INET (_, p) -> p
-          | _ -> assert false
-        in
-        Unix.close s;
-        p)
-  in
+  let eps = Array.init n (fun _ -> ("127.0.0.1", reserve_port ())) in
   let hosts =
-    Array.mapi
-      (fun i server ->
-        let peers =
-          List.filteri (fun j _ -> j <> i)
-            (Array.to_list (Array.map (fun p -> ("127.0.0.1", p)) ports))
+    Array.init n (fun r ->
+        let peers = List.filteri (fun j _ -> j <> r) (Array.to_list eps) in
+        let specs =
+          List.init shards (fun s ->
+              {
+                Tcpnet.Server_host.shard = s;
+                server = servers.((s * n) + r);
+                behavior = Store.Faults.Honest;
+                peers;
+              })
         in
-        Tcpnet.Server_host.start
-          ~gossip:{ Tcpnet.Server_host.peers; period = 0.05 }
-          ~server ~port:ports.(i) ())
-      servers
+        Tcpnet.Server_host.start_sharded ~gossip_period:0.05 ~shards:specs
+          ~port:(snd eps.(r)) ())
   in
-  Fun.protect ~finally:(fun () -> Array.iter Tcpnet.Server_host.stop hosts)
-  @@ fun () ->
-  let endpoints id =
-    if id >= 0 && id < n then Some ("127.0.0.1", ports.(id)) else None
-  in
-  let value = bulk_value 30_000 in
-  Tcpnet.Live.run ~endpoints (fun () ->
-      let alice = coded_connect ~keyring ~n ~b "alice" alice_key in
-      ok (Store.Client.write alice ~item:"bulk" value));
-  let uid = Store.Uid.make ~group:"net" ~item:"bulk" in
-  let await ?(tries = 100) what probe =
-    let rec go tries =
-      if probe () then ()
-      else if tries = 0 then Alcotest.failf "timed out waiting for %s" what
-      else begin
-        Thread.delay 0.05;
-        go (tries - 1)
-      end
+  let spans =
+    Fun.protect ~finally:(fun () -> Array.iter Tcpnet.Server_host.stop hosts)
+    @@ fun () ->
+    let table = Store.Shardmap.make ~seed:"trace" ~shards () in
+    let group_on s =
+      List.find
+        (fun g -> Store.Shardmap.shard_of_group table g = s)
+        (List.init 16 (Printf.sprintf "tg%d"))
     in
-    go tries
+    let endpoints gid = if gid >= 0 && gid < shards * n then Some eps.(gid mod n) else None in
+    let config_of shard =
+      {
+        (Store.Client.default_config ~n ~b) with
+        Store.Client.servers = Store.Router.shard_servers ~n shard;
+        timeout = 2.0;
+      }
+    in
+    Tcpnet.Live.run ~endpoints ~shard_of:(fun node -> Some (node / n)) @@ fun () ->
+    let router =
+      Store.Router.create ~table ~uid:"alice" ~key:alice_key ~keyring ~config_of ()
+    in
+    let trace =
+      Obs.Span.with_op "sharded_txn" (fun () ->
+          List.iter
+            (fun g ->
+              ok (Store.Router.write router ~uid:(Store.Uid.make ~group:g ~item:"k") g))
+            [ group_on 0; group_on 1 ];
+          match Obs.Span.current_ctx () with
+          | Some c -> c.Obs.Span.trace
+          | None -> Alcotest.fail "no trace context on the transaction root")
+    in
+    (* Each shard's next gossip round adopts the trace it last served;
+       the disconnect's own requests would replace it, so wait first. *)
+    await "a gossip round to join the trace" (fun () ->
+        List.exists
+          (fun (c : Obs.Span.closed) -> c.op = "gossip_round")
+          (Obs.Span.trace_spans ~trace));
+    ignore (Store.Router.disconnect router);
+    Obs.Span.trace_spans ~trace
   in
-  await "gossip to verify every fragment" (fun () ->
-      Array.for_all (fun s -> Store.Server.fragment_count s = 1) servers);
-  let stamp =
-    match Store.Server.current_write servers.(0) uid with
-    | Some w -> w.Store.Payload.stamp
-    | None -> Alcotest.fail "no metadata at server 0"
-  in
-  let repairs0 = Store.Metrics.frag_repairs () in
-  Store.Server.drop_fragment servers.(2) uid ~stamp ~index:3;
-  await "the gossip loop to repair the fragment" (fun () ->
-      Store.Server.fragment servers.(2) uid ~stamp ~index:3 <> None);
-  Alcotest.(check bool) "repair counted in metrics" true
-    (Store.Metrics.frag_repairs () > repairs0);
-  (* the restored holder serves reads again *)
-  Tcpnet.Live.run ~endpoints (fun () ->
-      let alice = coded_connect ~keyring ~n ~b "alice" alice_key in
-      Alcotest.(check string) "read after repair" value
-        (ok (Store.Client.read alice ~item:"bulk")))
+  List.iter
+    (fun shard ->
+      let got = List.length (traced_servers spans shard) in
+      if got < n - b then
+        Alcotest.failf "shard %d: %d traced servers, want a write quorum (%d)"
+          shard got (n - b))
+    [ 0; 1 ];
+  (* The canary: untraced by head sampling, so only the recording's
+     forced retention keeps its trace. *)
+  Obs.Span.set_sample_interval 8;
+  Obs.Span.reset_flight ();
+  let history = Check.History.create () in
+  with_cluster (fun ~keyring ~endpoints ~hosts ~servers ~n ~b ->
+      let config =
+        {
+          (Store.Client.default_config ~n ~b) with
+          Store.Client.timeout = 0.5;
+          read_retries = 1;
+          write_retries = 1;
+          canary_skip_freshness = true;
+        }
+      in
+      Check.History.recording history @@ fun () ->
+      Tcpnet.Live.run ~endpoints @@ fun () ->
+      let canary =
+        ok
+          (Store.Client.connect ~config ~uid:"alice" ~key:alice_key ~keyring
+             ~group:"flight" ())
+      in
+      ok (Store.Client.write canary ~item:"x" "v1");
+      (* Freeze the two servers the canary reads from: they hold v1, ack
+         v2 without storing it and serve v1 back. *)
+      List.iter
+        (fun i ->
+          let port = Tcpnet.Server_host.port hosts.(i) in
+          Tcpnet.Server_host.stop hosts.(i);
+          hosts.(i) <-
+            Tcpnet.Server_host.start ~behavior:Store.Faults.Stale
+              ~server:servers.(i) ~port ())
+        [ 0; 1 ];
+      ok (Store.Client.write canary ~item:"x" "v2");
+      Alcotest.(check string) "canary reads the stale value" "v1"
+        (ok (Store.Client.read canary ~item:"x"));
+      (* the Stale servers sit on the context write; the violation is
+         already recorded *)
+      ignore (Store.Client.disconnect canary));
+  match Check.Oracle.check (Check.History.events history) with
+  | [] -> Alcotest.fail "the stale read produced no oracle violation"
+  | v :: _ -> (
+    let id = v.Check.Oracle.first.Store.Trace.trace in
+    match Obs.Jsonx.of_hex id with
+    | Some raw when String.length raw = Obs.Span.trace_bytes ->
+      Alcotest.(check bool) "pin finds the violation's trace" true
+        (Obs.Span.pin ~trace:raw);
+      Alcotest.(check bool) "the pinned trace has spans" true
+        (Obs.Span.flight_lookup ~trace:raw <> [])
+    | _ -> Alcotest.failf "violation trace id %S is not a 128-bit hex id" id)
 
 (* The heaviest cases here spend most of their time in real sleeps
    (reconnect backoff, gossip requeue timers).  They run in CI and under
@@ -1242,5 +1445,9 @@ let () =
           Alcotest.test_case "live roundtrip" `Quick test_live_dispersal_roundtrip;
           Alcotest.test_case "chaos holder" `Quick test_live_dispersal_under_chaos;
           Alcotest.test_case "gossip repair" `Quick test_live_fragment_repair;
+          Alcotest.test_case "coded savings at 1 MiB" `Quick
+            test_live_coded_savings;
         ] );
+      ( "tracing",
+        [ Alcotest.test_case "stitched trace and violation dump" `Quick test_stitched_trace ] );
     ]
