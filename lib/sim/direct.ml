@@ -32,6 +32,8 @@ let run ~handlers fn =
                   (fun (k : (a, _) continuation) ->
                     interpret f;
                     continue k ())
+              | Runtime.Rank dsts ->
+                Some (fun (k : (a, _) continuation) -> continue k (dsts, []))
               | Runtime.Send_oneway (dst, payload) ->
                 Some
                   (fun (k : (a, _) continuation) ->

@@ -163,6 +163,8 @@ let rec exec_fiber t ~client fn =
               (fun (k : (a, unit) continuation) ->
                 schedule t t.clock (fun () -> exec_fiber t ~client fn);
                 continue k ())
+          | Runtime.Rank dsts ->
+            Some (fun (k : (a, unit) continuation) -> continue k (dsts, []))
           | Runtime.Send_oneway (dst, payload) ->
             Some
               (fun (k : (a, unit) continuation) ->

@@ -21,6 +21,7 @@ type _ Effect.t +=
   | Call_scatter : scatter_spec -> reply list Effect.t
   | Send_oneway : (node_id * string) -> unit Effect.t
   | Fork : (unit -> unit) -> unit Effect.t
+  | Rank : node_id list -> (node_id list * node_id list) Effect.t
 
 let default_timeout = 5.0
 
@@ -42,3 +43,4 @@ let call_one ?timeout dst request =
 
 let send dst payload = Effect.perform (Send_oneway (dst, payload))
 let fork fn = Effect.perform (Fork fn)
+let rank dsts = Effect.perform (Rank dsts)

@@ -36,6 +36,7 @@ type _ Effect.t +=
   | Call_scatter : scatter_spec -> reply list Effect.t
   | Send_oneway : (node_id * string) -> unit Effect.t
   | Fork : (unit -> unit) -> unit Effect.t
+  | Rank : node_id list -> (node_id list * node_id list) Effect.t
 
 val now : unit -> float
 val sleep : float -> unit
@@ -61,5 +62,12 @@ val send : node_id -> string -> unit
 
 val fork : (unit -> unit) -> unit
 (** Run a new fiber concurrently with the caller. *)
+
+val rank : node_id list -> node_id list * node_id list
+(** Split destinations by transport health: [(healthy, suspected)],
+    each in the given order. Simulated interpreters know no transport
+    and answer [(dsts, [])], so simulated schedules replay unchanged;
+    over TCP a destination is suspected while its pooled endpoint
+    fails fast. *)
 
 val default_timeout : float

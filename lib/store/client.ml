@@ -293,23 +293,34 @@ let rpc_scatter t ~quorum parts =
            false
          | _ -> true)
 
-(* First [k] preferred servers; when spreading, a random k-subset.
-   With an evidence store, proven-faulty servers are excluded and the
-   least-suspected come first. *)
-let server_universe t =
-  match t.cfg.evidence with
-  | Some e -> Fault_evidence.preferred_servers e
-  | None -> active_servers t
+(* Every server in preference order, split by transport health
+   ([Sim.Runtime.rank]): [(healthy, suspected)]. With an evidence
+   store, proven-faulty servers are excluded and the least-suspected
+   come first; otherwise the order is the configured one. *)
+let ranked_universe t =
+  Sim.Runtime.rank
+    (match t.cfg.evidence with
+    | Some e -> Fault_evidence.preferred_servers e
+    | None -> active_servers t)
 
+let server_universe t =
+  let healthy, suspected = ranked_universe t in
+  healthy @ suspected
+
+(* A first round's [k] servers: healthy ones first, so a silent replica
+   is contacted only when too few others are healthy. When spreading,
+   a random order of the healthy ones, suspected ones still last. *)
 let server_set t k =
-  let universe = server_universe t in
-  let k = min k (List.length universe) in
-  if not t.cfg.read_spread then List.filteri (fun i _ -> i < k) universe
-  else begin
-    let arr = Array.of_list universe in
-    Sim.Srng.shuffle t.rng arr;
-    Array.to_list (Array.sub arr 0 k)
-  end
+  let healthy, suspected = ranked_universe t in
+  let healthy =
+    if not t.cfg.read_spread then healthy
+    else begin
+      let arr = Array.of_list healthy in
+      Sim.Srng.shuffle t.rng arr;
+      Array.to_list arr
+    end
+  in
+  List.filteri (fun i _ -> i < k) (healthy @ suspected)
 
 (* Constant-time membership: the chosen set is rebuilt on every retry
    round, so scanning it per-universe-element was O(n^2) on the read/write
@@ -318,6 +329,27 @@ let remaining_servers t chosen =
   let chosen_tbl = Hashtbl.create (List.length chosen) in
   List.iter (fun s -> Hashtbl.replace chosen_tbl s ()) chosen;
   List.filter (fun s -> not (Hashtbl.mem chosen_tbl s)) (server_universe t)
+
+(* A quorum round with the paper's fallback: ask the [k] servers of
+   [server_set]; if fewer than [k] replies [count], ask the rest for the
+   shortfall. Returns both rounds' replies. *)
+let quorum_round t ~phase ~k ~count request =
+  let initial = server_set t k in
+  let replies =
+    Obs.Span.with_phase phase (fun () -> rpc t ~quorum:k initial request)
+  in
+  let got = count replies in
+  if got >= k then replies
+  else begin
+    Metrics.incr_escalation ();
+    Obs.Span.force ();
+    replies
+    @ Obs.Span.with_phase "escalate" (fun () ->
+          rpc t ~quorum:(k - got) (remaining_servers t initial) request)
+  end
+
+let acks replies =
+  List.length (List.filter (fun (_, r) -> r = Payload.Ack) replies)
 
 (* A logical timestamp: strictly increasing per client, loosely tracking
    the runtime clock (the paper's "current clock value"). *)
@@ -472,20 +504,8 @@ let ctx_read t ~known =
         { client = t.uid; group = t.group; known = Payload.ctx_record_digest k }
     | None -> Payload.Ctx_read { client = t.uid; group = t.group }
   in
-  let initial = server_set t q in
   let replies =
-    Obs.Span.with_phase "ctx_poll" (fun () -> rpc t ~quorum:q initial request)
-  in
-  let replies =
-    if List.length replies >= q then replies
-    else begin
-      Metrics.incr_escalation ();
-        Obs.Span.force ();
-      replies
-      @ Obs.Span.with_phase "escalate" (fun () ->
-            rpc t ~quorum:(q - List.length replies) (remaining_servers t initial)
-              request)
-    end
+    quorum_round t ~phase:"ctx_poll" ~k:q ~count:List.length request
   in
   if List.length replies < q then
     Error (No_quorum { wanted = q; got = List.length replies })
@@ -531,24 +551,8 @@ let ctx_store t p evidence =
   let request =
     Payload.Ctx_write { client = t.uid; group = t.group; record }
   in
-  let acks replies =
-    List.length (List.filter (fun (_, r) -> r = Payload.Ack) replies)
-  in
-  let initial = server_set t q in
-  let replies =
-    Obs.Span.with_phase "ctx_write" (fun () -> rpc t ~quorum:q initial request)
-  in
-  let got = acks replies in
   let got =
-    if got >= q then got
-    else begin
-      Metrics.incr_escalation ();
-        Obs.Span.force ();
-      got
-      + acks
-          (Obs.Span.with_phase "escalate" (fun () ->
-               rpc t ~quorum:(q - got) (remaining_servers t initial) request))
-    end
+    acks (quorum_round t ~phase:"ctx_write" ~k:q ~count:acks request)
   in
   if got < q then Error (No_quorum { wanted = q; got })
   else begin
@@ -576,30 +580,12 @@ let disseminate t (w : Payload.write) =
   end
   else begin
     let request = Payload.Write_req { write = w; await_ack = true } in
-    let acks replies =
-      List.length (List.filter (fun (_, r) -> r = Payload.Ack) replies)
-    in
-    let one_round () =
-      let initial = server_set t fanout in
-      let got =
-        acks
-          (Obs.Span.with_phase "write_quorum" (fun () ->
-               rpc t ~quorum:fanout initial request))
-      in
-      if got >= fanout then got
-      else begin
-        Metrics.incr_escalation ();
-        Obs.Span.force ();
-        got
-        + acks
-            (Obs.Span.with_phase "escalate" (fun () ->
-                 rpc t ~quorum:(fanout - got) (remaining_servers t initial)
-                   request))
-      end
-    in
     let start = Sim.Runtime.now () in
     let rec go ~retries ~tried =
-      let got = one_round () in
+      let got =
+        acks
+          (quorum_round t ~phase:"write_quorum" ~k:fanout ~count:acks request)
+      in
       if got >= fanout then Ok ()
       else if retries > 0 && backoff_sleep t ~start ~attempt:tried then
         go ~retries:(retries - 1) ~tried:(tried + 1)
@@ -812,7 +798,7 @@ let gather_fragments t ~uid ~stamp (meta : Payload.dispersal_meta) =
     Array.of_list
       (List.filter
          (fun id -> id >= 0 && id + 1 <= meta.Payload.m)
-         (active_servers t))
+         (server_universe t))
   in
   let h = Array.length holders in
   let digests = Array.of_list meta.Payload.digests in

@@ -12,6 +12,11 @@
     - the multi-writer protocol of section 5.3: 3-tuple timestamps,
       2b+1 read quorums with b+1 vouching, fork reporting.
 
+    The paper lets a client pick any quorum-sized set of servers, and
+    contacting more is its fallback. So every first round prefers
+    servers the transport reports healthy ({!Sim.Runtime.rank}), and a
+    silent replica is asked only when too few others are healthy.
+
     All network interaction goes through {!Sim.Runtime} effects, so the
     same session code runs under the simulator, the synchronous test
     harness, or a real transport. *)
@@ -254,6 +259,14 @@ val read_write : t -> item:string -> (Payload.write, error) result
     [value] is the descriptor's digest root, not the data; the
     fragments are still gathered and verified (the result is [Error
     Not_enough_fragments] if the value is unrecoverable). *)
+
+val server_set : t -> int -> Sim.Runtime.node_id list
+(** The [k] servers an operation's first round asks: healthy servers
+    before suspected ones ({!Sim.Runtime.rank}), each part in the
+    configured order (with [evidence], proven-faulty servers excluded
+    and the least-suspected first; with [read_spread], the healthy part
+    shuffled). When every server is healthy the ranking changes
+    nothing. *)
 
 val reconstruct : t -> (unit, error) result
 (** Force context reconstruction from all servers (the expensive path for

@@ -175,12 +175,16 @@ let reset_shards () =
 (* --- per-endpoint transport health (a registry of gauges, like the
    in-flight high-water mark: outside the snapshot) ------------------- *)
 
+type health_state = Healthy | Suspected | Probing
+
 type endpoint_health = {
   endpoint : string;  (** "host:port" *)
   connections : int;  (** live pooled connections *)
   consecutive_failures : int;
   last_error : string option;
-  down_until : float;  (** absolute time the endpoint is avoided until; 0 = healthy *)
+  down_until : float;  (** when the next probe is due (or the redial backoff ends) *)
+  state : health_state;  (** read this, not [down_until], for health *)
+  probes : int;  (** probes the pool has sent *)
 }
 
 let health_tbl : (string, endpoint_health) Hashtbl.t = Hashtbl.create 8
@@ -205,11 +209,15 @@ let endpoint_health () =
   List.sort (fun a b -> compare a.endpoint b.endpoint) all
 
 let pp_endpoint_health ~now fmt h =
-  Format.fprintf fmt "%s: %d conn, %d consecutive failures%s%s" h.endpoint
-    h.connections h.consecutive_failures
-    (if h.down_until > now then
-       Format.asprintf ", down for %.2fs" (h.down_until -. now)
-     else "")
+  Format.fprintf fmt "%s: %s, %d conn, %d consecutive failures, %d probes%s"
+    h.endpoint
+    (match h.state with
+    | Healthy -> "healthy"
+    | Probing -> "suspected, probing"
+    | Suspected when h.down_until > now ->
+      Printf.sprintf "suspected, probe in %.2fs" (h.down_until -. now)
+    | Suspected -> "suspected, probe due")
+    h.connections h.consecutive_failures h.probes
     (match h.last_error with Some e -> ", last error: " ^ e | None -> "")
 
 (* [reset] clears the per-operation counters an experiment snapshots
@@ -396,7 +404,6 @@ let families () =
         (dispersed_reads ());
     ]
   in
-  let now = Unix.gettimeofday () in
   let health = endpoint_health () in
   let ep_gauge name help value =
     Obs.Expo.family ~name:("securestore_" ^ name) ~help
@@ -414,9 +421,9 @@ let families () =
         ~help:"Highest config epoch version adopted by this process."
         (float_of_int (epoch_version ()));
       ep_gauge "endpoint_health"
-        "1 when the endpoint is usable, 0 while it is avoided \
-         (dial backoff or suspicion window)."
-        (fun h -> if h.down_until > now then 0.0 else 1.0);
+        "1 when the endpoint is healthy, 0 while it is suspected: its \
+         requests fail fast until a pool probe gets an answer."
+        (fun h -> if h.state = Healthy then 1.0 else 0.0);
       ep_gauge "endpoint_connections" "Live pooled connections." (fun h ->
           float_of_int h.connections);
       ep_gauge "endpoint_consecutive_failures"

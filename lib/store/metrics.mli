@@ -93,9 +93,14 @@ val shard_request_stats : unit -> (int * shard_server) list
 (** {1 Per-endpoint transport health}
 
     The transport pool reports each endpoint's health here (a registry
-    of gauges, outside {!snapshot}): consecutive failures, the last
-    error seen, and how long the endpoint is being avoided — what
+    of gauges, outside {!snapshot}): whether it is suspected, the
+    probes sent, consecutive failures and the last error seen — what
     operators need to tell "slow" from "suspected down". *)
+
+type health_state =
+  | Healthy
+  | Suspected  (** requests fail fast; a probe is booked *)
+  | Probing  (** still suspected, with the pool's probe in flight *)
 
 type endpoint_health = {
   endpoint : string;  (** "host:port" *)
@@ -105,8 +110,11 @@ type endpoint_health = {
           success *)
   last_error : string option;
   down_until : float;
-      (** absolute time until which the endpoint is avoided (dial
-          backoff or suspicion window); [0.] when healthy *)
+      (** the later of the dial backoff and the suspicion window's end
+          (when the next probe is due); [0.] when neither was ever
+          set. A past time does not mean healthy: read [state]. *)
+  state : health_state;
+  probes : int;  (** probes the pool has sent the endpoint *)
 }
 
 val note_endpoint_health : endpoint_health -> unit
@@ -124,7 +132,9 @@ val endpoint_health : unit -> endpoint_health list
     {!reset_gauges}, not {!reset}. *)
 
 val pp_endpoint_health : now:float -> Format.formatter -> endpoint_health -> unit
-(** [now] turns the absolute [down_until] into a remaining duration. *)
+(** One line: state, connections, failures, probes, last error. [now]
+    turns a suspected endpoint's [down_until] into the time to its next
+    probe. *)
 
 val note_inflight : int -> unit
 (** Report the current number of in-flight requests; the high-water mark

@@ -78,6 +78,16 @@ let run ?(pool = Pool.shared ()) ?(shard_of = fun _ -> None) ~endpoints fn =
                 Some
                   (fun (k : (a, _) continuation) ->
                     continue k (do_call_scatter ~pool ~endpoints ~shard_of spec))
+              | Sim.Runtime.Rank dsts ->
+                Some
+                  (fun (k : (a, _) continuation) ->
+                    continue k
+                      (List.partition
+                         (fun dst ->
+                           match endpoints dst with
+                           | Some ep -> not (Pool.suspected pool ep)
+                           | None -> true)
+                         dsts))
               | _ -> None);
         }
   in

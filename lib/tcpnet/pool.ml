@@ -8,7 +8,10 @@
    the pool's single timekeeper thread at their deadline (self-pipe +
    select — no polling). Dead connections are detected by the reader
    (EOF) or the writer (EPIPE), their pending requests fail fast, and
-   the next use redials, behind a capped exponential backoff. *)
+   the next use redials, behind a capped exponential backoff. An
+   endpoint that keeps failing is suspected: its requests fail fast
+   until a probe the timekeeper sends on its own gets an answer, so no
+   user request ever waits on a server that has gone silent. *)
 
 type result = Reply of string | Rejected of string | No_reply | Dropped
 
@@ -49,16 +52,20 @@ and endpoint_state = {
   mutable last_backoff : float;
   mutable ever_connected : bool;
   (* Health beyond dial backoff: RPC-level consecutive failures
-     (timeouts, dead connections, failed dials) drive a suspicion
-     window during which submissions fail fast even though live
-     connections may exist (a blackholed server accepts connections and
-     says nothing). When the window expires the endpoint is half-open:
-     traffic is admitted again, a success clears the suspicion, the
-     next failure re-arms a doubled window. *)
+     (timeouts, dead connections, failed dials) make the endpoint
+     suspected, and submissions fail fast even though live connections
+     may exist (a blackholed server accepts connections and says
+     nothing). The endpoint stays suspected until any framed reply
+     arrives. When the window ([suspect_until]) expires the timekeeper
+     sends one probe ([probing]); a timeout re-arms a doubled window.
+     [suspect_until = 0.] means not suspected. *)
   mutable rpc_fail_streak : int;
   mutable last_error : string option;
   mutable suspect_until : float;
   mutable suspect_backoff : float;
+  mutable probing : bool;
+  mutable probes : int;
+  mutable probe_shard : int option;  (* shard of the last failed request *)
   (* Resolved lazily on the first traced submit and kept: the reply
      path records into it before waking the quorum waiter, so it must
      not pay a registry lookup per reply. (A Metrics.reset_gauges
@@ -74,6 +81,7 @@ and endpoint_state = {
 type group = {
   glock : Mutex.t;
   gcond : Condition.t;
+  shard : int option;
   quorum : int;
   total : int;
   deadline : float;
@@ -88,6 +96,7 @@ type group = {
 type timer = {
   tlock : Mutex.t;
   mutable entries : (float * group) list; (* ascending by deadline *)
+  mutable probes_due : (float * endpoint_state) list; (* ascending, one per endpoint *)
   pipe_rd : Unix.file_descr;
   pipe_wr : Unix.file_descr;
   mutable tstop : bool;
@@ -109,12 +118,29 @@ type t = {
 
 (* --- timekeeper -------------------------------------------------------- *)
 
-let timer_loop timer () =
+let rec split_due now fired = function
+  | (d, x) :: rest when d <= now -> split_due now (x :: fired) rest
+  | rest -> (fired, rest)
+
+let rec insert_by_time at x = function
+  | [] -> [ (at, x) ]
+  | (d, _) :: _ as l when at < d -> (at, x) :: l
+  | e :: rest -> e :: insert_by_time at x rest
+
+(* Sleeps until the earliest quorum deadline or due probe. Deadlines
+   wake their waiters; due probes go to [probe], which must not block:
+   a slow dial must never delay a quorum deadline. *)
+let timer_loop timer ~probe () =
   let buf = Bytes.create 64 in
   let rec loop () =
     Mutex.lock timer.tlock;
     let stop = timer.tstop in
-    let next = match timer.entries with [] -> None | (d, _) :: _ -> Some d in
+    let next =
+      match (timer.entries, timer.probes_due) with
+      | [], [] -> None
+      | (d, _) :: _, [] | [], (d, _) :: _ -> Some d
+      | (d, _) :: _, (p, _) :: _ -> Some (Float.min d p)
+    in
     Mutex.unlock timer.tlock;
     if stop then begin
       (try Unix.close timer.pipe_rd with _ -> ());
@@ -130,12 +156,10 @@ let timer_loop timer () =
          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
       let now = Unix.gettimeofday () in
       Mutex.lock timer.tlock;
-      let rec split fired = function
-        | (d, g) :: rest when d <= now -> split (g :: fired) rest
-        | rest -> (fired, rest)
-      in
-      let fired, rest = split [] timer.entries in
+      let fired, rest = split_due now [] timer.entries in
       timer.entries <- rest;
+      let due, later = split_due now [] timer.probes_due in
+      timer.probes_due <- later;
       Mutex.unlock timer.tlock;
       List.iter
         (fun g ->
@@ -143,6 +167,7 @@ let timer_loop timer () =
           Condition.broadcast g.gcond;
           Mutex.unlock g.glock)
         fired;
+      List.iter probe due;
       loop ()
     end
   in
@@ -157,12 +182,7 @@ let timer_register timer deadline group =
   let wake =
     match timer.entries with [] -> true | (d, _) :: _ -> deadline < d
   in
-  let rec insert = function
-    | [] -> [ (deadline, group) ]
-    | (d, _) :: _ as l when deadline < d -> (deadline, group) :: l
-    | e :: rest -> e :: insert rest
-  in
-  timer.entries <- insert timer.entries;
+  timer.entries <- insert_by_time deadline group timer.entries;
   Mutex.unlock timer.tlock;
   if wake then timer_wake timer
 
@@ -174,33 +194,16 @@ let timer_unregister timer group =
   timer.entries <- List.filter (fun (_, g) -> g != group) timer.entries;
   Mutex.unlock timer.tlock
 
+(* Due a probe of [st] at [at], replacing any earlier-booked one. *)
+let timer_probe timer at st =
+  Mutex.lock timer.tlock;
+  let others = List.filter (fun (_, s) -> s != st) timer.probes_due in
+  timer.probes_due <- insert_by_time at st others;
+  let wake = match timer.probes_due with (_, s) :: _ -> s == st | [] -> false in
+  Mutex.unlock timer.tlock;
+  if wake then timer_wake timer
+
 (* --- pool -------------------------------------------------------------- *)
-
-let create ?(max_connections_per_endpoint = 2) ?(backoff_base = 0.05)
-    ?(backoff_max = 2.0) ?(suspect_after = 5) ?(suspect_base = 0.25)
-    ?(suspect_max = 5.0) () =
-  let pipe_rd, pipe_wr = Unix.pipe () in
-  Unix.set_nonblock pipe_wr;
-  let timer =
-    { tlock = Mutex.create (); entries = []; pipe_rd; pipe_wr; tstop = false }
-  in
-  ignore (Thread.create (timer_loop timer) ());
-  {
-    lock = Mutex.create ();
-    endpoints = Hashtbl.create 16;
-    timer;
-    max_conns = max 1 max_connections_per_endpoint;
-    backoff_base;
-    backoff_max;
-    suspect_after = max 1 suspect_after;
-    suspect_base;
-    suspect_max;
-    id_counter = 0;
-    inflight = Atomic.make 0;
-  }
-
-let shared_pool = lazy (create ())
-let shared () = Lazy.force shared_pool
 
 (* Forward declaration dance avoided: defined below, used here only
    after the state exists. *)
@@ -228,6 +231,9 @@ let endpoint_state pool ep =
           last_error = None;
           suspect_until = 0.0;
           suspect_backoff = 0.0;
+          probing = false;
+          probes = 0;
+          probe_shard = None;
           ep_histo = None;
         }
       in
@@ -253,6 +259,12 @@ let track_inflight pool d =
 
 (* --- endpoint health --------------------------------------------------- *)
 
+(* Call with [st.elock] held. *)
+let health_state st : Store.Metrics.health_state =
+  if st.suspect_until = 0.0 then Healthy
+  else if st.probing then Probing
+  else Suspected
+
 let publish_health st =
   Mutex.lock st.elock;
   let h =
@@ -262,6 +274,8 @@ let publish_health st =
       consecutive_failures = st.rpc_fail_streak;
       last_error = st.last_error;
       down_until = max st.down_until st.suspect_until;
+      state = health_state st;
+      probes = st.probes;
     }
   in
   Mutex.unlock st.elock;
@@ -281,25 +295,33 @@ let note_rpc_ok st =
   Mutex.unlock st.elock;
   if changed then publish_health st
 
-let note_rpc_fail pool st error =
+(* [shard] is the failed request's, so the probe asks a shard the host
+   serves: a host answers a shard it does not host with a framed
+   reject, even when every shard it does host has gone silent. *)
+let note_rpc_fail ?shard pool st error =
   Mutex.lock st.elock;
   st.rpc_fail_streak <- st.rpc_fail_streak + 1;
   st.last_error <- Some error;
-  if st.rpc_fail_streak >= pool.suspect_after then begin
-    let d =
-      if st.suspect_backoff = 0.0 then pool.suspect_base
-      else min pool.suspect_max (st.suspect_backoff *. 2.0)
-    in
-    st.suspect_backoff <- d;
-    st.suspect_until <- Unix.gettimeofday () +. d
-  end;
+  if shard <> None then st.probe_shard <- shard;
+  let probe_at =
+    if st.rpc_fail_streak < pool.suspect_after then None
+    else begin
+      let d =
+        if st.suspect_backoff = 0.0 then pool.suspect_base
+        else min pool.suspect_max (st.suspect_backoff *. 2.0)
+      in
+      st.suspect_backoff <- d;
+      st.suspect_until <- Unix.gettimeofday () +. d;
+      Some st.suspect_until
+    end
+  in
   Mutex.unlock st.elock;
+  Option.iter (fun at -> timer_probe pool.timer at st) probe_at;
   publish_health st
 
-(* Fail fast while the suspicion window is open. Once it expires the
-   endpoint is half-open: requests flow again and the next completion
-   decides (success clears, failure re-arms a doubled window). *)
-let suspected st = Unix.gettimeofday () < st.suspect_until
+(* Fail fast from the first suspicion until a framed reply clears it:
+   an expired window only books the pool's probe, it admits nothing. *)
+let is_suspected st = st.suspect_until <> 0.0
 
 (* Tear a connection down: unlink it, fail its pending requests, and
    shut the socket so the reader (the fd's sole closer) wakes up.
@@ -493,13 +515,14 @@ let write_prebuilt_on conn buf =
    submissions — including these retries — all run sequentially in the
    calling thread, and the bytes are fully written out before the next
    destination patches them again. *)
-let rec submit ?(attempts = 2) pool group st ~from buf =
-  if suspected st then group_complete group ~from Dropped
+let rec submit ?(attempts = 2) ?(probe = false) pool group st ~from buf =
+  if is_suspected st && not probe then group_complete group ~from Dropped
   else if attempts = 0 then group_complete group ~from Dropped
   else
     match acquire pool st with
     | None ->
-      note_rpc_fail pool st "dial failed or endpoint in backoff";
+      note_rpc_fail ?shard:group.shard pool st
+        "dial failed or endpoint in backoff";
       group_complete group ~from Dropped
     | Some conn -> (
       let id = next_id pool in
@@ -533,7 +556,7 @@ let rec submit ?(attempts = 2) pool group st ~from buf =
       in
       Mutex.unlock conn.plock;
       if not registered then
-        submit ~attempts:(attempts - 1) pool group st ~from buf
+        submit ~attempts:(attempts - 1) ~probe pool group st ~from buf
       else begin
         track_inflight pool 1;
         Mutex.lock group.glock;
@@ -555,14 +578,15 @@ let rec submit ?(attempts = 2) pool group st ~from buf =
           kill_conn pool st conn;
           if mine then begin
             track_inflight pool (-1);
-            submit ~attempts:(attempts - 1) pool group st ~from buf
+            submit ~attempts:(attempts - 1) ~probe pool group st ~from buf
           end
       end)
 
-let make_group ~quorum ~total ~deadline =
+let make_group ?shard ~quorum ~total ~deadline () =
   {
     glock = Mutex.create ();
     gcond = Condition.create ();
+    shard;
     quorum = max 1 quorum;
     total;
     deadline;
@@ -602,7 +626,7 @@ let await group =
    server that never answered in time — an endpoint-health failure. A
    quorum-complete group's leftovers are just slower-than-quorum servers
    and say nothing about health. *)
-let drop_outstanding pool ~timed_out outstanding =
+let drop_outstanding pool group ~timed_out outstanding =
   List.iter
     (fun (conn, id) ->
       Mutex.lock conn.plock;
@@ -614,9 +638,17 @@ let drop_outstanding pool ~timed_out outstanding =
       Mutex.unlock conn.plock;
       if mine then begin
         track_inflight pool (-1);
-        if timed_out then note_rpc_fail pool conn.owner "request timed out"
+        if timed_out then
+          note_rpc_fail ?shard:group.shard pool conn.owner "request timed out"
       end)
     outstanding
+
+(* Wait for a submitted group, then drop what it no longer needs. *)
+let finish_group pool group =
+  let outstanding, replies, timed_out = await group in
+  timer_unregister pool.timer group;
+  drop_outstanding pool group ~timed_out outstanding;
+  replies
 
 (* [dsts] carries a prebuilt frame per destination. A broadcast passes
    the same shared buffer in every triple (encoded once, id patched per
@@ -641,9 +673,7 @@ let run_group pool group dsts =
     Mutex.unlock group.glock;
     Obs.Span.annotate_rpc pairs
   end;
-  let outstanding, replies, timed_out = await group in
-  timer_unregister pool.timer group;
-  drop_outstanding pool ~timed_out outstanding;
+  let replies = finish_group pool group in
   Store.Metrics.incr_rpc ();
   Store.Metrics.record_rpc_ns ((Unix.gettimeofday () -. start) *. 1e9);
   replies
@@ -662,8 +692,8 @@ let call_many pool ?(timeout = 5.0) ?shard ~quorum dsts payload =
   | [] -> []
   | _ ->
     let group =
-      make_group ~quorum ~total:(List.length dsts)
-        ~deadline:(Unix.gettimeofday () +. timeout)
+      make_group ?shard ~quorum ~total:(List.length dsts)
+        ~deadline:(Unix.gettimeofday () +. timeout) ()
     in
     let buf = Frame.prebuilt_call ?shard ?trace:(wire_trace ()) payload in
     run_group pool group (List.map (fun (from, ep) -> (from, ep, buf)) dsts)
@@ -673,8 +703,8 @@ let call_scatter pool ?(timeout = 5.0) ?shard ~quorum parts =
   | [] -> []
   | _ ->
     let group =
-      make_group ~quorum ~total:(List.length parts)
-        ~deadline:(Unix.gettimeofday () +. timeout)
+      make_group ?shard ~quorum ~total:(List.length parts)
+        ~deadline:(Unix.gettimeofday () +. timeout) ()
     in
     let trace = wire_trace () in
     run_group pool group
@@ -685,7 +715,8 @@ let call_scatter pool ?(timeout = 5.0) ?shard ~quorum parts =
 
 let call pool ?(timeout = 5.0) ?shard endpoint payload =
   let group =
-    make_group ~quorum:1 ~total:1 ~deadline:(Unix.gettimeofday () +. timeout)
+    make_group ?shard ~quorum:1 ~total:1
+      ~deadline:(Unix.gettimeofday () +. timeout) ()
   in
   match
     run_group pool group
@@ -699,11 +730,11 @@ let send pool ?shard endpoint payload =
   let frame = Frame.encode_oneway ?shard ?trace:(wire_trace ()) payload in
   let rec go attempts =
     if attempts = 0 then false
-    else if suspected st then false
+    else if is_suspected st then false
     else
       match acquire pool st with
       | None ->
-        note_rpc_fail pool st "dial failed or endpoint in backoff";
+        note_rpc_fail ?shard pool st "dial failed or endpoint in backoff";
         false
       | Some conn -> (
         match write_frame_on conn frame with
@@ -713,6 +744,106 @@ let send pool ?shard endpoint payload =
           go (attempts - 1))
   in
   go 2
+
+(* --- probes ------------------------------------------------------------- *)
+
+(* A well-formed store request that reads nothing: an honest host
+   answers it (if only with a denial), a silent one says nothing. A
+   malformed frame would not do, since even a crashed host's transport
+   answers that with a framed error. *)
+let probe_request =
+  Store.Payload.encode_envelope
+    {
+      Store.Payload.token = None;
+      epoch = 0;
+      request =
+        Store.Payload.Meta_query
+          { uid = Store.Uid.make ~group:"pool-probe" ~item:"pool-probe" };
+    }
+
+(* One probe of a suspected endpoint, on a thread of its own. A framed
+   reply clears the suspicion (the reader's [note_rpc_ok]); a timeout or
+   a failed dial re-arms a doubled window and books the next probe
+   ([note_rpc_fail]). *)
+let run_probe pool st () =
+  let shard = st.probe_shard in
+  let group =
+    make_group ?shard ~quorum:1 ~total:1
+      ~deadline:(Unix.gettimeofday () +. pool.suspect_base) ()
+  in
+  timer_register pool.timer group.deadline group;
+  submit ~probe:true pool group st ~from:0
+    (Frame.prebuilt_call ?shard probe_request);
+  ignore (finish_group pool group : (int * string) list);
+  Mutex.lock st.elock;
+  st.probing <- false;
+  let again = st.suspect_until in
+  Mutex.unlock st.elock;
+  (* Still suspected: keep one probe booked, never sooner than a base
+     window from now, whatever ended this one. *)
+  if again <> 0.0 then
+    timer_probe pool.timer
+      (Float.max again (Unix.gettimeofday () +. pool.suspect_base))
+      st;
+  publish_health st
+
+(* Called by the timekeeper when [st]'s window expires: at most one probe
+   per endpoint in flight, none for an endpoint already cleared or
+   evicted. *)
+let start_probe pool st =
+  let live =
+    Mutex.lock pool.lock;
+    let cur = Hashtbl.find_opt pool.endpoints st.ep in
+    Mutex.unlock pool.lock;
+    match cur with Some cur -> cur == st | None -> false
+  in
+  Mutex.lock st.elock;
+  let go = live && is_suspected st && not st.probing in
+  if go then begin
+    st.probing <- true;
+    st.probes <- st.probes + 1
+  end;
+  Mutex.unlock st.elock;
+  if go then begin
+    publish_health st;
+    ignore (Thread.create (run_probe pool st) ())
+  end
+
+let create ?(max_connections_per_endpoint = 2) ?(backoff_base = 0.05)
+    ?(backoff_max = 2.0) ?(suspect_after = 5) ?(suspect_base = 0.25)
+    ?(suspect_max = 5.0) () =
+  let pipe_rd, pipe_wr = Unix.pipe () in
+  Unix.set_nonblock pipe_wr;
+  let timer =
+    {
+      tlock = Mutex.create ();
+      entries = [];
+      probes_due = [];
+      pipe_rd;
+      pipe_wr;
+      tstop = false;
+    }
+  in
+  let pool =
+    {
+      lock = Mutex.create ();
+      endpoints = Hashtbl.create 16;
+      timer;
+      max_conns = max 1 max_connections_per_endpoint;
+      backoff_base;
+      backoff_max;
+      suspect_after = max 1 suspect_after;
+      suspect_base;
+      suspect_max;
+      id_counter = 0;
+      inflight = Atomic.make 0;
+    }
+  in
+  ignore (Thread.create (timer_loop timer ~probe:(start_probe pool)) ());
+  pool
+
+let shared_pool = lazy (create ())
+let shared () = Lazy.force shared_pool
 
 (* --- introspection / teardown ------------------------------------------ *)
 
@@ -746,12 +877,22 @@ let current_backoff pool ep =
 
 let in_flight pool = Atomic.get pool.inflight
 
+let suspected pool ep =
+  Mutex.lock pool.lock;
+  let st = Hashtbl.find_opt pool.endpoints ep in
+  Mutex.unlock pool.lock;
+  match st with Some st -> is_suspected st | None -> false
+
+type state = Store.Metrics.health_state = Healthy | Suspected | Probing
+
 type health = {
   endpoint : string * int;
   connections : int;
   consecutive_failures : int;
   last_error : string option;
   down_until : float;
+  state : state;
+  probes : int;
 }
 
 let health pool =
@@ -770,6 +911,8 @@ let health pool =
         consecutive_failures = st.rpc_fail_streak;
         last_error = st.last_error;
         down_until = max st.down_until st.suspect_until;
+        state = health_state st;
+        probes = st.probes;
       }
     in
     Mutex.unlock st.elock;

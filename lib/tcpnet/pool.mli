@@ -7,7 +7,9 @@
     quorum fan-outs wait on a Condition woken by completion or by a
     single timekeeper thread at the deadline — there is no polling, no
     per-call thread, and no per-call socket. Failed endpoints back off
-    exponentially up to a cap before redial.
+    exponentially up to a cap before redial. An endpoint that keeps
+    failing is suspected (see {!health}): its requests fail fast, and
+    only the pool's own probes reach it until one is answered.
 
     Transport counters ([tcp_connects]/[tcp_reuses]/[tcp_reconnects]/
     [rpcs], the in-flight high-water mark, RPC latency percentiles) are
@@ -22,7 +24,9 @@ val create :
   ?suspect_after:int
     (** consecutive RPC failures (timeouts, dead connections, failed
         dials) before the endpoint is suspected, default 5 *) ->
-  ?suspect_base:float (** first suspicion window, default 0.25 s *) ->
+  ?suspect_base:float
+    (** first suspicion window, and the time a probe has to answer,
+        default 0.25 s *) ->
   ?suspect_max:float (** suspicion window cap, default 5 s *) ->
   unit ->
   t
@@ -88,6 +92,17 @@ val send : t -> ?shard:int -> string * int -> string -> bool
 val connection_count : t -> string * int -> int
 (** Live pooled connections to the endpoint (introspection). *)
 
+val suspected : t -> string * int -> bool
+(** Whether requests to the endpoint currently fail fast (see
+    {!health}). Read-only: an endpoint the pool has never seen is
+    healthy, and asking creates no state for it. {!Live} ranks each
+    round's destinations by this. *)
+
+type state = Store.Metrics.health_state =
+  | Healthy
+  | Suspected  (** requests fail fast; a probe is booked *)
+  | Probing  (** still suspected, with the pool's probe in flight *)
+
 type health = {
   endpoint : string * int;
   connections : int;  (** live pooled connections *)
@@ -96,19 +111,24 @@ type health = {
           since the last framed response from the endpoint *)
   last_error : string option;
   down_until : float;
-      (** absolute time until which the endpoint is avoided — the later
-          of the dial backoff and the suspicion window; [0.] healthy *)
+      (** the later of the dial backoff and the suspicion window's end
+          (when the next probe is due); [0.] when neither is set. A
+          past time does not mean healthy: read [state]. *)
+  state : state;
+  probes : int;  (** probes the pool has sent the endpoint *)
 }
 
 val health : t -> health list
 (** Per-endpoint health, sorted by endpoint. After [suspect_after]
-    consecutive failures an endpoint enters a suspicion window
-    (submissions fail fast, even on live connections — a blackholed
-    server accepts connections and says nothing); when the window
-    expires it is half-open: traffic is admitted, a success clears the
-    suspicion, the next failure re-arms a doubled window up to
-    [suspect_max]. The same data is published to
-    {!Store.Metrics.endpoint_health} as it changes. *)
+    consecutive failures an endpoint is suspected: submissions fail
+    fast, even on live connections (a blackholed server accepts
+    connections and says nothing). User requests never probe it. When
+    the suspicion window expires, the timekeeper sends one probe of its
+    own on a separate thread: a well-formed store request to the shard
+    of the last failure, with [suspect_base] to answer. Any framed
+    reply clears the suspicion; a timeout re-arms a doubled window, up
+    to [suspect_max], and books the next probe. The same data is
+    published to {!Store.Metrics.endpoint_health} as it changes. *)
 
 val current_backoff : t -> string * int -> float
 (** The endpoint's current redial backoff delay in seconds; [0.] when

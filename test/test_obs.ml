@@ -323,6 +323,8 @@ let test_reset_keeps_gauges () =
       consecutive_failures = 2;
       last_error = Some "x";
       down_until = 0.0;
+      state = Store.Metrics.Healthy;
+      probes = 0;
     };
   Obs.Histo.observe (Store.Metrics.endpoint_rpc_histo "h:1") 5e6;
   Store.Metrics.reset ();

@@ -1053,6 +1053,85 @@ let test_auth_enforced () =
       | Ok _ -> Alcotest.fail "unauthenticated read succeeded")
 
 (* ------------------------------------------------------------------ *)
+(* First rounds ranked by transport health                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Answer the transport-health effect the way a live transport with the
+   [suspected] servers failing fast would; every other effect goes on to
+   the interpreter underneath. *)
+let with_suspected suspected fn =
+  let open Effect.Deep in
+  match_with fn ()
+    {
+      retc = Fun.id;
+      exnc = raise;
+      effc =
+        (fun (type a) (eff : a Effect.t) ->
+          match eff with
+          | Sim.Runtime.Rank dsts ->
+            Some
+              (fun (k : (a, _) continuation) ->
+                continue k
+                  (List.partition (fun d -> not (List.mem d suspected)) dsts))
+          | _ -> None);
+    }
+
+let test_ranked_first_round () =
+  let w = make_world () in
+  let uid item = Uid.make ~group:"g" ~item in
+  let holds i item = Server.current_write w.servers.(i) (uid item) <> None in
+  in_world w (fun () ->
+      let c = connect w "alice" ~group:"g" in
+      Alcotest.(check (list int)) "identity when all healthy" [ 0; 1 ]
+        (Client.server_set c 2);
+      Alcotest.(check (list int)) "every server, in order" [ 0; 1; 2; 3 ]
+        (Client.server_set c 4);
+      with_suspected [ 0 ] (fun () ->
+          Alcotest.(check (list int)) "suspected node skipped" [ 1; 2 ]
+            (Client.server_set c 2);
+          Alcotest.(check (list int)) "suspected node last" [ 1; 2; 3; 0 ]
+            (Client.server_set c 4);
+          (* The write's first round is that set: replica 0 never sees it. *)
+          ok (Client.write c ~item:"x" "v");
+          Alcotest.(check (list bool)) "write reached 1 and 2 only"
+            [ false; true; true; false ]
+            (List.init 4 (fun i -> holds i "x")));
+      with_suspected [ 2; 0 ] (fun () ->
+          Alcotest.(check (list int)) "stable on both sides" [ 1; 3; 0; 2 ]
+            (Client.server_set c 4)));
+  (* Spreading shuffles the healthy servers and keeps suspected ones
+     last. *)
+  in_world w (fun () ->
+      let c =
+        connect w "bob" ~group:"g" ~cfg:(fun c -> { c with Client.read_spread = true })
+      in
+      with_suspected [ 0 ] (fun () ->
+          let firsts = Hashtbl.create 3 in
+          for _ = 1 to 60 do
+            match Client.server_set c 4 with
+            | [ a; b; c; 0 ] ->
+              Alcotest.(check (list int)) "a permutation of the healthy" [ 1; 2; 3 ]
+                (List.sort compare [ a; b; c ]);
+              Hashtbl.replace firsts a ()
+            | set ->
+              Alcotest.failf "suspected not last: [%s]"
+                (String.concat ";" (List.map string_of_int set))
+          done;
+          Alcotest.(check int) "the healthy part is shuffled" 3 (Hashtbl.length firsts)));
+  (* Evidence decides membership and its order; health ranks after it. *)
+  let evidence = Fault_evidence.create ~servers:[ 0; 1; 2; 3 ] ~b:1 in
+  Fault_evidence.report_proof evidence ~server:1 Fault_evidence.Invalid_signature;
+  in_world w (fun () ->
+      let c =
+        connect w "carol" ~group:"g" ~cfg:(fun c -> { c with Client.evidence = Some evidence })
+      in
+      with_suspected [ 0 ] (fun () ->
+          Alcotest.(check (list int)) "proven-faulty excluded" [ 2; 3 ]
+            (Client.server_set c 2);
+          Alcotest.(check (list int)) "excluded even at full size" [ 2; 3; 0 ]
+            (Client.server_set c 4)))
+
+(* ------------------------------------------------------------------ *)
 (* Dynamic quorums via fault evidence                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -3356,6 +3435,8 @@ let () =
           Alcotest.test_case "no resurrection" `Quick test_erased_write_not_readmitted;
         ] );
       ("auth", [ Alcotest.test_case "end to end" `Quick test_auth_enforced ]);
+      ( "ranking",
+        [ Alcotest.test_case "health-ranked first round" `Quick test_ranked_first_round ] );
       ( "dynamic-quorums",
         [
           Alcotest.test_case "evidence unit" `Quick test_evidence_unit;

@@ -834,6 +834,102 @@ let test_pool_evict () =
   Tcpnet.Server_host.stop host2;
   Tcpnet.Pool.shutdown pool
 
+(* A silent replica leaves the op path: once the pool suspects it, every
+   first round is ranked around it and only the pool's own probes reach
+   it, however often its window expires. A fault-free proxy in front of
+   it counts what arrives. When it comes back, a probe clears it and the
+   next write's first round includes it again. *)
+let test_silent_replica_off_op_path () =
+  let suspect_max = 0.2 in
+  let pool =
+    Tcpnet.Pool.create ~suspect_after:2 ~suspect_base:0.1 ~suspect_max ()
+  in
+  (* Gossip slower than the test: replica 0 can only hold a write that a
+     client round delivered to it. *)
+  with_cluster ~gossip_period:3600.0
+    ~behavior:(fun i -> if i = 0 then Store.Faults.Crash else Store.Faults.Honest)
+    (fun ~keyring ~endpoints ~hosts ~servers ~n ~b ->
+      let port0 = Tcpnet.Server_host.port hosts.(0) in
+      let proxy =
+        Tcpnet.Chaos.start ~plan:(Tcpnet.Chaos.plan ~seed:0 ())
+          ~target:("127.0.0.1", port0) ()
+      in
+      let ep0 = ("127.0.0.1", Tcpnet.Chaos.port proxy) in
+      let endpoints id = if id = 0 then Some ep0 else endpoints id in
+      let row () =
+        List.find
+          (fun (h : Tcpnet.Pool.health) -> h.endpoint = ep0)
+          (Tcpnet.Pool.health pool)
+      in
+      let escalations () = (Store.Metrics.read ()).Store.Metrics.escalations in
+      let forwarded () = (Tcpnet.Chaos.stats proxy).Tcpnet.Chaos.forwarded in
+      Fun.protect ~finally:(fun () -> Tcpnet.Chaos.stop proxy) @@ fun () ->
+      Tcpnet.Live.run ~pool ~endpoints (fun () ->
+          let alice = connect ~timeout:0.3 ~keyring ~n ~b "alice" alice_key in
+          let rec until_suspected i =
+            if not (Tcpnet.Pool.suspected pool ep0) then begin
+              if i > 20 then Alcotest.fail "replica 0 never suspected";
+              ok (Store.Client.write alice ~item:"warm" (string_of_int i));
+              until_suspected (i + 1)
+            end
+          in
+          until_suspected 0;
+          let esc0 = escalations () in
+          let fwd0 = forwarded () and probes0 = (row ()).probes in
+          let t0 = Unix.gettimeofday () in
+          (* At least 200 ops, and long enough for the window to expire
+             five times (a cycle is at most one window plus one probe). *)
+          let rec run ops =
+            if ops < 200 || Unix.gettimeofday () -. t0 < 5.0 *. (suspect_max +. 0.1)
+            then begin
+              let item = Printf.sprintf "k%d" (ops mod 16) in
+              ok (Store.Client.write alice ~item (string_of_int ops));
+              let v = ok (Store.Client.read alice ~item) in
+              if v <> string_of_int ops then Alcotest.failf "read back %S" v;
+              run (ops + 2)
+            end
+            else ops
+          in
+          let ops = run 0 in
+          let esc = escalations () - esc0 in
+          Alcotest.(check bool)
+            (Printf.sprintf "%d escalations over %d ops" esc ops)
+            true
+            (float_of_int esc <= 0.05 *. float_of_int ops);
+          let h = row () in
+          Alcotest.(check bool)
+            (Printf.sprintf "probes sent (%d)" h.probes) true (h.probes >= 3);
+          Alcotest.(check bool) "still suspected" true
+            (h.state = Tcpnet.Pool.Suspected || h.state = Tcpnet.Pool.Probing);
+          (* One frame per probe; a probe counted just before the
+             snapshot may land just after it. *)
+          let fwd = forwarded () - fwd0 and probes = h.probes - probes0 in
+          Alcotest.(check bool)
+            (Printf.sprintf "only probes reach replica 0 (%d frames, %d probes)"
+               fwd probes)
+            true (fwd <= probes + 1);
+          (* Replica 0 comes back honest on the same port. *)
+          Tcpnet.Server_host.stop hosts.(0);
+          hosts.(0) <- Tcpnet.Server_host.start ~server:servers.(0) ~port:port0 ();
+          let back = Unix.gettimeofday () in
+          let rec until_cleared () =
+            if Tcpnet.Pool.suspected pool ep0 then
+              if Unix.gettimeofday () -. back > 2.0 *. suspect_max then
+                Alcotest.fail "no probe cleared the restarted replica"
+              else begin
+                Thread.delay 0.01;
+                until_cleared ()
+              end
+          in
+          until_cleared ();
+          Alcotest.(check bool) "healthy row" true ((row ()).state = Tcpnet.Pool.Healthy);
+          ok (Store.Client.write alice ~item:"after" "back");
+          Alcotest.(check bool) "first round reaches replica 0" true
+            (Store.Server.current_write servers.(0)
+               (Store.Uid.make ~group:"net" ~item:"after")
+            <> None)));
+  Tcpnet.Pool.shutdown pool
+
 (* Context reconstruction over the live transport: a session that dies
    without writing its context back is rebuilt from the servers' signed
    writes — with one Stale (frozen) server in the mix. *)
@@ -1433,6 +1529,8 @@ let () =
           soak_case "pool health and suspicion" `Quick
             test_pool_health_suspicion;
           Alcotest.test_case "evict retires endpoint" `Quick test_pool_evict;
+          Alcotest.test_case "silent replica leaves the op path" `Quick
+            test_silent_replica_off_op_path;
           Alcotest.test_case "live context reconstruction" `Quick
             test_live_context_reconstruction;
           Alcotest.test_case "hostile frames" `Quick test_frame_hostile_inputs;
