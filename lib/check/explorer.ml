@@ -489,8 +489,35 @@ let canary_fibers sched (w : Workload.Worlds.t) engine ~ops_ok ~ops_failed =
 
 (* ---------------- Running one schedule --------------------------------- *)
 
+(* A broken server invariant, as a violation anchored where the history
+   stood when a step left the server in an illegal state. *)
+let invariant_violation ~seq ~time ~server msg =
+  let client = Printf.sprintf "server%d" server in
+  {
+    Oracle.property = "server-invariants";
+    explanation = Printf.sprintf "%s: %s" client msg;
+    first =
+      {
+        Store.Trace.seq;
+        op = 0;
+        time;
+        client;
+        session = 0;
+        multi_writer = false;
+        causal = false;
+        epoch = 0;
+        phase = Store.Trace.Return;
+        kind = Store.Trace.Connect;
+        outcome = Some (Store.Trace.Failed msg);
+        ctx = [];
+        trace = "";
+      };
+    second = None;
+  }
+
 let run sched =
   let history = History.create () in
+  let broken = ref None in
   let ops_ok = ref 0 and ops_failed = ref 0 in
   let sent = ref 0 and bytes = ref 0 and dropped = ref 0 in
   History.recording history (fun () ->
@@ -600,7 +627,27 @@ let run sched =
           sched.reconfigs);
       if sched.scripted then canary_fibers sched w engine ~ops_ok ~ops_failed
       else random_fibers sched w engine ~ops_ok ~ops_failed;
-      Engine.run ~until:sched.horizon engine;
+      (* Every honest server's state must stay legal after every step;
+         the first broken invariant is the run's violation. *)
+      let honest =
+        List.filter
+          (fun i -> not (List.mem_assoc i sched.byzantine))
+          (List.init (Array.length w.Workload.Worlds.servers) Fun.id)
+      in
+      let after_step () =
+        if Option.is_none !broken then
+          broken :=
+            List.find_map
+              (fun i ->
+                match Store.Server.invariants w.Workload.Worlds.servers.(i) with
+                | Ok () -> None
+                | Error msg ->
+                  Some
+                    (invariant_violation ~seq:(History.length history)
+                       ~time:(Engine.now engine) ~server:i msg))
+              honest
+      in
+      Engine.run ~until:sched.horizon ~after_step engine;
       let c = Engine.counters engine in
       sent := c.Engine.messages_sent;
       bytes := c.Engine.bytes_sent;
@@ -612,7 +659,7 @@ let run sched =
     events = List.length events;
     ops_ok = !ops_ok;
     ops_failed = !ops_failed;
-    violations = Oracle.check events;
+    violations = Oracle.check events @ Option.to_list !broken;
     messages_sent = !sent;
     bytes_sent = !bytes;
     messages_dropped = !dropped;

@@ -103,6 +103,9 @@ type outcome = {
   ops_ok : int;
   ops_failed : int;  (** failed client operations (liveness, not safety) *)
   violations : Oracle.violation list;
+      (** the oracle's findings, then the first broken
+          {!Store.Server.invariants} of a non-Byzantine server after any
+          engine step (property ["server-invariants"]) *)
   messages_sent : int;
   bytes_sent : int;
   messages_dropped : int;

@@ -197,7 +197,7 @@ let every t ?(start = 0.0) ~period ?(client = -1) fn =
 
 let cancel token = token.active <- false
 
-let run ?until t =
+let run ?until ?(after_step = ignore) t =
   if t.running then invalid_arg "Engine.run: re-entrant call";
   t.running <- true;
   Fun.protect
@@ -216,5 +216,6 @@ let run ?until t =
             continue_loop := false
           | _ ->
             t.clock <- ev.time;
-            ev.thunk ())
+            ev.thunk ();
+            after_step ())
       done)

@@ -44,9 +44,11 @@ val every : t -> ?start:float -> period:float -> ?client:Runtime.node_id -> (uni
 
 val cancel : periodic -> unit
 
-val run : ?until:float -> t -> unit
-(** Drain the event queue (or stop once virtual time passes [until]).
-    Raises [Invalid_argument] if called re-entrantly from inside a fiber. *)
+val run : ?until:float -> ?after_step:(unit -> unit) -> t -> unit
+(** Drain the event queue (or stop once virtual time passes [until]),
+    calling [after_step] after each event (an observer, e.g. a state
+    checker; it must not touch the engine). Raises [Invalid_argument] if
+    called re-entrantly from inside a fiber. *)
 
 val now : t -> float
 val counters : t -> counters

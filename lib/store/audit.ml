@@ -1,15 +1,22 @@
 type commitment = { server : int; size : int; root : string }
 
-let leaves server = List.map Payload.write_body (Server.audit_log server)
+let leaf_hashes writes =
+  List.map (fun w -> Crypto.Merkle.leaf_hash (Payload.write_body w)) writes
 
-let tree server = Crypto.Merkle.of_leaves (leaves server)
+let commitment server leaves =
+  let full =
+    List.fold_left Crypto.Merkle.frontier_push (Server.audit_frontier server) leaves
+  in
+  {
+    server = Server.id server;
+    size = Crypto.Merkle.frontier_size full;
+    root = Crypto.Merkle.frontier_root full;
+  }
 
-let commit server =
-  let t = tree server in
-  { server = Server.id server; size = Crypto.Merkle.size t; root = Crypto.Merkle.root t }
+let commit server = commitment server (leaf_hashes (Server.audit_log server))
 
 let prove_write server w =
-  let log = Server.audit_log server in
+  let window = Server.audit_log server in
   let target = Payload.write_body w in
   let rec find i = function
     | [] -> None
@@ -17,21 +24,22 @@ let prove_write server w =
       if String.equal (Payload.write_body entry) target then Some i
       else find (i + 1) rest
   in
-  match find 0 log with
+  match find 0 window with
   | None -> None
-  | Some index ->
-    let t = tree server in
-    Option.map (fun proof -> (proof, commit server)) (Crypto.Merkle.prove t index)
+  | Some offset ->
+    let base = Server.audit_frontier server in
+    let leaves = leaf_hashes window in
+    Option.map
+      (fun proof -> (proof, commitment server leaves))
+      (Crypto.Merkle.prove_extension base leaves
+         (Crypto.Merkle.frontier_size base + offset))
 
 let check_proof commitment w proof =
   Crypto.Merkle.verify ~root:commitment.root ~size:commitment.size
     ~leaf:(Payload.write_body w) proof
 
 let roots_agree servers =
-  let canonical server =
-    List.sort String.compare
-      (List.map Payload.write_body (Server.audit_log server))
-  in
+  let canonical server = (commit server).size, Server.audit_digest server in
   match Array.to_list servers with
   | [] -> true
   | first :: rest ->

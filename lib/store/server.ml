@@ -72,8 +72,17 @@ type t = {
   mutable orphans : frag_key list; (* newest first; eviction drops the tail *)
   contexts : (string * string, Payload.ctx_record) Hashtbl.t;
   faulty_writers : (string, unit) Hashtbl.t;
+  waiters : (string, (string * Payload.write) list) Hashtbl.t;
+      (* causal hold index: dependency item key -> the held writes
+         (item key, write) waiting on it, newest first. Each held write
+         sits under exactly one dependency it still lacks. *)
   mutable gossip_buffer : Payload.write list;
-  mutable audit : Payload.write list; (* announced writes, newest first *)
+  (* The audit trail of announced writes: the newest [audit_window]
+     themselves, and a Merkle frontier plus a multiset digest over every
+     older one. *)
+  audit_recent : Payload.write Queue.t; (* oldest first *)
+  mutable audit_base : Crypto.Merkle.frontier; (* writes before the window *)
+  mutable audit_base_sum : string; (* their leaf hashes, summed *)
   mutable epoch : Config_epoch.t option;
       (* the membership generation this server serves; None = static
          deployment, every epoch check off *)
@@ -81,6 +90,9 @@ type t = {
       (* departing: refuse new client writes, keep serving reads and
          evidence upgrades so held writes can still escalate and gossip
          out before handoff *)
+  mutable epoch_checked : Config_epoch.t option;
+      (* the epoch {!invariants} last verified, so an unchanged epoch is
+         not re-verified at every check *)
 }
 
 let create ?config ~id ~keyring ~n ~b () =
@@ -95,10 +107,14 @@ let create ?config ~id ~keyring ~n ~b () =
     orphans = [];
     contexts = Hashtbl.create 16;
     faulty_writers = Hashtbl.create 4;
+    waiters = Hashtbl.create 16;
     gossip_buffer = [];
-    audit = [];
+    audit_recent = Queue.create ();
+    audit_base = Crypto.Merkle.frontier_empty;
+    audit_base_sum = Crypto.Merkle.multiset_zero;
     epoch = None;
     draining = false;
+    epoch_checked = None;
   }
 
 let id t = t.id
@@ -138,20 +154,28 @@ let is_writer_faulty t writer = Hashtbl.mem t.faulty_writers writer
    write only — held (pending) writes are invisible (section 5.3). *)
 let announced_stamp st = Option.map (fun (w : Payload.write) -> w.stamp) st.current
 
-(* Does this server already store writes satisfying every causal
-   dependency in [ctx] (other than the item being written itself)? *)
-let deps_satisfied t ~(self : Uid.t) ctx =
-  List.for_all
-    (fun (uid, stamp) ->
-      Uid.equal uid self
-      ||
-      match Hashtbl.find_opt t.items (Uid.to_string uid) with
-      | None -> Stamp.equal stamp Stamp.zero
-      | Some st -> (
-        match announced_stamp st with
-        | None -> Stamp.equal stamp Stamp.zero
-        | Some have -> Stamp.compare have stamp >= 0))
-    (Context.bindings ctx)
+(* Does this server already store a write satisfying the causal
+   dependency (uid, stamp)? A dependency on the item being written itself
+   always is. *)
+let dep_satisfied t ~(self : Uid.t) (uid, stamp) =
+  Uid.equal uid self
+  ||
+  match Hashtbl.find_opt t.items (Uid.to_string uid) with
+  | None -> Stamp.equal stamp Stamp.zero
+  | Some st -> (
+    match announced_stamp st with
+    | None -> Stamp.equal stamp Stamp.zero
+    | Some have -> Stamp.compare have stamp >= 0)
+
+(* The item key of the first dependency of [w] this server still lacks. *)
+let missing_dep t (w : Payload.write) =
+  match w.wctx with
+  | None -> None
+  | Some ctx ->
+    List.find_map
+      (fun ((uid, _) as dep) ->
+        if dep_satisfied t ~self:w.uid dep then None else Some (Uid.to_string uid))
+      (Context.bindings ctx)
 
 let detect_fork t st (w : Payload.write) =
   let conflicts other = Stamp.is_fork w.stamp other.Payload.stamp in
@@ -207,6 +231,11 @@ let trim depth l = List.filteri (fun i _ -> i < depth) l
    answer well under the frame limit. *)
 let max_staging = 64
 let orphan_cap = 512
+
+(* Held writes kept per item under the causal guard (oldest dropped
+   beyond it), and announced writes the audit trail keeps whole. *)
+let held_cap = 64
+let audit_window = 256
 let max_frag_bytes = 1 lsl 28 (* 256 MiB *)
 let frag_reply_cap = 4 * 1024 * 1024
 
@@ -317,6 +346,17 @@ let note_install t (w : Payload.write) st =
   promote_frags t w;
   if Hashtbl.length t.frags > 0 then gc_frags t (Uid.to_string w.uid) st
 
+(* Append an announced write to the audit trail. A write leaving the
+   window is folded into the frontier and the digest, so a server that
+   announced at most [audit_window] writes hashes nothing here. *)
+let audit_append t (w : Payload.write) =
+  Queue.push w t.audit_recent;
+  if Queue.length t.audit_recent > audit_window then begin
+    let h = Crypto.Merkle.leaf_hash (Payload.write_body (Queue.pop t.audit_recent)) in
+    t.audit_base <- Crypto.Merkle.frontier_push t.audit_base h;
+    t.audit_base_sum <- Crypto.Merkle.multiset_add t.audit_base_sum h
+  end
+
 (* Install an accepted (announced) write. Returns true if state changed. *)
 let install t st (w : Payload.write) =
   (* If we held the same stamp as a MAC-fast write, the announced form
@@ -326,12 +366,12 @@ let install t st (w : Payload.write) =
   match st.current with
   | None ->
     st.current <- Some w;
-    t.audit <- w :: t.audit;
+    audit_append t w;
     true
   | Some c when Stamp.newer w.stamp ~than:c.stamp ->
     st.current <- Some w;
     st.log <- trim t.config.log_depth (c :: st.log);
-    t.audit <- w :: t.audit;
+    audit_append t w;
     true
   | Some c when Stamp.equal w.stamp c.stamp -> false
   | Some _ ->
@@ -349,11 +389,75 @@ let install t st (w : Payload.write) =
       List.exists (fun (x : Payload.write) -> Stamp.equal x.stamp w.stamp) log
     in
     st.log <- log;
-    if survived then t.audit <- w :: t.audit;
+    if survived then audit_append t w;
     survived
 
+(* Install [w] and queue it for gossip; false if it changed nothing. *)
+let announce t st (w : Payload.write) =
+  install t st w
+  && begin
+    t.gossip_buffer <- w :: t.gossip_buffer;
+    note_install t w st;
+    true
+  end
+
+(* --- the causal hold ----------------------------------------------------- *)
+
+let index_waiter t dep key (w : Payload.write) =
+  let ws = Option.value (Hashtbl.find_opt t.waiters dep) ~default:[] in
+  Hashtbl.replace t.waiters dep ((key, w) :: ws)
+
+let unindex_waiter t dep (w : Payload.write) =
+  match Hashtbl.find_opt t.waiters dep with
+  | None -> ()
+  | Some ws -> (
+    match List.filter (fun (_, x) -> x != w) ws with
+    | [] -> Hashtbl.remove t.waiters dep
+    | rest -> Hashtbl.replace t.waiters dep rest)
+
+(* Hold [w], which lacks dependency [dep]. Beyond [held_cap] held writes
+   the item's oldest is dropped and unindexed, the way [maced] is
+   trimmed. *)
+let hold t key st (w : Payload.write) dep =
+  st.pending <- w :: st.pending;
+  index_waiter t dep key w;
+  if List.length st.pending > held_cap then begin
+    let dead = List.filteri (fun i _ -> i >= held_cap) st.pending in
+    st.pending <- trim held_cap st.pending;
+    List.iter
+      (fun old -> Option.iter (fun d -> unindex_waiter t d old) (missing_dep t old))
+      dead
+  end
+
+(* Item [key]'s announced stamp may have moved: re-check only the writes
+   waiting on it. A satisfied one is installed, gossiped, and wakes its
+   own waiters in turn; one still lacking a dependency waits on that one
+   next. Dependencies only ever become satisfied, so a held write always
+   waits on its first missing one. *)
+let wake t key =
+  let work = Stack.create () in
+  Stack.push key work;
+  while not (Stack.is_empty work) do
+    let key = Stack.pop work in
+    match Hashtbl.find_opt t.waiters key with
+    | None -> ()
+    | Some ws ->
+      Hashtbl.remove t.waiters key;
+      List.iter
+        (fun (wkey, (w : Payload.write)) ->
+          match Hashtbl.find_opt t.items wkey with
+          | Some st when List.memq w st.pending -> (
+            match missing_dep t w with
+            | Some dep -> index_waiter t dep wkey w
+            | None ->
+              st.pending <- List.filter (fun x -> x != w) st.pending;
+              if announce t st w then Stack.push wkey work)
+          | Some _ | None -> ())
+        ws
+  done
+
 (* Try to accept [w]; returns `Accepted | `Held | `Rejected. Does not
-   drain pending queues (the caller does, to a fixpoint). *)
+   release held writes (the caller does). *)
 let try_accept t (w : Payload.write) =
   let st = item_state t w.uid in
   if Stamp.compare w.stamp st.erased_below < 0 then `Rejected
@@ -376,57 +480,19 @@ let try_accept t (w : Payload.write) =
       not (Dispersal.meta_ok meta && String.equal w.value (Dispersal.meta_root meta))
   then `Rejected
   else if not (Signing.server_verify_write t.keyring w) then `Rejected
-  else if
-    t.config.malicious_client_guard
-    &&
-    match w.wctx with
-    | Some ctx -> not (deps_satisfied t ~self:w.uid ctx)
-    | None -> false
-  then begin
-    st.pending <- w :: st.pending;
-    `Held
-  end
-  else if install t st w then begin
-    t.gossip_buffer <- w :: t.gossip_buffer;
-    note_install t w st;
-    `Accepted
-  end
-  else `Rejected
+  else
+    match
+      if t.config.malicious_client_guard then missing_dep t w else None
+    with
+    | Some dep ->
+      hold t (Uid.to_string w.uid) st w dep;
+      `Held
+    | None -> if announce t st w then `Accepted else `Rejected
 
-(* After an acceptance, held writes may have become reportable. *)
-let drain_pending t =
-  let progressed = ref true in
-  while !progressed do
-    progressed := false;
-    Hashtbl.iter
-      (fun _ st ->
-        let still_pending = ref [] in
-        let pending = st.pending in
-        st.pending <- [];
-        List.iter
-          (fun (w : Payload.write) ->
-            let ok =
-              match w.wctx with
-              | Some ctx -> deps_satisfied t ~self:w.uid ctx
-              | None -> true
-            in
-            if ok then begin
-              if install t st w then begin
-                t.gossip_buffer <- w :: t.gossip_buffer;
-                note_install t w st;
-                progressed := true
-              end
-            end
-            else still_pending := w :: !still_pending)
-          pending;
-        st.pending <- List.rev_append !still_pending st.pending)
-      t.items
-  done
-
-let accept_write t w =
+let accept_write t (w : Payload.write) =
   let result = try_accept t w in
   (match result with
-  | `Accepted -> drain_pending t
+  | `Accepted -> wake t (Uid.to_string w.uid)
   | `Held | `Rejected | `Duplicate -> ());
   result
 
@@ -928,7 +994,88 @@ let maced_writes t uid =
   | Some st -> st.maced
 
 let item_count t = Hashtbl.length t.items
-let audit_log t = List.rev t.audit
+let audit_log t = List.of_seq (Queue.to_seq t.audit_recent)
+let audit_frontier t = t.audit_base
+
+let audit_digest t =
+  Queue.fold
+    (fun acc w ->
+      Crypto.Merkle.multiset_add acc
+        (Crypto.Merkle.leaf_hash (Payload.write_body w)))
+    t.audit_base_sum t.audit_recent
+
+(* --- invariants ----------------------------------------------------------- *)
+
+let invariants t =
+  let exception Broken of string in
+  let fail fmt = Printf.ksprintf (fun m -> raise (Broken m)) fmt in
+  try
+    let indexed = Hashtbl.create (Hashtbl.length t.waiters) in
+    Hashtbl.iter
+      (fun dep ws ->
+        List.iter
+          (fun (key, (w : Payload.write)) ->
+            (match Hashtbl.find_opt t.items key with
+            | Some st when List.memq w st.pending -> ()
+            | Some _ | None -> fail "a write waiting on %s is not held by item %s" dep key);
+            if missing_dep t w <> Some dep then
+              fail "a held write of %s waits on %s, not its first missing dependency"
+                key dep;
+            let n = Option.value (Hashtbl.find_opt indexed (key, w.stamp)) ~default:0 in
+            Hashtbl.replace indexed (key, w.stamp) (n + 1))
+          ws)
+      t.waiters;
+    Hashtbl.iter
+      (fun key st ->
+        let bound what l cap =
+          let n = List.length l in
+          if n > cap then fail "item %s: %d %s > %d" key n what cap
+        in
+        bound "logged writes" st.log t.config.log_depth;
+        bound "MAC-held writes" st.maced t.config.mac_hold_depth;
+        bound "held writes" st.pending held_cap;
+        (match st.current with
+        | Some (c : Payload.write) ->
+          List.iter
+            (fun (l : Payload.write) ->
+              if Stamp.compare c.stamp l.stamp <= 0 then
+                fail "item %s: a log entry is not older than the current write" key)
+            st.log
+        | None -> if st.log <> [] then fail "item %s: a log without a current write" key);
+        List.iter
+          (fun (w : Payload.write) ->
+            let n = Option.value (Hashtbl.find_opt indexed (key, w.stamp)) ~default:0 in
+            if n <> 1 then fail "item %s: a held write is indexed %d times" key n)
+          st.pending)
+      t.items;
+    let orphans = List.length t.orphans in
+    if orphans > orphan_cap then fail "%d orphans > %d" orphans orphan_cap;
+    List.iter
+      (fun fkey ->
+        match Hashtbl.find_opt t.frags fkey with
+        | Some e when not e.fverified -> ()
+        | Some _ | None -> fail "an orphan is not an unverified fragment")
+      t.orphans;
+    if Hashtbl.length t.staging > max_staging then
+      fail "%d staged streams > %d" (Hashtbl.length t.staging) max_staging;
+    let window = Queue.length t.audit_recent in
+    let folded = Crypto.Merkle.frontier_size t.audit_base in
+    if window > audit_window then fail "audit window %d > %d" window audit_window;
+    if folded > 0 && window < audit_window then
+      fail "%d audited writes folded while the window holds only %d" folded window;
+    (match (t.config.epoch_admin, t.epoch) with
+    | Some pub, Some e -> (
+      match t.epoch_checked with
+      | Some seen when seen == e -> ()
+      | Some _ | None ->
+        if Config_epoch.validate e <> Ok () then
+          fail "epoch v%d is malformed" e.Config_epoch.version;
+        if not (Config_epoch.verify e pub) then
+          fail "epoch v%d is not signed by the admin" e.Config_epoch.version;
+        t.epoch_checked <- Some e)
+    | _ -> ());
+    Ok ()
+  with Broken m -> Error m
 
 (* --- fragment introspection and repair ---------------------------------- *)
 
@@ -944,7 +1091,9 @@ let orphan_fragment_count t =
   Hashtbl.fold (fun _ e acc -> if e.fverified then acc else acc + 1) t.frags 0
 
 let drop_fragment t uid ~stamp ~index =
-  Hashtbl.remove t.frags (Uid.to_string uid, stamp, index)
+  let fkey = (Uid.to_string uid, stamp, index) in
+  Hashtbl.remove t.frags fkey;
+  t.orphans <- List.filter (fun k -> k <> fkey) t.orphans
 
 let drop_all_fragments t =
   let dropped = Hashtbl.length t.frags in
@@ -1051,6 +1200,25 @@ let repair_fragments t ~fetch =
 
 (* --- persistence -------------------------------------------------------- *)
 
+(* Index a restored server's held writes under their first missing
+   dependency; one whose dependencies all arrived is released. *)
+let rebuild_waiters t =
+  let ready = ref [] in
+  Hashtbl.iter
+    (fun key st ->
+      List.iter
+        (fun (w : Payload.write) ->
+          match missing_dep t w with
+          | Some dep -> index_waiter t dep key w
+          | None -> ready := (key, st, w) :: !ready)
+        (List.rev st.pending))
+    t.items;
+  List.iter
+    (fun (key, st, (w : Payload.write)) ->
+      st.pending <- List.filter (fun x -> x != w) st.pending;
+      if announce t st w then wake t key)
+    !ready
+
 (* Version 2: writes carry structured evidence (the v1 flat signature
    string became the evidence codec) and items persist their MAC-held
    writes, so a restart does not silently drop fast-path writes awaiting
@@ -1064,8 +1232,10 @@ let repair_fragments t ~fetch =
    restart. Versions 2/3 restore through {!Payload.decode_write_v3}.
    Version 5 stores each context record's evidence (a signature or a
    batch leaf) in place of its bare signature; older contexts restore as
-   signature evidence. *)
-let snapshot_version = 5
+   signature evidence. Version 6 stores the audit trail as its count,
+   frontier peaks, folded digest and window in place of every announced
+   write; older blobs fold their stored list. *)
+let snapshot_version = 6
 
 let integrity_len = 32
 
@@ -1100,9 +1270,12 @@ let snapshot_body t =
         contexts;
       Enc.list enc Enc.string
         (Hashtbl.fold (fun writer () acc -> writer :: acc) t.faulty_writers []);
-      (* pending gossip and audit trail (both newest-first in memory) *)
+      (* pending gossip (newest first in memory), then the audit trail *)
       Enc.list enc encode_write t.gossip_buffer;
-      Enc.list enc encode_write t.audit;
+      Enc.varint enc (Crypto.Merkle.frontier_size t.audit_base + Queue.length t.audit_recent);
+      Enc.list enc Enc.string (Crypto.Merkle.frontier_peaks t.audit_base);
+      Enc.string enc t.audit_base_sum;
+      Enc.list enc encode_write (audit_log t);
       Enc.option enc Config_epoch.encode t.epoch;
       Enc.bool enc t.draining;
       (* v4: the fragment store (digests are recomputed on restore) *)
@@ -1190,7 +1363,26 @@ let restore_result ?config ~id ~keyring ~n ~b blob =
           (fun writer -> Hashtbl.replace t.faulty_writers writer ())
           (Dec.list dec Dec.string);
         t.gossip_buffer <- Dec.list dec decode_write;
-        t.audit <- Dec.list dec decode_write;
+        if version >= 6 then begin
+          let count = Dec.varint dec in
+          let peaks = Dec.list dec Dec.string in
+          let sum = Dec.string dec in
+          let window = Dec.list dec decode_write in
+          match
+            Crypto.Merkle.frontier_of_peaks ~size:(count - List.length window) peaks
+          with
+          | Some base
+            when String.length sum = 32
+                 && (Crypto.Merkle.frontier_size base = 0
+                    || List.length window = audit_window) ->
+            t.audit_base <- base;
+            t.audit_base_sum <- sum;
+            List.iter (audit_append t) window
+          | Some _ | None -> raise (Wire.Codec.Error "bad audit frontier")
+        end
+        else
+          (* the whole announced history, newest first *)
+          List.iter (audit_append t) (List.rev (Dec.list dec decode_write));
         if version >= 3 then begin
           t.epoch <- Dec.option dec Config_epoch.decode;
           t.draining <- Dec.bool dec;
@@ -1215,6 +1407,7 @@ let restore_result ?config ~id ~keyring ~n ~b blob =
                      fdigest = Crypto.Sha256.digest fdata;
                      fverified;
                    } )));
+        rebuild_waiters t;
         t)
       body
   with

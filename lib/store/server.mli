@@ -109,7 +109,13 @@ val current_write : t -> Uid.t -> Payload.write option
 (** Introspection for tests: the announced current write of an item. *)
 
 val pending_count : t -> Uid.t -> int
-(** Held (unannounced) writes for an item. *)
+(** Held (unannounced) writes for an item: at most {!held_cap}, the
+    oldest dropped beyond it. Each is indexed under one dependency it
+    still lacks, so an arriving write re-checks only the writes waiting
+    on its own item. *)
+
+val held_cap : int
+(** Held writes kept per item (64). *)
 
 val pending_writes : t -> Uid.t -> Payload.write list
 (** The held writes themselves (used by the eager-report fault injector,
@@ -127,8 +133,33 @@ val is_writer_faulty : t -> string -> bool
 val log_writes : t -> Uid.t -> Payload.write list
 (** Announced writes: current first, then the retained log. *)
 
+val audit_window : int
+(** Announced writes the audit trail keeps whole (256). *)
+
 val audit_log : t -> Payload.write list
-(** Every write this server ever announced, oldest first (for {!Audit}). *)
+(** The newest announced writes, at most {!audit_window}, oldest first
+    (for {!Audit}). Older ones survive only in {!audit_frontier} and
+    {!audit_digest}. *)
+
+val audit_frontier : t -> Crypto.Merkle.frontier
+(** The Merkle frontier over the announced writes' bodies
+    ({!Payload.write_body}) before {!audit_log}'s first. Extended by the
+    window, it gives the root of the whole history. *)
+
+val audit_digest : t -> string
+(** An order-independent digest ({!Crypto.Merkle.multiset_add} of the
+    leaf hashes) of every write this server ever announced. *)
+
+val invariants : t -> (unit, string) result
+(** Check the server's bounded, self-consistent state: per item, the log
+    within [log_depth], MAC-held writes within [mac_hold_depth], held
+    writes within {!held_cap}, and the current write newer than every
+    log entry; orphan fragments within their cap and each an unverified
+    fragment; staged fragment streams within their cap; the audit window
+    within {!audit_window}, and full once older writes are folded; every
+    held write indexed exactly once, under its first missing dependency;
+    and, when an admin key is configured, an installed epoch that is
+    well formed and admin-signed. [Error] names the first broken one. *)
 
 val gossip_summary : t -> (Uid.t * Stamp.t) list
 (** Current stamp of every stored item — attached to gossip pushes as
@@ -197,8 +228,9 @@ val snapshot : t -> string
 (** Serialize the server's durable state — items (current, log, held
     writes, fork flags, erasure watermarks), stored contexts with their
     evidence (v5; older contexts restore as signature evidence),
-    quarantined writers, pending gossip, the audit log, and (v3) the
-    installed config epoch and drain flag — so a repository survives
+    quarantined writers, pending gossip, the audit trail (v6: its count,
+    frontier, digest and window), and (v3) the installed config epoch
+    and drain flag — so a repository survives
     restarts, as a long-term store must. The blob ends in a SHA-256 of
     everything before it, so truncation or corruption is detected on
     load. Holder evidence is deliberately not persisted (it is rebuilt
@@ -210,7 +242,8 @@ val restore_result :
 (** Rebuild a server from {!snapshot} output. A failed integrity check
     (truncated or bit-flipped blob), bad magic, version or id mismatch
     yield [Error] with a clear reason — never a decoder exception.
-    Version-2 blobs (pre-epoch, no integrity trailer) still load.
+    Version-2 blobs (pre-epoch, no integrity trailer) still load; a
+    pre-v6 blob's stored audit list is folded into frontier and window.
     Restored state is what an honest restarted server would have — every
     write it re-announces still carries its original client signature. *)
 

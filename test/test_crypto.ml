@@ -596,6 +596,48 @@ let test_merkle_root_changes_with_leaves () =
   Alcotest.(check bool) "leaf change" false (Merkle.root t1 = Merkle.root t2);
   Alcotest.(check bool) "leaf count" false (Merkle.root t1 = Merkle.root t3)
 
+(* For every size up to 600, a frontier over a prefix reproduces the
+   full tree's root, and proofs for the leaves after the prefix are the
+   full tree's own proofs; its peaks round-trip. *)
+let test_merkle_frontier_matches_tree () =
+  let leaves = Array.init 600 (Printf.sprintf "leaf-%d") in
+  let hashes = Array.map Merkle.leaf_hash leaves in
+  let prefix = Array.make 601 Merkle.frontier_empty in
+  for k = 1 to 600 do
+    prefix.(k) <- Merkle.frontier_push prefix.(k - 1) hashes.(k - 1)
+  done;
+  for n = 0 to 600 do
+    let tree = Merkle.of_leaves (Array.to_list (Array.sub leaves 0 n)) in
+    let full = prefix.(n) in
+    Alcotest.(check int) "size" n (Merkle.frontier_size full);
+    Alcotest.(check string) (Printf.sprintf "root at %d" n) (Merkle.root tree)
+      (Merkle.frontier_root full);
+    (match Merkle.frontier_of_peaks ~size:n (Merkle.frontier_peaks full) with
+    | Some f -> Alcotest.(check string) "peaks round-trip" (Merkle.root tree) (Merkle.frontier_root f)
+    | None -> Alcotest.failf "peaks of %d refused" n);
+    for suffix = 0 to min n 9 do
+      let base = prefix.(n - suffix) in
+      let tail = Array.to_list (Array.sub hashes (n - suffix) suffix) in
+      for i = n - suffix - 1 to n do
+        let expected = if i >= n - suffix then Merkle.prove tree i else None in
+        if Merkle.prove_extension base tail i <> expected then
+          Alcotest.failf "proof of %d over %d+%d differs" i (n - suffix) suffix
+      done
+    done
+  done;
+  Alcotest.(check bool) "peak count checked" true
+    (Merkle.frontier_of_peaks ~size:3 [ String.make 32 'a' ] = None)
+
+let test_merkle_multiset_digest () =
+  let h = Array.init 5 (fun i -> Merkle.leaf_hash (string_of_int i)) in
+  let sum l = List.fold_left Merkle.multiset_add Merkle.multiset_zero l in
+  Alcotest.(check string) "order-independent"
+    (sum [ h.(0); h.(1); h.(2) ]) (sum [ h.(2); h.(0); h.(1) ]);
+  Alcotest.(check bool) "multiplicity counts" false
+    (sum [ h.(0); h.(0) ] = sum [ h.(0) ]);
+  Alcotest.(check string) "carries wrap mod 2^256" Merkle.multiset_zero
+    (Merkle.multiset_add (String.make 31 '\xff' ^ "\xff") (String.make 31 '\000' ^ "\001"))
+
 let prop_merkle_all_proofs_verify =
   QCheck.Test.make ~name:"merkle proofs verify" ~count:50
     QCheck.(list_of_size Gen.(1 -- 33) string)
@@ -1134,6 +1176,8 @@ let () =
           Alcotest.test_case "empty/single" `Quick test_merkle_empty_and_single;
           Alcotest.test_case "proofs" `Quick test_merkle_proofs;
           Alcotest.test_case "root sensitivity" `Quick test_merkle_root_changes_with_leaves;
+          Alcotest.test_case "frontier = tree" `Quick test_merkle_frontier_matches_tree;
+          Alcotest.test_case "multiset digest" `Quick test_merkle_multiset_digest;
         ]
         @ qsuite
             [ prop_merkle_all_proofs_verify; prop_merkle_mutations_rejected ] );

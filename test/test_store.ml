@@ -67,6 +67,14 @@ let expect_error = function
 
 let flood w = Gossip.flood ~servers:w.servers
 
+let check_invariants servers =
+  Array.iteri
+    (fun i s ->
+      match Server.invariants s with
+      | Ok () -> ()
+      | Error m -> Alcotest.failf "server %d invariants: %s" i m)
+    servers
+
 (* ------------------------------------------------------------------ *)
 (* Uid                                                                *)
 (* ------------------------------------------------------------------ *)
@@ -749,7 +757,8 @@ let test_malicious_context_held () =
       | Error e -> Alcotest.failf "unexpected error %s" (Client.error_to_string e)
       | Ok v -> Alcotest.failf "poisoned value visible: %s" v);
       Alcotest.(check bool) "context clean" true
-        (Stamp.equal (Context.find (Client.context carol) dep) Stamp.zero))
+        (Stamp.equal (Context.find (Client.context carol) dep) Stamp.zero));
+  check_invariants w.servers
 
 let test_guard_releases_when_deps_arrive () =
   let w = mw_guarded_world () in
@@ -762,7 +771,8 @@ let test_guard_releases_when_deps_arrive () =
          be announced immediately. *)
       ok (Client.write alice ~item:"doc" "final");
       let bob = connect w "bob" ~group:"plan" ~cfg:(fun c -> cc (mw c)) in
-      Alcotest.(check string) "visible" "final" (ok (Client.read bob ~item:"doc")))
+      Alcotest.(check string) "visible" "final" (ok (Client.read bob ~item:"doc")));
+  check_invariants w.servers
 
 let test_guard_holds_out_of_order_gossip () =
   let w = mw_guarded_world () in
@@ -793,7 +803,8 @@ let test_guard_holds_out_of_order_gossip () =
   push 0 dep_write;
   Alcotest.(check int) "drained" 0 (Server.pending_count w.servers.(0) doc);
   Alcotest.(check bool) "announced now" true
-    (Server.current_write w.servers.(0) doc <> None)
+    (Server.current_write w.servers.(0) doc <> None);
+  check_invariants w.servers
 
 let test_eager_report_masked_by_vouching () =
   let w = mw_guarded_world () in
@@ -827,7 +838,8 @@ let test_eager_report_masked_by_vouching () =
       match Client.read carol ~item:"doc" with
       | Error (Client.Not_found _) -> ()
       | Error e -> Alcotest.failf "unexpected error %s" (Client.error_to_string e)
-      | Ok v -> Alcotest.failf "eager report leaked: %s" v)
+      | Ok v -> Alcotest.failf "eager report leaked: %s" v);
+  check_invariants w.servers
 
 let test_log_keeps_overwritten_value () =
   let w = make_world () in
@@ -1607,7 +1619,8 @@ let test_coded_snapshot_keeps_fragments () =
       Server.drop_fragment w.servers.(3) uid ~stamp ~index:4;
       let bob = connect ~cfg:coded_cfg w "bob" ~group:"g" in
       Alcotest.(check string) "read leans on the restored fragment" value
-        (ok (Client.read bob ~item:"blob")))
+        (ok (Client.read bob ~item:"blob")));
+  check_invariants w.servers
 
 (* ------------------------------------------------------------------ *)
 (* Gossip                                                             *)
@@ -1712,7 +1725,8 @@ let test_audit_proofs () =
     Alcotest.(check bool) "proof rejects other write" false
       (Audit.check_proof commitment other proof));
   flood w;
-  Alcotest.(check bool) "logs agree after flood" true (Audit.roots_agree w.servers)
+  Alcotest.(check bool) "logs agree after flood" true (Audit.roots_agree w.servers);
+  check_invariants w.servers
 
 let test_audit_detects_divergence () =
   let w = make_world () in
@@ -1720,7 +1734,8 @@ let test_audit_detects_divergence () =
       let alice = connect w "alice" ~group:"g" in
       ok (Client.write alice ~item:"x" "v1"));
   (* No flood: only b+1 servers saw the write. *)
-  Alcotest.(check bool) "divergence visible" false (Audit.roots_agree w.servers)
+  Alcotest.(check bool) "divergence visible" false (Audit.roots_agree w.servers);
+  check_invariants w.servers
 
 (* An equivocating writer hands different values under one stamp to
    different servers. Cross-server root comparison exposes the split,
@@ -1758,7 +1773,8 @@ let test_audit_localizes_equivocation () =
     Alcotest.(check bool) "proof does not transfer to the other value" false
       (Audit.check_proof commitment wa proof));
   Alcotest.(check bool) "no proof of vb from an honest server" true
-    (Audit.prove_write w.servers.(0) wb = None)
+    (Audit.prove_write w.servers.(0) wb = None);
+  check_invariants w.servers
 
 (* A tamperer that advertises a sky-high stamp in meta replies but, when
    the client fetches that stamp, hands over its genuine (stale) freshest
@@ -1852,7 +1868,8 @@ let test_evidence_and_audit_catch_rollback () =
            request = Payload.Gossip_push { writes = [ w2 ]; have = []; epoch = None };
          }));
   Alcotest.(check bool) "audit confirms repair after re-push" true
-    (Audit.roots_agree w.servers)
+    (Audit.roots_agree w.servers);
+  check_invariants w.servers
 
 (* ------------------------------------------------------------------ *)
 (* Paper cost formulas (the section 6 accounting, as tests)           *)
@@ -2124,6 +2141,7 @@ let test_snapshot_restore () =
     Alcotest.(check int) "audit preserved"
       (List.length (Server.audit_log w.servers.(0)))
       (List.length (Server.audit_log restored));
+    check_invariants [| restored |];
     (* A restored server keeps serving the protocol: swap it in and read. *)
     w.hmap.(0) <- Server.handler restored;
     in_world w (fun () ->
@@ -2151,7 +2169,9 @@ let test_save_load_file () =
       | Some restored ->
         let uid = Uid.make ~group:"g" ~item:"x" in
         (match Server.current_write restored uid with
-        | Some wr -> Alcotest.(check string) "value survives" "persisted" wr.Payload.value
+        | Some wr ->
+          Alcotest.(check string) "value survives" "persisted" wr.Payload.value;
+          check_invariants [| restored |]
         | None -> Alcotest.fail "item lost"));
   Alcotest.(check bool) "missing file" true
     (Server.load_file ~id:0 ~keyring:w.keyring ~n:4 ~b:1 ~path:"/nonexistent/x" ()
@@ -2188,7 +2208,8 @@ let test_snapshot_preserves_held_writes () =
       (Server.handle restored ~now:0.0 ~from:(-1)
          { Payload.token = None; epoch = 0; request = Payload.Write_req { write = dep_write; await_ack = true } });
     Alcotest.(check bool) "released after restart" true
-      (Server.current_write restored doc <> None)
+      (Server.current_write restored doc <> None);
+    check_invariants [| restored |]
 
 (* ------------------------------------------------------------------ *)
 (* Config epochs & reconfiguration                                    *)
@@ -2448,7 +2469,8 @@ let test_drain_restart_preserves_writes () =
         (match Server.current_write restored uid with
         | Some stored ->
           Alcotest.(check string) "no write lost" "survives" stored.Payload.value
-        | None -> Alcotest.fail "acknowledged write lost across drain-restart"))
+        | None -> Alcotest.fail "acknowledged write lost across drain-restart");
+        check_invariants [| restored |])
 
 (* Crash-safety of the snapshot file format itself: a truncated or
    bit-flipped blob is refused with a clear reason, never loaded as
@@ -2493,7 +2515,8 @@ let test_snapshot_corruption_rejected () =
       | Ok _ -> Alcotest.fail "truncated file loaded"
       | Error msg ->
         Alcotest.(check bool) "file load refused" true
-          (String.length msg >= 16 && String.sub msg 0 16 = "corrupt snapshot"))
+          (String.length msg >= 16 && String.sub msg 0 16 = "corrupt snapshot"));
+  check_invariants w.servers
 
 (* Keytree + Confidential integration: the section 5.2 story for shared
    readers. The owner manages the reader group with an LKH key tree;
@@ -2936,7 +2959,8 @@ let test_snapshot_preserves_maced () =
       | Some Payload.Ack -> ()
       | _ -> Alcotest.fail "upgrade after restart failed");
       Alcotest.(check bool) "announced after restart + upgrade" true
-        (Server.current_write restored uid <> None)
+        (Server.current_write restored uid <> None);
+      check_invariants [| restored |]
     | _ -> Alcotest.fail "batch shape")
 
 let test_mac_fast_client_end_to_end () =
@@ -3276,7 +3300,8 @@ let test_snapshot_keeps_ctx_batches () =
           (Payload.ctx_record_digest record) (Payload.ctx_record_digest r);
         Alcotest.(check bool) ("record of " ^ group ^ " verifies") true
           (Signing.verify_context w.keyring ~client:"alice" ~group r))
-      closed
+      closed;
+    check_invariants [| restored |]
 
 (* A version-4 snapshot (contexts with a bare signature) still loads;
    its records become signature evidence. *)
@@ -3325,7 +3350,8 @@ let test_snapshot_v4_contexts_load () =
       Alcotest.(check bool) "restored as the signed record" true
         (Payload.ctx_record_digest r = Payload.ctx_record_digest record);
       Alcotest.(check bool) "verifies" true
-        (Signing.verify_context w.keyring ~client:"alice" ~group:"g" r)
+        (Signing.verify_context w.keyring ~client:"alice" ~group:"g" r);
+      check_invariants [| restored |]
     | _ -> Alcotest.fail "v4 context lost")
 
 (* Every truncation of a version-5 body, even one carrying a matching
@@ -3354,6 +3380,367 @@ let test_snapshot_v5_truncations_refused () =
     | Error _ -> ()
     | exception e -> Alcotest.failf "a %d-byte prefix raised %s" cut (Printexc.to_string e)
   done
+
+(* ------------------------------------------------------------------ *)
+(* Bounded server state                                               *)
+(* ------------------------------------------------------------------ *)
+
+let soak = Sys.getenv_opt "SOAK" = Some "1"
+
+let soak_case name speed fn =
+  Alcotest.test_case name speed (fun () -> if soak then fn () else Alcotest.skip ())
+
+let push_write server write =
+  Server.handle server ~now:0.0 ~from:(-1)
+    { Payload.token = None; epoch = 0; request = Payload.Write_req { write; await_ack = true } }
+
+let guarded_config ?(log_depth = 4) () =
+  {
+    (Server.default_config ~n:4 ~b:1) with
+    Server.malicious_client_guard = true;
+    log_depth;
+  }
+
+(* A client with a valid key parks thousands of held writes under one
+   item: the server keeps the newest [held_cap], and the dependency's
+   arrival releases them. *)
+let test_guard_bounds_held_writes () =
+  let w = mw_guarded_world () in
+  let server = w.servers.(0) in
+  let dep = Uid.make ~group:"plan" ~item:"dep" in
+  let doc = Uid.make ~group:"plan" ~item:"doc" in
+  let dep_stamp = Stamp.multi ~time:1 ~writer:"alice" ~value:"base" in
+  let wctx = Context.of_bindings [ (dep, dep_stamp) ] in
+  let key = key_of "alice" in
+  let stamp_of i = Stamp.multi ~time:(10 + i) ~writer:"alice" ~value:(string_of_int i) in
+  for i = 1 to 5000 do
+    ignore
+      (push_write server
+         (Signing.sign_write ~key ~writer:"alice" ~uid:doc ~stamp:(stamp_of i) ~wctx
+            (string_of_int i)))
+  done;
+  Alcotest.(check int) "held writes capped" Server.held_cap (Server.pending_count server doc);
+  check_invariants [| server |];
+  ignore
+    (push_write server
+       (Signing.sign_write ~key ~writer:"alice" ~uid:dep ~stamp:dep_stamp "base"));
+  Alcotest.(check int) "all released" 0 (Server.pending_count server doc);
+  Alcotest.(check (list int)) "the newest writes are announced"
+    [ 5000; 4999; 4998; 4997; 4996 ]
+    (List.map
+       (fun (wr : Payload.write) -> int_of_string wr.value)
+       (Server.log_writes server doc));
+  check_invariants [| server |]
+
+(* Random causal DAGs of writes, delivered in random orders (some never)
+   to a guard-on server, against a reference that rescans every held
+   write after each install until nothing changes. Items see few writes
+   and the log is deep, so every released write survives the log trim
+   and the gossip buffer does not depend on release order. *)
+type dag = {
+  items : int;
+  writes : (int * int list * bool) array;
+      (* item, earlier writes it depends on, also on a write that never comes *)
+  order : int list;  (* delivery order; writes not listed never arrive *)
+}
+
+let dag_gen =
+  let open QCheck.Gen in
+  let chance p = map (fun f -> f < p) (float_bound_exclusive 1.0) in
+  let keep p l =
+    map (List.filter_map Fun.id)
+      (flatten_l (List.map (fun x -> map (fun b -> if b then Some x else None) (chance p)) l))
+  in
+  let* items = int_range 1 4 in
+  let* count = int_range 1 12 in
+  let* writes =
+    flatten_a
+      (Array.init count (fun i ->
+           triple (int_bound (items - 1)) (keep 0.3 (List.init i Fun.id)) (chance 0.1)))
+  in
+  let* order = shuffle_l (List.init count Fun.id) in
+  let* order = keep 0.85 order in
+  return { items; writes; order }
+
+let dag_print d =
+  Printf.sprintf "items=%d writes=[%s] order=[%s]" d.items
+    (String.concat "; "
+       (Array.to_list
+          (Array.mapi
+             (fun i (item, deps, phantom) ->
+               Printf.sprintf "%d:i%d<-{%s}%s" i item
+                 (String.concat "," (List.map string_of_int deps))
+                 (if phantom then "+phantom" else ""))
+             d.writes)))
+    (String.concat "," (List.map string_of_int d.order))
+
+let signed_writes : (string, Payload.write) Hashtbl.t = Hashtbl.create 256
+
+let dag_writes d =
+  let uid item = Uid.make ~group:"g" ~item:(Printf.sprintf "i%d" item) in
+  let phantom = Uid.make ~group:"g" ~item:"phantom" in
+  Array.mapi
+    (fun i (item, deps, ghost) ->
+      let deps =
+        List.map (fun j -> let it, _, _ = d.writes.(j) in (uid it, Stamp.scalar (j + 1))) deps
+      in
+      let deps = if ghost then (phantom, Stamp.scalar 1_000) :: deps else deps in
+      (* one binding per item: the newest stamp depended on *)
+      let ctx =
+        Context.of_bindings
+          (List.fold_left
+             (fun acc (u, s) ->
+               match List.assoc_opt u acc with
+               | Some t when Stamp.compare t s >= 0 -> acc
+               | _ -> (u, s) :: List.remove_assoc u acc)
+             [] deps)
+      in
+      let cache_key =
+        Printf.sprintf "%d/%d/%s" i item
+          (Wire.Codec.encode (fun enc () -> Context.encode enc ctx) ())
+      in
+      match Hashtbl.find_opt signed_writes cache_key with
+      | Some wr -> wr
+      | None ->
+        let wr =
+          Signing.sign_write ~key:(key_of "alice") ~writer:"alice" ~uid:(uid item)
+            ~stamp:(Stamp.scalar (i + 1)) ~wctx:ctx (Printf.sprintf "w%d" i)
+        in
+        Hashtbl.replace signed_writes cache_key wr;
+        wr)
+    d.writes
+
+(* The reference: hold a write until every dependency's item is announced
+   at a stamp at least as new; after each install rescan every held write,
+   to a fixpoint. *)
+let reference_fixpoint (writes : Payload.write array) order =
+  let current = Hashtbl.create 8 in
+  let announced uid = Option.value (Hashtbl.find_opt current (Uid.to_string uid)) ~default:Stamp.zero in
+  let ready (wr : Payload.write) =
+    match wr.wctx with
+    | None -> true
+    | Some ctx ->
+      List.for_all
+        (fun (u, s) -> Uid.equal u wr.uid || Stamp.compare (announced u) s >= 0)
+        (Context.bindings ctx)
+  in
+  let held = ref [] and gossip = ref [] in
+  let install (wr : Payload.write) =
+    if Stamp.compare wr.stamp (announced wr.uid) > 0 then
+      Hashtbl.replace current (Uid.to_string wr.uid) wr.stamp;
+    gossip := wr :: !gossip
+  in
+  List.iter
+    (fun i ->
+      let wr = writes.(i) in
+      if ready wr then begin
+        install wr;
+        let progressed = ref true in
+        while !progressed do
+          let now_ready, still = List.partition ready !held in
+          held := still;
+          progressed := now_ready <> [];
+          List.iter install now_ready
+        done
+      end
+      else held := wr :: !held)
+    order;
+  (current, !held, !gossip)
+
+let write_ids ws =
+  List.sort compare
+    (List.map (fun (wr : Payload.write) -> (Uid.to_string wr.uid, wr.stamp)) ws)
+
+let prop_waiters_match_full_scan =
+  QCheck.Test.make ~name:"held-write index = full-scan fixpoint" ~count:150
+    (QCheck.make ~print:dag_print dag_gen)
+    (fun d ->
+      let w = make_world ~server_config:(guarded_config ~log_depth:64 ()) () in
+      let server = w.servers.(0) in
+      let writes = dag_writes d in
+      List.iter (fun i -> ignore (push_write server writes.(i))) d.order;
+      let current, held, gossip = reference_fixpoint writes d.order in
+      let uids = List.init d.items (fun i -> Uid.make ~group:"g" ~item:(Printf.sprintf "i%d" i)) in
+      let same_current uid =
+        let have = Option.map (fun (wr : Payload.write) -> wr.stamp) (Server.current_write server uid) in
+        have = Hashtbl.find_opt current (Uid.to_string uid)
+      in
+      let server_held = List.concat_map (Server.pending_writes server) uids in
+      (match Server.invariants server with
+      | Ok () -> ()
+      | Error m -> QCheck.Test.fail_reportf "invariants: %s" m);
+      List.for_all same_current uids
+      && write_ids server_held = write_ids held
+      && write_ids (Server.take_gossip_buffer server) = write_ids gossip)
+
+(* The audit frontier reproduces the full-history Merkle tree at every
+   size, windowed writes prove against it exactly as the full tree
+   would, and a write that has left the window has no proof. *)
+let test_audit_frontier_matches_tree () =
+  let w = make_world () in
+  let server = w.servers.(0) in
+  let uid = Uid.make ~group:"g" ~item:"x" in
+  let history = ref [] (* newest first *) in
+  let prove_all = [ 1; 256; 257; 600 ] in
+  for n = 0 to 600 do
+    if n > 0 then begin
+      let wr =
+        Signing.sign_write ~key:(key_of "alice") ~writer:"alice" ~uid ~stamp:(Stamp.scalar n)
+          (Printf.sprintf "v%d" n)
+      in
+      ignore (push_write server wr);
+      history := wr :: !history
+    end;
+    let oldest_first = List.rev !history in
+    let tree = Crypto.Merkle.of_leaves (List.map Payload.write_body oldest_first) in
+    let c = Audit.commit server in
+    Alcotest.(check int) (Printf.sprintf "size at %d" n) n c.Audit.size;
+    Alcotest.(check string) (Printf.sprintf "root at %d" n)
+      (Crypto.Merkle.root tree) c.Audit.root;
+    let window = Server.audit_log server in
+    let first = n - List.length window in
+    Alcotest.(check int) (Printf.sprintf "window at %d" n) (min n Server.audit_window)
+      (List.length window);
+    Alcotest.(check bool) (Printf.sprintf "window is the newest writes at %d" n) true
+      (window = List.filteri (fun i _ -> i >= first) oldest_first);
+    let provable =
+      if List.mem n prove_all then List.mapi (fun i wr -> (first + i, wr)) window
+      else if n mod 10 <> 3 then []
+      else [ (first, List.hd window); (n - 1, List.hd !history) ]
+    in
+    List.iter
+      (fun (index, wr) ->
+        match Audit.prove_write server wr with
+        | None -> Alcotest.failf "no proof for write %d of %d" index n
+        | Some (proof, c) ->
+          Alcotest.(check bool) "proof is the full tree's" true
+            (Some proof = Crypto.Merkle.prove tree index);
+          Alcotest.(check bool) "proof verifies" true (Audit.check_proof c wr proof))
+      provable;
+    if first > 0 then
+      Alcotest.(check bool) (Printf.sprintf "no proof past the window at %d" n) true
+        (Audit.prove_write server (List.nth oldest_first (first - 1)) = None)
+  done;
+  check_invariants [| server |]
+
+(* Under [dune runtest] the fixtures sit beside the test binary; under
+   [dune exec] from the repository root, in test/. *)
+let read_fixture name =
+  let path = Filename.concat "fixtures" name in
+  let path = if Sys.file_exists path then path else Filename.concat "test" path in
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* A version-5 snapshot written by the previous format (300 writes of
+   three items, each announced) restores with the audit count and root
+   that format computed over its stored list, now as a frontier and a
+   window, and survives a v6 round trip. *)
+let test_snapshot_v5_audit_fixture () =
+  let w = make_world () in
+  let restore blob = Server.restore_result ~id:0 ~keyring:w.keyring ~n:4 ~b:1 blob in
+  match restore (read_fixture "snapshot_v5.bin") with
+  | Error e -> Alcotest.failf "v5 fixture refused: %s" e
+  | Ok server -> (
+    let expect (c : Audit.commitment) =
+      Alcotest.(check int) "audit count" 300 c.size;
+      Alcotest.(check string) "audit root"
+        "3c18003574a8fb1ebc1977debb79336b5f9b193c87a408806e1581adb64b71f3"
+        (Crypto.Hexs.encode c.root)
+    in
+    expect (Audit.commit server);
+    Alcotest.(check int) "window" Server.audit_window (List.length (Server.audit_log server));
+    Alcotest.(check int) "items" 3 (Server.item_count server);
+    check_invariants [| server |];
+    match restore (Server.snapshot server) with
+    | Error e -> Alcotest.failf "v6 round trip refused: %s" e
+    | Ok again ->
+      expect (Audit.commit again);
+      Alcotest.(check string) "digest survives" (Server.audit_digest server)
+        (Server.audit_digest again);
+      check_invariants [| again |])
+
+(* A v6 body whose audit trail has a folded frontier, cut short anywhere
+   (even under a matching integrity trailer), is refused. *)
+let test_snapshot_v6_truncations_refused () =
+  let w = make_world () in
+  let server =
+    match
+      Server.restore_result ~id:0 ~keyring:w.keyring ~n:4 ~b:1 (read_fixture "snapshot_v5.bin")
+    with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "v5 fixture refused: %s" e
+  in
+  let blob = Server.snapshot server in
+  let body = String.sub blob 0 (String.length blob - 32) in
+  let len = String.length body in
+  Alcotest.(check bool) "truncated blob refused" true
+    (Result.is_error
+       (Server.restore_result ~id:0 ~keyring:w.keyring ~n:4 ~b:1
+          (String.sub blob 0 (String.length blob - 1))));
+  (* every cut through the audit count, peaks and digest, a sample
+     elsewhere *)
+  let peaks = Crypto.Merkle.frontier_peaks (Server.audit_frontier server) in
+  Alcotest.(check bool) "frontier folded" true (peaks <> []);
+  let at = Str.search_forward (Str.regexp_string (List.hd peaks)) body 0 in
+  let trail_from = at - 8 and trail_to = at + (33 * List.length peaks) + 40 in
+  for cut = 0 to len - 1 do
+    if cut mod 211 = 0 || (cut >= trail_from && cut <= trail_to) then begin
+      let prefix = String.sub body 0 cut in
+      match
+        Server.restore_result ~id:0 ~keyring:w.keyring ~n:4 ~b:1
+          (prefix ^ Crypto.Sha256.digest prefix)
+      with
+      | Ok _ -> Alcotest.failf "a %d-byte prefix of %d loaded" cut len
+      | Error _ -> ()
+      | exception e -> Alcotest.failf "a %d-byte prefix raised %s" cut (Printexc.to_string e)
+    end
+  done
+
+(* 50,000 writes over 64 items: the audit window, the snapshot (but for
+   the encoded history count and the frontier's one hash per set bit of
+   the folded count) and every item's held and log sizes are the same at
+   10k and at 50k writes. *)
+let test_soak_state_stays_flat () =
+  let w = make_world () in
+  let server = w.servers.(0) in
+  let items = Array.init 64 (fun i -> Uid.make ~group:"g" ~item:(Printf.sprintf "k%02d" i)) in
+  let rec varint_len n = if n < 0x80 then 1 else 1 + varint_len (n lsr 7) in
+  let sample () =
+    let frontier = Server.audit_frontier server in
+    let peaks = List.length (Crypto.Merkle.frontier_peaks frontier) in
+    let count = Crypto.Merkle.frontier_size frontier + List.length (Server.audit_log server) in
+    (* the count, then each peak as a length-prefixed 32-byte string *)
+    let trail_header = varint_len count + (33 * peaks) in
+    ( List.length (Server.audit_log server),
+      String.length (Server.snapshot server) - trail_header,
+      Array.to_list
+        (Array.map
+           (fun uid -> (Server.pending_count server uid, List.length (Server.log_writes server uid)))
+           items) )
+  in
+  let at_10k = ref None in
+  for i = 1 to 50_000 do
+    (* fixed-width stamps and values keep every write the same size *)
+    let wr =
+      Signing.sign_write ~key:(key_of "alice") ~writer:"alice" ~uid:items.(i mod 64)
+        ~stamp:(Stamp.scalar (20_000 + i)) (Printf.sprintf "v%06d" i)
+    in
+    (match push_write server wr with
+    | Some Payload.Ack -> ()
+    | _ -> Alcotest.failf "write %d refused" i);
+    ignore (Server.take_gossip_buffer server);
+    check_invariants [| server |];
+    if i = 10_000 then at_10k := Some (sample ())
+  done;
+  let audit_len, snapshot_bytes, per_item = sample () in
+  match !at_10k with
+  | None -> assert false
+  | Some (audit_len0, snapshot_bytes0, per_item0) ->
+    Alcotest.(check int) "audit window" audit_len0 audit_len;
+    Alcotest.(check int) "snapshot bytes" snapshot_bytes0 snapshot_bytes;
+    Alcotest.(check bool) "held and log sizes" true (per_item0 = per_item)
 
 let qsuite props = List.map QCheck_alcotest.to_alcotest props
 
@@ -3534,6 +3921,18 @@ let () =
           Alcotest.test_case "eviction end-to-end" `Quick
             test_group_key_rotation_end_to_end;
         ] );
+      ( "bounded-state",
+        [
+          Alcotest.test_case "held writes capped" `Quick test_guard_bounds_held_writes;
+          Alcotest.test_case "audit frontier = full tree" `Quick
+            test_audit_frontier_matches_tree;
+          Alcotest.test_case "v5 audit fixture restores" `Quick
+            test_snapshot_v5_audit_fixture;
+          Alcotest.test_case "v6 truncations refused" `Quick
+            test_snapshot_v6_truncations_refused;
+          soak_case "50k writes stay flat" `Slow test_soak_state_stays_flat;
+        ]
+        @ qsuite [ prop_waiters_match_full_scan ] );
       ( "audit",
         [
           Alcotest.test_case "proofs" `Quick test_audit_proofs;
