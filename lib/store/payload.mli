@@ -121,7 +121,10 @@ type request =
       (** [have] is the sender's current stamp per item — the replication
           evidence behind section 5.3's log erasure rule ("old values
           could be erased once a server learns that a new value is
-          available at at least 2b+1 servers"). [epoch] is the pusher's
+          available at at least 2b+1 servers"). A receiver counts it, and
+          records holders of [writes], only when the transport names the
+          sender ([~from >= 0], the simulator); live pushes send [[]].
+          Nothing is pulled on its account. [epoch] is the pusher's
           config epoch, so anti-entropy also converges membership: a
           server that missed an epoch announcement catches up from any
           gossip peer. *)

@@ -32,15 +32,17 @@ type item_state = {
          (Evidence_upgrade). Bounded by [mac_hold_depth], oldest dropped. *)
   mutable forked : bool;
   mutable holders : (Stamp.t * int list) list;
-      (* which servers are known (via gossip summaries) to hold which
-         stamp of this item; drives section 5.3's log erasure *)
+      (* which servers are known to hold which stamp of this item, from
+         gossip whose sender the transport names; drives section 5.3's
+         log erasure *)
   mutable erased_below : Stamp.t;
       (* erasure watermark: writes older than this are known to be
          superseded at 2b+1 servers and are never re-admitted *)
 }
 
 (* Bulk bytes of dispersed writes, keyed (item uid, stamp, fragment
-   index). A fragment arrives as a chunked [Frag_put] stream into a
+   index) and stored per item, so an install touches only its own item's
+   fragments. A fragment arrives as a chunked [Frag_put] stream into a
    staging buffer and is sealed on the last chunk; it becomes servable
    only once [fverified]: its digest matches the coding descriptor of a
    stored metadata write. Sealed-but-unverified fragments are orphans —
@@ -67,7 +69,9 @@ type t = {
   config : config;
   keyring : Keyring.t;
   items : (string, item_state) Hashtbl.t; (* key: Uid.to_string *)
-  frags : (frag_key, frag_entry) Hashtbl.t;
+  frags : (string, (Stamp.t * int, frag_entry) Hashtbl.t) Hashtbl.t;
+      (* item key -> its fragments by (stamp, index); an item holding no
+         fragment has no table *)
   staging : (frag_key, frag_staging) Hashtbl.t;
   mutable orphans : frag_key list; (* newest first; eviction drops the tail *)
   contexts : (string * string, Payload.ctx_record) Hashtbl.t;
@@ -253,16 +257,43 @@ let dispersal_meta_for t key stamp =
     | Some _ as r -> r
     | None -> List.find_map pick st.log)
 
+let find_frag t ((key, stamp, index) : frag_key) =
+  match Hashtbl.find_opt t.frags key with
+  | Some tbl -> Hashtbl.find_opt tbl (stamp, index)
+  | None -> None
+
+let add_frag t ((key, stamp, index) : frag_key) e =
+  let tbl =
+    match Hashtbl.find_opt t.frags key with
+    | Some tbl -> tbl
+    | None ->
+      let tbl = Hashtbl.create 4 in
+      Hashtbl.replace t.frags key tbl;
+      tbl
+  in
+  Hashtbl.replace tbl (stamp, index) e
+
+let remove_frag t ((key, stamp, index) : frag_key) =
+  match Hashtbl.find_opt t.frags key with
+  | Some tbl ->
+    Hashtbl.remove tbl (stamp, index);
+    if Hashtbl.length tbl = 0 then Hashtbl.remove t.frags key
+  | None -> ()
+
+let fold_frags f t acc =
+  Hashtbl.fold
+    (fun key tbl acc ->
+      Hashtbl.fold (fun (stamp, index) e acc -> f (key, stamp, index) e acc) tbl acc)
+    t.frags acc
+
+let is_orphan t fkey =
+  match find_frag t fkey with Some e -> not e.fverified | None -> false
+
 let evict_orphans t =
   if List.length t.orphans > orphan_cap then begin
     let keep = List.filteri (fun i _ -> i < orphan_cap) t.orphans in
     let dead = List.filteri (fun i _ -> i >= orphan_cap) t.orphans in
-    List.iter
-      (fun fkey ->
-        match Hashtbl.find_opt t.frags fkey with
-        | Some e when not e.fverified -> Hashtbl.remove t.frags fkey
-        | _ -> ())
-      dead;
+    List.iter (fun fkey -> if is_orphan t fkey then remove_frag t fkey) dead;
     t.orphans <- keep
   end
 
@@ -280,13 +311,13 @@ let seal_fragment t ((key, stamp, index) : frag_key) data =
       index <= List.length meta.Payload.digests
       && String.equal (List.nth meta.Payload.digests (index - 1)) digest
     then begin
-      Hashtbl.replace t.frags fkey { fdata = data; fdigest = digest; fverified = true };
+      add_frag t fkey { fdata = data; fdigest = digest; fverified = true };
       Metrics.incr_frag_put ();
       Payload.Ack
     end
     else Payload.Denied "fragment digest mismatch"
   | None ->
-    Hashtbl.replace t.frags fkey { fdata = data; fdigest = digest; fverified = false };
+    add_frag t fkey { fdata = data; fdigest = digest; fverified = false };
     t.orphans <- fkey :: t.orphans;
     evict_orphans t;
     Metrics.incr_frag_put ();
@@ -295,56 +326,52 @@ let seal_fragment t ((key, stamp, index) : frag_key) data =
 (* Metadata arrived: orphaned fragments whose digests it certifies
    become servable; impostors under the same stamp are dropped. *)
 let promote_frags t (w : Payload.write) =
-  match w.frags with
-  | None -> ()
-  | Some meta ->
-    let key = Uid.to_string w.uid in
+  let key = Uid.to_string w.uid in
+  match (w.frags, Hashtbl.find_opt t.frags key) with
+  | Some meta, Some tbl ->
+    let settled = ref false in
     List.iteri
       (fun i expected ->
-        let fkey = (key, w.stamp, i + 1) in
-        match Hashtbl.find_opt t.frags fkey with
+        match Hashtbl.find_opt tbl (w.stamp, i + 1) with
         | Some e when not e.fverified ->
+          settled := true;
           if String.equal e.fdigest expected then e.fverified <- true
-          else Hashtbl.remove t.frags fkey
+          else remove_frag t (key, w.stamp, i + 1)
         | _ -> ())
       meta.Payload.digests;
-    t.orphans <-
-      List.filter
-        (fun fkey ->
-          match Hashtbl.find_opt t.frags fkey with
-          | Some e -> not e.fverified
-          | None -> false)
-        t.orphans
+    if !settled then t.orphans <- List.filter (is_orphan t) t.orphans
+  | _ -> ()
 
 (* Drop fragments whose stamp can no longer be read: below the erasure
    watermark, or superseded without surviving in the log. Orphans ahead
    of the current stamp stay — their metadata may still be coming. *)
 let gc_frags t key (st : item_state) =
-  let stale stamp =
-    Stamp.compare stamp st.erased_below < 0
-    || (match st.current with
-        | Some (c : Payload.write) ->
-          Stamp.compare stamp c.stamp < 0
-          && not
-               (List.exists
-                  (fun (w : Payload.write) -> Stamp.equal w.stamp stamp)
-                  st.log)
-        | None -> false)
-  in
-  let dead =
-    Hashtbl.fold
-      (fun ((k, stamp, _) as fkey) _ acc ->
-        if String.equal k key && stale stamp then fkey :: acc else acc)
-      t.frags []
-  in
-  if dead <> [] then begin
-    List.iter (Hashtbl.remove t.frags) dead;
-    t.orphans <- List.filter (Hashtbl.mem t.frags) t.orphans
-  end
+  match Hashtbl.find_opt t.frags key with
+  | None -> ()
+  | Some tbl ->
+    let stale stamp =
+      Stamp.compare stamp st.erased_below < 0
+      || (match st.current with
+          | Some (c : Payload.write) ->
+            Stamp.compare stamp c.stamp < 0
+            && not
+                 (List.exists
+                    (fun (w : Payload.write) -> Stamp.equal w.stamp stamp)
+                    st.log)
+          | None -> false)
+    in
+    let dead =
+      Hashtbl.fold
+        (fun ((stamp, _) as k) e acc -> if stale stamp then (k, e) :: acc else acc)
+        tbl []
+    in
+    List.iter (fun ((stamp, index), _) -> remove_frag t (key, stamp, index)) dead;
+    if List.exists (fun (_, e) -> not e.fverified) dead then
+      t.orphans <- List.filter (is_orphan t) t.orphans
 
 let note_install t (w : Payload.write) st =
   promote_frags t w;
-  if Hashtbl.length t.frags > 0 then gc_frags t (Uid.to_string w.uid) st
+  gc_frags t (Uid.to_string w.uid) st
 
 (* Append an announced write to the audit trail. A write leaving the
    window is folded into the frontier and the digest, so a server that
@@ -549,7 +576,7 @@ let record_holder t uid ~holder ~stamp =
       st.holders <-
         List.filter (fun (s, _) -> Stamp.compare s st.erased_below >= 0) st.holders;
       (* Fragments of erased stamps go with their metadata. *)
-      if Hashtbl.length t.frags > 0 then gc_frags t (Uid.to_string uid) st
+      gc_frags t (Uid.to_string uid) st
     end
   end
 
@@ -826,15 +853,19 @@ let handle t ~now ~from (env : Payload.envelope) : Payload.response option =
     (match epoch with
     | Some e -> ignore (try_adopt_epoch t e)
     | None -> ());
+    (* Holder evidence needs a named sender: with [from < 0] (the live
+       host) a holder entry could never reach the erasure threshold, so
+       none is recorded. *)
     List.iter
       (fun (w : Payload.write) ->
-        (match accept_write t w with
+        match accept_write t w with
         | `Accepted | `Held | `Duplicate ->
           (* We hold it now, and so does the sender. *)
-          record_holder t w.uid ~holder:t.id ~stamp:w.stamp;
-          record_holder t w.uid ~holder:from ~stamp:w.stamp
-        | `Rejected ->
-          if from >= 0 then record_holder t w.uid ~holder:from ~stamp:w.stamp))
+          if from >= 0 then begin
+            record_holder t w.uid ~holder:t.id ~stamp:w.stamp;
+            record_holder t w.uid ~holder:from ~stamp:w.stamp
+          end
+        | `Rejected -> if from >= 0 then record_holder t w.uid ~holder:from ~stamp:w.stamp)
       writes;
     List.iter
       (fun (uid, stamp) ->
@@ -854,7 +885,7 @@ let handle t ~now ~from (env : Payload.envelope) : Payload.response option =
           let st = item_state t uid in
           if Stamp.compare stamp st.erased_below < 0 then
             Some (Payload.Denied "stamp erased")
-          else if Hashtbl.mem t.frags fkey then
+          else if Option.is_some (find_frag t fkey) then
             (* Already sealed under this stamp: a retry after a lost
                ack. First-seal-wins; a diverging retry is caught by the
                digest check against the (stamp-bound) metadata. *)
@@ -911,8 +942,7 @@ let handle t ~now ~from (env : Payload.envelope) : Payload.response option =
         end)
   | Payload.Frag_get { uid; stamp; index; off; len } ->
     auth ~group:(Uid.group uid) ~op:`Read (fun () ->
-        let fkey = (Uid.to_string uid, stamp, index) in
-        match Hashtbl.find_opt t.frags fkey with
+        match find_frag t (Uid.to_string uid, stamp, index) with
         | Some e when e.fverified ->
           let total = String.length e.fdata in
           let off = min (max 0 off) total in
@@ -1034,6 +1064,11 @@ let invariants t =
         bound "logged writes" st.log t.config.log_depth;
         bound "MAC-held writes" st.maced t.config.mac_hold_depth;
         bound "held writes" st.pending held_cap;
+        List.iter
+          (fun (_, holders) ->
+            if List.exists (fun h -> h < 0) holders then
+              fail "item %s: a holder entry names no server" key)
+          st.holders;
         (match st.current with
         | Some (c : Payload.write) ->
           List.iter
@@ -1052,10 +1087,11 @@ let invariants t =
     if orphans > orphan_cap then fail "%d orphans > %d" orphans orphan_cap;
     List.iter
       (fun fkey ->
-        match Hashtbl.find_opt t.frags fkey with
-        | Some e when not e.fverified -> ()
-        | Some _ | None -> fail "an orphan is not an unverified fragment")
+        if not (is_orphan t fkey) then fail "an orphan is not an unverified fragment")
       t.orphans;
+    Hashtbl.iter
+      (fun key tbl -> if Hashtbl.length tbl = 0 then fail "item %s: an empty fragment table" key)
+      t.frags;
     if Hashtbl.length t.staging > max_staging then
       fail "%d staged streams > %d" (Hashtbl.length t.staging) max_staging;
     let window = Queue.length t.audit_recent in
@@ -1080,23 +1116,23 @@ let invariants t =
 (* --- fragment introspection and repair ---------------------------------- *)
 
 let fragment t uid ~stamp ~index =
-  match Hashtbl.find_opt t.frags (Uid.to_string uid, stamp, index) with
+  match find_frag t (Uid.to_string uid, stamp, index) with
   | Some e when e.fverified -> Some e.fdata
   | _ -> None
 
 let fragment_count t =
-  Hashtbl.fold (fun _ e acc -> if e.fverified then acc + 1 else acc) t.frags 0
+  fold_frags (fun _ e acc -> if e.fverified then acc + 1 else acc) t 0
 
 let orphan_fragment_count t =
-  Hashtbl.fold (fun _ e acc -> if e.fverified then acc else acc + 1) t.frags 0
+  fold_frags (fun _ e acc -> if e.fverified then acc else acc + 1) t 0
 
 let drop_fragment t uid ~stamp ~index =
   let fkey = (Uid.to_string uid, stamp, index) in
-  Hashtbl.remove t.frags fkey;
+  remove_frag t fkey;
   t.orphans <- List.filter (fun k -> k <> fkey) t.orphans
 
 let drop_all_fragments t =
-  let dropped = Hashtbl.length t.frags in
+  let dropped = fold_frags (fun _ _ n -> n + 1) t 0 in
   Hashtbl.reset t.frags;
   Hashtbl.reset t.staging;
   t.orphans <- [];
@@ -1114,7 +1150,7 @@ let storage_bytes t =
         + List.fold_left (fun a w -> a + wlen w) 0 st.maced)
       t.items 0
   in
-  Hashtbl.fold (fun _ e acc -> acc + String.length e.fdata) t.frags item_bytes
+  fold_frags (fun _ e acc -> acc + String.length e.fdata) t item_bytes
 
 (* Current dispersed writes whose own-index fragment this server should
    hold but does not — what the repair loop works through. *)
@@ -1124,7 +1160,7 @@ let missing_fragments t =
       match st.current with
       | Some ({ Payload.frags = Some meta; _ } as w) when t.id + 1 <= meta.Payload.m
         -> (
-        match Hashtbl.find_opt t.frags (key, w.stamp, t.id + 1) with
+        match find_frag t (key, w.stamp, t.id + 1) with
         | Some e when e.fverified -> acc
         | _ -> w :: acc)
       | _ -> acc)
@@ -1185,7 +1221,7 @@ let repair_fragment t ~fetch (w : Payload.write) =
     | Some value ->
       let mine = Dispersal.refragment meta ~index:my_index value in
       if String.equal (Crypto.Sha256.digest mine) (digest_of my_index) then begin
-        Hashtbl.replace t.frags
+        add_frag t
           (Uid.to_string w.uid, w.stamp, my_index)
           { fdata = mine; fdigest = digest_of my_index; fverified = true };
         Metrics.incr_frag_repair ();
@@ -1279,7 +1315,7 @@ let snapshot_body t =
       Enc.option enc Config_epoch.encode t.epoch;
       Enc.bool enc t.draining;
       (* v4: the fragment store (digests are recomputed on restore) *)
-      let frags = Hashtbl.fold (fun k e acc -> (k, e) :: acc) t.frags [] in
+      let frags = fold_frags (fun k e acc -> (k, e) :: acc) t [] in
       Enc.list enc
         (fun enc (((key, stamp, index) : frag_key), e) ->
           Enc.string enc key;
@@ -1393,7 +1429,7 @@ let restore_result ?config ~id ~keyring ~n ~b blob =
         if version >= 4 then
           List.iter
             (fun (fkey, e) ->
-              Hashtbl.replace t.frags fkey e;
+              add_frag t fkey e;
               if not e.fverified then t.orphans <- fkey :: t.orphans)
             (Dec.list dec (fun dec ->
                  let key = Dec.string dec in

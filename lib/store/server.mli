@@ -153,17 +153,23 @@ val audit_digest : t -> string
 val invariants : t -> (unit, string) result
 (** Check the server's bounded, self-consistent state: per item, the log
     within [log_depth], MAC-held writes within [mac_hold_depth], held
-    writes within {!held_cap}, and the current write newer than every
-    log entry; orphan fragments within their cap and each an unverified
-    fragment; staged fragment streams within their cap; the audit window
-    within {!audit_window}, and full once older writes are folded; every
-    held write indexed exactly once, under its first missing dependency;
-    and, when an admin key is configured, an installed epoch that is
-    well formed and admin-signed. [Error] names the first broken one. *)
+    writes within {!held_cap}, the current write newer than every log
+    entry, and no holder entry naming a negative server id; orphan
+    fragments within their cap and each an unverified fragment, and no
+    item with an empty fragment table; staged fragment streams within
+    their cap; the audit window within {!audit_window}, and full once
+    older writes are folded; every held write indexed exactly once,
+    under its first missing dependency; and, when an admin key is
+    configured, an installed epoch that is well formed and admin-signed.
+    [Error] names the first broken one. *)
 
 val gossip_summary : t -> (Uid.t * Stamp.t) list
-(** Current stamp of every stored item — attached to gossip pushes as
-    replication evidence for log erasure (section 5.3). *)
+(** Current stamp of every stored item, O(items). The simulator's
+    {!Gossip} attaches it to each push as replication evidence for log
+    erasure (section 5.3): a receiver counts it only when the transport
+    names the sender, which the simulator does and the live host does
+    not, so live pushes send none. It is not a pull request: nothing
+    fetches what a summary shows missing. *)
 
 val holder_count : t -> Uid.t -> Stamp.t -> int
 (** How many distinct servers this one believes hold [stamp] of the item
@@ -177,7 +183,8 @@ val holder_count : t -> Uid.t -> Stamp.t -> int
     write's descriptor (until then they are bounded, invisible orphans),
     and are read back in ranges via {!Payload.Frag_get}. The metadata
     quorum is the sole commit point — fragments scattered without it
-    never become visible. *)
+    never become visible. They are stored per item, so an install or a
+    log erasure visits only that item's own fragments. *)
 
 val fragment : t -> Uid.t -> stamp:Stamp.t -> index:int -> string option
 (** The verified fragment bytes, if held (introspection for tests). *)

@@ -146,7 +146,8 @@ let handle_connection t fd =
             (Frame.encode_reject ~id (Printf.sprintf "shard %d not hosted" shard))
         | None, None ->
           (* A one-way for a shard we do not host is dropped, like any
-             one-way failure: the gossip protocol self-heals via summaries. *)
+             one-way failure: the sender learns nothing, and a gossip
+             push lost this way is not retried. *)
           ())
       | None ->
         (* A frame we cannot even parse gets a framed error rather than
@@ -168,13 +169,12 @@ let push_to_peer ~shard ~host ~port payload =
 
 (* Writes popped off the gossip buffer are the server's only copy of
    "what my peers have not seen": if a push fails they must be requeued,
-   or a write accepted while a peer was down would never reach it (the
-   pull side only fetches what the summary advertises as *missing*, and
-   the summary is per-item — a peer that later catches a newer write for
-   the same item masks the lost one entirely). The backlog is per-peer
-   and bounded: a long-dead peer costs at most [max_backlog] retained
-   writes, oldest dropped first (anti-entropy via the summary exchange
-   still recovers those once the peer returns). *)
+   or a write accepted while a peer was down would never reach it. The
+   per-peer backlog is the only thing that recovers a failed push; there
+   is no pull side. It is bounded: a long-dead peer costs at most
+   [max_backlog] retained writes, oldest dropped first, and a peer that
+   misses more than that stays stale on the dropped items until they are
+   overwritten. *)
 let max_backlog = 512
 
 (* One gossip thread per hosted shard: shard s's writes go to shard s's
@@ -197,14 +197,14 @@ let gossip_loop t st ~period =
       st.slast_trace <- None;
       Obs.Span.set_trace ~parent:c.span ~flags:c.flags c.trace
     | _ -> ());
-    (* One critical section for both: a write accepted between taking
-       the buffer and summarizing would be advertised in [have] without
-       appearing in [writes], so peers would skip pulling it. *)
-    let fresh, have, epoch =
+    (* Pushes carry no [have] summary: a receiver counts one as
+       log-erasure evidence only when the transport names the sender,
+       and this host dispatches every request with [~from:(-1)]. So a
+       round costs the new writes, not the shard's keyspace. *)
+    let fresh, epoch =
       Obs.Span.with_phase "drain" (fun () ->
           with_lock st (fun () ->
               ( Store.Server.take_gossip_buffer st.sserver,
-                Store.Server.gossip_summary st.sserver,
                 Store.Server.epoch st.sserver )))
     in
     (Obs.Span.with_phase "push" @@ fun () ->
@@ -217,16 +217,14 @@ let gossip_loop t st ~period =
          match (pending, epoch) with
          | [], None -> ()
          | writes, _ ->
-           (* Backlogged writes were accepted before this round's
-              summary was taken, so [have] still covers them. In an
-              epoch-enabled cluster, pushes fire even with nothing to
-              send: the epoch rides every push, so a peer that missed an
-              announcement catches up from here. *)
+           (* In an epoch-enabled cluster, pushes fire even with
+              nothing to send: the epoch rides every push, so a peer
+              that missed an announcement catches up from here. *)
            let payload =
              Store.Payload.encode_envelope
                {
                  Store.Payload.token = None; epoch = 0;
-                 request = Store.Payload.Gossip_push { writes; have; epoch };
+                 request = Store.Payload.Gossip_push { writes; have = []; epoch };
                }
            in
            let host, port = peer in
@@ -384,11 +382,9 @@ let drain ?(max_passes = 10) t =
     let more = ref true in
     while !more && !passes < max_passes do
       incr passes;
-      let writes, have, epoch =
+      let writes, epoch =
         with_lock st (fun () ->
-            ( Store.Server.take_gossip_buffer st.sserver,
-              Store.Server.gossip_summary st.sserver,
-              Store.Server.epoch st.sserver ))
+            (Store.Server.take_gossip_buffer st.sserver, Store.Server.epoch st.sserver))
       in
       match writes with
       | [] -> more := false
@@ -397,7 +393,7 @@ let drain ?(max_passes = 10) t =
           Store.Payload.encode_envelope
             {
               Store.Payload.token = None; epoch = 0;
-              request = Store.Payload.Gossip_push { writes; have; epoch };
+              request = Store.Payload.Gossip_push { writes; have = []; epoch };
             }
         in
         List.iter

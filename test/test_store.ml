@@ -3742,6 +3742,118 @@ let test_soak_state_stays_flat () =
     Alcotest.(check int) "snapshot bytes" snapshot_bytes0 snapshot_bytes;
     Alcotest.(check bool) "held and log sizes" true (per_item0 = per_item)
 
+(* The live host names no sender ([~from:(-1)]). Its gossip must leave
+   no holder entry behind: one that could never reach the erasure
+   threshold would stay for the server's whole uptime. *)
+let test_unnamed_gossip_records_no_holders () =
+  let w = make_world () in
+  let server = w.servers.(0) in
+  let uid = Uid.make ~group:"g" ~item:"x" in
+  let gossip ~from wr =
+    ignore
+      (Server.handle server ~now:0.0 ~from
+         {
+           Payload.token = None; epoch = 0;
+           request = Payload.Gossip_push { writes = [ wr ]; have = []; epoch = None };
+         })
+  in
+  let stamps =
+    List.init 300 (fun i ->
+        let stamp = Stamp.scalar (i + 1) in
+        gossip ~from:(-1)
+          (Signing.sign_write ~key:(key_of "alice") ~writer:"alice" ~uid ~stamp
+             (Printf.sprintf "v%d" i));
+        stamp)
+  in
+  List.iter
+    (fun stamp -> Alcotest.(check int) "no holder recorded" 0 (Server.holder_count server uid stamp))
+    stamps;
+  check_invariants [| server |];
+  (* a named sender still counts as evidence, and so does this server *)
+  let stamp = Stamp.scalar 301 in
+  gossip ~from:1 (Signing.sign_write ~key:(key_of "alice") ~writer:"alice" ~uid ~stamp "v301");
+  Alcotest.(check int) "named sender and self" 2 (Server.holder_count server uid stamp);
+  check_invariants [| server |]
+
+let frag_put_exn server uid stamp index data =
+  match
+    Server.handle server ~now:0.0 ~from:(-1)
+      {
+        Payload.token = None; epoch = 0;
+        request =
+          Payload.Frag_put { uid; stamp; writer = "alice"; index; seq = 0; last = true; data };
+      }
+  with
+  | Some Payload.Ack -> ()
+  | _ -> Alcotest.failf "fragment %d of %s refused" index (Uid.to_string uid)
+
+(* A dispersed write of [value] under a scalar stamp, and its fragments. *)
+let dispersed_write ~uid ~time value =
+  let meta, fragments = Dispersal.plan ~k:2 ~n:4 value in
+  ( Signing.sign_write ~key:(key_of "alice") ~writer:"alice" ~uid ~stamp:(Stamp.scalar time)
+      ~frags:meta (Dispersal.meta_root meta),
+    fragments )
+
+(* Fragments are stored per item: overwriting one dispersed item among
+   a thousand others that hold verified fragments drops exactly its own
+   stamp that left the log, keeps its orphan ahead of the current write,
+   and touches no other item's fragment. *)
+let test_overwrite_drops_only_own_fragments () =
+  let w = make_world ~server_config:{ (Server.default_config ~n:4 ~b:1) with log_depth = 1 } () in
+  let server = w.servers.(0) in
+  (* this server is id 0, so it holds fragment index 1 *)
+  let install ~uid ~time value =
+    let wr, fragments = dispersed_write ~uid ~time value in
+    (match push_write server wr with
+    | Some Payload.Ack -> ()
+    | _ -> Alcotest.failf "write of %s refused" (Uid.to_string uid));
+    frag_put_exn server uid wr.Payload.stamp 1 fragments.(0);
+    (wr.Payload.stamp, fragments.(0))
+  in
+  let others =
+    Array.init 1000 (fun i ->
+        let uid = Uid.make ~group:"g" ~item:(Printf.sprintf "other%04d" i) in
+        let stamp, frag = install ~uid ~time:1 (Printf.sprintf "value of item %d" i) in
+        (uid, stamp, frag))
+  in
+  let target = Uid.make ~group:"g" ~item:"target" in
+  let s1, _ = install ~uid:target ~time:1 (big_value 600) in
+  let s2, f2 = install ~uid:target ~time:2 (big_value 700) in
+  (* fragments for stamp 5 arrive before its metadata: an orphan *)
+  let ahead, ahead_frags = dispersed_write ~uid:target ~time:5 (big_value 900) in
+  frag_put_exn server target ahead.Payload.stamp 1 ahead_frags.(0);
+  Alcotest.(check int) "verified before" 1002 (Server.fragment_count server);
+  Alcotest.(check int) "orphan before" 1 (Server.orphan_fragment_count server);
+  (* stamp 3 pushes stamp 1 out of the one-entry log *)
+  let s3, f3 = install ~uid:target ~time:3 (big_value 800) in
+  let frag uid stamp = Server.fragment server uid ~stamp ~index:1 in
+  Alcotest.(check (option string)) "stamp 1 dropped" None (frag target s1);
+  Alcotest.(check (option string)) "logged stamp 2 kept" (Some f2) (frag target s2);
+  Alcotest.(check (option string)) "current stamp 3 kept" (Some f3) (frag target s3);
+  Alcotest.(check int) "orphan ahead kept" 1 (Server.orphan_fragment_count server);
+  Alcotest.(check int) "verified after" 1002 (Server.fragment_count server);
+  let check_others server =
+    Array.iter
+      (fun (uid, stamp, f) ->
+        if Server.fragment server uid ~stamp ~index:1 <> Some f then
+          Alcotest.failf "fragment of %s lost" (Uid.to_string uid))
+      others
+  in
+  check_others server;
+  check_invariants [| server |];
+  (match Server.restore_result ~id:0 ~keyring:w.keyring ~n:4 ~b:1 (Server.snapshot server) with
+  | Error e -> Alcotest.failf "round trip refused: %s" e
+  | Ok again ->
+    Alcotest.(check int) "verified restored" 1002 (Server.fragment_count again);
+    Alcotest.(check int) "orphan restored" 1 (Server.orphan_fragment_count again);
+    Alcotest.(check (option string)) "stamp 2 restored" (Some f2)
+      (Server.fragment again target ~stamp:s2 ~index:1);
+    check_others again;
+    check_invariants [| again |]);
+  match Server.restore_result ~id:0 ~keyring:w.keyring ~n:4 ~b:1 (read_fixture "snapshot_v5.bin") with
+  | Error e -> Alcotest.failf "v5 fixture refused: %s" e
+  | Ok old -> check_invariants [| old |]
+
 let qsuite props = List.map QCheck_alcotest.to_alcotest props
 
 let () =
@@ -3930,6 +4042,10 @@ let () =
             test_snapshot_v5_audit_fixture;
           Alcotest.test_case "v6 truncations refused" `Quick
             test_snapshot_v6_truncations_refused;
+          Alcotest.test_case "unnamed gossip records no holders" `Quick
+            test_unnamed_gossip_records_no_holders;
+          Alcotest.test_case "overwrite drops only its own fragments" `Quick
+            test_overwrite_drops_only_own_fragments;
           soak_case "50k writes stay flat" `Slow test_soak_state_stays_flat;
         ]
         @ qsuite [ prop_waiters_match_full_scan ] );

@@ -366,6 +366,70 @@ let test_peerless_gossip_bounded () =
       Alcotest.(check int) "nothing pending" 0
         (Store.Server.gossip_pending server))
 
+(* A live gossip push carries the new writes and no per-item summary,
+   so its size does not grow with the number of items the shard stores:
+   one fresh write pushed from a host storing 1,000 items costs the same
+   bytes as from a host storing 10. *)
+let test_push_size_flat_in_items () =
+  let n = 4 and b = 1 in
+  let keyring = Store.Keyring.create () in
+  Store.Keyring.register keyring "alice" alice_key.Crypto.Rsa.public;
+  let write ~item value =
+    Store.Signing.sign_write ~key:alice_key ~writer:"alice"
+      ~uid:(Store.Uid.make ~group:"net" ~item) ~stamp:(Store.Stamp.scalar 1) value
+  in
+  let put server w =
+    match
+      Store.Server.handle server ~now:0.0 ~from:(-1)
+        {
+          Store.Payload.token = None; epoch = 0;
+          request = Store.Payload.Write_req { write = w; await_ack = true };
+        }
+    with
+    | Some Store.Payload.Ack -> ()
+    | _ -> Alcotest.fail "preload write refused"
+  in
+  let fresh = write ~item:"fresh" "the one new write" in
+  let bytes_per_push items =
+    let server = Store.Server.create ~id:0 ~keyring ~n ~b () in
+    for i = 1 to items do
+      put server (write ~item:(Printf.sprintf "k%04d" i) (Printf.sprintf "v%04d" i))
+    done;
+    ignore (Store.Server.take_gossip_buffer server);
+    put server fresh;
+    let peer = Store.Server.create ~id:1 ~keyring ~n ~b () in
+    let peer_host = Tcpnet.Server_host.start ~server:peer ~port:0 () in
+    let before = Store.Metrics.read () in
+    let host =
+      Tcpnet.Server_host.start
+        ~gossip:
+          {
+            Tcpnet.Server_host.peers = [ ("127.0.0.1", Tcpnet.Server_host.port peer_host) ];
+            period = 0.05;
+          }
+        ~server ~port:0 ()
+    in
+    let rec wait tries =
+      let d = Store.Metrics.diff (Store.Metrics.read ()) before in
+      if d.messages >= 1 && Store.Server.current_write peer fresh.uid <> None then Some d
+      else if tries = 0 then None
+      else begin
+        Thread.delay 0.02;
+        wait (tries - 1)
+      end
+    in
+    let pushed = wait 250 in
+    Tcpnet.Server_host.stop host;
+    Tcpnet.Server_host.stop peer_host;
+    match pushed with
+    | Some d -> d.bytes / d.messages
+    | None -> Alcotest.failf "no push from the %d-item host" items
+  in
+  let small = bytes_per_push 10 in
+  let large = bytes_per_push 1000 in
+  if abs (large - small) > 8 then
+    Alcotest.failf "push grew with the item count: %d bytes at 10 items, %d at 1000" small large
+
 (* --- pooled transport ---------------------------------------------------- *)
 
 let meta_query_payload =
@@ -1509,6 +1573,7 @@ let () =
           Alcotest.test_case "gossip push" `Quick test_gossip_over_tcp;
           Alcotest.test_case "peerless host drops gossip" `Quick
             test_peerless_gossip_bounded;
+          Alcotest.test_case "push size flat in items" `Quick test_push_size_flat_in_items;
         ] );
       ( "pool",
         [
