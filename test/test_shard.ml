@@ -584,30 +584,49 @@ let test_router_close_visits_every_session () =
 
 (* ---- Router over live TCP: multi-shard hosting end to end --------- *)
 
-let test_router_live_sharded () =
+(* Four hosts, each serving one replica of both shards on one port (the
+   multi-shard hosting path: frames dispatch by shard id to per-shard
+   server state). With [byzantine], host 2 runs Corrupt_value on shard 1
+   only, the hosts gossip with each other and the client writes MAC-fast
+   with a MAC secret per server: shard 1's own quorums must mask the
+   replica, and shard 0 must not notice it at all. Readers spread their
+   read sets (seeded), so the corrupt replica is read from, and collect
+   per-shard fault evidence. *)
+let live_sharded ~byzantine () =
   let n = 4 and b = 1 in
-  let shards = 2 in
+  let shards = 2 and seed = 42 in
   let keyring = Store.Keyring.create () in
   Store.Keyring.register keyring "alice" (key_of "alice").Crypto.Rsa.public;
+  for gid = 0 to (shards * n) - 1 do
+    Store.Keyring.register_mac keyring ~client:"alice" ~server:gid
+      (Crypto.Sha256.digest (Printf.sprintf "live-mac!%d" gid))
+  done;
   let servers =
     Array.init (shards * n) (fun gid ->
         Store.Server.create ~id:gid ~keyring ~n ~b ())
   in
-  (* Four hosts, each serving one replica of *both* shards on one port
-     (the multi-shard hosting path: tagged 0x04 frames dispatch by
-     shard id to per-shard server state). *)
+  let ports = Array.init n (fun _ -> if byzantine then Ports.reserve () else 0) in
   let hosts =
     Array.init n (fun r ->
+        let peers =
+          if not byzantine then []
+          else
+            List.filteri (fun j _ -> j <> r)
+              (Array.to_list (Array.map (fun p -> ("127.0.0.1", p)) ports))
+        in
         let specs =
           List.init shards (fun s ->
               {
                 Tcpnet.Server_host.shard = s;
                 server = servers.((s * n) + r);
-                behavior = Store.Faults.Honest;
-                peers = [];
+                behavior =
+                  (if byzantine && r = 2 && s = 1 then Store.Faults.Corrupt_value
+                   else Store.Faults.Honest);
+                peers;
               })
         in
-        Tcpnet.Server_host.start_sharded ~shards:specs ~port:0 ())
+        Tcpnet.Server_host.start_sharded ~gossip_period:0.2 ~shards:specs
+          ~port:ports.(r) ())
   in
   Array.iter
     (fun h ->
@@ -619,7 +638,32 @@ let test_router_live_sharded () =
     if gid >= 0 && gid < shards * n then Some eps.(gid mod n) else None
   in
   let table = Store.Shardmap.make ~seed:"live" ~shards () in
-  let groups = List.init 5 (fun g -> Printf.sprintf "lv%d" g) in
+  let groups = List.init 8 (fun g -> Printf.sprintf "lv%d" g) in
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) (Printf.sprintf "a group lands on shard %d" s) true
+        (List.exists (fun g -> Store.Shardmap.shard_of_group table g = s) groups))
+    [ 0; 1 ];
+  let evidence =
+    Array.init shards (fun s ->
+        Store.Fault_evidence.create ~servers:(Store.Router.shard_servers ~n s) ~b)
+  in
+  let config_of s =
+    {
+      (config_of_shard ~n ~b s) with
+      Store.Client.signing =
+        (if byzantine then Store.Client.Mac_fast else Store.Client.Per_write_sig);
+      read_spread = true;
+      seed;
+      evidence = Some evidence.(s);
+    }
+  in
+  let fail what uid e =
+    Alcotest.failf "seed %d: live %s %s (shard %d): %s" seed what
+      (Store.Uid.to_string uid) (Store.Shardmap.shard_of_uid table uid)
+      (Store.Client.error_to_string e)
+  in
+  Store.Metrics.reset ();
   Fun.protect
     ~finally:(fun () -> Array.iter Tcpnet.Server_host.stop hosts)
     (fun () ->
@@ -628,23 +672,34 @@ let test_router_live_sharded () =
         (fun () ->
           let r =
             Store.Router.create ~table ~uid:"alice" ~key:(key_of "alice")
-              ~keyring ~config_of:(config_of_shard ~n ~b) ()
+              ~keyring ~config_of ()
           in
-          List.iter
-            (fun g ->
-              let uid = Store.Uid.make ~group:g ~item:"x" in
-              (match Store.Router.write r ~uid ("live-" ^ g) with
-              | Ok () -> ()
-              | Error e ->
-                Alcotest.failf "live write %s: %s" g
-                  (Store.Client.error_to_string e));
-              match Store.Router.read r ~uid with
-              | Ok v -> Alcotest.(check string) ("live " ^ g) ("live-" ^ g) v
-              | Error e ->
-                Alcotest.failf "live read %s: %s" g
-                  (Store.Client.error_to_string e))
-            groups;
-          ignore (Store.Router.disconnect r)))
+          for i = 1 to 8 do
+            List.iter
+              (fun g ->
+                let uid = Store.Uid.make ~group:g ~item:(Printf.sprintf "k%d" (i mod 3)) in
+                let value = Printf.sprintf "live-%s#%d" g i in
+                (match Store.Router.write r ~uid value with
+                | Ok () -> ()
+                | Error e -> fail "write" uid e);
+                match Store.Router.read r ~uid with
+                | Ok v ->
+                  Alcotest.(check string) (Printf.sprintf "seed %d: live %s" seed g) value v
+                | Error e -> fail "read" uid e)
+              groups
+          done;
+          ignore (Store.Router.disconnect r)));
+  let failures s =
+    match List.assoc_opt s (Store.Metrics.shard_client_stats ()) with
+    | Some c -> c.Store.Metrics.shard_failures
+    | None -> 0
+  in
+  Alcotest.(check int) (Printf.sprintf "seed %d: shard 0 op failures" seed) 0 (failures 0);
+  Alcotest.(check (list int)) (Printf.sprintf "seed %d: shard 0 proven faulty" seed) []
+    (Store.Fault_evidence.proven evidence.(0));
+  Alcotest.(check (list int)) (Printf.sprintf "seed %d: shard 1 proven faulty" seed)
+    (if byzantine then [ n + 2 ] else [])
+    (Store.Fault_evidence.proven evidence.(1))
 
 (* ---- Open-loop workload planner ----------------------------------- *)
 
@@ -782,7 +837,9 @@ let () =
             test_router_rewrites_after_epoch_change;
           Alcotest.test_case "close visits every session" `Quick
             test_router_close_visits_every_session;
-          Alcotest.test_case "live sharded" `Slow test_router_live_sharded;
+          Alcotest.test_case "live sharded" `Slow (live_sharded ~byzantine:false);
+          Alcotest.test_case "live sharded, byzantine shard" `Slow
+            (live_sharded ~byzantine:true);
         ] );
       ( "openloop",
         [

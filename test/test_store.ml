@@ -2985,32 +2985,59 @@ let test_mac_fast_client_end_to_end () =
         (ok (Client.read bob ~item:"x"));
       ok (Client.disconnect alice))
 
+(* The structural fact behind the fast signing modes: over 24 writes
+   with escalation every 8, per-write signing pays one RSA sign per
+   write, while a Merkle batch of 8 and MAC-fast escalation each pay one
+   per 8 writes. Counted after [flush], before the disconnect's context
+   sign. *)
 let test_write_batch_amortizes_signs () =
-  let w = make_world () in
-  in_world w (fun () ->
-      let alice = connect w "alice" ~group:"g" ~cfg:merkle4 in
-      let items =
-        List.init 4 (fun i -> ("it" ^ string_of_int i, "v" ^ string_of_int i))
-      in
-      Metrics.reset ();
-      List.iter (fun r -> ok r) (Client.write_batch alice items);
-      let m = Metrics.read () in
-      Alcotest.(check int) "one RSA sign for four writes" 1 m.Metrics.signs;
-      List.iter
-        (fun (item, v) ->
-          Alcotest.(check string) ("read " ^ item) v (ok (Client.read alice ~item)))
-        items;
-      let uid = Uid.make ~group:"g" ~item:"it0" in
-      let batch_stored s =
-        match Server.current_write s uid with
-        | Some stored -> (
-          match stored.Payload.evidence with
-          | Payload.Batch be -> be.Payload.size = 4
-          | _ -> false)
-        | None -> false
-      in
-      Alcotest.(check bool) "batch evidence stored" true
-        (Array.exists batch_stored w.servers))
+  let writes = 24 in
+  let items =
+    List.init writes (fun i -> ("it" ^ string_of_int i, "v" ^ string_of_int i))
+  in
+  let signs_of (label, signing, want_signs, want_batch) =
+    let w = make_world () in
+    in_world w (fun () ->
+        let alice =
+          connect w "alice" ~group:"g"
+            ~cfg:(fun c -> { c with Client.signing; escalate_every = 8 })
+        in
+        Metrics.reset ();
+        List.iter (fun r -> ok r) (Client.write_batch alice items);
+        ok (Client.flush alice);
+        let signs = (Metrics.read ()).Metrics.signs in
+        Alcotest.(check int) (label ^ ": RSA signs") want_signs signs;
+        (* every leaf of every batch reads back, each through its own proof *)
+        List.iter
+          (fun (item, v) ->
+            Alcotest.(check string) (label ^ ": read " ^ item) v
+              (ok (Client.read alice ~item)))
+          items;
+        let item, _ = List.nth items (writes - 1) in
+        let uid = Uid.make ~group:"g" ~item in
+        (* the stored write's batch size, [None] for a plain signature *)
+        let stored_batch s =
+          match Server.current_write s uid with
+          | Some { Payload.evidence = Payload.Batch be; _ } -> Some (Some be.Payload.size)
+          | Some _ -> Some None
+          | None -> None
+        in
+        Alcotest.(check bool) (label ^ ": evidence shape") true
+          (Array.exists (fun s -> stored_batch s = Some want_batch) w.servers);
+        signs)
+  in
+  match
+    List.map signs_of
+      [
+        ("per-write-sig", Client.Per_write_sig, writes, None);
+        ("merkle-batch8", Client.Merkle_batch 8, 3, Some 8);
+        ("mac-fast", Client.Mac_fast, 3, Some 8);
+      ]
+  with
+  | [ per_write; merkle; mac ] ->
+    Alcotest.(check bool) "both fast modes sign less than per-write" true
+      (merkle < per_write && mac < per_write)
+  | _ -> assert false
 
 let test_downgrade_server_proven_faulty () =
   let w = make_world () in

@@ -204,18 +204,6 @@ let header_hostile_qcheck =
       && with_byte 0 kind = None
       && with_byte 1 ((flag_bits lsl 1) lor Char.code wire.[1]) = None)
 
-let reserve_port () =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  let p =
-    match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | Unix.ADDR_UNIX _ -> assert false
-  in
-  Unix.close fd;
-  p
-
 (* An n-server loopback cluster. With [gossip_period] every host gossips
    with all the others, so the ports are reserved up front for each host
    to name its peers. *)
@@ -226,7 +214,7 @@ let with_cluster ?(n = 4) ?(b = 1) ?(behavior = fun _ -> Store.Faults.Honest)
   Store.Keyring.register keyring "bob" bob_key.Crypto.Rsa.public;
   let servers = Array.init n (fun id -> Store.Server.create ~id ~keyring ~n ~b ()) in
   let ports =
-    Array.init n (fun _ -> if gossip_period = None then 0 else reserve_port ())
+    Array.init n (fun _ -> if gossip_period = None then 0 else Ports.reserve ())
   in
   let hosts =
     Array.mapi
@@ -728,7 +716,7 @@ let test_gossip_requeue_dead_peer () =
   Store.Keyring.register keyring "alice" alice_key.Crypto.Rsa.public;
   let server_a = Store.Server.create ~id:0 ~keyring ~n ~b () in
   let server_b = Store.Server.create ~id:1 ~keyring ~n ~b () in
-  let peer_port = reserve_port () in
+  let peer_port = Ports.reserve () in
   let host_a =
     Tcpnet.Server_host.start
       ~gossip:
@@ -1429,7 +1417,7 @@ let test_stitched_trace () =
   let servers =
     Array.init (shards * n) (fun gid -> Store.Server.create ~id:gid ~keyring ~n ~b ())
   in
-  let eps = Array.init n (fun _ -> ("127.0.0.1", reserve_port ())) in
+  let eps = Array.init n (fun _ -> ("127.0.0.1", Ports.reserve ())) in
   let hosts =
     Array.init n (fun r ->
         let peers = List.filteri (fun j _ -> j <> r) (Array.to_list eps) in
@@ -1543,6 +1531,460 @@ let test_stitched_trace () =
         (Obs.Span.flight_lookup ~trace:raw <> [])
     | _ -> Alcotest.failf "violation trace id %S is not a 128-bit hex id" id)
 
+(* --- chaos and churn soaks ----------------------------------------------- *)
+
+(* One server slot per entry of [servers], each behind its own chaos
+   proxy running [plans.(i)]. Clients and gossip alike reach server [i]
+   only through proxy [i], so the faults hit gossip too; proxies need
+   their targets and hosts need the proxies as peers, so the host ports
+   are reserved first. Slots [0, started) start up front; a standby
+   joins with [start_host] and a slot leaves with [retire]. *)
+type chaos_cluster = {
+  proxies : Tcpnet.Chaos.t array;
+  proxy_eps : (string * int) array;
+  hosts : Tcpnet.Server_host.t option array;
+  start_host : int -> unit;
+  retire : int -> unit;  (** stop the slot's host and proxy *)
+  endpoints : int -> (string * int) option;
+}
+
+let with_chaos_cluster ?(behavior = fun _ -> Store.Faults.Honest) ?started
+    ~plans ~servers ~gossip_period fn =
+  let capacity = Array.length servers in
+  let ports = Array.init capacity (fun _ -> Ports.reserve ()) in
+  let proxies =
+    Array.mapi
+      (fun i plan -> Tcpnet.Chaos.start ~plan ~target:("127.0.0.1", ports.(i)) ())
+      plans
+  in
+  let proxy_eps = Array.map (fun p -> ("127.0.0.1", Tcpnet.Chaos.port p)) proxies in
+  let hosts = Array.make capacity None in
+  let proxy_up = Array.make capacity true in
+  let start_host i =
+    let peers = List.filteri (fun j _ -> j <> i) (Array.to_list proxy_eps) in
+    hosts.(i) <-
+      Some
+        (Tcpnet.Server_host.start
+           ~gossip:{ Tcpnet.Server_host.peers; period = gossip_period }
+           ~behavior:(behavior i) ~server:servers.(i) ~port:ports.(i) ())
+  in
+  let retire i =
+    Option.iter Tcpnet.Server_host.stop hosts.(i);
+    hosts.(i) <- None;
+    if proxy_up.(i) then Tcpnet.Chaos.stop proxies.(i);
+    proxy_up.(i) <- false
+  in
+  for i = 0 to Option.value started ~default:capacity - 1 do
+    start_host i
+  done;
+  let endpoints id = if id >= 0 && id < capacity then Some proxy_eps.(id) else None in
+  Fun.protect
+    ~finally:(fun () -> Array.iteri (fun i _ -> retire i) servers)
+    (fun () -> fn { proxies; proxy_eps; hosts; start_host; retire; endpoints })
+
+(* The shared state of one soak. A writer writes "item#1", "item#2", ...
+   round-robin over [soak_items], then "item#final" on each; a reader
+   checks what it reads against what was attempted. *)
+type soak = {
+  seed : int;
+  lock : Mutex.t;
+  attempted : (string, unit) Hashtbl.t;
+  mutable violations : string list;
+  mutable ops : int;
+  mutable ops_ok : int;
+}
+
+let soak_items = [| "k0"; "k1"; "k2"; "k3" |]
+
+let new_soak seed =
+  { seed; lock = Mutex.create (); attempted = Hashtbl.create 256; violations = [];
+    ops = 0; ops_ok = 0 }
+
+let locked s f =
+  Mutex.lock s.lock;
+  Fun.protect ~finally:(fun () -> Mutex.unlock s.lock) f
+
+let violate s fmt =
+  Printf.ksprintf (fun m -> locked s (fun () -> s.violations <- m :: s.violations)) fmt
+
+let soak_op s run =
+  locked s (fun () -> s.ops <- s.ops + 1);
+  if run () then locked s (fun () -> s.ops_ok <- s.ops_ok + 1)
+
+(* With [must], a failed write is also a violation. *)
+let soak_write ?(must = false) s client ~item value =
+  locked s (fun () -> Hashtbl.replace s.attempted (item ^ "=" ^ value) ());
+  soak_op s (fun () ->
+      match Store.Client.write client ~item value with
+      | Ok () -> true
+      | Error e ->
+        if must then
+          violate s "write of %s=%s failed: %s" item value (Store.Client.error_to_string e);
+        false)
+
+(* A worker thread; an exception it raises is a violation. *)
+let soak_worker s name fn =
+  Thread.create
+    (fun () ->
+      try fn () with e -> violate s "%s worker died: %s" name (Printexc.to_string e))
+    ()
+
+(* Both soaks' clients retry hard and give up on an op after
+   [op_deadline]: liveness under chaos may degrade, safety may not. *)
+let soak_config ~n ~b ~op_deadline =
+  {
+    (Store.Client.default_config ~n ~b) with
+    Store.Client.timeout = 0.3;
+    read_retries = 3;
+    write_retries = 3;
+    retry_delay = 0.05;
+    retry_backoff_max = 0.4;
+    op_deadline;
+  }
+
+(* alice and bob with pairwise MAC secrets for server slots [0, servers). *)
+let soak_keyring ~servers =
+  let keyring = Store.Keyring.create () in
+  List.iter
+    (fun (client, key) ->
+      Store.Keyring.register keyring client key.Crypto.Rsa.public;
+      for server = 0 to servers - 1 do
+        Store.Keyring.register_mac keyring ~client ~server
+          (Crypto.Sha256.digest (Printf.sprintf "soak-mac!%s!%d" client server))
+      done)
+    [ ("alice", alice_key); ("bob", bob_key) ];
+  keyring
+
+let rec soak_connect ?(tries = 10) s ~keyring ~group config name key =
+  match Store.Client.connect ~config ~uid:name ~key ~keyring ~group () with
+  | Ok c -> c
+  | Error _ when tries > 0 ->
+    Thread.delay 0.2;
+    soak_connect ~tries:(tries - 1) s ~keyring ~group config name key
+  | Error e ->
+    failwith
+      (Printf.sprintf "seed %d: connect %s: %s" s.seed name
+         (Store.Client.error_to_string e))
+
+(* Write "item#i" for i = 1, 2, ... while [go i]. *)
+let soak_writes s client ~go =
+  let rec loop i =
+    if go i then begin
+      let item = soak_items.(i mod Array.length soak_items) in
+      soak_write s client ~item (Printf.sprintf "%s#%d" item i);
+      Thread.delay 0.03;
+      loop (i + 1)
+    end
+  in
+  loop 1
+
+(* A failed final write is a violation, not just a lost op: convergence
+   alone would pass one that reached a single replica and spread by gossip. *)
+let soak_finals s client =
+  Array.iter (fun item -> soak_write ~must:true s client ~item (item ^ "#final")) soak_items
+
+(* Read round-robin until [stop ()]. Invariant 1: a read returns only a
+   value the writer attempted. Invariant 2: within the session, an item's
+   sequence numbers never go backwards. *)
+let soak_reads s client ~stop =
+  let last_seq = Hashtbl.create 4 in
+  let i = ref 0 in
+  while not (stop ()) do
+    incr i;
+    let item = soak_items.(!i mod Array.length soak_items) in
+    soak_op s (fun () ->
+        match Store.Client.read client ~item with
+        | Error _ -> false
+        | Ok v ->
+          if not (locked s (fun () -> Hashtbl.mem s.attempted (item ^ "=" ^ v))) then
+            violate s "read of %s returned un-written value %S" item v;
+          (match String.split_on_char '#' v with
+          | [ _; seq ] ->
+            Option.iter
+              (fun seq ->
+                (match Hashtbl.find_opt last_seq item with
+                | Some prev when seq < prev ->
+                  violate s "read of %s went backwards: %d after %d" item seq prev
+                | _ -> ());
+                Hashtbl.replace last_seq item seq)
+              (int_of_string_opt seq)
+          | _ -> ());
+          true);
+    Thread.delay 0.02
+  done
+
+(* Invariant 3: within 15 s, [client] reads every item's final value. *)
+let soak_converge s client =
+  let deadline = Unix.gettimeofday () +. 15.0 in
+  let rec go remaining =
+    if remaining <> [] then
+      if Unix.gettimeofday () > deadline then
+        violate s "convergence timed out on: %s" (String.concat ", " remaining)
+      else begin
+        let remaining =
+          List.filter
+            (fun item ->
+              match Store.Client.read client ~item with
+              | Ok v -> v <> item ^ "#final"
+              | Error _ -> true)
+            remaining
+        in
+        if remaining <> [] then Thread.delay 0.1;
+        go remaining
+      end
+  in
+  go (Array.to_list soak_items)
+
+let soak_check s =
+  if s.violations <> [] then
+    Alcotest.failf "seed %d: %d violation(s):\n%s" s.seed (List.length s.violations)
+      (String.concat "\n" (List.rev s.violations))
+
+(* Four seeded fault plans (drops, delay and jitter, mid-frame resets,
+   two partition windows, corruption with slow-drip writes), server 3
+   Downgrade (leaks MAC-held writes, strips batch proofs), a MAC-fast
+   writer and a spreading per-write-signature reader. Invariants 1-3
+   above, plus 4: no worker dies and the fd table grows by at most 40
+   (the pool may dial a few connections per endpoint that the warmup did
+   not, each spliced through a proxy). *)
+let test_chaos_soak () =
+  let seed = 42 and n = 4 and b = 1 in
+  let s = new_soak seed in
+  let keyring = soak_keyring ~servers:n in
+  let servers = Array.init n (fun id -> Store.Server.create ~id ~keyring ~n ~b ()) in
+  let plans =
+    Tcpnet.Chaos.
+      [|
+        plan ~seed ~drop:0.04 ~delay:0.001 ~jitter:0.004 ~reset:0.02 ();
+        plan ~seed:(seed + 1) ~drop:0.04 ~delay:0.001 ~jitter:0.004
+          ~blackhole:[ (1.5, 2.5); (4.0, 4.8) ] ();
+        plan ~seed:(seed + 2) ~drop:0.03 ~corrupt:0.06 ~drip_bytes:512
+          ~drip_delay:0.0005 ();
+        plan ~seed:(seed + 3) ~drop:0.03 ~delay:0.002 ();
+      |]
+  in
+  with_chaos_cluster ~plans ~servers ~gossip_period:0.15
+    ~behavior:(fun i -> if i = 3 then Store.Faults.Downgrade else Store.Faults.Honest)
+  @@ fun c ->
+  let endpoints = c.endpoints in
+  let cfg = soak_config ~n ~b ~op_deadline:4.0 in
+  let cfg_alice = { cfg with Store.Client.signing = Store.Client.Mac_fast } in
+  let cfg_bob = { cfg with Store.Client.read_spread = true; seed } in
+  let connect = soak_connect s ~keyring ~group:"chaos" in
+  (* Warm the shared pool (timekeeper thread, self-pipe) before the fd
+     baseline, so only connection churn counts as growth. *)
+  Tcpnet.Live.run ~endpoints (fun () ->
+      ignore (Store.Client.write (connect cfg_alice "alice" alice_key) ~item:"warmup" "w"));
+  let fd_baseline = live_fds () in
+  let writer_done = ref false in
+  let writer =
+    soak_worker s "writer" (fun () ->
+        Tcpnet.Live.run ~endpoints (fun () ->
+            let alice = connect cfg_alice "alice" alice_key in
+            soak_writes s alice ~go:(fun i -> i <= 60);
+            ignore (Store.Client.disconnect alice)))
+  in
+  let reader =
+    soak_worker s "reader" (fun () ->
+        Tcpnet.Live.run ~endpoints (fun () ->
+            soak_reads s (connect cfg_bob "bob" bob_key) ~stop:(fun () -> !writer_done)))
+  in
+  Thread.join writer;
+  writer_done := true;
+  Thread.join reader;
+  Array.iter Tcpnet.Chaos.heal c.proxies;
+  let patient cfg = { cfg with Store.Client.op_deadline = 10.0 } in
+  Tcpnet.Live.run ~endpoints (fun () ->
+      let alice = connect (patient cfg_alice) "alice" alice_key in
+      soak_finals s alice;
+      (* Disconnect flushes the escalation queue: the final MAC-fast
+         writes must be signed and announced before bob, who accepts
+         only verifiable evidence, can converge on them. *)
+      (match Store.Client.disconnect alice with
+      | Ok () -> ()
+      | Error e ->
+        violate s "post-heal disconnect failed: %s" (Store.Client.error_to_string e));
+      soak_converge s (connect (patient cfg_bob) "bob" bob_key));
+  let fd_growth = live_fds () - fd_baseline in
+  if fd_growth > 40 then violate s "fd table grew by %d (baseline %d)" fd_growth fd_baseline;
+  let faults =
+    Array.fold_left
+      (fun acc p ->
+        let st = Tcpnet.Chaos.stats p in
+        acc + st.Tcpnet.Chaos.dropped + st.corrupted + st.resets + st.refused)
+      0 c.proxies
+  in
+  if faults = 0 then violate s "the proxies injected no fault";
+  soak_check s
+
+(* Asynchronous reconfiguration under chaos (Kuznetsov-Tonkikh): an n=4,
+   b=1 fleet has every server replaced, one at a time, by a fresh
+   standby through four admin-signed epochs (v2..v5) while a writer and
+   a reader keep operating in one session each. Per epoch: start the
+   standby, announce the epoch, wait until every new member reports it,
+   then drain the departing server, check its snapshot reloads with the
+   epoch and the drain flag, and stop it. Clients cross the epochs by
+   Stale_epoch adoption. Holds: invariants 1-3, availability >= 99%,
+   the writer ends at v5, and the oracle finds nothing in the history. *)
+let test_rolling_replacement () =
+  let seed = 42 and n = 4 and b = 1 in
+  let capacity = 2 * n in
+  let s = new_soak seed in
+  let admin_key = key_of "admin" in
+  let keyring = soak_keyring ~servers:capacity in
+  let sconfig =
+    {
+      (Store.Server.default_config ~n ~b) with
+      Store.Server.epoch_admin = Some admin_key.Crypto.Rsa.public;
+    }
+  in
+  let servers =
+    Array.init capacity (fun id -> Store.Server.create ~config:sconfig ~id ~keyring ~n ~b ())
+  in
+  let genesis =
+    match Store.Config_epoch.genesis ~servers:(List.init n Fun.id) ~b () with
+    | Ok e -> Store.Config_epoch.sign e admin_key
+    | Error m -> Alcotest.failf "seed %d: genesis: %s" seed m
+  in
+  (* Only the initial members hold the genesis; a standby learns the
+     epoch that makes it a member from the announcement or from gossip. *)
+  for id = 0 to n - 1 do
+    Store.Server.set_epoch servers.(id) genesis
+  done;
+  let plans =
+    Array.init capacity (fun i ->
+        Tcpnet.Chaos.plan ~seed:(seed + i) ~drop:0.01 ~delay:0.0005 ~jitter:0.002 ())
+  in
+  with_chaos_cluster ~started:n ~plans ~servers ~gossip_period:0.1 @@ fun c ->
+  let endpoints = c.endpoints in
+  let cfg =
+    {
+      (soak_config ~n ~b ~op_deadline:8.0) with
+      Store.Client.epoch_admin = Some admin_key.Crypto.Rsa.public;
+    }
+  in
+  let cfg_bob = { cfg with Store.Client.read_spread = true; seed } in
+  let connect = soak_connect s ~keyring ~group:"churn" in
+  let epoch = ref genesis in
+  let envelope request =
+    Store.Payload.encode_envelope { Store.Payload.token = None; epoch = 0; request }
+  in
+  (* Epoch v(2+old) swaps server [old] for standby [n+old]. *)
+  let replace old =
+    let fresh = n + old and version = 2 + old in
+    Sim.Runtime.sleep 0.8;
+    c.start_host fresh;
+    (* The pool has watched the standby's endpoint refuse connections all
+       soak; forget that, so the join is not served a stale backoff. *)
+    Tcpnet.Pool.evict (Tcpnet.Pool.shared ()) c.proxy_eps.(fresh);
+    let members =
+      fresh :: List.filter (fun id -> id <> old) (Store.Config_epoch.servers !epoch)
+    in
+    (match Store.Config_epoch.next !epoch ~servers:members ~b () with
+    | Ok e -> epoch := Store.Config_epoch.sign e admin_key
+    | Error m -> failwith (Printf.sprintf "seed %d: epoch v%d: %s" seed version m));
+    let dsts = List.sort_uniq compare (old :: members) in
+    ignore
+      (Sim.Runtime.call_many ~timeout:1.0 ~quorum:(List.length dsts) dsts
+         (envelope (Store.Payload.Epoch_announce !epoch)));
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    let rec wait remaining =
+      if remaining <> [] then
+        if Unix.gettimeofday () > deadline then
+          violate s "epoch v%d did not converge on servers: %s" version
+            (String.concat "," (List.map string_of_int remaining))
+        else begin
+          let behind id =
+            match
+              Option.bind
+                (Sim.Runtime.call_one ~timeout:0.5 id (envelope Store.Payload.Epoch_get))
+                Store.Payload.decode_response
+            with
+            | Some (Store.Payload.Epoch_reply (Some got)) ->
+              Store.Config_epoch.version got < version
+            | _ -> true
+          in
+          let remaining = List.filter behind remaining in
+          if remaining <> [] then Sim.Runtime.sleep 0.05;
+          wait remaining
+        end
+    in
+    wait members;
+    Option.iter
+      (fun host ->
+        Tcpnet.Server_host.drain host;
+        let path = Filename.temp_file "soak-snap" ".bin" in
+        Store.Server.save_file servers.(old) ~path;
+        (match
+           Store.Server.load_result ~config:sconfig ~id:old ~keyring ~n ~b ~path ()
+         with
+        | Ok back
+          when Store.Server.epoch_version back = Store.Server.epoch_version servers.(old)
+               && Store.Server.draining back -> ()
+        | Ok _ -> violate s "server %d: snapshot reloaded without its epoch or drain flag" old
+        | Error m -> violate s "server %d: snapshot did not reload: %s" old m);
+        Sys.remove path)
+      c.hosts.(old);
+    c.retire old;
+    Tcpnet.Pool.evict (Tcpnet.Pool.shared ()) c.proxy_eps.(old)
+  in
+  let churn_done = ref false and writer_done = ref false in
+  let final_epoch = ref 0 in
+  let history = Check.History.create () in
+  Check.History.recording history (fun () ->
+      let controller =
+        soak_worker s "controller" (fun () ->
+            Fun.protect
+              ~finally:(fun () -> churn_done := true)
+              (fun () ->
+                Tcpnet.Live.run ~endpoints (fun () ->
+                    for old = 0 to n - 1 do
+                      replace old
+                    done)))
+      in
+      let writer =
+        soak_worker s "writer" (fun () ->
+            Tcpnet.Live.run ~endpoints (fun () ->
+                let alice = connect cfg "alice" alice_key in
+                soak_writes s alice ~go:(fun _ -> not !churn_done);
+                soak_finals s alice;
+                final_epoch :=
+                  Option.fold ~none:0 ~some:Store.Config_epoch.version
+                    (Store.Client.epoch alice);
+                ignore (Store.Client.disconnect alice)))
+      in
+      let reader =
+        soak_worker s "reader" (fun () ->
+            Tcpnet.Live.run ~endpoints (fun () ->
+                let bob = connect cfg_bob "bob" bob_key in
+                soak_reads s bob ~stop:(fun () -> !writer_done);
+                ignore (Store.Client.disconnect bob)))
+      in
+      Thread.join controller;
+      Thread.join writer;
+      writer_done := true;
+      Thread.join reader;
+      (* A fresh session configured with the final membership, as any new
+         client would be, must read every item's final value. *)
+      Array.iteri (fun i p -> if c.hosts.(i) <> None then Tcpnet.Chaos.heal p) c.proxies;
+      let members = Store.Config_epoch.servers !epoch in
+      Tcpnet.Live.run ~endpoints (fun () ->
+          let bob =
+            connect
+              { cfg_bob with Store.Client.servers = members; op_deadline = 10.0 }
+              "bob" bob_key
+          in
+          soak_converge s bob;
+          ignore (Store.Client.disconnect bob)));
+  List.iter
+    (fun v -> violate s "oracle: %s" (Check.Oracle.violation_to_string v))
+    (Check.Oracle.check (Check.History.events history));
+  soak_check s;
+  let availability = 100.0 *. float_of_int s.ops_ok /. float_of_int (max 1 s.ops) in
+  if availability < 99.0 || !final_epoch <> n + 1 then
+    Alcotest.failf "seed %d: %d/%d ops ok (%.2f%%, want >= 99%%), writer ended at v%d (want v%d)"
+      seed s.ops_ok s.ops availability !final_epoch (n + 1)
+
 (* The heaviest cases here spend most of their time in real sleeps
    (reconnect backoff, gossip requeue timers).  They run in CI and under
    SOAK=1 locally, and are skipped otherwise to keep the default
@@ -1613,4 +2055,9 @@ let () =
         ] );
       ( "tracing",
         [ Alcotest.test_case "stitched trace and violation dump" `Quick test_stitched_trace ] );
+      ( "soak",
+        [
+          soak_case "chaos soak" `Slow test_chaos_soak;
+          Alcotest.test_case "rolling replacement" `Slow test_rolling_replacement;
+        ] );
     ]
