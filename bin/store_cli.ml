@@ -28,14 +28,11 @@ let session_config ~n ~b ~cc ~multi ~dispersal =
       timeout = 2.0;
     }
   in
-  let threshold, k, chunk = dispersal in
+  let threshold, chunk = dispersal in
   let c =
     match threshold with
     | Some t -> { c with Store.Client.dispersal_threshold = t }
     | None -> c
-  in
-  let c =
-    match k with Some k -> { c with Store.Client.dispersal_k = Some k } | None -> c
   in
   match chunk with
   | Some s -> { c with Store.Client.dispersal_chunk = s }
@@ -73,18 +70,12 @@ let dispersal_term =
              ~doc:"Disperse values of at least $(docv) bytes instead of \
                    replicating them (0 disables dispersal)." ~docv:"BYTES")
   in
-  let k =
-    Arg.(value & opt (some int) None
-         & info [ "dispersal-k" ]
-             ~doc:"Reconstruction threshold for dispersed values \
-                   (default b+1)." ~docv:"K")
-  in
   let chunk =
     Arg.(value & opt (some int) None
          & info [ "dispersal-chunk" ]
              ~doc:"Fragment streaming chunk size in bytes." ~docv:"BYTES")
   in
-  Term.(const (fun t k c -> (t, k, c)) $ threshold $ k $ chunk)
+  Term.(const (fun t c -> (t, c)) $ threshold $ chunk)
 
 let write_cmd =
   let run servers b uid group item value cc multi dispersal =

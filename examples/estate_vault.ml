@@ -51,48 +51,52 @@ let () =
   assert (recovered = master_key);
   printf "trustees 2, 4 and 5 reconstructed the vault key\n";
 
-  (* 3. Documents are encrypted under the vault key and dispersed:
-     each server stores one signed fragment of ~1/(b+1) the size. *)
+  (* 3. Documents are encrypted under the vault key, and the session
+     disperses any value of at least [dispersal_threshold] bytes: the
+     ciphertext is coded into n fragments of which any b+1 reconstruct,
+     server i stores only fragment i+1, and only a small descriptor goes
+     through the replicated metadata write. *)
   let deed = String.concat "\n" (List.init 200 (fun i ->
       Printf.sprintf "deed clause %d: lorem ipsum dolor sit amet" i))
   in
+  let config =
+    { (Store.Client.default_config ~n ~b) with Store.Client.dispersal_threshold = 1024 }
+  in
+  let vault ~key =
+    match
+      Store.Client.connect ~config ~uid:"owner" ~key:owner ~keyring ~group:"estate" ()
+    with
+    | Ok client -> Store.Confidential.make ~client ~key ()
+    | Error e -> failwith (Store.Client.error_to_string e)
+  in
   Sim.Direct.run ~handlers (fun () ->
-      let vault =
-        Store.Dispersal.make ~n ~b ~writer:"owner" ~key:owner ~keyring
-          ~group:"estate" ~secret:recovered ()
-      in
-      (match Store.Dispersal.write vault ~item:"deed" deed with
+      let v = vault ~key:recovered in
+      (match Store.Confidential.write v ~item:"deed" deed with
       | Ok () -> printf "deed dispersed: %d fragments, any %d reconstruct\n" n (b + 1)
-      | Error e -> failwith (Store.Dispersal.error_to_string e));
+      | Error e -> failwith (Store.Client.error_to_string e));
 
-      (* What one server actually holds. *)
-      let frag_uid =
-        Store.Uid.make ~group:"estate"
-          ~item:(Store.Dispersal.fragment_item ~item:"deed" 1)
+      (* What the servers actually hold. *)
+      let held =
+        Array.fold_left (fun acc s -> max acc (Store.Server.storage_bytes s)) 0 servers
       in
-      (match Store.Server.current_write servers.(0) frag_uid with
-      | Some w ->
-        printf "server 0 holds a %d-byte encrypted fragment of a %d-byte deed\n"
-          (String.length w.Store.Payload.value)
-          (String.length deed)
-      | None -> printf "server 0 fragment missing\n");
+      if 2 * held < String.length deed then
+        printf "no server holds more than %d encrypted bytes of the %d-byte deed\n"
+          held (String.length deed)
+      else
+        printf "BUG: a server holds %d bytes of a %d-byte deed\n" held
+          (String.length deed);
 
       (* 4. Reading works despite the crash and the corrupter. *)
-      match Store.Dispersal.read vault ~item:"deed" with
-      | Ok v when v = deed ->
+      match Store.Confidential.read v ~item:"deed" with
+      | Ok d when d = deed ->
         printf "deed reconstructed intact through %d faulty servers\n" 2
       | Ok _ -> printf "BUG: reconstructed garbage\n"
-      | Error e -> failwith (Store.Dispersal.error_to_string e));
+      | Error e -> failwith (Store.Client.error_to_string e));
 
   (* 5. Without the key, fragments are useless even all together. *)
   Sim.Direct.run ~handlers (fun () ->
-      let thief =
-        Store.Dispersal.make ~n ~b ~writer:"owner" ~key:owner ~keyring
-          ~group:"estate" ~secret:"guessed-wrong" ()
-      in
-      match Store.Dispersal.read thief ~item:"deed" with
-      | Error Store.Dispersal.Decrypt_failed ->
-        printf "an attacker with every fragment but no key gets nothing\n"
-      | Ok _ -> printf "BUG: key did not matter\n"
-      | Error e -> printf "read failed differently: %s\n" (Store.Dispersal.error_to_string e));
+      match Store.Confidential.read_opt (vault ~key:"guessed-wrong") ~item:"deed" with
+      | Ok None -> printf "an attacker with every fragment but no key gets nothing\n"
+      | Ok (Some _) -> printf "BUG: key did not matter\n"
+      | Error e -> failwith (Store.Client.error_to_string e));
   printf "estate_vault ok\n"

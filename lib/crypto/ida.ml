@@ -1,71 +1,15 @@
-type fragment = { index : int; total_length : int; data : string }
-
-(* The value is processed in blocks of k bytes (zero padded). The k bytes
+(* A stripe is processed in blocks of k bytes (zero padded). The k bytes
    of a block are the coefficients of a degree-(k-1) polynomial;
    fragment i stores that polynomial's evaluation at x = i, one byte per
    block. Reconstruction interpolates the coefficients from any k
-   distinct evaluations. *)
+   distinct evaluations.
 
-let split ~k ~n value =
-  if k < 1 || k > n || n > 255 then invalid_arg "Ida.split: need 1 <= k <= n <= 255";
-  let total_length = String.length value in
-  let blocks = (total_length + k - 1) / k in
-  let blocks = max blocks 1 in
-  let outputs = Array.init n (fun _ -> Bytes.create blocks) in
-  let coeffs = Array.make k 0 in
-  for block = 0 to blocks - 1 do
-    for j = 0 to k - 1 do
-      let pos = (block * k) + j in
-      coeffs.(j) <- (if pos < total_length then Char.code value.[pos] else 0)
-    done;
-    for i = 0 to n - 1 do
-      Bytes.set outputs.(i) block (Char.chr (Gf_poly.eval coeffs (i + 1)))
-    done
-  done;
-  List.init n (fun i ->
-      { index = i + 1; total_length; data = Bytes.unsafe_to_string outputs.(i) })
-
-let reconstruct ~k fragments =
-  let distinct =
-    List.sort_uniq (fun a b -> Int.compare a.index b.index) fragments
-    |> List.filteri (fun i _ -> i < k)
-  in
-  match distinct with
-  | first :: _ when List.length distinct >= k ->
-    let blocks = String.length first.data in
-    let total_length = first.total_length in
-    if
-      List.exists
-        (fun f ->
-          String.length f.data <> blocks
-          || f.total_length <> total_length
-          || f.index < 1 || f.index > 255)
-        distinct
-      || total_length > blocks * k
-      || (total_length = 0 && blocks > 1)
-    then None
-    else begin
-      let out = Bytes.make (blocks * k) '\000' in
-      for block = 0 to blocks - 1 do
-        let points =
-          List.map (fun f -> (f.index, Char.code f.data.[block])) distinct
-        in
-        let coeffs = Gf_poly.interpolate points in
-        for j = 0 to min (k - 1) (Array.length coeffs - 1) do
-          Bytes.set out ((block * k) + j) (Char.chr coeffs.(j))
-        done
-      done;
-      Some (Bytes.sub_string out 0 total_length)
-    end
-  | _ -> None
-
-(* Stripe-wise (headerless) coding for the streaming path: the caller
-   frames stripes itself, so fragments carry no per-fragment header and
-   a multi-MB value can be encoded stripe by stripe without ever holding
-   more than one stripe of coefficients. A stripe of [len] value bytes
-   yields ceil(len/k) bytes per fragment — exactly [len/k] when the
-   caller keeps stripe sizes a multiple of k, which makes fragment
-   offsets a pure function of value offsets. *)
+   The caller frames stripes itself, so fragments carry no header and a
+   multi-MB value is coded stripe by stripe without ever holding more
+   than one stripe of coefficients. A stripe of [len] value bytes yields
+   ceil(len/k) bytes per fragment — exactly [len/k] when the caller
+   keeps stripe sizes a multiple of k, which makes fragment offsets a
+   pure function of value offsets. *)
 
 let split_stripe ~k ~n chunk =
   if k < 1 || k > n || n > 255 then
@@ -112,26 +56,4 @@ let reconstruct_stripe ~k ~len pieces =
       done;
       Some (Bytes.sub_string out 0 len)
     end
-  end
-
-(* 1 index byte, 4-byte big-endian original length, then the data. *)
-let fragment_to_string f =
-  let b = Bytes.create 5 in
-  Bytes.set b 0 (Char.chr f.index);
-  Bytes.set b 1 (Char.chr ((f.total_length lsr 24) land 0xff));
-  Bytes.set b 2 (Char.chr ((f.total_length lsr 16) land 0xff));
-  Bytes.set b 3 (Char.chr ((f.total_length lsr 8) land 0xff));
-  Bytes.set b 4 (Char.chr (f.total_length land 0xff));
-  Bytes.unsafe_to_string b ^ f.data
-
-let fragment_of_string s =
-  if String.length s < 5 then None
-  else begin
-    let index = Char.code s.[0] in
-    let byte i = Char.code s.[i] in
-    let total_length =
-      (byte 1 lsl 24) lor (byte 2 lsl 16) lor (byte 3 lsl 8) lor byte 4
-    in
-    if index < 1 then None
-    else Some { index; total_length; data = String.sub s 5 (String.length s - 5) }
   end

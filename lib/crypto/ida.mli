@@ -1,27 +1,13 @@
 (** Rabin-style information dispersal over GF(2^8).
 
-    Splits a value into [n] fragments of which any [k] reconstruct it;
-    each fragment is roughly 1/k of the original size (plus a small
-    header), so dispersing to n servers costs n/k of the value instead
-    of the factor-n cost of full replication. Unlike {!Shamir}, this is
-    an erasure code, not a secret-sharing scheme: fewer than k fragments
-    still leak partial information, so confidential values should be
-    encrypted before dispersal (which is what {!Store.Dispersal} does). *)
-
-type fragment = { index : int; total_length : int; data : string }
-(** [index] in [1, 255]; [total_length] is the original value's size. *)
-
-val split : k:int -> n:int -> string -> fragment list
-(** @raise Invalid_argument unless 1 <= k <= n <= 255. *)
-
-val reconstruct : k:int -> fragment list -> string option
-(** Rebuild from at least [k] fragments with distinct indices (extras
-    ignored). [None] on too few fragments or inconsistent lengths.
-    Corrupted-but-well-formed fragments yield garbage — pair with
-    signatures or AEAD. *)
-
-val fragment_to_string : fragment -> string
-val fragment_of_string : string -> fragment option
+    Codes a value, one stripe at a time, into [n] fragments of which any
+    [k] reconstruct it; each fragment is about 1/k of the original size,
+    so dispersing to n servers costs n/k of the value instead of the
+    factor-n cost of full replication. Unlike {!Shamir}, this is an
+    erasure code, not a secret-sharing scheme: fewer than k fragments
+    still leak partial information, so confidential values are
+    encrypted before dispersal ([Store.Confidential] over a dispersing
+    client). [Store.Dispersal] frames stripes into whole fragments. *)
 
 val split_stripe : k:int -> n:int -> string -> string array
 (** Headerless stripe coding for the streaming path: encode one stripe
@@ -30,8 +16,8 @@ val split_stripe : k:int -> n:int -> string -> string array
     [ceil(len/k)] bytes per piece, so callers that keep stripe sizes a
     multiple of [k] get fragment offsets as a pure function of value
     offsets. Encoding a long value stripe-by-stripe and concatenating
-    the pieces per index is equivalent to one-shot coding but never
-    holds more than a stripe at a time.
+    the pieces per index gives whole fragments without ever holding
+    more than a stripe at a time.
     @raise Invalid_argument unless 1 <= k <= n <= 255. *)
 
 val reconstruct_stripe :
@@ -39,5 +25,5 @@ val reconstruct_stripe :
 (** Inverse of {!split_stripe} for one stripe: rebuild [len] original
     bytes from at least [k] [(index, piece)] pairs with distinct indices
     (extras ignored). [None] on too few pieces or piece lengths that
-    don't match [ceil(len/k)]. Like {!reconstruct}, corrupted pieces
+    don't match [ceil(len/k)]. Corrupted-but-well-formed pieces
     yield garbage — callers must check fragment digests. *)

@@ -23,7 +23,6 @@ type config = {
   retry_backoff_max : float;
   write_retries : int;
   op_deadline : float;
-  verify_vouched : bool;
   inline_read : bool;
   timestamp_jitter : int;
   evidence : Fault_evidence.t option;
@@ -34,7 +33,6 @@ type config = {
   escalate_every : int;
   epoch_admin : Crypto.Rsa.public option;
   dispersal_threshold : int;
-  dispersal_k : int option;
   dispersal_chunk : int;
 }
 
@@ -56,7 +54,6 @@ let default_config ~n ~b =
     retry_backoff_max = 0.05;
     write_retries = 0;
     op_deadline = infinity;
-    verify_vouched = false;
     inline_read = false;
     timestamp_jitter = 1;
     evidence = None;
@@ -67,7 +64,6 @@ let default_config ~n ~b =
     escalate_every = 8;
     epoch_admin = None;
     dispersal_threshold = 64 * 1024;
-    dispersal_k = None;
     dispersal_chunk = 1 lsl 20;
   }
 
@@ -766,9 +762,6 @@ let multi_read_round t ~uid ~floor ~set_size =
         if
           List.length froms >= vouch_needed
           && Stamp.compare stamp floor >= 0
-          && ((not t.cfg.verify_vouched)
-             || Obs.Span.with_phase "verify" (fun () ->
-                    Signing.verify_write t.keyring w))
         then
           match !best with
           | Some (s, _) when Stamp.compare s stamp >= 0 -> ()
@@ -1039,8 +1032,9 @@ let make_stamp t ~value =
 
 (* ---------------- Dispersed writes ------------------------------------- *)
 
-let dispersal_k t =
-  match t.cfg.dispersal_k with Some k -> k | None -> effective_b t + 1
+(* Fragments needed to reconstruct: [b + 1], the smallest k that still
+   tolerates [b] Byzantine holders. *)
+let coded_k t = effective_b t + 1
 
 (* Dispersal applies when the value clears the size threshold and the
    current membership can host it: server ids name fragment indices
@@ -1051,7 +1045,7 @@ let should_disperse t value =
   && String.length value >= t.cfg.dispersal_threshold
   &&
   let servers = active_servers t in
-  let k = dispersal_k t in
+  let k = coded_k t in
   servers <> []
   && List.for_all (fun id -> id >= 0 && id < 255) servers
   && k >= 1
@@ -1131,7 +1125,7 @@ let write_dispersed t ~item value =
   let m = 1 + List.fold_left max 0 servers in
   let meta, fragments =
     Obs.Span.with_phase "encode" (fun () ->
-        Dispersal.plan ~k:(dispersal_k t) ~n:m value)
+        Dispersal.plan ~k:(coded_k t) ~n:m value)
   in
   let root = Dispersal.meta_root meta in
   let stamp = make_stamp t ~value:root in

@@ -71,9 +71,6 @@ type config = {
       (** absolute budget in seconds for one read or write operation:
           no retry sleep may overrun it (the operation fails instead of
           sleeping past the deadline). Default [infinity]. *)
-  verify_vouched : bool;
-      (** also signature-check multi-writer reads (defense in depth; off
-          per the paper's cost accounting) *)
   inline_read : bool;
       (** one-round reads: ask b+1 servers for their whole current write
           instead of meta-then-fetch; section 6's "read cost can equal
@@ -116,12 +113,9 @@ type config = {
       (** Values at least this many bytes are written dispersed: coded
           fragments scattered k-of-n over the servers, with only the
           descriptor's digest root going through the full n-replica
-          metadata protocol. 0 or negative disables dispersal entirely.
-          Default 64 KiB. *)
-  dispersal_k : int option;
-      (** Reconstruction threshold for dispersed values. [None] (default)
-          = [b + 1], the smallest k that still tolerates [b] Byzantine
-          holders; write liveness needs [k + b <= n]. *)
+          metadata protocol. [k = b + 1], the smallest k that still
+          tolerates [b] Byzantine holders. 0 or negative disables
+          dispersal entirely. Default 64 KiB. *)
   dispersal_chunk : int;
       (** Fragment bytes per {!Payload.Frag_put}/{!Payload.Frag_get}
           round — the streaming granularity: at most one chunk per

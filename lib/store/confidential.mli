@@ -5,7 +5,9 @@
     additionally advanced by a random increment on each write so servers
     cannot even count a client's updates. Key rotation re-encrypts every
     item in the group and writes it back (the paper's owner-key-change
-    procedure). *)
+    procedure). Over a client whose [dispersal_threshold] the ciphertext
+    clears, this is encrypt-then-disperse: each server holds one coded
+    fragment of the ciphertext ({!Dispersal}). *)
 
 type t
 

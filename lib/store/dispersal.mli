@@ -1,67 +1,19 @@
-(** Fragmentation-scattering storage (the technique the paper cites from
-    Fray et al. and Rabin as complementary to replication).
-
-    A value is AEAD-encrypted under a key the servers never see, the
-    ciphertext is split with {!Crypto.Ida} into [n] fragments of which
-    any [k] reconstruct, and fragment [i] is written (signed, stamped)
-    to server [i] only. Compared to full replication this stores
-    [n/k ≈ n/(b+1)] of the value instead of [b+1] whole copies, while
-    still tolerating [b] faulty servers:
-
-    - availability: reads need any [k = b+1] authentic fragments and
-      [n >= 3b+1] leaves at least [n - b >= 2b+1 > k] honest holders;
-    - integrity: every fragment carries the writer's signature and the
-      AEAD tag covers the reassembled ciphertext;
-    - confidentiality: a server sees one encrypted fragment.
-
-    Fragments are ordinary signed writes on items named ["item#i"], so
-    gossip, logs and auditing all apply to them unchanged. *)
-
-type t
-
-type error =
-  | Not_enough_fragments of { needed : int; got : int }
-  | Write_unacked of { needed : int; got : int }
-  | Decrypt_failed
-  | Not_found
-
-val make :
-  n:int ->
-  b:int ->
-  ?k:int ->
-  ?servers:Sim.Runtime.node_id list ->
-  ?timeout:float ->
-  ?token:string ->
-  writer:string ->
-  key:Crypto.Rsa.keypair ->
-  keyring:Keyring.t ->
-  group:string ->
-  secret:string ->
-  unit ->
-  t
-(** [k] defaults to [b+1]. [secret] keys the AEAD layer.
-    @raise Invalid_argument unless [b+1 <= k <= n-2b] (write liveness
-    needs [k+b] ackers among [n] with [b] silent). *)
-
-val write : t -> item:string -> string -> (unit, error) result
-(** Disperse a value: one signed fragment per server, acknowledged by at
-    least [k+b] servers so that [k] honest fragments certainly exist. *)
-
-val read : t -> item:string -> (string, error) result
-(** Gather fragments (stopping at [k] authentic ones of the newest
-    version), reconstruct and decrypt. *)
-
-val fragment_item : item:string -> int -> string
-(** The item name fragment [i] is stored under (exposed for tests). *)
-
-val error_to_string : error -> string
-
-(** {1 Coded bulk transport}
+(** Coded bulk transport: fragmentation-scattering, the technique the
+    paper cites from Fray et al. and Rabin as complementary to
+    replication (section 3).
 
     Pure helpers shared by the live dispersal write/read path
-    ({!Client}) and the server repair loop: stripe-coded fragments plus
-    the {!Payload.dispersal_meta} descriptor whose digest Merkle root is
-    the metadata write's [value]. No transport, no state. *)
+    ({!Client}) and the server repair loop: a value is stripe-coded with
+    {!Crypto.Ida} into [n] fragments of which any [k] reconstruct, and
+    the {!Payload.dispersal_meta} descriptor binds them by per-fragment
+    digests whose Merkle root is the metadata write's [value]. Server
+    [i] holds fragment [i+1], so each stores about [1/k] of the value
+    instead of a whole copy. No transport, no state.
+
+    Coding is not encryption: fewer than [k] fragments still leak
+    partial information. A confidential value is encrypted before it is
+    dispersed, by writing it through {!Confidential} over a client whose
+    [dispersal_threshold] the ciphertext clears. *)
 
 val default_stripe : k:int -> int
 (** The default stripe size for [k]: ~64 KiB rounded up to a multiple

@@ -812,57 +812,39 @@ let prop_shamir_roundtrip =
 (* Information dispersal                                              *)
 (* ------------------------------------------------------------------ *)
 
+(* Decode from an explicit list of fragment positions (0-based). *)
+let ida_pick pieces idxs = List.map (fun i -> (i + 1, pieces.(i))) idxs
+
 let test_ida_roundtrip () =
   let value = String.init 1000 (fun i -> Char.chr (i * 7 mod 256)) in
-  let frags = Ida.split ~k:3 ~n:7 value in
-  Alcotest.(check int) "seven fragments" 7 (List.length frags);
+  let pieces = Ida.split_stripe ~k:3 ~n:7 value in
+  Alcotest.(check int) "seven fragments" 7 (Array.length pieces);
   (* Fragment size ~ |value|/k. *)
-  let frag = List.hd frags in
-  Alcotest.(check int) "fragment size" ((1000 + 2) / 3) (String.length frag.Ida.data);
+  Alcotest.(check int) "fragment size" ((1000 + 2) / 3) (String.length pieces.(0));
   let subsets = [ [ 0; 1; 2 ]; [ 4; 5; 6 ]; [ 0; 3; 6 ]; [ 6; 2; 4 ] ] in
   List.iter
     (fun idxs ->
-      let picked = List.map (List.nth frags) idxs in
       Alcotest.(check (option string)) "reconstructs" (Some value)
-        (Ida.reconstruct ~k:3 picked))
+        (Ida.reconstruct_stripe ~k:3 ~len:1000 (ida_pick pieces idxs)))
     subsets;
   Alcotest.(check (option string)) "k-1 insufficient" None
-    (Ida.reconstruct ~k:3 [ List.nth frags 0; List.nth frags 1 ])
+    (Ida.reconstruct_stripe ~k:3 ~len:1000 (ida_pick pieces [ 0; 1 ]))
 
 let test_ida_edge_cases () =
-  (* Empty value. *)
-  let frags = Ida.split ~k:2 ~n:3 "" in
+  let roundtrip ~k ~n value idxs =
+    let pieces = Ida.split_stripe ~k ~n value in
+    Ida.reconstruct_stripe ~k ~len:(String.length value) (ida_pick pieces idxs)
+  in
   Alcotest.(check (option string)) "empty roundtrip" (Some "")
-    (Ida.reconstruct ~k:2 frags);
-  (* Value shorter than k. *)
-  let frags = Ida.split ~k:4 ~n:5 "ab" in
-  Alcotest.(check (option string)) "short roundtrip" (Some "ab")
-    (Ida.reconstruct ~k:4 frags);
+    (roundtrip ~k:2 ~n:3 "" [ 0; 1 ]);
+  Alcotest.(check (option string)) "value shorter than k" (Some "ab")
+    (roundtrip ~k:4 ~n:5 "ab" [ 1; 2; 3; 4 ]);
   (* k = 1 degenerates to replication. *)
-  let frags = Ida.split ~k:1 ~n:3 "solo" in
   Alcotest.(check (option string)) "k=1" (Some "solo")
-    (Ida.reconstruct ~k:1 [ List.nth frags 2 ]);
-  Alcotest.check_raises "bad k" (Invalid_argument "Ida.split: need 1 <= k <= n <= 255")
-    (fun () -> ignore (Ida.split ~k:5 ~n:3 "x"))
-
-let test_ida_fragment_serde () =
-  let frags = Ida.split ~k:2 ~n:3 "some data here" in
-  List.iter
-    (fun f ->
-      match Ida.fragment_of_string (Ida.fragment_to_string f) with
-      | Some f' -> Alcotest.(check bool) "serde" true (f = f')
-      | None -> Alcotest.fail "serde failed")
-    frags;
-  Alcotest.(check bool) "short rejected" true (Ida.fragment_of_string "abc" = None)
-
-let prop_ida_roundtrip =
-  QCheck.Test.make ~name:"ida any-k-of-n roundtrip" ~count:60
-    QCheck.(triple string (int_range 1 6) (int_range 0 5))
-    (fun (value, k, extra) ->
-      let n = k + extra in
-      let frags = Ida.split ~k ~n value in
-      let picked = List.filteri (fun i _ -> i >= n - k) frags in
-      Ida.reconstruct ~k picked = Some value)
+    (roundtrip ~k:1 ~n:3 "solo" [ 2 ]);
+  Alcotest.check_raises "bad k"
+    (Invalid_argument "Ida.split_stripe: need 1 <= k <= n <= 255")
+    (fun () -> ignore (Ida.split_stripe ~k:5 ~n:3 "x"))
 
 let prop_ida_stripe_roundtrip =
   QCheck.Test.make ~name:"ida stripe any-k-of-n roundtrip" ~count:120
@@ -1153,11 +1135,9 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_ida_roundtrip;
           Alcotest.test_case "edge cases" `Quick test_ida_edge_cases;
-          Alcotest.test_case "serde" `Quick test_ida_fragment_serde;
         ]
         @ qsuite
             [
-              prop_ida_roundtrip;
               prop_ida_stripe_roundtrip;
               prop_ida_stripe_insufficient;
               prop_ida_stripe_streaming_equiv;

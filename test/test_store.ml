@@ -1227,107 +1227,6 @@ let test_evidence_never_goes_negative () =
   Alcotest.(check int) "clamped at 0" 0 (Fault_evidence.effective_b e)
 
 (* ------------------------------------------------------------------ *)
-(* Dispersal (fragmentation-scattering)                               *)
-(* ------------------------------------------------------------------ *)
-
-let make_dispersal ?k w name =
-  Dispersal.make ~n:w.n ~b:w.b ?k ~writer:name ~key:(key_of name)
-    ~keyring:w.keyring ~group:"vault" ~secret:"vault-master-key" ()
-
-let dok = function
-  | Ok v -> v
-  | Error e -> Alcotest.failf "dispersal error: %s" (Dispersal.error_to_string e)
-
-let test_dispersal_roundtrip () =
-  let w = make_world ~n:4 ~b:1 () in
-  let value = String.init 5000 (fun i -> Char.chr (i mod 251)) in
-  in_world w (fun () ->
-      let d = make_dispersal w "alice" in
-      dok (Dispersal.write d ~item:"estate" value);
-      Alcotest.(check string) "roundtrip" value (dok (Dispersal.read d ~item:"estate"));
-      (* Overwrites return the newest version. *)
-      dok (Dispersal.write d ~item:"estate" "v2");
-      Alcotest.(check string) "overwrite" "v2" (dok (Dispersal.read d ~item:"estate")));
-  (* Each server stores roughly |ct|/k, not the whole value. *)
-  let frag_uid = Uid.make ~group:"vault" ~item:(Dispersal.fragment_item ~item:"estate" 1) in
-  match Server.log_writes w.servers.(0) frag_uid with
-  | w1 :: _ ->
-    Alcotest.(check bool) "fragment much smaller than value" true
-      (String.length w1.Payload.value < 3000)
-  | [] -> Alcotest.fail "fragment missing at server 0"
-
-let test_dispersal_confidentiality () =
-  let w = make_world ~n:4 ~b:1 () in
-  in_world w (fun () ->
-      let d = make_dispersal w "alice" in
-      dok (Dispersal.write d ~item:"will" "leave everything to the cat"));
-  (* No server's stored bytes contain the plaintext. *)
-  Array.iteri
-    (fun i server ->
-      let uid =
-        Uid.make ~group:"vault" ~item:(Dispersal.fragment_item ~item:"will" (i + 1))
-      in
-      match Server.current_write server uid with
-      | Some stored ->
-        let contains hay needle =
-          let nl = String.length needle and hl = String.length hay in
-          let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-          go 0
-        in
-        Alcotest.(check bool)
-          (Printf.sprintf "server %d sees no plaintext" i)
-          false
-          (contains stored.Payload.value "everything")
-      | None -> Alcotest.failf "server %d missing its fragment" i)
-    w.servers;
-  (* A reader with the wrong vault secret cannot decrypt. *)
-  in_world w (fun () ->
-      let snoop =
-        Dispersal.make ~n:w.n ~b:w.b ~writer:"alice" ~key:(key_of "alice")
-          ~keyring:w.keyring ~group:"vault" ~secret:"wrong-secret" ()
-      in
-      match Dispersal.read snoop ~item:"will" with
-      | Error Dispersal.Decrypt_failed -> ()
-      | Error e -> Alcotest.failf "unexpected: %s" (Dispersal.error_to_string e)
-      | Ok v -> Alcotest.failf "wrong key decrypted: %s" v)
-
-let test_dispersal_crash_tolerance () =
-  let w = make_world ~n:4 ~b:1 () in
-  in_world w (fun () ->
-      let d = make_dispersal w "alice" in
-      dok (Dispersal.write d ~item:"x" "fragile data"));
-  wrap w 3 Faults.Crash;
-  in_world w (fun () ->
-      let d = make_dispersal w "alice" in
-      Alcotest.(check string) "read with crash" "fragile data"
-        (dok (Dispersal.read d ~item:"x")))
-
-let test_dispersal_corrupt_fragment_rejected () =
-  let w = make_world ~n:4 ~b:1 () in
-  in_world w (fun () ->
-      let d = make_dispersal w "alice" in
-      dok (Dispersal.write d ~item:"x" "precious dispersed"));
-  wrap w 0 Faults.Corrupt_value;
-  in_world w (fun () ->
-      let d = make_dispersal w "alice" in
-      (* The corrupted fragment fails its signature check; k good ones
-         remain among the other 3 servers. *)
-      Alcotest.(check string) "survives fragment corruption" "precious dispersed"
-        (dok (Dispersal.read d ~item:"x")))
-
-let test_dispersal_not_found_and_bounds () =
-  let w = make_world ~n:4 ~b:1 () in
-  in_world w (fun () ->
-      let d = make_dispersal w "alice" in
-      (match Dispersal.read d ~item:"ghost" with
-      | Error Dispersal.Not_found -> ()
-      | Error e -> Alcotest.failf "unexpected: %s" (Dispersal.error_to_string e)
-      | Ok _ -> Alcotest.fail "ghost item read"));
-  Alcotest.check_raises "k too large"
-    (Invalid_argument "Dispersal.make: need b+1 <= k <= n-2b") (fun () ->
-      ignore (make_dispersal ~k:3 w "alice"))
-
-(* ------------------------------------------------------------------ *)
 (* Coded bulk transport (the live dispersal path in Client)           *)
 (* ------------------------------------------------------------------ *)
 
@@ -1700,6 +1599,58 @@ let test_key_rotation () =
       match Confidential.read_opt old ~item:"a" with
       | Ok None -> ()
       | _ -> Alcotest.fail "old key still decrypts")
+
+(* Encrypt, then disperse: Confidential over a coded client at n=7,
+   b=2. Servers hold only coded ciphertext, a read survives one crashed
+   and one corrupting server, and a wrong key reads nothing. *)
+let test_confidential_dispersed () =
+  let w = make_world ~n:7 ~b:2 () in
+  let secret = "leave everything to the cat" in
+  let value =
+    String.concat "\n" (List.init 40 (fun i -> Printf.sprintf "clause %d: %s" i secret))
+  in
+  let uid = Uid.make ~group:"vault" ~item:"will" in
+  let contains hay =
+    let nl = String.length secret and hl = String.length hay in
+    let rec go i = i + nl <= hl && (String.sub hay i nl = secret || go (i + 1)) in
+    go 0
+  in
+  in_world w (fun () ->
+      let alice = connect ~cfg:coded_cfg w "alice" ~group:"vault" in
+      let sealed = Confidential.make ~client:alice ~key:"vault-key" () in
+      ok (Confidential.write sealed ~item:"will" value));
+  flood w;
+  Array.iter
+    (fun s ->
+      let i = Server.id s in
+      let mw = current_write_exn w i uid in
+      Alcotest.(check bool) (Printf.sprintf "server %d: dispersed" i) true
+        (mw.Payload.frags <> None);
+      Alcotest.(check bool) (Printf.sprintf "server %d: metadata opaque" i) false
+        (contains mw.Payload.value);
+      match Server.fragment s uid ~stamp:mw.Payload.stamp ~index:(i + 1) with
+      | Some f ->
+        Alcotest.(check bool) (Printf.sprintf "server %d: fragment opaque" i) false
+          (contains f);
+        Alcotest.(check bool) (Printf.sprintf "server %d: about 1/k" i) true
+          (String.length f < String.length value / 2)
+      | None -> Alcotest.failf "server %d holds no fragment" i)
+    w.servers;
+  wrap w 2 Faults.Crash;
+  wrap w 5 Faults.Corrupt_value;
+  in_world w (fun () ->
+      let bob = connect ~cfg:coded_cfg w "bob" ~group:"vault" in
+      Alcotest.(check bool) "reassembles ciphertext, not plaintext" true
+        (ok (Client.read bob ~item:"will") <> value);
+      let sealed = Confidential.make ~client:bob ~key:"vault-key" () in
+      Alcotest.(check string) "reads back past a crashed and a corrupting server"
+        value
+        (ok (Confidential.read sealed ~item:"will"));
+      let snooping = Confidential.make ~client:bob ~key:"wrong" () in
+      match Confidential.read_opt snooping ~item:"will" with
+      | Ok None -> ()
+      | Ok (Some v) -> Alcotest.failf "wrong key decrypted: %s" v
+      | Error e -> Alcotest.failf "unexpected error: %s" (Client.error_to_string e))
 
 (* ------------------------------------------------------------------ *)
 (* Audit                                                              *)
@@ -3970,14 +3921,6 @@ let () =
           Alcotest.test_case "shrinks quorum" `Quick test_evidence_shrinks_context_quorum;
           Alcotest.test_case "clamped" `Quick test_evidence_never_goes_negative;
         ] );
-      ( "dispersal",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_dispersal_roundtrip;
-          Alcotest.test_case "confidentiality" `Quick test_dispersal_confidentiality;
-          Alcotest.test_case "crash tolerance" `Quick test_dispersal_crash_tolerance;
-          Alcotest.test_case "corrupt fragment" `Quick test_dispersal_corrupt_fragment_rejected;
-          Alcotest.test_case "not found / bounds" `Quick test_dispersal_not_found_and_bounds;
-        ] );
       ( "coded-transport",
         [
           Alcotest.test_case "write/read roundtrip" `Quick test_coded_write_read_roundtrip;
@@ -4007,6 +3950,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_confidential_roundtrip;
           Alcotest.test_case "wrong key" `Quick test_confidential_wrong_key;
           Alcotest.test_case "rotation" `Quick test_key_rotation;
+          Alcotest.test_case "dispersed value" `Quick test_confidential_dispersed;
         ] );
       ( "server",
         [

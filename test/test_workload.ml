@@ -85,6 +85,48 @@ let test_e8_no_violations () =
         (cell t row "integrity violations"))
     t.Workload.Table.rows
 
+(* E12's rows must measure what they are named: replication rows keep
+   b+1 whole copies at every size (the client's dispersal threshold must
+   not turn them into coded writes), and coded rows store less than
+   replication and gather only k fragments, not all n. *)
+let test_e12_strategies () =
+  let n = 7 and b = 2 in
+  let t = Workload.Experiments.e12_dispersal () in
+  let num row col = int_of_string (cell t row col) in
+  let size row =
+    match cell t row "value" with
+    | "1 KiB" -> 1024
+    | "64 KiB" -> 65536
+    | "1 MiB" -> 1 lsl 20
+    | s -> Alcotest.failf "unknown size %s" s
+  in
+  let rows strategy =
+    List.filter
+      (fun row -> String.starts_with ~prefix:strategy (cell t row "strategy"))
+      t.Workload.Table.rows
+  in
+  let replication = rows "replication" and coded = rows "dispersal" in
+  Alcotest.(check int) "three sizes each" 6
+    (List.length replication + List.length coded);
+  List.iter2
+    (fun r c ->
+      let size = size r in
+      let what fmt = Printf.sprintf ("%d B: " ^^ fmt) size in
+      Alcotest.(check bool) (what "replication writes b+1 copies") true
+        (num r "write bytes" >= (b + 1) * size);
+      Alcotest.(check bool) (what "replication stores b+1 copies") true
+        (num r "stored bytes" >= (b + 1) * size);
+      Alcotest.(check bool) (what "coded stores less than replication") true
+        (num c "stored bytes" < num r "stored bytes");
+      Alcotest.(check bool) (what "coded read gathers k of n fragments") true
+        (num c "read bytes" * (b + 1) < n * size);
+      (* at 1 KiB, the descriptor's n digests and the rounds' framing
+         add about half the value *)
+      if size >= 65536 then
+        Alcotest.(check bool) (what "coded read at most 1.1x the value") true
+          (num c "read bytes" * 10 <= size * 11))
+    replication coded
+
 let test_table_printing () =
   let t =
     {
@@ -117,6 +159,7 @@ let () =
           Alcotest.test_case "e6 pbft" `Slow test_e6_matches_formula;
           Alcotest.test_case "e8 safety" `Slow test_e8_no_violations;
           Alcotest.test_case "e8b guard" `Quick test_e8b_guard;
+          Alcotest.test_case "e12 strategies" `Quick test_e12_strategies;
         ] );
       ("table", [ Alcotest.test_case "printing" `Quick test_table_printing ]);
     ]
