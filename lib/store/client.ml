@@ -199,22 +199,43 @@ let classify_bad_write (w : Payload.write) =
   | Payload.Mac _ -> Fault_evidence.Evidence_downgrade
   | Payload.Sig _ | Payload.Batch _ -> Fault_evidence.Invalid_signature
 
-(* Protocol message accounting (paper section 6 counts both directions). *)
+let envelope t request =
+  Payload.encode_envelope
+    { Payload.token = t.cfg.token; epoch = epoch_version t; request }
+
+(* The shared tail of every round. Count the messages both ways (paper
+   section 6 counts both directions): [sent] requests of [sent_bytes]
+   out, the replies back. Then decode the replies. A [Stale_epoch]
+   both rejects the round and repairs the session: the piggybacked
+   config is verified and adopted here, and the reply is dropped from
+   the result. Quorum counting sees a non-response, so the operation's
+   retry loop re-runs the round under the new epoch's quorum math
+   instead of failing the in-flight op. *)
+let settle t ~sent ~sent_bytes (replies : Sim.Runtime.reply list) =
+  let messages = sent + List.length replies in
+  Metrics.add_messages messages;
+  Metrics.add_bytes
+    (List.fold_left
+       (fun acc (r : Sim.Runtime.reply) -> acc + String.length r.payload)
+       sent_bytes replies);
+  t.opstats.messages <- t.opstats.messages + messages;
+  List.filter_map
+    (fun (r : Sim.Runtime.reply) ->
+      match Payload.decode_response r.payload with
+      | Some (Payload.Stale_epoch e) ->
+        try_adopt_epoch t e;
+        None
+      | Some resp -> Some (r.from, resp)
+      | None -> None)
+    replies
+
+(* One request to every server in [dsts], one quorum wait. With an
+   evidence store, who answered feeds suspicion. *)
 let rpc t ~quorum dsts request =
-  let payload =
-    Payload.encode_envelope
-      { Payload.token = t.cfg.token; epoch = epoch_version t; request }
-  in
+  let payload = envelope t request in
   let replies =
     Sim.Runtime.call_many ~timeout:t.cfg.timeout ~quorum dsts payload
   in
-  Metrics.add_messages (List.length dsts + List.length replies);
-  Metrics.add_bytes
-    ((List.length dsts * String.length payload)
-    + List.fold_left
-        (fun acc (r : Sim.Runtime.reply) -> acc + String.length r.payload)
-        0 replies);
-  t.opstats.messages <- t.opstats.messages + List.length dsts + List.length replies;
   (match t.cfg.evidence with
   | Some e ->
     let responded = Hashtbl.create (List.length replies) in
@@ -227,67 +248,23 @@ let rpc t ~quorum dsts request =
         else Fault_evidence.report_suspicion e ~server:dst)
       dsts
   | None -> ());
-  let decoded =
-    List.filter_map
-      (fun (r : Sim.Runtime.reply) ->
-        Option.map (fun resp -> (r.from, resp)) (Payload.decode_response r.payload))
-      replies
-  in
-  (* A [Stale_epoch] both rejects the round and repairs the session: the
-     piggybacked config is verified and adopted here, and the reply is
-     dropped from the result — quorum counting sees a non-response, so
-     the operation's retry loop re-runs the round under the new epoch's
-     quorum math instead of failing the in-flight op. *)
-  List.filter
-    (fun (_, resp) ->
-      match resp with
-      | Payload.Stale_epoch e ->
-        try_adopt_epoch t e;
-        false
-      | _ -> true)
-    decoded
+  let sent = List.length dsts in
+  settle t ~sent ~sent_bytes:(sent * String.length payload) replies
 
 let send_oneway t dsts request =
-  let payload =
-    Payload.encode_envelope
-      { Payload.token = t.cfg.token; epoch = epoch_version t; request }
-  in
+  let payload = envelope t request in
   List.iter (fun dst -> Sim.Runtime.send dst payload) dsts;
-  Metrics.add_messages (List.length dsts);
-  Metrics.add_bytes (List.length dsts * String.length payload);
-  t.opstats.messages <- t.opstats.messages + List.length dsts
+  let sent = List.length dsts in
+  ignore (settle t ~sent ~sent_bytes:(sent * String.length payload) [])
 
 (* One scatter round: per-destination distinct requests (each server gets
-   its own fragment chunk), one quorum wait. Same accounting and
-   [Stale_epoch] repair as {!rpc}. *)
+   its own fragment chunk), one quorum wait. *)
 let rpc_scatter t ~quorum parts =
-  let parts =
-    List.map
-      (fun (dst, request) ->
-        ( dst,
-          Payload.encode_envelope
-            { Payload.token = t.cfg.token; epoch = epoch_version t; request } ))
-      parts
-  in
+  let parts = List.map (fun (dst, request) -> (dst, envelope t request)) parts in
   let replies = Sim.Runtime.call_scatter ~timeout:t.cfg.timeout ~quorum parts in
-  Metrics.add_messages (List.length parts + List.length replies);
-  Metrics.add_bytes
-    (List.fold_left (fun acc (_, p) -> acc + String.length p) 0 parts
-    + List.fold_left
-        (fun acc (r : Sim.Runtime.reply) -> acc + String.length r.payload)
-        0 replies);
-  t.opstats.messages <-
-    t.opstats.messages + List.length parts + List.length replies;
-  List.filter_map
-    (fun (r : Sim.Runtime.reply) ->
-      Option.map (fun resp -> (r.from, resp)) (Payload.decode_response r.payload))
+  settle t ~sent:(List.length parts)
+    ~sent_bytes:(List.fold_left (fun acc (_, p) -> acc + String.length p) 0 parts)
     replies
-  |> List.filter (fun (_, resp) ->
-         match resp with
-         | Payload.Stale_epoch e ->
-           try_adopt_epoch t e;
-           false
-         | _ -> true)
 
 (* Every server in preference order, split by transport health
    ([Sim.Runtime.rank]): [(healthy, suspected)]. With an evidence
@@ -606,11 +583,6 @@ let flush_escalations t =
     t.unescalated <- [];
     let writes = List.rev pending in
     Obs.Span.with_op "escalate_evidence" @@ fun () ->
-    let batch = Signbatch.create ~key:t.key ~limit:(List.length writes) in
-    List.iter
-      (fun w -> ignore (Signbatch.add batch w : [ `Buffered | `Full ]))
-      writes;
-    let upgraded = Signbatch.flush batch in
     List.iter
       (fun (w : Payload.write) ->
         let request =
@@ -636,7 +608,7 @@ let flush_escalations t =
                    (Payload.Write_req { write = w; await_ack = true }))
             | _ -> ())
           replies)
-      upgraded
+      (Signbatch.sign_writes ~key:t.key writes)
 
 (* ---------------- Reads ------------------------------------------------ *)
 
@@ -969,9 +941,7 @@ let read_write_resolved t ~item =
     | `Found w ->
       apply_read_to_context t w;
       Ok w
-    | `Writer_faulty ->
-      t.opstats.read_failures <- t.opstats.read_failures + 1;
-      Error (Writer_faulty uid)
+    | `Writer_faulty -> Error (Writer_faulty uid)
     | `Missing ->
       if set_size < active_n t then begin
         Metrics.incr_escalation ();
@@ -980,27 +950,20 @@ let read_write_resolved t ~item =
       end
       else if retries > 0 && backoff_sleep t ~start ~attempt:tried then
         attempt ~retries:(retries - 1) ~tried:(tried + 1) ~set_size:(active_n t)
-      else begin
-        t.opstats.read_failures <- t.opstats.read_failures + 1;
-        if Stamp.equal floor Stamp.zero then Error (Not_found uid)
-        else Error (Stale { uid; wanted = floor })
-      end
+      else if Stamp.equal floor Stamp.zero then Error (Not_found uid)
+      else Error (Stale { uid; wanted = floor })
   in
-  let result = attempt ~retries:t.cfg.read_retries ~tried:0 ~set_size:base_set in
   (* Dispersed items: the quorum handed back metadata; the value still
      has to be gathered and decoded. The trace outcome digests the
      reconstructed bytes, so the consistency oracle checks what callers
      actually saw, coded path included. *)
   let result =
-    match result with
+    match attempt ~retries:t.cfg.read_retries ~tried:0 ~set_size:base_set with
     | Error _ as e -> e
-    | Ok w -> (
-      match resolve_value t w with
-      | Ok value -> Ok (w, value)
-      | Error e ->
-        t.opstats.read_failures <- t.opstats.read_failures + 1;
-        Error e)
+    | Ok w -> Result.map (fun value -> (w, value)) (resolve_value t w)
   in
+  if Result.is_error result then
+    t.opstats.read_failures <- t.opstats.read_failures + 1;
   (* Guarded: the outcome digests the whole value, which costs more than
      the rest of a large read when nobody records the history. *)
   if Trace.enabled () then
@@ -1029,6 +992,46 @@ let make_stamp t ~value =
   | Multi_writer ->
     Metrics.incr_digest ();
     Stamp.multi ~time:(next_time t) ~writer:t.uid ~value
+
+(* One write, whatever produced its evidence (Fig. 2). [produce uid]
+   returns the write's stamp and [commit], the step that lands the
+   write. [commit] gets the context to sign: under CC the session's
+   context with this write's own entry bumped, under MRC none. Only a
+   write that lands enters the session's context (CC sets the entry,
+   MRC observes it), so a refused write leaves the context as it was.
+   The history digests [value], what the caller wrote, not a coding
+   artifact. *)
+let write_op t ~item ~value produce =
+  Obs.Span.with_op "write" @@ fun () ->
+  begin_trace t;
+  t.opstats.writes <- t.opstats.writes + 1;
+  let uid = Uid.make ~group:t.group ~item in
+  let stamp, commit = produce uid in
+  let opid = trace_op () in
+  let kind () =
+    Trace.Write { uid; stamp; digest = Crypto.Sha256.hex_digest value }
+  in
+  if Trace.enabled () then trace t ~op:opid ~phase:Trace.Invoke (kind ());
+  let wctx =
+    match t.cfg.consistency with
+    | CC -> Some (Context.set t.ctx uid stamp)
+    | MRC -> None
+  in
+  let result = commit wctx in
+  if Result.is_ok result then
+    t.ctx <-
+      (match t.cfg.consistency with
+      | CC -> Context.set t.ctx uid stamp
+      | MRC -> Context.observe t.ctx uid stamp);
+  if Trace.enabled () then
+    trace t ~op:opid ~phase:Trace.Return
+      ~outcome:(outcome_of_result (fun () -> Trace.Ok_unit) result)
+      (kind ());
+  result
+
+(* A write for {!Signbatch.sign_writes}, which replaces its evidence. *)
+let unsigned t ~uid ~stamp ?wctx value =
+  { Payload.uid; stamp; wctx; value; writer = t.uid; evidence = Sig ""; frags = None }
 
 (* ---------------- Dispersed writes ------------------------------------- *)
 
@@ -1117,130 +1120,67 @@ let scatter_fragments t ~uid ~stamp (meta : Payload.dispersal_meta) fragments =
    inside the signed body, which the MAC and Merkle-batch fast paths do
    not thread through. *)
 let write_dispersed t ~item value =
-  Obs.Span.with_op "write" @@ fun () ->
-  begin_trace t;
-  t.opstats.writes <- t.opstats.writes + 1;
-  let uid = Uid.make ~group:t.group ~item in
-  let servers = active_servers t in
-  let m = 1 + List.fold_left max 0 servers in
+  write_op t ~item ~value @@ fun uid ->
+  let m = 1 + List.fold_left max 0 (active_servers t) in
   let meta, fragments =
     Obs.Span.with_phase "encode" (fun () ->
         Dispersal.plan ~k:(coded_k t) ~n:m value)
   in
   let root = Dispersal.meta_root meta in
   let stamp = make_stamp t ~value:root in
-  let opid = trace_op () in
-  let wkind () =
-    (* the trace digests the caller's value, not the coding artifact:
-       consistency properties are stated over what was written *)
-    Trace.Write { uid; stamp; digest = Crypto.Sha256.hex_digest value }
+  let commit wctx =
+    let result =
+      match scatter_fragments t ~uid ~stamp meta fragments with
+      | Error _ as e -> e
+      | Ok () ->
+        disseminate t
+          (Obs.Span.with_phase "sign" (fun () ->
+               Signing.sign_write ~key:t.key ~writer:t.uid ~uid ~stamp ?wctx
+                 ~frags:meta root))
+    in
+    if Result.is_ok result then Metrics.incr_dispersed_write ();
+    result
   in
-  if Trace.enabled () then trace t ~op:opid ~phase:Trace.Invoke (wkind ());
-  let wctx =
-    match t.cfg.consistency with
-    | CC ->
-      t.ctx <- Context.set t.ctx uid stamp;
-      Some t.ctx
-    | MRC -> None
-  in
-  let result =
-    match scatter_fragments t ~uid ~stamp meta fragments with
-    | Error _ as e -> e
-    | Ok () ->
-      let w =
-        Obs.Span.with_phase "sign" (fun () ->
-            Signing.sign_write ~key:t.key ~writer:t.uid ~uid ~stamp ?wctx
-              ~frags:meta root)
-      in
-      disseminate t w
-  in
-  (match (result, t.cfg.consistency) with
-  | Ok (), MRC -> t.ctx <- Context.observe t.ctx uid stamp
-  | Ok (), CC -> ()
-  | Error _, _ -> ());
-  if Result.is_ok result then Metrics.incr_dispersed_write ();
-  if Trace.enabled () then
-    trace t ~op:opid ~phase:Trace.Return
-      ~outcome:(outcome_of_result (fun () -> Trace.Ok_unit) result)
-      (wkind ());
-  result
+  (stamp, commit)
 
 let write_replicated t ~item value =
-  Obs.Span.with_op "write" @@ fun () ->
-  begin_trace t;
-  t.opstats.writes <- t.opstats.writes + 1;
-  let uid = Uid.make ~group:t.group ~item in
+  write_op t ~item ~value @@ fun uid ->
   let stamp = make_stamp t ~value in
-  let opid = trace_op () in
-  let wkind () =
-    Trace.Write { uid; stamp; digest = Crypto.Sha256.hex_digest value }
-  in
-  if Trace.enabled () then trace t ~op:opid ~phase:Trace.Invoke (wkind ());
-  let wctx =
-    match t.cfg.consistency with
-    | CC ->
-      (* Fig. 2: bump the item's entry in the context first, then sign
-         the whole context with the value. *)
-      t.ctx <- Context.set t.ctx uid stamp;
-      Some t.ctx
-    | MRC -> None
-  in
-  let sign_evidence () =
-    match t.cfg.signing with
-    | Merkle_batch _ ->
-      (* A synchronous single write under batching degenerates to a
-         batch of one: same Batch evidence shape every verifier expects,
-         no extra latency. Throughput callers use {!write_batch} to
-         actually amortize the signature. *)
-      let batch = Signbatch.create ~key:t.key ~limit:1 in
-      ignore
-        (Signbatch.add batch
-           {
-             Payload.uid;
-             stamp;
-             wctx;
-             value;
-             writer = t.uid;
-             evidence = Payload.Sig "";
-             frags = None;
-           }
-          : [ `Buffered | `Full ]);
-      (match Signbatch.flush batch with [ w ] -> w | _ -> assert false)
-    | Per_write_sig | Mac_fast ->
-      Obs.Span.with_phase "sign" (fun () ->
-          Signing.sign_write ~key:t.key ~writer:t.uid ~uid ~stamp ?wctx value)
-  in
-  let w =
-    match t.cfg.signing with
-    | Mac_fast -> (
-      match
+  let commit wctx =
+    let mac =
+      if t.cfg.signing <> Mac_fast then None
+      else
         Obs.Span.with_phase "mac" (fun () ->
             Signing.mac_write t.keyring ~writer:t.uid ~uid ~stamp ?wctx
               ~servers:(active_servers t) value)
-      with
-      | Some w -> w
-      | None ->
-        (* Missing pairwise keys: fall back to the signature rather than
-           send a write some addressed server could never verify. *)
-        sign_evidence ())
-    | Per_write_sig | Merkle_batch _ -> sign_evidence ()
+    in
+    let w =
+      match (mac, t.cfg.signing) with
+      | Some w, _ -> w
+      | None, Merkle_batch _ ->
+        (* A synchronous single write under batching degenerates to a
+           batch of one: same Batch evidence shape every verifier expects,
+           no extra latency. Throughput callers use {!write_batch} to
+           actually amortize the signature. *)
+        List.hd
+          (Signbatch.sign_writes ~key:t.key [ unsigned t ~uid ~stamp ?wctx value ])
+      | None, (Per_write_sig | Mac_fast) ->
+        (* Under Mac_fast, missing pairwise keys: fall back to the
+           signature rather than send a write some addressed server
+           could never verify. *)
+        Obs.Span.with_phase "sign" (fun () ->
+            Signing.sign_write ~key:t.key ~writer:t.uid ~uid ~stamp ?wctx value)
+    in
+    let result = disseminate t w in
+    (match (result, w.evidence) with
+    | Ok (), Payload.Mac _ ->
+      t.unescalated <- w :: t.unescalated;
+      if List.length t.unescalated >= max 1 t.cfg.escalate_every then
+        flush_escalations t
+    | _ -> ());
+    result
   in
-  let result = disseminate t w in
-  (match (result, t.cfg.consistency) with
-  | Ok (), MRC -> t.ctx <- Context.observe t.ctx uid stamp
-  | Ok (), CC -> () (* already in the context *)
-  | Error _, _ -> ());
-  (match (result, w.evidence) with
-  | Ok (), Payload.Mac _ ->
-    t.unescalated <- w :: t.unescalated;
-    if List.length t.unescalated >= max 1 t.cfg.escalate_every then
-      flush_escalations t
-  | _ -> ());
-  if Trace.enabled () then
-    trace t ~op:opid ~phase:Trace.Return
-      ~outcome:(outcome_of_result (fun () -> Trace.Ok_unit) result)
-      (wkind ());
-  result
+  (stamp, commit)
 
 let write t ~item value =
   ensure_connected t @@ fun () ->
@@ -1248,68 +1188,32 @@ let write t ~item value =
   else write_replicated t ~item value
 
 (* Throughput path: write many items amortizing the signature cost.
-   Under [Merkle_batch k] the items are chunked into batches of k; each
-   chunk is stamped and (for CC) context-threaded in one pass, signed
-   with a single RSA operation over the chunk's Merkle root, then
-   disseminated write by write — so traced operations never overlap and
-   dissemination order still satisfies each write's causal context.
-   Under the other modes this is just [write] in a loop. *)
+   Under [Merkle_batch k] the items are chunked into batches of k. Each
+   chunk is stamped and (for CC) context-threaded in one pass, so each
+   write's signed context covers its in-chunk predecessors, then signed
+   with a single RSA operation over the chunk's Merkle root. Its writes
+   then land one by one through {!write_op}, so traced operations never
+   overlap and dissemination order still satisfies each write's causal
+   context. Under the other modes this is just [write] in a loop. *)
 let write_chunk t chunk =
-  let _, prepared =
-    List.fold_left
-      (fun (ctx, acc) (item, value) ->
+  let _, writes =
+    List.fold_left_map
+      (fun ctx (item, value) ->
         let uid = Uid.make ~group:t.group ~item in
         let stamp = make_stamp t ~value in
-        let ctx, wctx =
-          match t.cfg.consistency with
-          | CC ->
-            let ctx = Context.set ctx uid stamp in
-            (ctx, Some ctx)
-          | MRC -> (ctx, None)
-        in
-        (ctx, (uid, stamp, wctx, value, ctx) :: acc))
-      (t.ctx, []) chunk
+        match t.cfg.consistency with
+        | CC ->
+          let ctx = Context.set ctx uid stamp in
+          (ctx, unsigned t ~uid ~stamp ~wctx:ctx value)
+        | MRC -> (ctx, unsigned t ~uid ~stamp value))
+      t.ctx chunk
   in
-  let prepared = List.rev prepared in
-  let batch = Signbatch.create ~key:t.key ~limit:(List.length prepared) in
-  List.iter
-    (fun (uid, stamp, wctx, value, _) ->
-      ignore
-        (Signbatch.add batch
-           {
-             Payload.uid;
-             stamp;
-             wctx;
-             value;
-             writer = t.uid;
-             evidence = Payload.Sig "";
-             frags = None;
-           }
-          : [ `Buffered | `Full ]))
-    prepared;
-  let signed = Signbatch.flush batch in
   List.map2
-    (fun (uid, stamp, _, value, post_ctx) w ->
-      Obs.Span.with_op "write" @@ fun () ->
-      begin_trace t;
-      t.opstats.writes <- t.opstats.writes + 1;
-      if t.cfg.consistency = CC then t.ctx <- post_ctx;
-      let opid = trace_op () in
-      let wkind () =
-        Trace.Write { uid; stamp; digest = Crypto.Sha256.hex_digest value }
-      in
-      if Trace.enabled () then trace t ~op:opid ~phase:Trace.Invoke (wkind ());
-      let result = disseminate t w in
-      (match (result, t.cfg.consistency) with
-      | Ok (), MRC -> t.ctx <- Context.observe t.ctx uid stamp
-      | Ok (), CC -> ()
-      | Error _, _ -> ());
-      if Trace.enabled () then
-        trace t ~op:opid ~phase:Trace.Return
-          ~outcome:(outcome_of_result (fun () -> Trace.Ok_unit) result)
-          (wkind ());
-      result)
-    prepared signed
+    (fun (item, value) (w : Payload.write) ->
+      (* [w] is already signed with the chunk's threaded context. *)
+      write_op t ~item ~value (fun _ -> (w.stamp, fun _ -> disseminate t w)))
+    chunk
+    (Signbatch.sign_writes ~key:t.key writes)
 
 let write_batch t items =
   if not t.connected then List.map (fun _ -> Error Disconnected) items
@@ -1439,6 +1343,10 @@ let connect ?(recover = `Fresh) ?known ~config:cfg ~uid ~key ~keyring ~group () 
   let opid = trace_op () in
   trace t ~op:opid ~phase:Trace.Invoke Trace.Connect;
   let finish recovery =
+    (* Timestamps must keep increasing across sessions. *)
+    List.iter
+      (fun (_, stamp) -> t.last_time <- max t.last_time (Stamp.time stamp))
+      (Context.bindings t.ctx);
     trace t ~op:opid ~phase:Trace.Return
       ~outcome:(Trace.Connected recovery) Trace.Connect;
     Ok t
@@ -1453,19 +1361,12 @@ let connect ?(recover = `Fresh) ?known ~config:cfg ~uid ~key ~keyring ~group () 
     t.ctx <- record.ctx;
     t.ctx_seq <- record.seq;
     t.held <- Some h;
-    (* Timestamps must keep increasing across sessions. *)
-    List.iter
-      (fun (_, stamp) -> t.last_time <- max t.last_time (Stamp.time stamp))
-      (Context.bindings t.ctx);
     finish Trace.Stored
   | Ok None -> (
     match recover with
     | `Fresh -> finish Trace.Fresh
     | `Reconstruct ->
       reconstruct_context t;
-      List.iter
-        (fun (_, stamp) -> t.last_time <- max t.last_time (Stamp.time stamp))
-        (Context.bindings t.ctx);
       finish Trace.Rebuilt)
 
 (* A session close in two halves around the signature, so a {!Router}

@@ -12,6 +12,13 @@
     - the multi-writer protocol of section 5.3: 3-tuple timestamps,
       2b+1 read quorums with b+1 vouching, fork reporting.
 
+    Every write, replicated, dispersed or Merkle-batched, runs as one
+    write op: one ["write"] span, one Invoke/Return pair in the history,
+    and one context update, made only when the write lands (CC sets the
+    item's entry, MRC observes it). The signed CC context carries the
+    write's own entry bumped (Fig. 2), but a refused write leaves the
+    session's context as it was.
+
     The paper lets a client pick any quorum-sized set of servers, and
     contacting more is its fallback. So every first round prefers
     servers the transport reports healthy ({!Sim.Runtime.rank}), and a
@@ -235,7 +242,9 @@ val write_batch :
     [Merkle_batch k] (one RSA sign per chunk of k); results come back in
     argument order. Writes disseminate sequentially, so each CC write's
     context covers its in-batch predecessors. Under the other signing
-    modes this is {!write} in a loop. *)
+    modes this is {!write} in a loop. As with {!write}, each write's
+    Invoke event in the history records the context from before that
+    write, and only a write that lands enters the session's context. *)
 
 val flush : t -> (unit, error) result
 (** Escalate any pending Mac_fast writes to signed (batch) evidence now.

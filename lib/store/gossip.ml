@@ -1,3 +1,11 @@
+(* Every server-to-server push, simulated or live, is built here. *)
+let push_envelope ?(have = []) ~epoch writes =
+  {
+    Payload.token = None;
+    epoch = 0;
+    request = Payload.Gossip_push { writes; have; epoch };
+  }
+
 let choose_peers rng ~self ~count ~n =
   let others = Array.of_list (List.filter (fun i -> i <> self) (List.init n Fun.id)) in
   Sim.Srng.shuffle rng others;
@@ -23,12 +31,8 @@ let install engine ~servers ?fanout ~period ~rng () =
              | writes, epoch ->
                let payload =
                  Payload.encode_envelope
-                   {
-                     Payload.token = None; epoch = 0;
-                     request =
-                       Payload.Gossip_push
-                         { writes; have = Server.gossip_summary server; epoch };
-                   }
+                   (push_envelope ~have:(Server.gossip_summary server) ~epoch
+                      writes)
                in
                List.iter
                  (fun peer -> Sim.Runtime.send peer payload)
@@ -49,13 +53,8 @@ let exchange_once ~servers ~rng ?fanout () =
       | writes ->
         pushed := !pushed + List.length writes;
         let env =
-          {
-            Payload.token = None; epoch = 0;
-            request =
-              Payload.Gossip_push
-                { writes; have = Server.gossip_summary server;
-                  epoch = Server.epoch server };
-          }
+          push_envelope ~have:(Server.gossip_summary server)
+            ~epoch:(Server.epoch server) writes
         in
         List.iter
           (fun peer ->
@@ -94,13 +93,8 @@ let flood ~servers =
         | writes ->
           progressed := true;
           let env =
-            {
-              Payload.token = None; epoch = 0;
-              request =
-                Payload.Gossip_push
-                { writes; have = Server.gossip_summary server;
-                  epoch = Server.epoch server };
-            }
+            push_envelope ~have:(Server.gossip_summary server)
+              ~epoch:(Server.epoch server) writes
           in
           for peer = 0 to n - 1 do
             if peer <> sid then

@@ -6,6 +6,16 @@
     each round reaches at least one non-faulty peer; epidemic spread does
     the rest. *)
 
+val push_envelope :
+  ?have:(Uid.t * Stamp.t) list ->
+  epoch:Config_epoch.t option ->
+  Payload.write list ->
+  Payload.envelope
+(** The {!Payload.Gossip_push} every gossip path sends: the writes, the
+    sender's epoch (membership anti-entropy) and a [have] summary of
+    the sender's current stamps (default none). No token: the writes'
+    own evidence is the authority. *)
+
 val install :
   Sim.Engine.t ->
   servers:Server.t array ->

@@ -483,12 +483,14 @@ let wake t key =
         ws
   done
 
-(* Try to accept [w]; returns `Accepted | `Held | `Rejected. Does not
-   release held writes (the caller does). *)
-let try_accept t (w : Payload.write) =
+(* The guards every write passes, whatever its evidence; the paths
+   differ only in [verify] and in what they do with an admitted write.
+   [held] counts one more slot as stored (the MAC path's). A stored
+   stamp whose copy matches is a client retry after a lost ack. *)
+let admit t (w : Payload.write) ~held ~verify =
   let st = item_state t w.uid in
   if Stamp.compare w.stamp st.erased_below < 0 then `Rejected
-  else if already_stored st w then
+  else if already_stored st w || held st w then
     if duplicate_of st w then `Duplicate else `Rejected
   else if is_writer_faulty t w.writer then `Rejected
   else if detect_fork t st w then `Rejected
@@ -506,15 +508,22 @@ let try_accept t (w : Payload.write) =
     | Some meta ->
       not (Dispersal.meta_ok meta && String.equal w.value (Dispersal.meta_root meta))
   then `Rejected
-  else if not (Signing.server_verify_write t.keyring w) then `Rejected
-  else
-    match
-      if t.config.malicious_client_guard then missing_dep t w else None
-    with
+  else if not (verify w) then `Rejected
+  else `Admitted st
+
+(* Try to accept [w]; returns `Accepted | `Held | `Duplicate |
+   `Rejected. Does not release held writes (the caller does). *)
+let try_accept t (w : Payload.write) =
+  match
+    admit t w ~held:(fun _ _ -> false) ~verify:(Signing.server_verify_write t.keyring)
+  with
+  | (`Rejected | `Duplicate) as r -> r
+  | `Admitted st -> (
+    match if t.config.malicious_client_guard then missing_dep t w else None with
     | Some dep ->
       hold t (Uid.to_string w.uid) st w dep;
       `Held
-    | None -> if announce t st w then `Accepted else `Rejected
+    | None -> if announce t st w then `Accepted else `Rejected)
 
 let accept_write t (w : Payload.write) =
   let result = try_accept t w in
@@ -525,28 +534,17 @@ let accept_write t (w : Payload.write) =
 
 (* Accept a MAC-fast write into the held [maced] slot: verified under
    our pairwise key, but invisible to reads, gossip and fork vouching
-   until the client upgrades its evidence. Mirrors [try_accept]'s guards
+   until the client upgrades its evidence. The guards are [try_accept]'s,
    so a Byzantine client cannot use the fast path to smuggle forks or
    resurrect erased stamps. *)
 let accept_mac_write t (w : Payload.write) =
-  let st = item_state t w.uid in
-  if Stamp.compare w.stamp st.erased_below < 0 then `Rejected
-  else if already_stored st w || in_maced st w then
-    if duplicate_of st w then `Duplicate else `Rejected
-  else if is_writer_faulty t w.writer then `Rejected
-  else if detect_fork t st w then `Rejected
-  else if
-    (match w.frags with
-    | None -> false
-    | Some meta ->
-      not (Dispersal.meta_ok meta && String.equal w.value (Dispersal.meta_root meta)))
-  then `Rejected
-  else if not (Signing.server_verify_mac t.keyring ~server:t.id w) then
-    `Rejected
-  else begin
+  match
+    admit t w ~held:in_maced ~verify:(Signing.server_verify_mac t.keyring ~server:t.id)
+  with
+  | (`Rejected | `Duplicate) as r -> r
+  | `Admitted st ->
     st.maced <- trim t.config.mac_hold_depth (w :: st.maced);
     `Held
-  end
 
 (* Section 5.3 log erasure: once 2b+1 distinct servers are known to hold
    a stamp at least as new as a logged value's successor, the old value

@@ -36,27 +36,10 @@ let sign_contexts ~key = function
   | bodies ->
     List.map (fun b -> Payload.Batch b) (sign ~key Payload.Contexts bodies)
 
-type t = {
-  key : Crypto.Rsa.keypair;
-  limit : int;
-  mutable pending : Payload.write list; (* newest first *)
-}
-
-let create ~key ~limit =
-  if limit < 1 then invalid_arg "Signbatch.create: limit must be positive";
-  { key; limit; pending = [] }
-
-let limit t = t.limit
-let pending t = List.length t.pending
-
-let add t w =
-  t.pending <- w :: t.pending;
-  if List.length t.pending >= t.limit then `Full else `Buffered
-
-let flush t =
-  let writes = List.rev t.pending in
-  t.pending <- [];
+(* Writes sign their {!Payload.write_body}s; the evidence field each
+   write carries in is ignored and replaced. *)
+let sign_writes ~key writes =
   List.map2
     (fun (w : Payload.write) b -> { w with evidence = Payload.Batch b })
     writes
-    (sign ~key:t.key Payload.Writes (List.map Payload.write_body writes))
+    (sign ~key Payload.Writes (List.map Payload.write_body writes))

@@ -8,9 +8,9 @@
     side). Write batches and context batches share it; the
     {!Payload.batch_domain} in the signed root keeps them apart.
 
-    The buffered interface ({!create}/{!add}/{!flush}) is the write
-    path's: collect up to [limit] unsigned writes, then sign their
-    {!Payload.write_body}s as one batch. *)
+    {!sign_writes} and {!sign_contexts} sign a whole list in one call;
+    there is no buffer to fill and flush. A caller that wants several
+    batches splits its list first. *)
 
 val sign :
   key:Crypto.Rsa.keypair ->
@@ -26,19 +26,8 @@ val sign_contexts : key:Crypto.Rsa.keypair -> string list -> Payload.evidence li
     evidence under one {!Payload.Contexts} root. One RSA signature
     either way, timed as a ["sign"] phase. *)
 
-type t
-
-val create : key:Crypto.Rsa.keypair -> limit:int -> t
-(** @raise Invalid_argument when [limit < 1]. *)
-
-val add : t -> Payload.write -> [ `Buffered | `Full ]
-(** Buffer an unsigned write (its evidence field is ignored and replaced
-    at {!flush}). [`Full] signals the buffer reached [limit] — flush now. *)
-
-val pending : t -> int
-val limit : t -> int
-
-val flush : t -> Payload.write list
-(** Sign the buffered writes as one Merkle batch and return them (in
-    {!add} order) with [Batch] evidence attached; empties the buffer.
-    Costs exactly one RSA signature regardless of batch size. *)
+val sign_writes : key:Crypto.Rsa.keypair -> Payload.write list -> Payload.write list
+(** The writes, in order, with [Batch] evidence under one
+    {!Payload.Writes} root over their {!Payload.write_body}s (the
+    evidence each carries in is ignored). Exactly one RSA signature for
+    a non-empty list, timed as a ["batch_sign"] phase. *)

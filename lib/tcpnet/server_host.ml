@@ -221,11 +221,7 @@ let gossip_loop t st ~period =
               nothing to send: the epoch rides every push, so a peer
               that missed an announcement catches up from here. *)
            let payload =
-             Store.Payload.encode_envelope
-               {
-                 Store.Payload.token = None; epoch = 0;
-                 request = Store.Payload.Gossip_push { writes; have = []; epoch };
-               }
+             Store.Payload.encode_envelope (Store.Gossip.push_envelope ~epoch writes)
            in
            let host, port = peer in
            if push_to_peer ~shard ~host ~port payload then begin
@@ -390,11 +386,7 @@ let drain ?(max_passes = 10) t =
       | [] -> more := false
       | writes ->
         let payload =
-          Store.Payload.encode_envelope
-            {
-              Store.Payload.token = None; epoch = 0;
-              request = Store.Payload.Gossip_push { writes; have = []; epoch };
-            }
+          Store.Payload.encode_envelope (Store.Gossip.push_envelope ~epoch writes)
         in
         List.iter
           (fun (host, port) -> ignore (push_to_peer ~shard:st.sid ~host ~port payload))

@@ -1963,6 +1963,112 @@ let prop_mrc_monotonic =
           done;
           !sound))
 
+(* A refused write leaves the session's context as it was, under either
+   consistency level and on either write path: a reader whose token
+   forbids writes still reads what it read before the refusal. Setting
+   the CC context before the write landed made that second read demand a
+   stamp no server holds. *)
+let test_refused_write_leaves_context () =
+  let svc = Access_control.create_service ~secret:"store-secret" in
+  let n = 4 and b = 1 in
+  let config = { (Server.default_config ~n ~b) with Server.auth = Some svc } in
+  let w = make_world ~n ~b ~server_config:config () in
+  let with_token client rights c =
+    let token = Access_control.issue svc ~client ~group:"g" ~rights ~expires:1e9 in
+    { (coded_cfg c) with Client.token = Some token }
+  in
+  let blob = big_value 4096 in
+  in_world w (fun () ->
+      let alice = connect w "alice" ~group:"g" ~cfg:(with_token "alice" Access_control.Read_write) in
+      ok (Client.write alice ~item:"r" "v1");
+      ok (Client.write alice ~item:"d" blob);
+      ok (Client.disconnect alice));
+  flood w;
+  List.iter
+    (fun (level, consistency) ->
+      in_world w (fun () ->
+          let reader =
+            connect w "bob" ~group:"g" ~cfg:(fun c ->
+                { (with_token "bob" Access_control.Read_only c) with Client.consistency })
+          in
+          List.iter
+            (fun (item, value, refused) ->
+              let label what = Printf.sprintf "%s %s: %s" level item what in
+              Alcotest.(check string) (label "first read") value (ok (Client.read reader ~item));
+              (match Client.write reader ~item refused with
+              | Error _ -> ()
+              | Ok () -> Alcotest.fail (label "read-only token allowed a write"));
+              Alcotest.(check string) (label "read after the refusal") value
+                (ok (Client.read reader ~item)))
+            [ ("r", "v1", "v9"); ("d", blob, String.make 4096 'z') ]))
+    [ ("cc", Client.CC); ("mrc", Client.MRC) ]
+
+(* perfbench's per-layer metrics (client.write.sign_us,
+   dispersal.frag_scatter_ms, ...) read these phase names off the
+   client's spans, by their last path component. Nothing else checks
+   them, so pin them here: a write path that renamed or moved one would
+   zero a metric without failing anything. *)
+let test_span_vocabulary () =
+  let w = make_world () in
+  let last_component name =
+    match String.rindex_opt name '/' with
+    | Some i -> String.sub name (i + 1) (String.length name - i - 1)
+    | None -> name
+  in
+  let expect label ~op wanted (c : Obs.Span.closed) =
+    Alcotest.(check string) (label ^ ": op") op c.Obs.Span.op;
+    let got = List.map (fun p -> last_component p.Obs.Span.pname) c.Obs.Span.phases in
+    List.iter
+      (fun phase ->
+        Alcotest.(check bool) (Printf.sprintf "%s: %s phase" label phase) true
+          (List.mem phase got))
+      wanted
+  in
+  let newest k = Obs.Span.recent ~limit:k () in
+  let last () = List.hd (newest 1) in
+  let session name signing =
+    connect w name ~group:"g" ~cfg:(fun c ->
+        { (coded_cfg c) with Client.signing; escalate_every = 100 })
+  in
+  let blob = big_value 4096 in
+  Obs.Span.reset_stats ();
+  Obs.Span.reset_journal ();
+  Obs.Span.set_enabled true;
+  Fun.protect ~finally:(fun () ->
+      Obs.Span.set_enabled false;
+      Obs.Span.reset_journal ();
+      Obs.Span.reset_stats ())
+  @@ fun () ->
+  in_world w (fun () ->
+      let alice = session "alice" Client.Per_write_sig in
+      ok (Client.write alice ~item:"x" "v1");
+      expect "signed write" ~op:"write" [ "sign"; "write_quorum" ] (last ());
+      ok (Client.write alice ~item:"blob" blob);
+      expect "dispersed write" ~op:"write"
+        [ "encode"; "frag_scatter"; "sign"; "write_quorum" ]
+        (last ());
+      ignore (ok (Client.read alice ~item:"x"));
+      expect "read" ~op:"read" [ "meta_poll"; "value_fetch"; "verify" ] (last ());
+      ignore (ok (Client.read alice ~item:"blob"));
+      expect "dispersed read" ~op:"read"
+        [ "meta_poll"; "value_fetch"; "verify"; "frag_gather"; "decode" ]
+        (last ());
+      ok (Client.disconnect alice);
+      expect "disconnect" ~op:"disconnect" [ "sign" ] (last ());
+      let bob = session "bob" (Client.Merkle_batch 4) in
+      ok (Client.write bob ~item:"y" "v1");
+      expect "batch write" ~op:"write" [ "batch_sign"; "write_quorum" ] (last ());
+      let carol = session "carol" Client.Mac_fast in
+      ok (Client.write carol ~item:"z" "v1");
+      expect "mac write" ~op:"write" [ "mac"; "write_quorum" ] (last ());
+      ok (Client.disconnect carol);
+      match newest 2 with
+      | [ disconnect; escalation ] ->
+        expect "escalation" ~op:"escalate_evidence" [ "batch_sign"; "upgrade" ]
+          escalation;
+        expect "disconnect after escalation" ~op:"disconnect" [ "sign" ] disconnect
+      | _ -> Alcotest.fail "expected the escalation and the disconnect")
+
 (* ------------------------------------------------------------------ *)
 (* Server unit behaviours                                             *)
 (* ------------------------------------------------------------------ *)
@@ -2766,10 +2872,26 @@ let send_upgrade w i (mw : Payload.write) evidence =
 
 (* Re-sign [writes] as one Merkle batch (what the client's escalation
    queue does). *)
-let batch_evidence_of ~key writes =
-  let sb = Signbatch.create ~key ~limit:(List.length writes) in
-  List.iter (fun w -> ignore (Signbatch.add sb w)) writes;
-  Signbatch.flush sb
+let batch_evidence_of ~key writes = Signbatch.sign_writes ~key writes
+
+(* The MAC path admits a write through the same guards as the signed
+   one: a stamp of the other kind than the item's current write is
+   refused, not held where no upgrade could ever announce it. *)
+let test_mac_write_stamp_kind_mix_refused () =
+  let w = make_world () in
+  let uid = Uid.make ~group:"g" ~item:"x" in
+  let scalar_write =
+    Signing.sign_write ~key:(key_of "alice") ~writer:"alice" ~uid
+      ~stamp:(Stamp.scalar 5) "v"
+  in
+  ignore (direct_write w 0 scalar_write ~await_ack:true);
+  let mw =
+    mac_write_exn w ~writer:"alice" ~item:"x"
+      ~stamp:(Stamp.multi ~time:9 ~writer:"alice" ~value:"w") "w"
+  in
+  Alcotest.(check bool) "mac kind mix rejected" true
+    (direct_write w 0 mw ~await_ack:true = Some (Payload.Denied "write rejected"));
+  Alcotest.(check int) "nothing held" 0 (Server.maced_count w.servers.(0) uid)
 
 let test_mac_write_held_and_upgraded () =
   let w = make_world () in
@@ -3875,6 +3997,8 @@ let () =
         [
           Alcotest.test_case "cc pulls deps" `Quick test_cc_pulls_dependencies;
           Alcotest.test_case "mrc does not" `Quick test_mrc_does_not_pull_dependencies;
+          Alcotest.test_case "refused write leaves context" `Quick
+            test_refused_write_leaves_context;
         ] );
       ( "byzantine",
         [
@@ -4050,6 +4174,8 @@ let () =
             test_mac_write_held_and_upgraded;
           Alcotest.test_case "mac binding vs replay" `Quick
             test_mac_binding_rejects_replay;
+          Alcotest.test_case "mac stamp kinds" `Quick
+            test_mac_write_stamp_kind_mix_refused;
           Alcotest.test_case "mac not gossipable" `Quick
             test_mac_evidence_not_gossipable;
           Alcotest.test_case "maced survives snapshot" `Quick
@@ -4063,5 +4189,7 @@ let () =
           Alcotest.test_case "stripped proofs proven" `Quick
             test_downgrade_strips_batch_proofs_detected;
         ] );
+      ( "spans",
+        [ Alcotest.test_case "phases perfbench reads" `Quick test_span_vocabulary ] );
       ("properties", qsuite [ prop_mrc_monotonic; prop_cc_no_overwritten_reads ]);
     ]
