@@ -580,7 +580,7 @@ let experiments ~seed ~json : (string * (unit -> unit)) list =
           write_json ~path:"BENCH_crypto.json" ~schema:"bench-crypto-v1"
             (ns_rows (micro @ proto)) );
     ("e10", t (fun () -> Workload.Experiments.e10_wan_latency ~seed ()));
-    ("e11", t Workload.Experiments.e11_read_strategies);
+    ("e11", t Workload.Experiments.e11_read_hit_miss);
     ("e12", t Workload.Experiments.e12_dispersal);
     ("e13", t Workload.Experiments.e13_dynamic_quorums);
     ("e14", t Workload.Experiments.e14_context_size);

@@ -23,7 +23,6 @@ type config = {
   retry_backoff_max : float;
   write_retries : int;
   op_deadline : float;
-  inline_read : bool;
   timestamp_jitter : int;
   evidence : Fault_evidence.t option;
   token : string option;
@@ -54,7 +53,6 @@ let default_config ~n ~b =
     retry_backoff_max = 0.05;
     write_retries = 0;
     op_deadline = infinity;
-    inline_read = false;
     timestamp_jitter = 1;
     evidence = None;
     token = None;
@@ -229,14 +227,9 @@ let settle t ~sent ~sent_bytes (replies : Sim.Runtime.reply list) =
       | None -> None)
     replies
 
-(* One request to every server in [dsts], one quorum wait. With an
-   evidence store, who answered feeds suspicion. *)
-let rpc t ~quorum dsts request =
-  let payload = envelope t request in
-  let replies =
-    Sim.Runtime.call_many ~timeout:t.cfg.timeout ~quorum dsts payload
-  in
-  (match t.cfg.evidence with
+(* With an evidence store, who answered a round feeds suspicion. *)
+let note_responders t dsts (replies : Sim.Runtime.reply list) =
+  match t.cfg.evidence with
   | Some e ->
     let responded = Hashtbl.create (List.length replies) in
     List.iter
@@ -247,7 +240,15 @@ let rpc t ~quorum dsts request =
         if Hashtbl.mem responded dst then Fault_evidence.clear_suspicion e ~server:dst
         else Fault_evidence.report_suspicion e ~server:dst)
       dsts
-  | None -> ());
+  | None -> ()
+
+(* One request to every server in [dsts], one quorum wait. *)
+let rpc t ~quorum dsts request =
+  let payload = envelope t request in
+  let replies =
+    Sim.Runtime.call_many ~timeout:t.cfg.timeout ~quorum dsts payload
+  in
+  note_responders t dsts replies;
   let sent = List.length dsts in
   settle t ~sent ~sent_bytes:(sent * String.length payload) replies
 
@@ -258,10 +259,11 @@ let send_oneway t dsts request =
   ignore (settle t ~sent ~sent_bytes:(sent * String.length payload) [])
 
 (* One scatter round: per-destination distinct requests (each server gets
-   its own fragment chunk), one quorum wait. *)
+   its own fragment chunk, or its own read request), one quorum wait. *)
 let rpc_scatter t ~quorum parts =
   let parts = List.map (fun (dst, request) -> (dst, envelope t request)) parts in
   let replies = Sim.Runtime.call_scatter ~timeout:t.cfg.timeout ~quorum parts in
+  note_responders t (List.map fst parts) replies;
   settle t ~sent:(List.length parts)
     ~sent_bytes:(List.fold_left (fun acc (_, p) -> acc + String.length p) 0 parts)
     replies
@@ -612,135 +614,116 @@ let flush_escalations t =
 
 (* ---------------- Reads ------------------------------------------------ *)
 
-(* Single-writer read round (Fig. 2): poll [read_set] servers for
-   meta-data, then fetch and verify from the freshest claimant downward. *)
-let single_read_round t ~uid ~floor ~set_size =
+(* The one read round, for both data classes. The first server of the
+   set ships its current write; every polled server lists its stamps,
+   and each list makes a claim: its newest stamp at or above the floor
+   (single writer, Fig. 2), or the target, the newest stamp b+1 servers
+   list (multi-writer, section 5.3: a stamp carries its value's digest).
+   Claims are tried freshest first, and at equal stamps the shipped
+   write comes before a fetch (Fig. 2's second step). So a read whose
+   shipper holds the value to return costs one round, what a write
+   costs (section 6's best case). A served write that fails [accept] is
+   evidence against its server: an honest server stores only writes
+   that verify, and answers a fetch with exactly the stamp asked for. *)
+let read_round t ~uid ~floor ~set_size =
   let dsts = server_set t set_size in
-  let metas =
-    Obs.Span.with_phase "meta_poll" (fun () ->
-        rpc t ~quorum:set_size dsts (Payload.Meta_query { uid }))
-  in
-  let candidates =
+  let polled =
     List.filter_map
-      (fun (from, resp) ->
-        match resp with
-        | Payload.Meta_reply { stamp = Some s; _ } when Stamp.compare s floor >= 0 ->
-          Some (from, s)
+      (function
+        | from, Payload.Read_reply { stamps; writer_faulty; write } ->
+          Some (from, stamps, writer_faulty, write)
         | _ -> None)
-      metas
+      (Obs.Span.with_phase "meta_poll" (fun () ->
+           rpc_scatter t ~quorum:set_size
+             (List.mapi
+                (fun i dst -> (dst, Payload.Read_query { uid; ship = i = 0 }))
+                dsts)))
   in
-  let ordered =
-    List.sort (fun (_, a) (_, b) -> Stamp.compare b a) candidates
+  let newest =
+    List.fold_left
+      (fun acc s ->
+        match acc with
+        | Some a when Stamp.compare a s >= 0 -> acc
+        | _ -> if Stamp.compare s floor >= 0 then Some s else acc)
+      None
   in
-  let fetch (from, claimed) =
-    match
-      Obs.Span.with_phase "value_fetch" (fun () ->
-          rpc t ~quorum:1 [ from ] (Payload.Value_read { uid; stamp = claimed }))
-    with
-    | (_, Payload.Value_reply (Some w)) :: _ ->
-      if
-        Uid.equal w.Payload.uid uid
-        && Stamp.compare w.Payload.stamp floor >= 0
-        && Obs.Span.with_phase "verify" (fun () ->
-               Signing.verify_write t.keyring w)
-      then Some w
-      else begin
-        (* An honest server never stores an unverifiable write and never
-           serves a value older than the stamp it just claimed. *)
+  let pick ~claim ~accept =
+    (* the shipped write counts when its own stamp would be claimed *)
+    let shipped =
+      List.find_map
+        (fun (from, _, _, write) ->
+          match (write, dsts) with
+          | Some (w : Payload.write), shipper :: _
+            when from = shipper
+                 && Option.equal Stamp.equal (claim [ w.stamp ]) (Some w.stamp) ->
+            Some (w.stamp, from, write)
+          | _ -> None)
+        polled
+    in
+    let claims =
+      List.filter_map
+        (fun (from, stamps, _, _) ->
+          match (claim stamps, shipped) with
+          | Some s, Some (at, shipper, _) when from = shipper && Stamp.equal s at -> None
+          | Some s, _ -> Some (s, from, None)
+          | None, _ -> None)
+        polled
+    in
+    let try_claim (s, from, write) =
+      let served =
+        match write with
+        | Some _ -> write
+        | None -> (
+          match
+            Obs.Span.with_phase "value_fetch" (fun () ->
+                rpc t ~quorum:1 [ from ] (Payload.Value_read { uid; stamp = s }))
+          with
+          | (_, Payload.Value_reply w) :: _ -> w
+          | _ -> None)
+      in
+      match served with
+      | Some w
+        when Uid.equal w.Payload.uid uid
+             && Stamp.compare w.Payload.stamp s >= 0
+             && accept w ->
+        served
+      | Some w ->
         if not (Signing.check_write_quiet t.keyring w) then
           report_proof t ~server:from (classify_bad_write w)
-        else if Stamp.compare w.Payload.stamp claimed < 0 then
+        else if Stamp.compare w.Payload.stamp s < 0 then
           report_proof t ~server:from Fault_evidence.Stamp_regression;
         None
-      end
-    | _ -> None
+      | None -> None
+    in
+    List.stable_sort
+      (fun (a, _, _) (b, _, _) -> Stamp.compare b a)
+      (Option.to_list shipped @ claims)
+    |> List.find_map try_claim
+    |> Option.fold ~none:`Missing ~some:(fun w -> `Found w)
   in
-  List.find_map fetch ordered
-
-(* One-round read: every polled server ships its whole current write;
-   take the freshest one that verifies and is at least as new as the
-   context floor. *)
-let inline_read_round t ~uid ~floor ~set_size =
-  let dsts = server_set t set_size in
-  let replies =
-    Obs.Span.with_phase "inline_poll" (fun () ->
-        rpc t ~quorum:set_size dsts (Payload.Read_inline { uid }))
-  in
-  let candidates =
-    List.filter_map
-      (fun (from, resp) ->
-        match resp with
-        | Payload.Value_reply (Some w)
-          when Uid.equal w.Payload.uid uid
-               && Stamp.compare w.Payload.stamp floor >= 0 ->
-          Some (from, w)
-        | _ -> None)
-      replies
-  in
-  let ordered =
-    List.sort
-      (fun ((_, a) : int * Payload.write) (_, b) -> Stamp.compare b.stamp a.stamp)
-      candidates
-  in
-  Obs.Span.with_phase "verify" @@ fun () ->
-  List.find_map
-    (fun (from, w) ->
-      if Signing.verify_write t.keyring w then Some w
-      else begin
-        report_proof t ~server:from (classify_bad_write w);
-        None
-      end)
-    ordered
-
-(* Multi-writer read round (section 5.3): ask for write logs, accept a
-   value only when b+1 distinct servers vouch for its timestamp. *)
-let multi_read_round t ~uid ~floor ~set_size =
-  let vouch_needed = Quorums.mw_vouch ~b:(effective_b t) in
-  let dsts = server_set t set_size in
-  let replies =
-    Obs.Span.with_phase "log_poll" (fun () ->
-        rpc t ~quorum:set_size dsts (Payload.Log_query { uid }))
-  in
-  let table : (Stamp.t, (int list * Payload.write) ref) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let faulty_votes = ref [] in
-  List.iter
-    (fun (from, resp) ->
-      match resp with
-      | Payload.Log_reply { writes; writer_faulty } ->
-        if writer_faulty then faulty_votes := from :: !faulty_votes;
-        List.iter
-          (fun (w : Payload.write) ->
-            if Uid.equal w.uid uid then begin
-              Metrics.incr_digest ();
-              if Stamp.matches_value w.stamp w.value then
-                match Hashtbl.find_opt table w.stamp with
-                | Some cell ->
-                  let froms, kept = !cell in
-                  if not (List.mem from froms) then cell := (from :: froms, kept)
-                | None -> Hashtbl.add table w.stamp (ref ([ from ], w))
-            end)
-          writes
-      | _ -> ())
-    replies;
-  if List.length (List.sort_uniq compare !faulty_votes) >= vouch_needed then
-    `Writer_faulty
-  else begin
-    let best = ref None in
-    Hashtbl.iter
-      (fun stamp cell ->
-        let froms, w = !cell in
-        if
-          List.length froms >= vouch_needed
-          && Stamp.compare stamp floor >= 0
-        then
-          match !best with
-          | Some (s, _) when Stamp.compare s stamp >= 0 -> ()
-          | _ -> best := Some (stamp, w))
-      table;
-    match !best with Some (_, w) -> `Found w | None -> `Missing
-  end
+  match t.cfg.mode with
+  | Single_writer ->
+    pick ~claim:newest ~accept:(fun w ->
+        Obs.Span.with_phase "verify" (fun () -> Signing.verify_write t.keyring w))
+  | Multi_writer -> (
+    let vouch = Quorums.mw_vouch ~b:(effective_b t) in
+    let count keep = List.length (List.filter keep polled) in
+    let vouched s = count (fun (_, stamps, _, _) -> List.exists (Stamp.equal s) stamps) in
+    let listed = List.concat_map (fun (_, stamps, _, _) -> stamps) polled in
+    if count (fun (_, _, faulty, _) -> faulty) >= vouch then `Writer_faulty
+    else
+      match newest (List.filter (fun s -> vouched s >= vouch) listed) with
+      | None -> `Missing
+      | Some target ->
+        pick
+          ~claim:(fun stamps ->
+            if List.exists (Stamp.equal target) stamps then Some target else None)
+          ~accept:(fun w ->
+            Stamp.equal w.stamp target
+            && begin
+                 Metrics.incr_digest ();
+                 Stamp.matches_value w.stamp w.value
+               end))
 
 let apply_read_to_context t (w : Payload.write) =
   (match (t.cfg.consistency, w.wctx) with
@@ -914,24 +897,7 @@ let read_write_resolved t ~item =
   in
   let round set_size =
     t.opstats.read_rounds <- t.opstats.read_rounds + 1;
-    match t.cfg.mode with
-    | Single_writer -> (
-      let result =
-        if t.cfg.inline_read then inline_read_round t ~uid ~floor ~set_size
-        else single_read_round t ~uid ~floor ~set_size
-      in
-      match result with
-      | Some w -> `Found w
-      | None ->
-        (* The inline fast path degrades to the standard protocol before
-           giving up on this round's server set. *)
-        if t.cfg.inline_read then begin
-          match single_read_round t ~uid ~floor ~set_size with
-          | Some w -> `Found w
-          | None -> `Missing
-        end
-        else `Missing)
-    | Multi_writer -> multi_read_round t ~uid ~floor ~set_size
+    read_round t ~uid ~floor ~set_size
   in
   (* Fig. 2's escape hatch: contact additional servers, then try later
      (with capped backoff, while the operation deadline allows). *)

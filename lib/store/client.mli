@@ -12,6 +12,11 @@
     - the multi-writer protocol of section 5.3: 3-tuple timestamps,
       2b+1 read quorums with b+1 vouching, fork reporting.
 
+    Both data classes read in one round: the first polled server ships
+    its current write, every polled server lists its stamps, and Fig.
+    2's fetch runs only when the shipped write is not the one to return
+    (section 6's best case: a read costs what a write does).
+
     Every write, replicated, dispersed or Merkle-batched, runs as one
     write op: one ["write"] span, one Invoke/Return pair in the history,
     and one context update, made only when the write lands (CC sets the
@@ -78,12 +83,6 @@ type config = {
       (** absolute budget in seconds for one read or write operation:
           no retry sleep may overrun it (the operation fails instead of
           sleeping past the deadline). Default [infinity]. *)
-  inline_read : bool;
-      (** one-round reads: ask b+1 servers for their whole current write
-          instead of meta-then-fetch; section 6's "read cost can equal
-          write cost" best case, at the price of shipping the value from
-          every polled server. Falls back to the two-round protocol when
-          no polled copy is fresh enough. *)
   timestamp_jitter : int;
       (** advance scalar timestamps by a random amount in [1, jitter] so
           servers cannot count a confidential item's updates

@@ -44,9 +44,9 @@ let inflate stamp =
 
 let is_query (env : Payload.envelope) =
   match env.request with
-  | Payload.Ctx_read _ | Payload.Ctx_check _ | Payload.Meta_query _
-  | Payload.Value_read _ | Payload.Log_query _ | Payload.Group_query _ | Payload.Read_inline _
-  | Payload.Epoch_get | Payload.Frag_get _ ->
+  | Payload.Ctx_read _ | Payload.Ctx_check _ | Payload.Read_query _
+  | Payload.Value_read _ | Payload.Group_query _ | Payload.Epoch_get
+  | Payload.Frag_get _ ->
     true
   | Payload.Ctx_write _ | Payload.Write_req _ | Payload.Gossip_push _
   | Payload.Evidence_upgrade _ | Payload.Epoch_announce _ | Payload.Frag_put _
@@ -60,37 +60,22 @@ let is_write_or_gossip (env : Payload.envelope) =
     true
   | _ -> false
 
-let best_stamp writes =
-  List.fold_left
-    (fun acc (w : Payload.write) ->
-      match acc with
-      | Some s when Stamp.compare s w.stamp >= 0 -> acc
-      | _ -> Some w.stamp)
-    None writes
+let stamps_of = List.map (fun (w : Payload.write) -> w.stamp)
 
-(* Eager reporting: answer meta/log queries from pending (held) writes as
-   if they were announced — the attack the b+1 vouching rule masks. *)
+let held_at stamp held =
+  List.find_opt (fun (w : Payload.write) -> Stamp.equal w.stamp stamp) held
+
+(* Eager reporting: list pending (held) writes' stamps in read replies,
+   and serve them on fetch, as if they were announced — the attack the
+   b+1 vouching rule masks. *)
 let with_pending server (env : Payload.envelope) honest_resp =
   match (env.request, honest_resp) with
-  | Payload.Meta_query { uid }, Some (Payload.Meta_reply { stamp; writer_faulty }) ->
-    let held = Server.pending_writes server uid in
-    let stamp =
-      match (stamp, best_stamp held) with
-      | Some s, Some h -> Some (if Stamp.compare h s > 0 then h else s)
-      | None, h -> h
-      | s, None -> s
-    in
-    Some (Payload.Meta_reply { stamp; writer_faulty })
-  | Payload.Log_query { uid }, Some (Payload.Log_reply { writes; writer_faulty }) ->
+  | Payload.Read_query { uid; _ }, Some (Payload.Read_reply r) ->
     Some
-      (Payload.Log_reply
-         { writes = Server.pending_writes server uid @ writes; writer_faulty })
+      (Payload.Read_reply
+         { r with stamps = stamps_of (Server.pending_writes server uid) @ r.stamps })
   | Payload.Value_read { uid; stamp }, Some (Payload.Value_reply None) ->
-    Some
-      (Payload.Value_reply
-         (List.find_opt
-            (fun (w : Payload.write) -> Stamp.equal w.stamp stamp)
-            (Server.pending_writes server uid)))
+    Some (Payload.Value_reply (held_at stamp (Server.pending_writes server uid)))
   | _ -> honest_resp
 
 (* Evidence downgrade, leak half: serve MAC-held writes as if they were
@@ -100,39 +85,22 @@ let with_pending server (env : Payload.envelope) honest_resp =
    proof of misbehaviour. *)
 let with_maced server (env : Payload.envelope) honest_resp =
   match (env.request, honest_resp) with
-  | Payload.Meta_query { uid }, Some (Payload.Meta_reply { stamp; writer_faulty })
-    ->
+  | Payload.Read_query { uid; ship }, Some (Payload.Read_reply r) ->
     let held = Server.maced_writes server uid in
-    let stamp =
-      match (stamp, best_stamp held) with
-      | Some s, Some h -> Some (if Stamp.compare h s > 0 then h else s)
-      | None, h -> h
-      | s, None -> s
+    let write =
+      if not ship then r.write
+      else
+        List.fold_left
+          (fun acc (w : Payload.write) ->
+            match acc with
+            | Some (c : Payload.write) when Stamp.compare c.stamp w.stamp >= 0 ->
+              acc
+            | _ -> Some w)
+          r.write held
     in
-    Some (Payload.Meta_reply { stamp; writer_faulty })
-  | Payload.Log_query { uid }, Some (Payload.Log_reply { writes; writer_faulty })
-    ->
-    Some
-      (Payload.Log_reply
-         { writes = Server.maced_writes server uid @ writes; writer_faulty })
+    Some (Payload.Read_reply { r with stamps = stamps_of held @ r.stamps; write })
   | Payload.Value_read { uid; stamp }, Some (Payload.Value_reply None) ->
-    Some
-      (Payload.Value_reply
-         (List.find_opt
-            (fun (w : Payload.write) -> Stamp.equal w.stamp stamp)
-            (Server.maced_writes server uid)))
-  | Payload.Read_inline { uid }, Some (Payload.Value_reply current) ->
-    let held = Server.maced_writes server uid in
-    let newest =
-      List.fold_left
-        (fun acc (w : Payload.write) ->
-          match acc with
-          | Some (c : Payload.write) when Stamp.compare c.stamp w.stamp >= 0 ->
-            acc
-          | _ -> Some w)
-        current held
-    in
-    Some (Payload.Value_reply newest)
+    Some (Payload.Value_reply (held_at stamp (Server.maced_writes server uid)))
   | _ -> honest_resp
 
 (* Evidence downgrade, tamper half: strip an element from a batch
@@ -156,8 +124,8 @@ let strip_batch_proof (w : Payload.write) =
 let map_writes f resp =
   match resp with
   | Some (Payload.Value_reply (Some w)) -> Some (Payload.Value_reply (Some (f w)))
-  | Some (Payload.Log_reply { writes; writer_faulty }) ->
-    Some (Payload.Log_reply { writes = List.map f writes; writer_faulty })
+  | Some (Payload.Read_reply ({ write = Some w; _ } as r)) ->
+    Some (Payload.Read_reply { r with write = Some (f w) })
   | Some (Payload.Group_reply writes) ->
     Some (Payload.Group_reply (List.map f writes))
   | _ -> resp
@@ -165,29 +133,29 @@ let map_writes f resp =
 let mutate_response behavior server (env : Payload.envelope) resp =
   match (behavior, resp) with
   | (Honest | Crash | Silent_reads | Stale | Drop_gossip), _ -> resp
-  | Corrupt_value, Some (Payload.Value_reply (Some w)) ->
-    Some (Payload.Value_reply (Some (corrupt_value_in w)))
-  | Corrupt_value, Some (Payload.Log_reply { writes; writer_faulty }) ->
-    Some
-      (Payload.Log_reply
-         { writes = List.map corrupt_value_in writes; writer_faulty })
-  | Corrupt_value, Some (Payload.Group_reply writes) ->
-    Some (Payload.Group_reply (List.map corrupt_value_in writes))
   | Corrupt_value, Some (Payload.Frag_reply (Some c)) ->
     (* a corrupt fragment must fail the reader's digest check and be
        replaced from another holder *)
     Some
       (Payload.Frag_reply
          (Some { c with Payload.data = flip_byte c.Payload.data 0 }))
-  | Corrupt_value, _ -> resp
-  | Corrupt_meta, Some (Payload.Meta_reply { stamp = Some s; writer_faulty }) ->
-    Some (Payload.Meta_reply { stamp = Some (inflate s); writer_faulty })
+  | Corrupt_value, _ -> map_writes corrupt_value_in resp
   | Corrupt_meta, Some (Payload.Value_reply (Some w)) ->
     Some (Payload.Value_reply (Some { w with stamp = inflate w.stamp }))
+  | Corrupt_meta, Some (Payload.Read_reply r) ->
+    let inflate_write (w : Payload.write) = { w with stamp = inflate w.stamp } in
+    Some
+      (Payload.Read_reply
+         {
+           r with
+           stamps = List.map inflate r.stamps;
+           write = Option.map inflate_write r.write;
+         })
   | Corrupt_meta, _ -> resp
-  | Equivocate, Some (Payload.Meta_reply { stamp = Some s; writer_faulty }) ->
-    Some (Payload.Meta_reply { stamp = Some (inflate s); writer_faulty })
-  | Equivocate, _ -> resp (* serves genuine values on fetch *)
+  | Equivocate, Some (Payload.Read_reply r) ->
+    (* claims inflated stamps, but ships and serves genuine values *)
+    Some (Payload.Read_reply { r with stamps = List.map inflate r.stamps })
+  | Equivocate, _ -> resp
   | Eager_report, _ -> with_pending server env resp
   | Downgrade, _ -> map_writes strip_batch_proof (with_maced server env resp)
 
@@ -205,11 +173,6 @@ let handle_typed behavior server ~now ~from env =
   | Drop_gossip when
       (match env.Payload.request with Payload.Gossip_push _ -> true | _ -> false) ->
     None
-  | Eager_report ->
-    (* Answer log queries with held writes included: re-dispatch against
-       a guard-free view by reading pending via the server API. *)
-    let honest = Server.handle server ~now ~from env in
-    mutate_response behavior server env honest
   | _ ->
     let honest = Server.handle server ~now ~from env in
     mutate_response behavior server env honest

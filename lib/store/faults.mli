@@ -14,18 +14,19 @@ type behavior =
   | Silent_reads  (** accepts writes but never answers queries *)
   | Stale  (** ignores all new writes and gossip: serves frozen state *)
   | Corrupt_value  (** flips bits in returned values *)
-  | Corrupt_meta  (** inflates timestamps in meta replies (lures readers) *)
+  | Corrupt_meta  (** inflates timestamps in read replies (lures readers) *)
   | Equivocate
-      (** claims a huge timestamp in meta replies but serves the real
-          (older) value on fetch — the bait-and-switch a signature check
+      (** claims huge timestamps in read replies but ships and serves the
+          real (older) value — the bait-and-switch a signature check
           alone does not catch without the stamp-freshness check *)
   | Eager_report
-      (** multi-writer: reports held (pending) writes before their causal
-          predecessors arrived, the attack b+1 vouching masks *)
+      (** multi-writer: lists and serves held (pending) writes before
+          their causal predecessors arrived, the attack b+1 vouching
+          masks *)
   | Drop_gossip  (** accepts client writes but ignores gossip pushes *)
   | Downgrade
-      (** evidence downgrade: serves MAC-held writes as if announced
-          (their MAC vectors are genuine but not third-party
+      (** evidence downgrade: lists, ships and serves MAC-held writes as
+          if announced (their MAC vectors are genuine but not third-party
           verifiable) and strips elements from batch inclusion proofs —
           the attacks the evidence checks in {!Signing.verify_write}
           must catch *)

@@ -116,11 +116,9 @@ type request =
          digest is [known]: a server storing that record answers
          [Ctx_same] instead of sending it back *)
   | Ctx_write of { client : string; group : string; record : ctx_record }
-  | Meta_query of { uid : Uid.t }
+  | Read_query of { uid : Uid.t; ship : bool }
   | Value_read of { uid : Uid.t; stamp : Stamp.t }
   | Write_req of { write : write; await_ack : bool }
-  | Log_query of { uid : Uid.t }
-  | Read_inline of { uid : Uid.t }
   | Group_query of { group : string }
   | Gossip_push of {
       writes : write list;
@@ -163,10 +161,13 @@ type frag_chunk = { total : int; data : string }
 
 type response =
   | Ctx_reply of ctx_record option
-  | Meta_reply of { stamp : Stamp.t option; writer_faulty : bool }
+  | Read_reply of {
+      stamps : Stamp.t list;  (* current stamp first, then the logged ones *)
+      writer_faulty : bool;
+      write : write option;  (* the current write, when [ship] asked *)
+    }
   | Value_reply of write option
   | Ack
-  | Log_reply of { writes : write list; writer_faulty : bool }
   | Group_reply of write list
   | Denied of string
   | Epoch_reply of Config_epoch.t option
@@ -297,9 +298,10 @@ let encode_request enc = function
     Codec.Enc.string enc client;
     Codec.Enc.string enc group;
     encode_ctx_record enc record
-  | Meta_query { uid } ->
+  | Read_query { uid; ship } ->
     Codec.Enc.u8 enc 2;
-    Uid.encode enc uid
+    Uid.encode enc uid;
+    Codec.Enc.bool enc ship
   | Value_read { uid; stamp } ->
     Codec.Enc.u8 enc 3;
     Uid.encode enc uid;
@@ -308,9 +310,6 @@ let encode_request enc = function
     Codec.Enc.u8 enc 4;
     encode_write enc write;
     Codec.Enc.bool enc await_ack
-  | Log_query { uid } ->
-    Codec.Enc.u8 enc 5;
-    Uid.encode enc uid
   | Group_query { group } ->
     Codec.Enc.u8 enc 6;
     Codec.Enc.string enc group
@@ -323,9 +322,6 @@ let encode_request enc = function
         Stamp.encode enc stamp)
       have;
     Codec.Enc.option enc Config_epoch.encode epoch
-  | Read_inline { uid } ->
-    Codec.Enc.u8 enc 8;
-    Uid.encode enc uid
   | Evidence_upgrade { uid; stamp; writer; evidence } ->
     Codec.Enc.u8 enc 9;
     Uid.encode enc uid;
@@ -369,7 +365,10 @@ let decode_request dec =
     let group = Codec.Dec.string dec in
     let record = decode_ctx_record dec in
     Ctx_write { client; group; record }
-  | 2 -> Meta_query { uid = Uid.decode dec }
+  | 2 ->
+    let uid = Uid.decode dec in
+    let ship = Codec.Dec.bool dec in
+    Read_query { uid; ship }
   | 3 ->
     let uid = Uid.decode dec in
     let stamp = Stamp.decode dec in
@@ -378,7 +377,6 @@ let decode_request dec =
     let write = decode_write dec in
     let await_ack = Codec.Dec.bool dec in
     Write_req { write; await_ack }
-  | 5 -> Log_query { uid = Uid.decode dec }
   | 6 -> Group_query { group = Codec.Dec.string dec }
   | 7 ->
     let writes = Codec.Dec.list dec decode_write in
@@ -390,7 +388,6 @@ let decode_request dec =
     in
     let epoch = Codec.Dec.option dec Config_epoch.decode in
     Gossip_push { writes; have; epoch }
-  | 8 -> Read_inline { uid = Uid.decode dec }
   | 9 ->
     let uid = Uid.decode dec in
     let stamp = Stamp.decode dec in
@@ -446,18 +443,15 @@ let encode_response r =
       | Ctx_reply record ->
         Codec.Enc.u8 enc 0;
         Codec.Enc.option enc encode_ctx_record record
-      | Meta_reply { stamp; writer_faulty } ->
+      | Read_reply { stamps; writer_faulty; write } ->
         Codec.Enc.u8 enc 1;
-        Codec.Enc.option enc Stamp.encode stamp;
-        Codec.Enc.bool enc writer_faulty
+        Codec.Enc.list enc Stamp.encode stamps;
+        Codec.Enc.bool enc writer_faulty;
+        Codec.Enc.option enc encode_write write
       | Value_reply w ->
         Codec.Enc.u8 enc 2;
         Codec.Enc.option enc encode_write w
       | Ack -> Codec.Enc.u8 enc 3
-      | Log_reply { writes; writer_faulty } ->
-        Codec.Enc.u8 enc 4;
-        Codec.Enc.list enc encode_write writes;
-        Codec.Enc.bool enc writer_faulty
       | Group_reply writes ->
         Codec.Enc.u8 enc 5;
         Codec.Enc.list enc encode_write writes
@@ -488,15 +482,12 @@ let decode_response s =
       match Codec.Dec.u8 dec with
       | 0 -> Ctx_reply (Codec.Dec.option dec decode_ctx_record)
       | 1 ->
-        let stamp = Codec.Dec.option dec Stamp.decode in
+        let stamps = Codec.Dec.list dec Stamp.decode in
         let writer_faulty = Codec.Dec.bool dec in
-        Meta_reply { stamp; writer_faulty }
+        let write = Codec.Dec.option dec decode_write in
+        Read_reply { stamps; writer_faulty; write }
       | 2 -> Value_reply (Codec.Dec.option dec decode_write)
       | 3 -> Ack
-      | 4 ->
-        let writes = Codec.Dec.list dec decode_write in
-        let writer_faulty = Codec.Dec.bool dec in
-        Log_reply { writes; writer_faulty }
       | 5 -> Group_reply (Codec.Dec.list dec decode_write)
       | 6 -> Denied (Codec.Dec.string dec)
       | 7 -> Epoch_reply (Codec.Dec.option dec Config_epoch.decode)
@@ -514,14 +505,13 @@ let decode_response s =
 let pp_response fmt = function
   | Ctx_reply None -> Format.pp_print_string fmt "Ctx_reply None"
   | Ctx_reply (Some r) -> Format.fprintf fmt "Ctx_reply (seq=%d %a)" r.seq Context.pp r.ctx
-  | Meta_reply { stamp = None; _ } -> Format.pp_print_string fmt "Meta_reply None"
-  | Meta_reply { stamp = Some s; writer_faulty } ->
-    Format.fprintf fmt "Meta_reply %a%s" Stamp.pp s
-      (if writer_faulty then " (writer faulty)" else "")
+  | Read_reply { stamps; writer_faulty; write } ->
+    Format.fprintf fmt "Read_reply (%d stamps%s%s)" (List.length stamps)
+      (if Option.is_some write then ", write" else "")
+      (if writer_faulty then ", writer faulty" else "")
   | Value_reply None -> Format.pp_print_string fmt "Value_reply None"
   | Value_reply (Some w) -> Format.fprintf fmt "Value_reply %a %a" Uid.pp w.uid Stamp.pp w.stamp
   | Ack -> Format.pp_print_string fmt "Ack"
-  | Log_reply { writes; _ } -> Format.fprintf fmt "Log_reply (%d writes)" (List.length writes)
   | Group_reply writes -> Format.fprintf fmt "Group_reply (%d writes)" (List.length writes)
   | Denied reason -> Format.fprintf fmt "Denied %s" reason
   | Epoch_reply None -> Format.pp_print_string fmt "Epoch_reply None"

@@ -15,7 +15,10 @@
       addressed servers, so such a write must never cross the
       gossip/anti-entropy boundary; it is held unannounced until the
       client escalates it to signed (Batch) evidence with
-      {!Evidence_upgrade}. *)
+      {!Evidence_upgrade}.
+
+    A read moves stamps from every polled server and one value
+    ({!Read_query}); {!Value_read} fetches only on a miss. *)
 
 type batch_evidence = {
   root : string;  (** 32-byte Merkle root over the batch's leaf bodies *)
@@ -103,14 +106,16 @@ type request =
           its {!ctx_record_digest}. A server storing exactly that record
           answers {!Ctx_same}; otherwise it answers as to [Ctx_read]. *)
   | Ctx_write of { client : string; group : string; record : ctx_record }
-  | Meta_query of { uid : Uid.t }
+  | Read_query of { uid : Uid.t; ship : bool }
+      (** the one read request ({!Read_reply}): every polled server
+          lists its stamps, and the one asked to [ship] also sends its
+          current write, so a read whose shipper is fresh costs one
+          round — section 6's "read cost equals write cost" best case *)
   | Value_read of { uid : Uid.t; stamp : Stamp.t }
+      (** Fig. 2's fetch: the write stored under exactly [stamp]
+          ({!Value_reply}), for a read whose shipped write was not the
+          freshest or the vouched one *)
   | Write_req of { write : write; await_ack : bool }
-  | Log_query of { uid : Uid.t }
-  | Read_inline of { uid : Uid.t }
-      (** one-round read: the server returns its whole current write
-          (value included), trading bandwidth for a round trip —
-          section 6's "read cost equals write cost" best case *)
   | Group_query of { group : string }
       (** all current writes in a group — context reconstruction *)
   | Gossip_push of {
@@ -180,10 +185,16 @@ type frag_chunk = { total : int; data : string }
 
 type response =
   | Ctx_reply of ctx_record option
-  | Meta_reply of { stamp : Stamp.t option; writer_faulty : bool }
+  | Read_reply of {
+      stamps : Stamp.t list;
+          (** the current stamp first, then the logged ones: metadata
+              only, since a multi-writer stamp already carries its
+              value's digest ({!Stamp.matches_value}) *)
+      writer_faulty : bool;  (** the server saw this item's writer fork *)
+      write : write option;  (** the current write, when [ship] was set *)
+    }
   | Value_reply of write option
   | Ack
-  | Log_reply of { writes : write list; writer_faulty : bool }
   | Group_reply of write list
   | Denied of string
   | Epoch_reply of Config_epoch.t option

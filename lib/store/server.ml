@@ -699,9 +699,8 @@ let epoch_exempt = function
        epoch, exactly like gossip. *)
     true
   | Payload.Ctx_read _ | Payload.Ctx_check _ | Payload.Ctx_write _
-  | Payload.Meta_query _ | Payload.Value_read _ | Payload.Write_req _
-  | Payload.Log_query _ | Payload.Group_query _ | Payload.Read_inline _
-  | Payload.Evidence_upgrade _ | Payload.Frag_put _ ->
+  | Payload.Read_query _ | Payload.Value_read _ | Payload.Write_req _
+  | Payload.Group_query _ | Payload.Evidence_upgrade _ | Payload.Frag_put _ ->
     false
 
 let handle t ~now ~from (env : Payload.envelope) : Payload.response option =
@@ -748,16 +747,17 @@ let handle t ~now ~from (env : Payload.envelope) : Payload.response option =
           if fresher then Hashtbl.replace t.contexts (client, group) record;
           Some Payload.Ack
         end)
-  | Payload.Meta_query { uid } ->
+  | Payload.Read_query { uid; ship } ->
     auth ~group:(Uid.group uid) ~op:`Read (fun () ->
         let st = Hashtbl.find_opt t.items (Uid.to_string uid) in
-        let stamp = Option.bind st announced_stamp in
-        let writer_faulty = match st with Some s -> s.forked | None -> false in
-        Some (Payload.Meta_reply { stamp; writer_faulty }))
-  | Payload.Read_inline { uid } ->
-    auth ~group:(Uid.group uid) ~op:`Read (fun () ->
-        let st = Hashtbl.find_opt t.items (Uid.to_string uid) in
-        Some (Payload.Value_reply (Option.bind st (fun st -> st.current))))
+        Some
+          (Payload.Read_reply
+             {
+               stamps =
+                 List.map (fun (w : Payload.write) -> w.stamp) (log_writes t uid);
+               writer_faulty = (match st with Some s -> s.forked | None -> false);
+               write = (if ship then Option.bind st (fun st -> st.current) else None);
+             }))
   | Payload.Value_read { uid; stamp } ->
     auth ~group:(Uid.group uid) ~op:`Read (fun () ->
         let found =
@@ -823,15 +823,6 @@ let handle t ~now ~from (env : Payload.envelope) : Payload.response option =
           in
           if announced then Some Payload.Ack
           else Some (Payload.Denied "unknown write"))
-  | Payload.Log_query { uid } ->
-    auth ~group:(Uid.group uid) ~op:`Read (fun () ->
-        let writes = log_writes t uid in
-        let writer_faulty =
-          match Hashtbl.find_opt t.items (Uid.to_string uid) with
-          | Some st -> st.forked
-          | None -> false
-        in
-        Some (Payload.Log_reply { writes; writer_faulty }))
   | Payload.Group_query { group } ->
     auth ~group ~op:`Read (fun () ->
         let writes = ref [] in
@@ -976,9 +967,8 @@ let preverify t (env : Payload.envelope) =
     Signing.warm_context t.keyring ~client ~group record
   | Payload.Evidence_upgrade { writer; evidence; _ } ->
     Signing.warm_batch t.keyring ~writer evidence
-  | Payload.Ctx_read _ | Payload.Ctx_check _ | Payload.Meta_query _
-  | Payload.Value_read _ | Payload.Log_query _ | Payload.Read_inline _
-  | Payload.Group_query _
+  | Payload.Ctx_read _ | Payload.Ctx_check _ | Payload.Read_query _
+  | Payload.Value_read _ | Payload.Group_query _
   | Payload.Epoch_get | Payload.Epoch_announce _
   (* fragment traffic carries no signatures: the metadata's digests are
      the authority *)

@@ -757,8 +757,11 @@ let probe_request =
       Store.Payload.token = None;
       epoch = 0;
       request =
-        Store.Payload.Meta_query
-          { uid = Store.Uid.make ~group:"pool-probe" ~item:"pool-probe" };
+        Store.Payload.Read_query
+          {
+            uid = Store.Uid.make ~group:"pool-probe" ~item:"pool-probe";
+            ship = false;
+          };
     }
 
 (* One probe of a suspected endpoint, on a thread of its own. A framed

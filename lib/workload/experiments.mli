@@ -39,10 +39,10 @@ val e8b_spurious_context : unit -> Table.t
 val e10_wan_latency : ?seed:int -> unit -> Table.t
 (** Operation latency distributions, LAN vs WAN, ours vs baselines. *)
 
-val e11_read_strategies : unit -> Table.t
-(** Ablation: two-round (Fig. 2) vs inline one-round reads, across value
-    sizes — the message/bandwidth trade behind section 6's "read cost
-    can equal write cost" remark. *)
+val e11_read_hit_miss : unit -> Table.t
+(** The one read across value sizes: a fresh shipper answers in one
+    round (section 6's "read cost can equal write cost"), a stale one
+    adds Fig. 2's fetch. *)
 
 val e12_dispersal : unit -> Table.t
 (** Ablation: replication vs fragmentation-scattering (IDA): bytes on

@@ -248,10 +248,10 @@ let test_payload_roundtrips () =
           group = "g";
           record = { Payload.seq = 3; ctx = Context.empty; evidence = Payload.Sig "sig" };
         };
-      Payload.Meta_query { uid = u1 };
+      Payload.Read_query { uid = u1; ship = true };
       Payload.Value_read { uid = u2; stamp = Stamp.scalar 4 };
       Payload.Write_req { write = sample_write; await_ack = true };
-      Payload.Log_query { uid = u1 };
+      Payload.Read_query { uid = u1; ship = false };
       Payload.Group_query { group = "g" };
       Payload.Ctx_check { client = "alice"; group = "g"; known = String.make 16 'k' };
       Payload.Ctx_write
@@ -288,12 +288,13 @@ let test_payload_roundtrips () =
       Payload.Ctx_reply None;
       Payload.Ctx_same;
       Payload.Ctx_reply (Some { Payload.seq = 1; ctx = Context.empty; evidence = Payload.Sig "s" });
-      Payload.Meta_reply { stamp = Some (Stamp.scalar 2); writer_faulty = true };
-      Payload.Meta_reply { stamp = None; writer_faulty = false };
+      Payload.Read_reply { stamps = [ Stamp.scalar 2 ]; writer_faulty = true; write = None };
+      Payload.Read_reply { stamps = []; writer_faulty = false; write = None };
       Payload.Value_reply (Some sample_write);
       Payload.Value_reply None;
       Payload.Ack;
-      Payload.Log_reply { writes = [ sample_write ]; writer_faulty = false };
+      Payload.Read_reply
+        { stamps = [ Stamp.scalar 3; Stamp.scalar 2 ]; writer_faulty = false; write = Some sample_write };
       Payload.Group_reply [ sample_write ];
       Payload.Denied "nope";
     ]
@@ -853,19 +854,19 @@ let test_log_keeps_overwritten_value () =
   Alcotest.(check string) "newest first" "v2" (List.hd log).Payload.value
 
 (* ------------------------------------------------------------------ *)
-(* Inline (one-round) reads                                           *)
+(* One-round reads (the default read, paper cost model)               *)
 (* ------------------------------------------------------------------ *)
 
-let inline cfg = { cfg with Client.inline_read = true; paper_cost_model = true }
+let inline cfg = { cfg with Client.paper_cost_model = true }
 
-let test_inline_read_roundtrip () =
+let test_one_read_roundtrip () =
   let w = make_world () in
   in_world w (fun () ->
       let alice = connect w "alice" ~group:"g" ~cfg:inline in
       ok (Client.write alice ~item:"x" "vv");
       Alcotest.(check string) "inline read" "vv" (ok (Client.read alice ~item:"x")))
 
-let test_inline_read_one_round_cost () =
+let test_one_read_one_round_cost () =
   List.iter
     (fun (n, b) ->
       let w = make_world ~n ~b () in
@@ -883,8 +884,8 @@ let test_inline_read_one_round_cost () =
           Alcotest.(check int) "one verification" 1 m.Metrics.verifies))
     [ (4, 1); (7, 2); (10, 3) ]
 
-let test_inline_read_falls_back () =
-  (* Preferred servers are stale: the inline round misses, the standard
+let test_one_read_falls_back () =
+  (* Preferred servers are stale: the first round misses, the standard
      expansion path still finds the fresh value. *)
   let w = make_world () in
   in_world w (fun () ->
@@ -904,7 +905,7 @@ let test_inline_read_falls_back () =
       Alcotest.(check string) "fallback finds fresh" "v2"
         (ok (Client.read alice ~item:"x")))
 
-let test_inline_read_survives_corruption () =
+let test_one_read_survives_corruption () =
   let w = make_world () in
   wrap w 0 Faults.Corrupt_value;
   in_world w (fun () ->
@@ -1184,7 +1185,7 @@ let test_evidence_proves_corrupt_server () =
       Metrics.reset ();
       Alcotest.(check string) "shrunk read" "v1" (ok (Client.read alice ~item:"x"));
       let m = Metrics.read () in
-      Alcotest.(check int) "one-server read round" (2 + 2) m.Metrics.messages)
+      Alcotest.(check int) "one-server read round" 2 m.Metrics.messages)
 
 let test_evidence_shrinks_context_quorum () =
   let w = make_world ~n:4 ~b:1 () in
@@ -1727,11 +1728,12 @@ let test_audit_localizes_equivocation () =
     (Audit.prove_write w.servers.(0) wb = None);
   check_invariants w.servers
 
-(* A tamperer that advertises a sky-high stamp in meta replies but, when
+(* A tamperer that advertises a sky-high stamp in read replies but, when
    the client fetches that stamp, hands over its genuine (stale) freshest
    write.  The signed value is older than the claim, which is exactly the
-   stamp-regression misbehaviour the client can prove.  Everything else
-   (writes, gossip ingestion) passes through to the real server. *)
+   stamp-regression misbehaviour the client can prove.  A shipped write
+   stays genuine.  Everything else (writes, gossip ingestion) passes
+   through to the real server. *)
 let stamp_regression_tamperer server ~now ~from payload =
   match Payload.decode_envelope payload with
   | None -> None
@@ -1739,19 +1741,18 @@ let stamp_regression_tamperer server ~now ~from payload =
     let freshest uid =
       match
         Server.handle server ~now ~from
-          { env with Payload.request = Payload.Meta_query { uid } }
+          { env with Payload.request = Payload.Read_query { uid; ship = false } }
       with
-      | Some (Payload.Meta_reply { stamp; _ }) -> stamp
+      | Some (Payload.Read_reply { stamps = s :: _; _ }) -> Some s
       | _ -> None
     in
     let resp =
       match env.Payload.request with
-      | Payload.Meta_query _ ->
+      | Payload.Read_query _ ->
         (match Server.handle server ~now ~from env with
-        | Some (Payload.Meta_reply { stamp = Some _; writer_faulty }) ->
+        | Some (Payload.Read_reply ({ stamps = _ :: _; _ } as r)) ->
           Some
-            (Payload.Meta_reply
-               { stamp = Some (Stamp.scalar 1_000_000_000); writer_faulty })
+            (Payload.Read_reply { r with stamps = [ Stamp.scalar 1_000_000_000 ] })
         | r -> r)
       | Payload.Value_read { uid; stamp = _ } ->
         (match freshest uid with
@@ -1882,10 +1883,10 @@ let test_costs_data_read () =
           in
           ok (Client.write alice ~item:"x" "v");
           let _, m = snapshot_around (fun () -> ok (Client.read alice ~item:"x")) in
-          (* b+1 meta round trips plus one value fetch round trip. *)
+          (* One round: b+1 requests, b+1 replies, one carrying the value. *)
           Alcotest.(check int)
             (Printf.sprintf "read msgs (n=%d b=%d)" n b)
-            ((2 * (b + 1)) + 2)
+            (2 * (b + 1))
             m.Metrics.messages;
           Alcotest.(check int) "one client verification" 1 m.Metrics.verifies;
           Alcotest.(check int) "no signing on read" 0 m.Metrics.signs))
@@ -2048,10 +2049,19 @@ let test_span_vocabulary () =
         [ "encode"; "frag_scatter"; "sign"; "write_quorum" ]
         (last ());
       ignore (ok (Client.read alice ~item:"x"));
-      expect "read" ~op:"read" [ "meta_poll"; "value_fetch"; "verify" ] (last ());
+      expect "read" ~op:"read" [ "meta_poll"; "verify" ] (last ());
       ignore (ok (Client.read alice ~item:"blob"));
       expect "dispersed read" ~op:"read"
-        [ "meta_poll"; "value_fetch"; "verify"; "frag_gather"; "decode" ]
+        [ "meta_poll"; "verify"; "frag_gather"; "decode" ]
+        (last ());
+      (* A miss: the write reached servers 0 and 1, so a session whose
+         shipper is server 2 runs Fig. 2's fetch. *)
+      let missing =
+        connect w "alice" ~group:"g" ~cfg:(fun c ->
+            { (coded_cfg c) with Client.servers = [ 2; 0; 1; 3 ] })
+      in
+      ignore (ok (Client.read missing ~item:"x"));
+      expect "miss read" ~op:"read" [ "meta_poll"; "value_fetch"; "verify" ]
         (last ());
       ok (Client.disconnect alice);
       expect "disconnect" ~op:"disconnect" [ "sign" ] (last ());
@@ -2337,8 +2347,8 @@ let test_epoch_stale_gate () =
   Alcotest.(check bool) "current-epoch write accepted" true
     (handle (env 1 (Payload.Write_req { write; await_ack = true }))
     = Some Payload.Ack);
-  (match handle (env 1 (Payload.Read_inline { uid })) with
-  | Some (Payload.Value_reply (Some stored)) ->
+  (match handle (env 1 (Payload.Read_query { uid; ship = true })) with
+  | Some (Payload.Read_reply { write = Some stored; _ }) ->
     Alcotest.(check string) "readable" "v" stored.Payload.value
   | _ -> Alcotest.fail "read failed at current epoch");
   (* Epoch discovery is never gated: that is how laggards repair. *)
@@ -2487,9 +2497,9 @@ let test_drain_denies_new_writes () =
   | _ -> Alcotest.fail "context write accepted while draining");
   match
     Server.handle w.servers.(0) ~now:0.0 ~from:(-1)
-      { Payload.token = None; epoch = 0; request = Payload.Read_inline { uid } }
+      { Payload.token = None; epoch = 0; request = Payload.Read_query { uid; ship = true } }
   with
-  | Some (Payload.Value_reply (Some stored)) ->
+  | Some (Payload.Read_reply { write = Some stored; _ }) ->
     Alcotest.(check string) "reads still served" "kept" stored.Payload.value
   | _ -> Alcotest.fail "draining server stopped serving reads"
 
@@ -3956,6 +3966,111 @@ let test_overwrite_drops_only_own_fragments () =
 
 let qsuite props = List.map QCheck_alcotest.to_alcotest props
 
+(* ------------------------------------------------------------------ *)
+(* One read round: hits, misses, and the proofs both keep             *)
+(* ------------------------------------------------------------------ *)
+
+(* With the log full (six writes, no gossip), a multi-writer read moves
+   the value once plus every polled server's stamps, not each polled
+   server's whole log. *)
+let test_read_multi_writer_bytes () =
+  let size = 60_000 in
+  List.iter
+    (fun (n, b) ->
+      let w = make_world ~n ~b () in
+      in_world w (fun () ->
+          let alice = connect w "alice" ~group:"g" ~cfg:mw in
+          for i = 1 to 6 do
+            ok (Client.write alice ~item:"x" (String.make size (Char.chr (96 + i))))
+          done;
+          Metrics.reset ();
+          let v = ok (Client.read alice ~item:"x") in
+          let m = Metrics.read () in
+          Alcotest.(check char) "newest value" 'f' v.[0];
+          let ratio = float_of_int m.Metrics.bytes /. float_of_int size in
+          if ratio > 1.1 then
+            Alcotest.failf "n=%d b=%d: a read moved %.2fx the value's bytes" n b
+              ratio))
+    [ (4, 1); (7, 2) ]
+
+(* The shipper holds v1, a polled server lists v2: Fig. 2's fetch adds
+   one round and the read returns the newer value. *)
+let test_read_single_writer_miss () =
+  let w = make_world () in
+  in_world w (fun () ->
+      let alice = connect w "alice" ~group:"g" in
+      ok (Client.write alice ~item:"x" "v1");
+      flood w;
+      (* v2 lands on servers 0 and 1 only *)
+      ok (Client.write alice ~item:"x" "v2");
+      let bob =
+        connect w "bob" ~group:"g" ~cfg:(fun c -> { c with Client.servers = [ 2; 0; 1; 3 ] })
+      in
+      Metrics.reset ();
+      Alcotest.(check string) "newer value fetched" "v2" (ok (Client.read bob ~item:"x"));
+      Alcotest.(check int) "poll round then fetch round" ((2 * 2) + 2)
+        (Metrics.read ()).Metrics.messages)
+
+(* The shipper's current write has one voucher, short of b+1: the
+   stamp b+1 servers list is the target, fetched from a voucher. *)
+let test_read_multi_writer_miss () =
+  let w = make_world () in
+  let uid = Uid.make ~group:"g" ~item:"x" in
+  in_world w (fun () ->
+      let alice = connect w "alice" ~group:"g" ~cfg:mw in
+      ok (Client.write alice ~item:"x" "v1");
+      let stamp = Stamp.multi ~time:1_000_000 ~writer:"alice" ~value:"v2" in
+      let v2 = Signing.sign_write ~key:(key_of "alice") ~writer:"alice" ~uid ~stamp "v2" in
+      Alcotest.(check bool) "only server 0 holds v2" true
+        (direct_write w 0 v2 ~await_ack:true = Some Payload.Ack);
+      let bob = connect w "bob" ~group:"g" ~cfg:mw in
+      Metrics.reset ();
+      Alcotest.(check string) "vouched value fetched" "v1" (ok (Client.read bob ~item:"x"));
+      Alcotest.(check int) "poll round then fetch round" ((2 * 3) + 2)
+        (Metrics.read ()).Metrics.messages)
+
+(* A corrupting multi-writer shipper is skipped, proven, and the value
+   comes from another voucher. *)
+let test_read_multi_writer_corrupt_shipper () =
+  let w = make_world () in
+  wrap w 0 Faults.Corrupt_value;
+  let evidence = Fault_evidence.create ~servers:(List.init 4 Fun.id) ~b:1 in
+  in_world w (fun () ->
+      let alice =
+        connect w "alice" ~group:"g"
+          ~cfg:(fun c -> { (mw c) with Client.evidence = Some evidence })
+      in
+      ok (Client.write alice ~item:"x" "precious");
+      Alcotest.(check string) "value from another voucher" "precious"
+        (ok (Client.read alice ~item:"x"));
+      Alcotest.(check bool) "shipper proven" true
+        (Fault_evidence.proof_of evidence 0 = Some Fault_evidence.Invalid_signature))
+
+(* The rollback tamperer as a metadata server (server 1; server 0 ships
+   v2): its inflated stamp is fetched, the stale write it serves proves
+   a stamp regression, and the read returns the shipped v2. *)
+let test_rollback_tamperer_as_metadata_server () =
+  let w = make_world () in
+  let evidence = Fault_evidence.create ~servers:(List.init 4 Fun.id) ~b:1 in
+  in_world w (fun () ->
+      let alice =
+        connect w "alice" ~group:"g"
+          ~cfg:(fun c -> { c with Client.evidence = Some evidence })
+      in
+      ok (Client.write alice ~item:"x" "v1");
+      let stale = Server.snapshot w.servers.(1) in
+      ok (Client.write alice ~item:"x" "v2");
+      flood w;
+      (match Server.restore ~id:1 ~keyring:w.keyring ~n:w.n ~b:w.b stale with
+      | None -> Alcotest.fail "snapshot did not restore"
+      | Some rolled_back ->
+        w.servers.(1) <- rolled_back;
+        w.hmap.(1) <- stamp_regression_tamperer rolled_back);
+      Alcotest.(check string) "read returns the shipped v2" "v2"
+        (ok (Client.read alice ~item:"x"));
+      Alcotest.(check bool) "proof is a stamp regression" true
+        (Fault_evidence.proof_of evidence 1 = Some Fault_evidence.Stamp_regression))
+
 let () =
   Alcotest.run "store"
     [
@@ -4022,10 +4137,20 @@ let () =
         ] );
       ( "inline-read",
         [
-          Alcotest.test_case "roundtrip" `Quick test_inline_read_roundtrip;
-          Alcotest.test_case "one-round cost" `Quick test_inline_read_one_round_cost;
-          Alcotest.test_case "fallback" `Quick test_inline_read_falls_back;
-          Alcotest.test_case "corruption" `Quick test_inline_read_survives_corruption;
+          Alcotest.test_case "roundtrip" `Quick test_one_read_roundtrip;
+          Alcotest.test_case "one-round cost" `Quick test_one_read_one_round_cost;
+          Alcotest.test_case "fallback" `Quick test_one_read_falls_back;
+          Alcotest.test_case "corruption" `Quick test_one_read_survives_corruption;
+        ] );
+      ( "one-round-read",
+        [
+          Alcotest.test_case "multi-writer bytes" `Quick test_read_multi_writer_bytes;
+          Alcotest.test_case "single-writer miss" `Quick test_read_single_writer_miss;
+          Alcotest.test_case "multi-writer miss" `Quick test_read_multi_writer_miss;
+          Alcotest.test_case "corrupt multi-writer shipper" `Quick
+            test_read_multi_writer_corrupt_shipper;
+          Alcotest.test_case "rollback tamperer as metadata server" `Quick
+            test_rollback_tamperer_as_metadata_server;
         ] );
       ( "jitter",
         [ Alcotest.test_case "privacy" `Quick test_timestamp_jitter ]

@@ -208,11 +208,13 @@ let header_hostile_qcheck =
    with all the others, so the ports are reserved up front for each host
    to name its peers. *)
 let with_cluster ?(n = 4) ?(b = 1) ?(behavior = fun _ -> Store.Faults.Honest)
-    ?gossip_period fn =
+    ?gossip_period ?config fn =
   let keyring = Store.Keyring.create () in
   Store.Keyring.register keyring "alice" alice_key.Crypto.Rsa.public;
   Store.Keyring.register keyring "bob" bob_key.Crypto.Rsa.public;
-  let servers = Array.init n (fun id -> Store.Server.create ~id ~keyring ~n ~b ()) in
+  let servers =
+    Array.init n (fun id -> Store.Server.create ?config ~id ~keyring ~n ~b ())
+  in
   let ports =
     Array.init n (fun _ -> if gossip_period = None then 0 else Ports.reserve ())
   in
@@ -269,6 +271,56 @@ let test_live_other_reader () =
           let bob = connect ~keyring ~n ~b "bob" bob_key in
           Alcotest.(check string) "bob reads" "hello bob"
             (ok (Store.Client.read bob ~item:"news"))))
+
+(* The multi-writer data class (section 5.3) over real sockets: two
+   writers of one item behind the malicious-client guard, each reading
+   back the other's newest value. A read ships the value once, from one
+   server, plus the stamps of the 2b+1 polled servers. *)
+let test_live_multi_writer () =
+  let config =
+    { (Store.Server.default_config ~n:4 ~b:1) with
+      Store.Server.malicious_client_guard = true
+    }
+  in
+  with_cluster ~config (fun ~keyring ~endpoints ~hosts:_ ~servers:_ ~n ~b ->
+      Tcpnet.Live.run ~endpoints (fun () ->
+          let session name key =
+            let config =
+              { (Store.Client.default_config ~n ~b) with
+                Store.Client.timeout = 2.0;
+                mode = Store.Client.Multi_writer
+              }
+            in
+            match
+              Store.Client.connect ~config ~uid:name ~key ~keyring ~group:"net" ()
+            with
+            | Ok c -> c
+            | Error e -> Alcotest.failf "connect: %s" (Store.Client.error_to_string e)
+          in
+          let alice = session "alice" alice_key and bob = session "bob" bob_key in
+          let size = 8192 in
+          (* 2b+1 polled servers, each listing its current stamp and a
+             full log, at under 64 bytes a multi-writer stamp *)
+          let log_depth = (Store.Server.default_config ~n ~b).Store.Server.log_depth in
+          let stamp_bytes = ((2 * b) + 1) * (log_depth + 1) * 64 in
+          let round i (writer, wname) (reader, rname) =
+            let value = String.make size (Char.chr (Char.code 'a' + i)) in
+            ok (Store.Client.write writer ~item:"shared" value);
+            Store.Metrics.reset ();
+            Alcotest.(check string)
+              (Printf.sprintf "%s reads %s's write %d" rname wname i)
+              value
+              (ok (Store.Client.read reader ~item:"shared"));
+            let bytes = (Store.Metrics.read ()).Store.Metrics.bytes in
+            let bound = (size * 12 / 10) + stamp_bytes in
+            if bytes > bound then
+              Alcotest.failf "read %d moved %d bytes, over %d (1.2x a %d-byte value plus stamps)"
+                i bytes bound size
+          in
+          for i = 0 to 5 do
+            if i mod 2 = 0 then round i (alice, "alice") (bob, "bob")
+            else round i (bob, "bob") (alice, "alice")
+          done))
 
 let test_live_crash_tolerated () =
   with_cluster (fun ~keyring ~endpoints ~hosts ~servers:_ ~n ~b ->
@@ -420,12 +472,13 @@ let test_push_size_flat_in_items () =
 
 (* --- pooled transport ---------------------------------------------------- *)
 
-let meta_query_payload =
+let read_query_payload =
   Store.Payload.encode_envelope
     {
       Store.Payload.token = None; epoch = 0;
       request =
-        Store.Payload.Meta_query { uid = Store.Uid.make ~group:"net" ~item:"x" };
+        Store.Payload.Read_query
+          { uid = Store.Uid.make ~group:"net" ~item:"x"; ship = false };
     }
 
 (* A server that accepts connections and never replies: requests park in
@@ -475,10 +528,10 @@ let test_no_fd_leak_on_timeouts () =
       let pool = Tcpnet.Pool.create () in
       let ep = ("127.0.0.1", port) in
       (* First call dials the pooled connection; count fds after that. *)
-      ignore (Tcpnet.Pool.call pool ~timeout:0.01 ep meta_query_payload);
+      ignore (Tcpnet.Pool.call pool ~timeout:0.01 ep read_query_payload);
       let before = live_fds () in
       for _ = 1 to 100 do
-        match Tcpnet.Pool.call pool ~timeout:0.01 ep meta_query_payload with
+        match Tcpnet.Pool.call pool ~timeout:0.01 ep read_query_payload with
         | Tcpnet.Pool.Dropped -> ()
         | _ -> Alcotest.fail "blackhole call should time out"
       done;
@@ -578,7 +631,7 @@ let test_framed_errors () =
           | None -> Alcotest.fail "server dropped instead of replying");
           (* Still in sync: a well-formed call on the same connection works. *)
           Tcpnet.Frame.write_frame fd
-            (Tcpnet.Frame.encode_call ~id:5 meta_query_payload);
+            (Tcpnet.Frame.encode_call ~id:5 read_query_payload);
           match Tcpnet.Frame.read_frame fd with
           | Some frame -> (
             match Tcpnet.Frame.parse_response frame with
@@ -603,7 +656,7 @@ let test_pool_reconnect () =
   let port = Tcpnet.Server_host.port host1 in
   let ep = ("127.0.0.1", port) in
   let pool = Tcpnet.Pool.create ~backoff_base:0.01 ~backoff_max:0.05 () in
-  (match Tcpnet.Pool.call pool ~timeout:2.0 ep meta_query_payload with
+  (match Tcpnet.Pool.call pool ~timeout:2.0 ep read_query_payload with
   | Tcpnet.Pool.Reply _ -> ()
   | _ -> Alcotest.fail "first call should succeed");
   let before = (Store.Metrics.read ()).Store.Metrics.tcp_reconnects in
@@ -612,7 +665,7 @@ let test_pool_reconnect () =
      and transparently redial (within its backoff). *)
   let host2 = Tcpnet.Server_host.start ~server ~port () in
   let rec until tries =
-    match Tcpnet.Pool.call pool ~timeout:0.5 ep meta_query_payload with
+    match Tcpnet.Pool.call pool ~timeout:0.5 ep read_query_payload with
     | Tcpnet.Pool.Reply _ -> true
     | _ ->
       if tries = 0 then false
@@ -644,7 +697,7 @@ let test_backoff_cap () =
   let ep = ("127.0.0.1", port) in
   let backoffs = ref [] in
   for _ = 1 to 6 do
-    (match Tcpnet.Pool.call pool ~timeout:0.2 ep meta_query_payload with
+    (match Tcpnet.Pool.call pool ~timeout:0.2 ep read_query_payload with
     | Tcpnet.Pool.Dropped -> ()
     | _ -> Alcotest.fail "dead endpoint should drop");
     let b = Tcpnet.Pool.current_backoff pool ep in
@@ -776,7 +829,7 @@ let test_pool_health_suspicion () =
     Tcpnet.Pool.create ~suspect_after:2 ~suspect_base:0.1 ~suspect_max:0.2 ()
   in
   for _ = 1 to 2 do
-    match Tcpnet.Pool.call pool ~timeout:0.05 ep meta_query_payload with
+    match Tcpnet.Pool.call pool ~timeout:0.05 ep read_query_payload with
     | Tcpnet.Pool.Dropped -> ()
     | _ -> Alcotest.fail "blackhole call should drop"
   done;
@@ -790,7 +843,7 @@ let test_pool_health_suspicion () =
   | hs -> Alcotest.failf "expected one endpoint, got %d" (List.length hs));
   (* Suspected: the next call fails fast, well inside its timeout. *)
   let t0 = Unix.gettimeofday () in
-  (match Tcpnet.Pool.call pool ~timeout:1.0 ep meta_query_payload with
+  (match Tcpnet.Pool.call pool ~timeout:1.0 ep read_query_payload with
   | Tcpnet.Pool.Dropped -> ()
   | _ -> Alcotest.fail "suspected endpoint should fail fast");
   Alcotest.(check bool) "fail-fast under suspicion" true
@@ -810,7 +863,7 @@ let test_pool_health_suspicion () =
   let host = Tcpnet.Server_host.start ~server ~port () in
   Thread.delay 0.25 (* past suspect_max: the window has expired *);
   let rec until tries =
-    match Tcpnet.Pool.call pool ~timeout:0.5 ep meta_query_payload with
+    match Tcpnet.Pool.call pool ~timeout:0.5 ep read_query_payload with
     | Tcpnet.Pool.Reply _ -> true
     | _ ->
       if tries = 0 then false
@@ -846,7 +899,7 @@ let test_pool_evict () =
   let pool =
     Tcpnet.Pool.create ~suspect_after:2 ~suspect_base:30.0 ~suspect_max:30.0 ()
   in
-  (match Tcpnet.Pool.call pool ~timeout:2.0 ep meta_query_payload with
+  (match Tcpnet.Pool.call pool ~timeout:2.0 ep read_query_payload with
   | Tcpnet.Pool.Reply _ -> ()
   | _ -> Alcotest.fail "first call should succeed");
   Alcotest.(check bool) "connection pooled" true
@@ -855,7 +908,7 @@ let test_pool_evict () =
      suspicion, exactly what a decommissioned address looks like. *)
   Tcpnet.Server_host.stop host1;
   for _ = 1 to 3 do
-    ignore (Tcpnet.Pool.call pool ~timeout:0.1 ep meta_query_payload)
+    ignore (Tcpnet.Pool.call pool ~timeout:0.1 ep read_query_payload)
   done;
   (match Tcpnet.Pool.health pool with
   | [ h ] ->
@@ -880,7 +933,7 @@ let test_pool_evict () =
   (* A joining server reuses the address: with the old suspicion gone,
      traffic lands immediately instead of failing fast for 30 s. *)
   let host2 = Tcpnet.Server_host.start ~server ~port () in
-  (match Tcpnet.Pool.call pool ~timeout:2.0 ep meta_query_payload with
+  (match Tcpnet.Pool.call pool ~timeout:2.0 ep read_query_payload with
   | Tcpnet.Pool.Reply _ -> ()
   | _ -> Alcotest.fail "evicted endpoint should start from a clean slate");
   Tcpnet.Server_host.stop host2;
@@ -1080,7 +1133,7 @@ let test_frame_hostile_inputs () =
         }
       in
       let traced =
-        Tcpnet.Frame.encode_call ~id:2 ~trace:ctx meta_query_payload
+        Tcpnet.Frame.encode_call ~id:2 ~trace:ctx read_query_payload
       in
       let expect_conn_error what frame =
         Tcpnet.Frame.write_frame fd frame;
@@ -1108,7 +1161,7 @@ let test_frame_hostile_inputs () =
       (* Correlation id above max_id: the server must reject it at parse
          time — echoing it in a reply would be an encode error killing
          the connection thread. The connection keeps serving. *)
-      let evil_id = "\x01\x00\xff\xff\xff\xff\x00\x00" ^ meta_query_payload in
+      let evil_id = "\x01\x00\xff\xff\xff\xff\x00\x00" ^ read_query_payload in
       Tcpnet.Frame.write_frame fd evil_id;
       (match Tcpnet.Frame.read_frame fd with
       | Some frame -> (
@@ -1116,7 +1169,7 @@ let test_frame_hostile_inputs () =
         | Some (Tcpnet.Frame.Conn_error _) -> ()
         | _ -> Alcotest.fail "expected framed error for huge correlation id")
       | None -> Alcotest.fail "server dropped huge correlation id silently");
-      Tcpnet.Frame.write_frame fd (Tcpnet.Frame.encode_call ~id:1 meta_query_payload);
+      Tcpnet.Frame.write_frame fd (Tcpnet.Frame.encode_call ~id:1 read_query_payload);
       (match Tcpnet.Frame.read_frame fd with
       | Some frame -> (
         match Tcpnet.Frame.parse_response frame with
@@ -1142,7 +1195,7 @@ let test_chaos_proxy_faults () =
   (match
      Tcpnet.Pool.call pool ~timeout:2.0
        ("127.0.0.1", Tcpnet.Chaos.port clear)
-       meta_query_payload
+       read_query_payload
    with
   | Tcpnet.Pool.Reply _ -> ()
   | _ -> Alcotest.fail "pass-through proxy broke the call");
@@ -1165,7 +1218,7 @@ let test_chaos_proxy_faults () =
   (match
      Tcpnet.Pool.call pool ~timeout:0.2
        ("127.0.0.1", Tcpnet.Chaos.port dead)
-       meta_query_payload
+       read_query_payload
    with
   | Tcpnet.Pool.Dropped -> ()
   | _ -> Alcotest.fail "dropped frames should time the call out");
@@ -1191,7 +1244,7 @@ let test_byzantine_hosts () =
   (match
      Tcpnet.Pool.call pool ~timeout:0.2
        ("127.0.0.1", Tcpnet.Server_host.port host)
-       meta_query_payload
+       read_query_payload
    with
   | Tcpnet.Pool.Dropped -> ()
   | _ -> Alcotest.fail "a Crash host must be silent on the wire");
@@ -2012,6 +2065,7 @@ let () =
           Alcotest.test_case "write/read" `Quick test_live_write_read;
           Alcotest.test_case "other reader" `Quick test_live_other_reader;
           Alcotest.test_case "crash tolerated" `Quick test_live_crash_tolerated;
+          Alcotest.test_case "multi-writer" `Quick test_live_multi_writer;
           Alcotest.test_case "gossip push" `Quick test_gossip_over_tcp;
           Alcotest.test_case "peerless host drops gossip" `Quick
             test_peerless_gossip_bounded;

@@ -40,7 +40,7 @@ let test_e3_matches_formula () =
     (fun row ->
       Alcotest.(check string) "write = b+1" (cell t row "paper b+1")
         (cell t row "write msgs");
-      Alcotest.(check string) "read formula" (cell t row "paper 2(b+1)+2")
+      Alcotest.(check string) "read formula" (cell t row "paper 2(b+1)")
         (cell t row "read msgs"))
     t.Workload.Table.rows
 
