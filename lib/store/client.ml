@@ -184,6 +184,8 @@ let effective_b t =
   | Some e -> Fault_evidence.effective_b e
   | None -> ( match t.epoch with Some e -> e.Config_epoch.b | None -> t.cfg.b)
 
+let context_quorum t = Quorums.context_quorum ~n:(active_n t) ~b:(effective_b t)
+
 let report_proof t ~server event =
   match t.cfg.evidence with
   | Some e -> Fault_evidence.report_proof e ~server event
@@ -305,9 +307,16 @@ let remaining_servers t chosen =
   List.iter (fun s -> Hashtbl.replace chosen_tbl s ()) chosen;
   List.filter (fun s -> not (Hashtbl.mem chosen_tbl s)) (server_universe t)
 
-(* A quorum round with the paper's fallback: ask the [k] servers of
-   [server_set]; if fewer than [k] replies [count], ask the rest for the
-   shortfall. Returns both rounds' replies. *)
+(* The paper's fallback: ask the servers outside [initial] for the
+   [quorum] replies the first round fell short by. *)
+let escalate t ~initial ~quorum request =
+  Metrics.incr_escalation ();
+  Obs.Span.force ();
+  Obs.Span.with_phase "escalate" (fun () ->
+      rpc t ~quorum (remaining_servers t initial) request)
+
+(* A quorum round: ask the [k] servers of [server_set]; if fewer than
+   [k] replies [count], escalate. Returns both rounds' replies. *)
 let quorum_round t ~phase ~k ~count request =
   let initial = server_set t k in
   let replies =
@@ -315,13 +324,7 @@ let quorum_round t ~phase ~k ~count request =
   in
   let got = count replies in
   if got >= k then replies
-  else begin
-    Metrics.incr_escalation ();
-    Obs.Span.force ();
-    replies
-    @ Obs.Span.with_phase "escalate" (fun () ->
-          rpc t ~quorum:(k - got) (remaining_servers t initial) request)
-  end
+  else replies @ escalate t ~initial ~quorum:(k - got) request
 
 let acks replies =
   List.length (List.filter (fun (_, r) -> r = Payload.Ack) replies)
@@ -471,7 +474,7 @@ let best_valid_context t ~known replies =
 let ctx_read t ~known =
   Obs.Span.with_op "ctx_read" @@ fun () ->
   let at_epoch = epoch_version t in
-  let q = Quorums.context_quorum ~n:(active_n t) ~b:(effective_b t) in
+  let q = context_quorum t in
   let request =
     match known with
     | Some k ->
@@ -503,12 +506,11 @@ let quorum_holds_context t =
     h.at_epoch = epoch_version t
     && h.record.seq = t.ctx_seq
     && Context.equal h.record.ctx t.ctx
-    && h.copies >= Quorums.context_quorum ~n:(active_n t) ~b:(effective_b t)
+    && h.copies >= context_quorum t
 
 (* A context write-back in two halves, so a {!Router} can sign many
    sessions' bodies at once: [ctx_prepare] bumps the session counter and
-   builds the body to sign; [ctx_store] attaches the evidence and runs
-   the quorum round. *)
+   builds the body to sign; [ctx_store] stores the signed records. *)
 type ctx_prepared = { pseq : int; pctx : Context.t; body : string }
 
 let ctx_prepare t =
@@ -519,21 +521,75 @@ let ctx_prepare t =
     body = Payload.ctx_body ~client:t.uid ~group:t.group ~seq:t.ctx_seq t.ctx;
   }
 
-let ctx_store t p evidence =
+(* A signed record on its way to the context store, with the servers
+   that stored it so far. *)
+type write_back = { session : t; record : Payload.ctx_record; mutable acks : int }
+
+(* One round for the write-backs of sessions that share a membership
+   (one shard, one epoch): a single [Ctx_write] carries every record to
+   [context_quorum] servers of the lead session's [server_set], acks are
+   counted per record, and only the records still short of their quorum
+   escalate to the remaining servers. *)
+let ctx_store_round writes =
   Obs.Span.with_op "ctx_store" @@ fun () ->
-  let q = Quorums.context_quorum ~n:(active_n t) ~b:(effective_b t) in
-  let record = { Payload.seq = p.pseq; ctx = p.pctx; evidence } in
-  let request =
-    Payload.Ctx_write { client = t.uid; group = t.group; record }
+  let lead = (List.hd writes).session in
+  let is_short w = w.acks < context_quorum w.session in
+  let request writes =
+    Payload.Ctx_write
+      {
+        client = lead.uid;
+        records = List.map (fun w -> (w.session.group, w.record)) writes;
+      }
   in
-  let got =
-    acks (quorum_round t ~phase:"ctx_write" ~k:q ~count:acks request)
+  (* A reply counts for a record only when its verdict list lines up
+     with the request's records. A lead that learns a newer epoch
+     carries the others along, so every quorum is counted in it. *)
+  let tally writes replies =
+    List.iter
+      (function
+        | _, Payload.Ctx_written verdicts when List.compare_lengths verdicts writes = 0
+          ->
+          List.iter2
+            (fun w v -> if v = Payload.Stored then w.acks <- w.acks + 1)
+            writes verdicts
+        | _ -> ())
+      replies;
+    Option.iter
+      (fun e -> List.iter (fun w -> try_adopt_epoch w.session e) writes)
+      lead.epoch
   in
-  if got < q then Error (No_quorum { wanted = q; got })
-  else begin
-    t.held <- Some { record; copies = got; at_epoch = epoch_version t };
-    Ok ()
-  end
+  let k = List.fold_left (fun acc w -> max acc (context_quorum w.session)) 0 writes in
+  let initial = server_set lead k in
+  tally writes
+    (Obs.Span.with_phase "ctx_write" (fun () -> rpc lead ~quorum:k initial (request writes)));
+  (match List.filter is_short writes with
+  | [] -> ()
+  | short ->
+    let missing =
+      List.fold_left (fun acc w -> max acc (context_quorum w.session - w.acks)) 0 short
+    in
+    tally short (escalate lead ~initial ~quorum:missing (request short)));
+  List.iter
+    (fun w ->
+      if not (is_short w) then
+        w.session.held <-
+          Some { record = w.record; copies = w.acks; at_epoch = epoch_version w.session })
+    writes
+
+(* Store every record, one round per membership: a {!Router} close
+   sends one request per shard, not one per session. *)
+let rec ctx_store = function
+  | [] -> ()
+  | first :: _ as writes ->
+    let membership w =
+      let t = w.session in
+      (t.uid, t.cfg.token, epoch_version t, active_servers t)
+    in
+    let mine, rest =
+      List.partition (fun w -> membership w = membership first) writes
+    in
+    ctx_store_round mine;
+    ctx_store rest
 
 (* ---------------- Dissemination and evidence escalation ---------------- *)
 
@@ -1357,27 +1413,44 @@ let prepare_close t =
 
 let close_body c = Option.map (fun p -> p.body) c.write_back
 
-let finish_close c evidence =
-  let t = c.session in
-  let result =
-    match (c.write_back, evidence) with
-    | None, None -> Ok ()
-    | Some p, Some evidence -> ctx_store t p evidence
-    | None, Some _ | Some _, None ->
-      invalid_arg "Client.finish_close: evidence must match close_body"
+let finish_close closes =
+  let writes =
+    List.map
+      (fun (c, evidence) ->
+        match (c.write_back, evidence) with
+        | None, None -> None
+        | Some p, Some evidence ->
+          let record = { Payload.seq = p.pseq; ctx = p.pctx; evidence } in
+          Some { session = c.session; record; acks = 0 }
+        | None, Some _ | Some _, None ->
+          invalid_arg "Client.finish_close: evidence must match close_body")
+      closes
   in
-  (match result with Ok () -> t.connected <- false | Error _ -> ());
-  trace t ~op:c.opid ~phase:Trace.Return
-    ~outcome:(outcome_of_result (fun () -> Trace.Ok_unit) result)
-    Trace.Disconnect;
-  result
+  ctx_store (List.filter_map Fun.id writes);
+  List.map2
+    (fun (c, _) w ->
+      let t = c.session in
+      let result =
+        match w with
+        | Some w when w.acks < context_quorum t ->
+          Error (No_quorum { wanted = context_quorum t; got = w.acks })
+        | Some _ | None -> Ok ()
+      in
+      (match result with Ok () -> t.connected <- false | Error _ -> ());
+      trace t ~op:c.opid ~phase:Trace.Return
+        ~outcome:(outcome_of_result (fun () -> Trace.Ok_unit) result)
+        Trace.Disconnect;
+      result)
+    closes writes
 
 let disconnect t =
   ensure_connected t @@ fun () ->
   if t.unescalated <> [] then flush_escalations t;
   Obs.Span.with_op "disconnect" @@ fun () ->
   let c = begin_close ~skip_held:false t in
-  finish_close c
-    (Option.map
-       (fun body -> List.hd (Signbatch.sign_contexts ~key:t.key [ body ]))
-       (close_body c))
+  let evidence =
+    Option.map
+      (fun body -> List.hd (Signbatch.sign_contexts ~key:t.key [ body ]))
+      (close_body c)
+  in
+  List.hd (finish_close [ (c, evidence) ])

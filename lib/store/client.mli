@@ -221,11 +221,16 @@ val prepare_close : t -> (closing, error) result
 val close_body : closing -> string option
 (** The body to sign, or [None] when the write-back is skipped. *)
 
-val finish_close : closing -> Payload.evidence option -> (unit, error) result
-(** Store the prepared record with [evidence] (its quorum round and
-    escalation, as {!disconnect}) and end the session; pass [None]
-    exactly when {!close_body} is [None].
-    @raise Invalid_argument when [evidence] does not match. *)
+val finish_close :
+  (closing * Payload.evidence option) list -> (unit, error) result list
+(** Store each prepared record with its evidence and end its session;
+    pass [None] exactly when {!close_body} is [None]. The records of
+    sessions that share a membership (one shard, one epoch) go out in
+    one {!Payload.Ctx_write} to [context_quorum] servers; each record
+    needs its own quorum of acks, and only the records short of one
+    escalate to the remaining servers. Results are in input order, and
+    each session's history gets its Disconnect return.
+    @raise Invalid_argument when an evidence does not match. *)
 
 val write : t -> item:string -> string -> (unit, error) result
 (** Write a value to [group/item] under the session's consistency level.

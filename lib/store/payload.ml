@@ -115,7 +115,7 @@ type request =
       (* a [Ctx_read] from a client already holding the record whose
          digest is [known]: a server storing that record answers
          [Ctx_same] instead of sending it back *)
-  | Ctx_write of { client : string; group : string; record : ctx_record }
+  | Ctx_write of { client : string; records : (string * ctx_record) list }
   | Read_query of { uid : Uid.t; ship : bool }
   | Value_read of { uid : Uid.t; stamp : Stamp.t }
   | Write_req of { write : write; await_ack : bool }
@@ -159,6 +159,8 @@ type envelope = {
 
 type frag_chunk = { total : int; data : string }
 
+type ctx_verdict = Stored | Refused of string
+
 type response =
   | Ctx_reply of ctx_record option
   | Read_reply of {
@@ -178,6 +180,7 @@ type response =
       (* [Some] carries the requested byte range plus the fragment's
          full length; [None] means the server holds no such fragment *)
   | Ctx_same  (* answer to [Ctx_check]: I store exactly the known record *)
+  | Ctx_written of ctx_verdict list  (* answer to [Ctx_write], per record *)
 
 let encode_proof enc (p : Crypto.Merkle.proof) =
   Codec.Enc.varint enc p.index;
@@ -293,11 +296,14 @@ let encode_request enc = function
     Codec.Enc.u8 enc 0;
     Codec.Enc.string enc client;
     Codec.Enc.string enc group
-  | Ctx_write { client; group; record } ->
+  | Ctx_write { client; records } ->
     Codec.Enc.u8 enc 1;
     Codec.Enc.string enc client;
-    Codec.Enc.string enc group;
-    encode_ctx_record enc record
+    Codec.Enc.list enc
+      (fun enc (group, record) ->
+        Codec.Enc.string enc group;
+        encode_ctx_record enc record)
+      records
   | Read_query { uid; ship } ->
     Codec.Enc.u8 enc 2;
     Uid.encode enc uid;
@@ -362,9 +368,13 @@ let decode_request dec =
     Ctx_read { client; group }
   | 1 ->
     let client = Codec.Dec.string dec in
-    let group = Codec.Dec.string dec in
-    let record = decode_ctx_record dec in
-    Ctx_write { client; group; record }
+    let records =
+      Codec.Dec.list dec (fun dec ->
+          let group = Codec.Dec.string dec in
+          let record = decode_ctx_record dec in
+          (group, record))
+    in
+    Ctx_write { client; records }
   | 2 ->
     let uid = Uid.decode dec in
     let ship = Codec.Dec.bool dec in
@@ -473,7 +483,16 @@ let encode_response r =
           (match chunk with
           | None -> None
           | Some { total; data } -> Some (total, data))
-      | Ctx_same -> Codec.Enc.u8 enc 10)
+      | Ctx_same -> Codec.Enc.u8 enc 10
+      | Ctx_written verdicts ->
+        Codec.Enc.u8 enc 11;
+        Codec.Enc.list enc
+          (fun enc -> function
+            | Stored -> Codec.Enc.u8 enc 0
+            | Refused reason ->
+              Codec.Enc.u8 enc 1;
+              Codec.Enc.string enc reason)
+          verdicts)
     ()
 
 let decode_response s =
@@ -499,6 +518,13 @@ let decode_response s =
                let data = Codec.Dec.string dec in
                { total; data }))
       | 10 -> Ctx_same
+      | 11 ->
+        Ctx_written
+          (Codec.Dec.list dec (fun dec ->
+               match Codec.Dec.u8 dec with
+               | 0 -> Stored
+               | 1 -> Refused (Codec.Dec.string dec)
+               | _ -> raise (Codec.Error "bad context verdict")))
       | _ -> raise (Codec.Error "bad response tag"))
     s
 
@@ -521,3 +547,7 @@ let pp_response fmt = function
   | Frag_reply (Some { total; data }) ->
     Format.fprintf fmt "Frag_reply (%d of %d bytes)" (String.length data) total
   | Ctx_same -> Format.pp_print_string fmt "Ctx_same"
+  | Ctx_written verdicts ->
+    Format.fprintf fmt "Ctx_written (%d of %d stored)"
+      (List.length (List.filter (fun v -> v = Stored) verdicts))
+      (List.length verdicts)

@@ -105,7 +105,12 @@ type request =
           {!Router} reconnecting a group it closed before): [known] is
           its {!ctx_record_digest}. A server storing exactly that record
           answers {!Ctx_same}; otherwise it answers as to [Ctx_read]. *)
-  | Ctx_write of { client : string; group : string; record : ctx_record }
+  | Ctx_write of { client : string; records : (string * ctx_record) list }
+      (** one client's context write-backs, [(group, record)], for the
+          groups of one shard: a {!Router} close stores every dirty
+          session in one round. The server judges each record on its
+          own ({!Ctx_written}); only a stale epoch or a draining server
+          refuses the whole request. *)
   | Read_query of { uid : Uid.t; ship : bool }
       (** the one read request ({!Read_reply}): every polled server
           lists its stamps, and the one asked to [ship] also sends its
@@ -183,6 +188,10 @@ type frag_chunk = { total : int; data : string }
 (** One chunk of a fragment: the requested byte range plus the
     fragment's full length, so readers can size follow-up requests. *)
 
+type ctx_verdict =
+  | Stored  (** the record verified; kept unless a higher [seq] is held *)
+  | Refused of string  (** unauthorized or unverifiable, with why *)
+
 type response =
   | Ctx_reply of ctx_record option
   | Read_reply of {
@@ -207,6 +216,8 @@ type response =
   | Ctx_same
       (** answer to [Ctx_check]: the server stores exactly the known
           record *)
+  | Ctx_written of ctx_verdict list
+      (** answer to [Ctx_write]: one verdict per record, in order *)
 
 val encode_write : Wire.Codec.Enc.t -> write -> unit
 val decode_write : Wire.Codec.Dec.t -> write

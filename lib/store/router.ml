@@ -78,8 +78,9 @@ let flush_all t =
 
 (* Close every session with one signature: prepare each write-back,
    sign the bodies as one batch (a lone body keeps a plain signature),
-   then store each record. Sessions whose context a quorum already holds
-   send nothing. Every session is visited even when another fails. *)
+   then store every record of a shard in one round. Sessions whose
+   context a quorum already holds send nothing. Every session is
+   visited, and a record refused on its own fails only its session. *)
 let disconnect t =
   Obs.Span.with_op "disconnect" @@ fun () ->
   let prepared =
@@ -96,8 +97,9 @@ let disconnect t =
     Signbatch.sign_contexts ~key:t.key (List.filter_map Client.close_body dirty)
   in
   let stored =
-    List.map2 (fun c e -> Client.finish_close c (Some e)) dirty evidence
-    @ List.map (fun c -> Client.finish_close c None) held
+    Client.finish_close
+      (List.map2 (fun c e -> (c, Some e)) dirty evidence
+      @ List.map (fun c -> (c, None)) held)
   in
   Hashtbl.iter
     (fun group c ->

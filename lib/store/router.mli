@@ -52,10 +52,11 @@ val disconnect : t -> (unit, Client.error) result
 (** Disconnect every open session with at most one RSA signature: the
     context write-backs of all sessions are signed as one Merkle batch
     ({!Signbatch.sign_contexts}; a lone write-back keeps plain [Sig]
-    evidence), then each is stored with its own quorum round. A session
-    sends no write-back when a quorum already holds its context (see
-    {!Client.prepare_close}). The first error is reported,
-    but all sessions are attempted. *)
+    evidence), then all of a shard's records are stored in one quorum
+    round ({!Client.finish_close}). A session sends no write-back when a
+    quorum already holds its context (see {!Client.prepare_close}). The
+    first error is reported, but all sessions are attempted, and a
+    record the servers refuse fails only its own session. *)
 
 val sessions : t -> (string * Client.t) list
 (** Open sessions as [(group, session)] — diagnostics and tests. *)

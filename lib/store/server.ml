@@ -729,24 +729,34 @@ let handle t ~now ~from (env : Payload.envelope) : Payload.response option =
         | Some r when String.equal (Payload.ctx_record_digest r) known ->
           Some Payload.Ctx_same
         | stored -> Some (Payload.Ctx_reply stored))
-  | Payload.Ctx_write { client; group; record } ->
-    auth ~expect_client:client ~group ~op:`Write (fun () ->
-        if t.draining then
-          (* Contexts are not gossiped on the write path, so a record
-             stored on a departing server would be lost at handoff; the
-             client lands it on the current epoch's members instead. *)
-          Some (Payload.Denied "draining")
-        else if not (Signing.server_verify_context t.keyring ~client ~group record)
-        then Some (Payload.Denied "bad context signature")
-        else begin
-          let fresher =
-            match Hashtbl.find_opt t.contexts (client, group) with
-            | None -> true
-            | Some existing -> record.seq > existing.seq
-          in
-          if fresher then Hashtbl.replace t.contexts (client, group) record;
-          Some Payload.Ack
-        end)
+  | Payload.Ctx_write { client; records } ->
+    if t.draining then
+      (* Contexts are not gossiped on the write path, so a record stored
+         on a departing server would be lost at handoff; the client
+         lands it on the current epoch's members instead. *)
+      Some (Payload.Denied "draining")
+    else
+      (* Each record stands alone: one that fails authorization or
+         verification is refused without sinking the others. *)
+      let verify = Signing.server_context_verifier t.keyring ~client in
+      Some
+        (Payload.Ctx_written
+           (List.map
+              (fun (group, (record : Payload.ctx_record)) ->
+                match
+                  authorize t ~now ~token:env.token ~expect_client:client ~group
+                    ~op:`Write ()
+                with
+                | Access_control.Denied reason -> Payload.Refused reason
+                | Access_control.Authorized ->
+                  if not (verify ~group record) then Payload.Refused "bad context signature"
+                  else begin
+                    (match Hashtbl.find_opt t.contexts (client, group) with
+                    | Some existing when record.seq <= existing.seq -> ()
+                    | _ -> Hashtbl.replace t.contexts (client, group) record);
+                    Payload.Stored
+                  end)
+              records))
   | Payload.Read_query { uid; ship } ->
     auth ~group:(Uid.group uid) ~op:`Read (fun () ->
         let st = Hashtbl.find_opt t.items (Uid.to_string uid) in
@@ -963,8 +973,8 @@ let preverify t (env : Payload.envelope) =
   | Payload.Write_req { write; _ } -> Signing.warm_write t.keyring write
   | Payload.Gossip_push { writes; _ } ->
     List.iter (Signing.warm_write t.keyring) writes
-  | Payload.Ctx_write { client; group; record } ->
-    Signing.warm_context t.keyring ~client ~group record
+  | Payload.Ctx_write { client; records } ->
+    Signing.warm_contexts t.keyring ~client records
   | Payload.Evidence_upgrade { writer; evidence; _ } ->
     Signing.warm_batch t.keyring ~writer evidence
   | Payload.Ctx_read _ | Payload.Ctx_check _ | Payload.Read_query _

@@ -121,14 +121,15 @@ let mac_write keyring ~writer ~uid ~stamp ?wctx ?frags ~servers value =
    the cache (k leaves of one batch cost one RSA verify), the inclusion
    path is checked against the signed size, and [domain] fixes which
    kind of leaf the root may certify. *)
-let check_batch ~count pub domain ~leaf
-    ({ root; size; proof; root_sig } : Payload.batch_evidence) =
+let root_verdict ~count pub domain ({ root; size; root_sig; _ } : Payload.batch_evidence) =
+  cached_verify ~count pub ~msg:(Payload.batch_body domain ~root ~size) ~signature:root_sig
+
+let check_batch ?(root_ok = root_verdict) ~count pub domain ~leaf
+    ({ root; size; proof; _ } as b : Payload.batch_evidence) =
   size > 0
   && proof.Crypto.Merkle.index >= 0
   && proof.Crypto.Merkle.index < size
-  && cached_verify ~count pub
-       ~msg:(Payload.batch_body domain ~root ~size)
-       ~signature:root_sig
+  && root_ok ~count pub domain b
   && begin
        if count then Metrics.incr_digest ();
        Crypto.Merkle.verify ~root ~size ~leaf proof
@@ -196,17 +197,9 @@ let warm_write keyring (w : Payload.write) =
    [Evidence_upgrade] will verify under the lock. The Merkle path hashes
    are cheap and rerun there. *)
 let warm_batch keyring ~writer evidence =
-  match evidence with
-  | Payload.Batch { root; size; root_sig; _ } -> (
-    match Keyring.find keyring writer with
-    | Some pub ->
-      ignore
-        (cached_verify pub
-           ~msg:(Payload.batch_body Payload.Writes ~root ~size)
-           ~signature:root_sig
-          : bool)
-    | None -> ())
-  | Payload.Sig _ | Payload.Mac _ -> ()
+  match (evidence, Keyring.find keyring writer) with
+  | Payload.Batch b, Some pub -> ignore (root_verdict ~count:true pub Payload.Writes b : bool)
+  | _ -> ()
 
 let sign_body ~key body =
   Metrics.incr_sign ();
@@ -221,7 +214,7 @@ let sign_context ~key ~client ~group ~seq ctx =
    so a record of another group in the same batch does not verify here.
    MAC evidence is refused: a context must convince the session's next
    connect, which holds no pairwise key. *)
-let check_context ?(count = true) keyring ~client ~group
+let check_context ?(count = true) ?root_ok keyring ~client ~group
     (r : Payload.ctx_record) =
   match Keyring.find keyring client with
   | None -> false
@@ -229,18 +222,45 @@ let check_context ?(count = true) keyring ~client ~group
     let body = Payload.ctx_body ~client ~group ~seq:r.seq r.ctx in
     match r.evidence with
     | Payload.Sig signature -> cached_verify ~count pub ~msg:body ~signature
-    | Payload.Batch b -> check_batch ~count pub Payload.Contexts ~leaf:body b
+    | Payload.Batch b -> check_batch ?root_ok ~count pub Payload.Contexts ~leaf:body b
     | Payload.Mac _ -> false)
 
 let verify_context keyring ~client ~group r =
   Metrics.incr_verify ();
   check_context keyring ~client ~group r
 
-let server_verify_context keyring ~client ~group r =
-  Metrics.incr_server_verify ();
-  check_context keyring ~client ~group r
+(* One request's records share their batch root: its verdict is taken
+   from the signature cache once, and each record then pays only its
+   body and Merkle path. *)
+let server_context_verifier keyring ~client =
+  let roots = Hashtbl.create 2 in
+  let root_ok ~count pub domain (b : Payload.batch_evidence) =
+    let key = (b.root, b.size, b.root_sig) in
+    match Hashtbl.find_opt roots key with
+    | Some verdict -> verdict
+    | None ->
+      let verdict = root_verdict ~count pub domain b in
+      Hashtbl.replace roots key verdict;
+      verdict
+  in
+  fun ~group r ->
+    Metrics.incr_server_verify ();
+    check_context ~root_ok keyring ~client ~group r
 
-(* Warming a batch-evidenced record runs its root-signature check, the
-   one RSA verify every other record of that batch then hits. *)
-let warm_context keyring ~client ~group r =
-  ignore (check_context keyring ~client ~group r : bool)
+(* Warm what the records' check will need from the cache: a signed
+   record's signature, a batch's root signature once. The Merkle paths
+   are cheap and run under the lock. *)
+let warm_contexts keyring ~client records =
+  match Keyring.find keyring client with
+  | None -> ()
+  | Some pub ->
+    let roots = Hashtbl.create 2 in
+    List.iter
+      (fun (group, (r : Payload.ctx_record)) ->
+        match r.evidence with
+        | Payload.Sig _ -> ignore (check_context keyring ~client ~group r : bool)
+        | Payload.Batch b when not (Hashtbl.mem roots b.root_sig) ->
+          Hashtbl.replace roots b.root_sig ();
+          ignore (root_verdict ~count:true pub Payload.Contexts b : bool)
+        | Payload.Batch _ | Payload.Mac _ -> ())
+      records

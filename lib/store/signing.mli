@@ -100,8 +100,13 @@ val verify_context :
     (root verdict shared through the cache, size-aware proof). [Mac]
     evidence always fails. *)
 
-val server_verify_context :
+val server_context_verifier :
   Keyring.t -> client:string -> group:string -> Payload.ctx_record -> bool
+(** [server_context_verifier keyring ~client] is the server's check of
+    one request's records, as {!verify_context} but counted toward
+    [server_verifies]. Each distinct batch root of the request goes
+    through the signature cache once; every record then pays its body
+    and Merkle path. *)
 
 val warm_write : Keyring.t -> Payload.write -> unit
 (** Run the verification now so a subsequent [server_verify_write] is a
@@ -114,7 +119,9 @@ val warm_batch : Keyring.t -> writer:string -> Payload.evidence -> unit
 (** Warm the root-signature check of batch evidence — the expensive part
     of an {!Payload.Evidence_upgrade}. *)
 
-val warm_context :
-  Keyring.t -> client:string -> group:string -> Payload.ctx_record -> unit
-(** Context analogue of {!warm_write}: for [Batch] evidence this runs
-    the root-signature check that the batch's other records then hit. *)
+val warm_contexts :
+  Keyring.t -> client:string -> (string * Payload.ctx_record) list -> unit
+(** Context analogue of {!warm_write} for one request's [(group,
+    record)]s: each [Sig] record's signature check, and each distinct
+    batch root's signature check once (what every record of the batch
+    then hits). The Merkle paths run later, under the lock. *)

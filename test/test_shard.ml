@@ -373,7 +373,9 @@ type close_world = {
   keyring : Store.Keyring.t;
   servers : Store.Server.t array;
   down : (int, unit) Hashtbl.t;
-  mutable ctx_writes : int;  (** [Ctx_write] requests delivered *)
+  mutable ctx_writes : int;  (** context records delivered in [Ctx_write]s *)
+  mutable ctx_sent : (int * string list) list;
+      (** each delivered [Ctx_write]'s server and groups, newest first *)
 }
 
 let alice = lazy (key_of "alice")
@@ -385,14 +387,15 @@ let close_world ?server_config count =
     Array.init count (fun id ->
         Store.Server.create ?config:server_config ~id ~keyring ~n:4 ~b:1 ())
   in
-  { keyring; servers; down = Hashtbl.create 4; ctx_writes = 0 }
+  { keyring; servers; down = Hashtbl.create 4; ctx_writes = 0; ctx_sent = [] }
 
 let close_handlers w dst ~from req =
   if dst < 0 || dst >= Array.length w.servers || Hashtbl.mem w.down dst then None
   else begin
     (match Store.Payload.decode_envelope req with
-    | Some { Store.Payload.request = Store.Payload.Ctx_write _; _ } ->
-      w.ctx_writes <- w.ctx_writes + 1
+    | Some { Store.Payload.request = Store.Payload.Ctx_write { records; _ }; _ } ->
+      w.ctx_writes <- w.ctx_writes + List.length records;
+      w.ctx_sent <- (dst, List.map fst records) :: w.ctx_sent
     | _ -> ());
     Store.Server.handler w.servers.(dst) ~now:0.0 ~from req
   end
@@ -433,9 +436,12 @@ let test_router_close_signs_once () =
         (fun g -> okr "write" (Store.Router.write r ~uid:(Store.Uid.make ~group:g ~item:"x") g))
         groups;
       w.ctx_writes <- 0;
+      w.ctx_sent <- [];
       let (), signs = signs_during (fun () -> okr "disconnect" (Store.Router.disconnect r)) in
       Alcotest.(check int) "one RSA signature closes ten dirty sessions" 1 signs;
       Alcotest.(check int) "every session written back to a quorum" 30 w.ctx_writes;
+      Alcotest.(check bool) "one context round per shard" true
+        (List.length w.ctx_sent <= 2 * Store.Quorums.context_quorum ~n:4 ~b:1);
       List.iter
         (fun g ->
           let s = 4 * Store.Shardmap.shard_of_group table g in
@@ -581,6 +587,111 @@ let test_router_close_visits_every_session () =
           Alcotest.(check bool) ("context of " ^ g ^ " stored") true
             (List.length holders >= 3))
         healthy)
+
+(* Groups of [table] from [candidates] that land on [shard], at most [k]. *)
+let groups_on table ~k shard candidates =
+  List.filter (fun g -> Store.Shardmap.shard_of_group table g = shard) candidates
+  |> List.filteri (fun i _ -> i < k)
+
+(* Rewrite every [Ctx_write] on its way to the servers. *)
+let rewriting_ctx_writes w f dst ~from req =
+  match Store.Payload.decode_envelope req with
+  | Some ({ Store.Payload.request = Store.Payload.Ctx_write { client; records }; _ } as env)
+    ->
+    close_handlers w dst ~from
+      (Store.Payload.encode_envelope
+         { env with request = Store.Payload.Ctx_write { client; records = f records } })
+  | _ -> close_handlers w dst ~from req
+
+(* A record whose batch proof is forged on the wire is refused by every
+   server on its own: its session fails, and every other record of the
+   same request still lands on a quorum. *)
+let test_router_bad_record_fails_alone () =
+  let table = Store.Shardmap.make ~seed:"alone" ~shards:2 () in
+  let w = close_world 8 in
+  let candidates = List.init 40 (fun i -> Printf.sprintf "a%d" i) in
+  let groups = groups_on table ~k:3 0 candidates @ groups_on table ~k:3 1 candidates in
+  if List.length groups < 6 then Alcotest.fail "sample groups do not cover both shards";
+  let bad = List.hd groups in
+  let forge (r : Store.Payload.ctx_record) =
+    match r.evidence with
+    | Store.Payload.Batch b ->
+      let flip h = String.mapi (fun i c -> if i = 0 then Char.chr (Char.code c lxor 1) else c) h in
+      let path = List.map (fun (h, side) -> (flip h, side)) b.proof.Crypto.Merkle.path in
+      { r with evidence = Store.Payload.Batch { b with proof = { b.proof with path } } }
+    | Store.Payload.Sig _ | Store.Payload.Mac _ -> Alcotest.fail "expected batch evidence"
+  in
+  let tamper = List.map (fun (g, r) -> if g = bad then (g, forge r) else (g, r)) in
+  Sim.Direct.run ~handlers:(rewriting_ctx_writes w tamper) (fun () ->
+      let r = router w table in
+      List.iter
+        (fun g -> okr "write" (Store.Router.write r ~uid:(Store.Uid.make ~group:g ~item:"x") g))
+        groups;
+      (match Store.Router.disconnect r with
+      | Error (Store.Client.No_quorum { got = 0; _ }) -> ()
+      | Ok () -> Alcotest.fail "a refused record went unreported"
+      | Error e -> Alcotest.failf "unexpected error: %s" (Store.Client.error_to_string e));
+      Alcotest.(check int) "all sessions closed" 0 (List.length (Store.Router.sessions r));
+      List.iter
+        (fun g ->
+          let base = 4 * Store.Shardmap.shard_of_group table g in
+          let holders =
+            List.filter (fun s -> stored_record w s g <> None) (List.init 4 (( + ) base))
+          in
+          if g = bad then Alcotest.(check int) "forged record stored nowhere" 0 (List.length holders)
+          else
+            Alcotest.(check bool) ("context of " ^ g ^ " on a quorum") true
+              (List.length holders >= Store.Quorums.context_quorum ~n:4 ~b:1))
+        groups)
+
+(* Server 0 withholds one group's record (it answers it as refused):
+   that record alone is short of its quorum, so the escalation carries
+   only it. *)
+let test_router_escalates_short_records () =
+  let table = Store.Shardmap.make ~seed:"short" ~shards:1 () in
+  let w = close_world 4 in
+  let groups = [ "s0"; "s1"; "s2" ] in
+  let withheld = "s1" in
+  let handlers dst ~from req =
+    let reply = close_handlers w dst ~from req in
+    match (dst, Store.Payload.decode_envelope req, reply) with
+    | 0, Some { Store.Payload.request = Store.Payload.Ctx_write { records; _ }; _ }, Some raw
+      -> (
+      match Store.Payload.decode_response raw with
+      | Some (Store.Payload.Ctx_written verdicts) ->
+        Some
+          (Store.Payload.encode_response
+             (Store.Payload.Ctx_written
+                (List.map2
+                   (fun (g, _) v -> if g = withheld then Store.Payload.Refused "withheld" else v)
+                   records verdicts)))
+      | _ -> reply)
+    | _ -> reply
+  in
+  Sim.Direct.run ~handlers (fun () ->
+      let r = router w table in
+      List.iter
+        (fun g -> okr "write" (Store.Router.write r ~uid:(Store.Uid.make ~group:g ~item:"x") g))
+        groups;
+      w.ctx_sent <- [];
+      okr "close" (Store.Router.disconnect r);
+      let q = Store.Quorums.context_quorum ~n:4 ~b:1 in
+      let sent = List.rev w.ctx_sent in
+      let first = List.filteri (fun i _ -> i < q) sent in
+      let sorted = List.sort compare in
+      List.iter
+        (fun (_, gs) ->
+          Alcotest.(check (list string)) "the first round carries every record" groups (sorted gs))
+        first;
+      Alcotest.(check (list (list string))) "the escalation carries only the short record"
+        [ [ withheld ] ]
+        (List.map snd (List.filteri (fun i _ -> i >= q) sent));
+      Alcotest.(check bool) "escalated to a server outside the first round" true
+        (List.for_all
+           (fun (dst, _) -> not (List.mem_assoc dst first))
+           (List.filteri (fun i _ -> i >= q) sent));
+      let holders = List.filter (fun s -> stored_record w s withheld <> None) [ 1; 2; 3 ] in
+      Alcotest.(check int) "withheld record on a quorum elsewhere" q (List.length holders))
 
 (* ---- Router over live TCP: multi-shard hosting end to end --------- *)
 
@@ -837,6 +948,10 @@ let () =
             test_router_rewrites_after_epoch_change;
           Alcotest.test_case "close visits every session" `Quick
             test_router_close_visits_every_session;
+          Alcotest.test_case "bad record fails alone" `Quick
+            test_router_bad_record_fails_alone;
+          Alcotest.test_case "escalation sends short records" `Quick
+            test_router_escalates_short_records;
           Alcotest.test_case "live sharded" `Slow (live_sharded ~byzantine:false);
           Alcotest.test_case "live sharded, byzantine shard" `Slow
             (live_sharded ~byzantine:true);

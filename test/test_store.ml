@@ -245,9 +245,10 @@ let test_payload_roundtrips () =
       Payload.Ctx_write
         {
           client = "alice";
-          group = "g";
-          record = { Payload.seq = 3; ctx = Context.empty; evidence = Payload.Sig "sig" };
+          records =
+            [ ("g", { Payload.seq = 3; ctx = Context.empty; evidence = Payload.Sig "sig" }) ];
         };
+      Payload.Ctx_write { client = "alice"; records = [] };
       Payload.Read_query { uid = u1; ship = true };
       Payload.Value_read { uid = u2; stamp = Stamp.scalar 4 };
       Payload.Write_req { write = sample_write; await_ack = true };
@@ -257,20 +258,23 @@ let test_payload_roundtrips () =
       Payload.Ctx_write
         {
           client = "alice";
-          group = "g";
-          record =
-            {
-              Payload.seq = 4;
-              ctx = Context.of_bindings [ (u1, Stamp.scalar 2) ];
-              evidence =
-                Payload.Batch
-                  {
-                    root = String.make 32 'r';
-                    size = 3;
-                    proof = { Crypto.Merkle.index = 2; path = [ (String.make 32 'p', `Left) ] };
-                    root_sig = "rs";
-                  };
-            };
+          records =
+            [
+              ( "g",
+                {
+                  Payload.seq = 4;
+                  ctx = Context.of_bindings [ (u1, Stamp.scalar 2) ];
+                  evidence =
+                    Payload.Batch
+                      {
+                        root = String.make 32 'r';
+                        size = 3;
+                        proof = { Crypto.Merkle.index = 2; path = [ (String.make 32 'p', `Left) ] };
+                        root_sig = "rs";
+                      };
+                } );
+              ("h", { Payload.seq = 1; ctx = Context.empty; evidence = Payload.Sig "" });
+            ];
         };
       Payload.Gossip_push { writes = [ sample_write; sample_write ]; have = [ (u1, Stamp.scalar 9) ]; epoch = None };
     ]
@@ -287,6 +291,8 @@ let test_payload_roundtrips () =
     [
       Payload.Ctx_reply None;
       Payload.Ctx_same;
+      Payload.Ctx_written [];
+      Payload.Ctx_written [ Payload.Stored; Payload.Refused "bad context signature"; Payload.Stored ];
       Payload.Ctx_reply (Some { Payload.seq = 1; ctx = Context.empty; evidence = Payload.Sig "s" });
       Payload.Read_reply { stamps = [ Stamp.scalar 2 ]; writer_faulty = true; write = None };
       Payload.Read_reply { stamps = []; writer_faulty = false; write = None };
@@ -2025,6 +2031,10 @@ let test_span_vocabulary () =
           (List.mem phase got))
       wanted
   in
+  let count phase (c : Obs.Span.closed) =
+    List.length
+      (List.filter (fun p -> last_component p.Obs.Span.pname = phase) c.Obs.Span.phases)
+  in
   let newest k = Obs.Span.recent ~limit:k () in
   let last () = List.hd (newest 1) in
   let session name signing =
@@ -2065,6 +2075,8 @@ let test_span_vocabulary () =
         (last ());
       ok (Client.disconnect alice);
       expect "disconnect" ~op:"disconnect" [ "sign" ] (last ());
+      Alcotest.(check (pair int int)) "one-group close: one sign, one ctx_write" (1, 1)
+        (count "sign" (last ()), count "ctx_write" (last ()));
       let bob = session "bob" (Client.Merkle_batch 4) in
       ok (Client.write bob ~item:"y" "v1");
       expect "batch write" ~op:"write" [ "batch_sign"; "write_quorum" ] (last ());
@@ -2077,7 +2089,37 @@ let test_span_vocabulary () =
         expect "escalation" ~op:"escalate_evidence" [ "batch_sign"; "upgrade" ]
           escalation;
         expect "disconnect after escalation" ~op:"disconnect" [ "sign" ] disconnect
-      | _ -> Alcotest.fail "expected the escalation and the disconnect")
+      | _ -> Alcotest.fail "expected the escalation and the disconnect");
+  (* A router close: one context round per shard with dirty sessions. *)
+  let sharded = make_world ~n:8 () in
+  Array.iteri
+    (fun id _ ->
+      sharded.servers.(id) <- Server.create ~id ~keyring:sharded.keyring ~n:4 ~b:1 ();
+      sharded.hmap.(id) <- Server.handler sharded.servers.(id))
+    sharded.servers;
+  let table = Shardmap.make ~seed:"spans" ~shards:2 () in
+  let groups = List.init 8 (fun i -> Printf.sprintf "r%d" i) in
+  let shards = List.sort_uniq compare (List.map (Shardmap.shard_of_group table) groups) in
+  Alcotest.(check (list int)) "groups on both shards" [ 0; 1 ] shards;
+  in_world sharded (fun () ->
+      let router =
+        Router.create ~table ~uid:"alice" ~key:(key_of "alice") ~keyring:sharded.keyring
+          ~config_of:(fun shard ->
+            {
+              (Client.default_config ~n:4 ~b:1) with
+              Client.servers = Router.shard_servers ~n:4 shard;
+            })
+          ()
+      in
+      List.iter
+        (fun g -> ok (Router.write router ~uid:(Uid.make ~group:g ~item:"x") "v"))
+        groups;
+      ok (Router.disconnect router);
+      let close = last () in
+      expect "router close" ~op:"disconnect" [ "sign"; "ctx_write" ] close;
+      Alcotest.(check (pair int int)) "router close: one sign, one ctx_write per shard"
+        (1, List.length shards)
+        (count "sign" close, count "ctx_write" close))
 
 (* ------------------------------------------------------------------ *)
 (* Server unit behaviours                                             *)
@@ -2141,7 +2183,7 @@ let test_server_ctx_seq_ordering () =
     Server.handle w.servers.(0) ~now:0.0 ~from:(-1)
       {
         Payload.token = None; epoch = 0;
-        request = Payload.Ctx_write { client = "alice"; group = "g"; record = r };
+        request = Payload.Ctx_write { client = "alice"; records = [ ("g", r) ] };
       }
   in
   ignore (send (record 5));
@@ -2156,7 +2198,7 @@ let test_server_ctx_seq_ordering () =
   (* Forged context: rejected before storage. *)
   let forged = { (record 9) with Payload.evidence = Payload.Sig (String.make 64 'x') } in
   (match send forged with
-  | Some (Payload.Denied _) -> ()
+  | Some (Payload.Ctx_written [ Payload.Refused _ ]) -> ()
   | _ -> Alcotest.fail "forged context accepted");
   match
     Server.handle w.servers.(0) ~now:0.0 ~from:(-1)
@@ -2490,7 +2532,7 @@ let test_drain_denies_new_writes () =
      Server.handle w.servers.(0) ~now:0.0 ~from:(-1)
        {
          Payload.token = None; epoch = 0;
-         request = Payload.Ctx_write { client = "alice"; group = "g"; record };
+         request = Payload.Ctx_write { client = "alice"; records = [ ("g", record) ] };
        }
    with
   | Some (Payload.Denied "draining") -> ()
@@ -3205,7 +3247,7 @@ let close_entries ~k ~salt =
 let both_reject ~client ~group r =
   let keyring = Lazy.force ctx_keyring in
   (not (Signing.verify_context keyring ~client ~group r))
-  && not (Signing.server_verify_context keyring ~client ~group r)
+  && not (Signing.server_context_verifier keyring ~client ~group r)
 
 (* Every single-field mutation of a batch-evidenced record is refused by
    the client's and the server's check alike. *)
@@ -3248,7 +3290,7 @@ let prop_ctx_batch_mutations =
         }
       in
       Signing.verify_context keyring ~client:"alice" ~group r
-      && Signing.server_verify_context keyring ~client:"alice" ~group r
+      && Signing.server_context_verifier keyring ~client:"alice" ~group r
       && List.for_all
            (fun (client, group, r) -> both_reject ~client ~group r)
            [
@@ -3325,10 +3367,10 @@ let test_ctx_batch_cross_group_forged () =
         {
           Payload.token = None;
           epoch = 0;
-          request = Payload.Ctx_write { client = "alice"; group = "g"; record = rec_g };
+          request = Payload.Ctx_write { client = "alice"; records = [ ("g", rec_g) ] };
         }
     with
-    | Some Payload.Ack -> ()
+    | Some (Payload.Ctx_written [ Payload.Stored ]) -> ()
     | _ -> Alcotest.failf "server %d refused a valid batched record" i
   done;
   (* Server 0 answers every context read of g with g2's (fresher) record. *)
@@ -3389,7 +3431,7 @@ let test_snapshot_keeps_ctx_batches () =
            {
              Payload.token = None;
              epoch = 0;
-             request = Payload.Ctx_write { client = "alice"; group; record };
+             request = Payload.Ctx_write { client = "alice"; records = [ (group, record) ] };
            }))
     closed;
   let read s group =
@@ -3475,7 +3517,7 @@ let test_snapshot_v5_truncations_refused () =
            {
              Payload.token = None;
              epoch = 0;
-             request = Payload.Ctx_write { client = "alice"; group; record };
+             request = Payload.Ctx_write { client = "alice"; records = [ (group, record) ] };
            }))
     (sign_close (close_entries ~k:3 ~salt:5));
   let blob = Server.snapshot w.servers.(0) in
@@ -3490,6 +3532,118 @@ let test_snapshot_v5_truncations_refused () =
     | Error _ -> ()
     | exception e -> Alcotest.failf "a %d-byte prefix raised %s" cut (Printexc.to_string e)
   done
+
+(* ------------------------------------------------------------------ *)
+(* One context round per shard: per-record verdicts                   *)
+(* ------------------------------------------------------------------ *)
+
+let ctx_write_req ?token records =
+  {
+    Payload.token;
+    epoch = 0;
+    request = Payload.Ctx_write { client = "alice"; records };
+  }
+
+let forge_proof (r : Payload.ctx_record) =
+  match r.evidence with
+  | Payload.Batch b ->
+    let path =
+      List.mapi (fun i (h, side) -> if i = 0 then (flip_at h 0, side) else (h, side))
+        b.proof.Crypto.Merkle.path
+    in
+    { r with evidence = Payload.Batch { b with proof = { b.proof with path } } }
+  | Payload.Sig _ | Payload.Mac _ -> Alcotest.fail "expected batch evidence"
+
+let stored_seq ?token server group =
+  match
+    Server.handle server ~now:0.0 ~from:(-1)
+      { Payload.token; epoch = 0; request = Payload.Ctx_read { client = "alice"; group } }
+  with
+  | Some (Payload.Ctx_reply r) -> Option.map (fun (r : Payload.ctx_record) -> r.seq) r
+  | _ -> None
+
+let verdicts = function
+  | Some (Payload.Ctx_written vs) ->
+    List.map (function Payload.Stored -> "stored" | Payload.Refused _ -> "refused") vs
+  | _ -> Alcotest.fail "no per-record answer"
+
+(* One batched request: a record with a forged batch proof, and a record
+   for a group the token may not write, are each refused alone; the
+   other records are stored. *)
+let test_ctx_write_per_record_verdicts () =
+  let closed = sign_close (close_entries ~k:4 ~salt:3) in
+  let seq g = (List.assoc g closed).Payload.seq in
+  let w = make_world () in
+  let forged = forge_proof (List.assoc "g1" closed) in
+  let records = List.map (fun (g, r) -> if g = "g1" then (g, forged) else (g, r)) closed in
+  Alcotest.(check (list string)) "forged record refused alone"
+    [ "stored"; "refused"; "stored"; "stored" ]
+    (verdicts (Server.handle w.servers.(0) ~now:0.0 ~from:(-1) (ctx_write_req records)));
+  List.iter
+    (fun g ->
+      Alcotest.(check (option int)) ("stored " ^ g)
+        (if g = "g1" then None else Some (seq g))
+        (stored_seq w.servers.(0) g))
+    [ "g0"; "g1"; "g2"; "g3" ];
+  let svc = Access_control.create_service ~secret:"ctx-secret" in
+  let config = { (Server.default_config ~n:4 ~b:1) with Server.auth = Some svc } in
+  let authed = make_world ~server_config:config () in
+  let token =
+    Access_control.issue svc ~client:"alice" ~group:"g0" ~rights:Access_control.Read_write
+      ~expires:1e9
+  in
+  (* The token names g0 only: g2's record is refused, and a forged g0
+     record with a higher seq does not displace the genuine one. *)
+  Alcotest.(check (list string)) "unauthorized and forged records refused alone"
+    [ "stored"; "refused"; "refused" ]
+    (verdicts
+       (Server.handle authed.servers.(0) ~now:0.0 ~from:(-1)
+          (ctx_write_req ~token
+             [
+               ("g0", List.assoc "g0" closed);
+               ("g2", List.assoc "g2" closed);
+               ("g0", forge_proof { (List.assoc "g0" closed) with Payload.seq = 99 });
+             ])));
+  Alcotest.(check (option int)) "authorized record stored" (Some (seq "g0"))
+    (stored_seq ~token authed.servers.(0) "g0");
+  let g2_token =
+    Access_control.issue svc ~client:"alice" ~group:"g2" ~rights:Access_control.Read_only
+      ~expires:1e9
+  in
+  Alcotest.(check (option int)) "unauthorized record not stored" None
+    (stored_seq ~token:g2_token authed.servers.(0) "g2")
+
+(* A request with no records gets an answer and changes nothing. *)
+let test_ctx_write_empty () =
+  let w = make_world () in
+  let before = Server.snapshot w.servers.(0) in
+  Alcotest.(check (list string)) "empty answer" []
+    (verdicts (Server.handle w.servers.(0) ~now:0.0 ~from:(-1) (ctx_write_req [])));
+  Alcotest.(check bool) "state unchanged" true
+    (String.equal before (Server.snapshot w.servers.(0)))
+
+(* 0, 1 or many records round-trip; every cut of the encoding, and the
+   encoding with garbage appended, is a clean refusal at the codec and
+   at the server, never an exception. *)
+let prop_ctx_write_hostile_frames =
+  QCheck.Test.make ~name:"context write frames: roundtrip, cuts, garbage" ~count:40
+    QCheck.(triple (int_range 0 6) (int_range 0 1000) (string_of_size (Gen.int_range 1 8)))
+    (fun (k, salt, garbage) ->
+      let records = if k = 0 then [] else sign_close (close_entries ~k ~salt) in
+      let env = ctx_write_req ~token:"tok" records in
+      let bytes = Payload.encode_envelope env in
+      let server = (make_world ()).servers.(0) in
+      let refused s =
+        match (Payload.decode_envelope s, Server.handler server ~now:0.0 ~from:(-1) s) with
+        | None, None -> true
+        | _ -> false
+        | exception e ->
+          QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)
+      in
+      Payload.decode_envelope bytes = Some env
+      && List.for_all (fun cut -> refused (String.sub bytes 0 cut))
+           (List.init (String.length bytes) Fun.id)
+      && refused (bytes ^ garbage))
 
 (* ------------------------------------------------------------------ *)
 (* Bounded server state                                               *)
@@ -4231,8 +4385,11 @@ let () =
             test_snapshot_v5_truncations_refused;
           Alcotest.test_case "read trace carries digest" `Quick
             test_read_trace_carries_digest;
+          Alcotest.test_case "per-record verdicts" `Quick
+            test_ctx_write_per_record_verdicts;
+          Alcotest.test_case "empty context write" `Quick test_ctx_write_empty;
         ]
-        @ qsuite [ prop_ctx_batch_mutations ] );
+        @ qsuite [ prop_ctx_batch_mutations; prop_ctx_write_hostile_frames ] );
       ( "reconfiguration",
         [
           Alcotest.test_case "epoch chain + codec" `Quick test_epoch_chain_and_codec;
