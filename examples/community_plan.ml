@@ -94,7 +94,7 @@ let () =
             (Store.Server.handle s ~now:0.0 ~from:(-1)
                {
                  Store.Payload.token = None; epoch = 0;
-                 request = Store.Payload.Write_req { write = poisoned; await_ack = true };
+                 request = Store.Payload.Write_req poisoned;
                }))
         servers;
       let reader = connect "bob" bob in

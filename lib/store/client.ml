@@ -1,5 +1,5 @@
 type consistency = MRC | CC
-type mode = Single_writer | Multi_writer
+type mode = Quorums.data_class = Single_writer | Multi_writer
 
 (* How writes get their evidence. [Per_write_sig] is the paper's
    baseline: one RSA signature per write. [Merkle_batch k] amortizes the
@@ -16,7 +16,6 @@ type config = {
   consistency : consistency;
   mode : mode;
   timeout : float;
-  paper_cost_model : bool;
   read_spread : bool;
   read_retries : int;
   retry_delay : float;
@@ -46,7 +45,6 @@ let default_config ~n ~b =
     consistency = MRC;
     mode = Single_writer;
     timeout = Sim.Runtime.default_timeout;
-    paper_cost_model = false;
     read_spread = false;
     read_retries = 2;
     retry_delay = 0.05;
@@ -253,12 +251,6 @@ let rpc t ~quorum dsts request =
   note_responders t dsts replies;
   let sent = List.length dsts in
   settle t ~sent ~sent_bytes:(sent * String.length payload) replies
-
-let send_oneway t dsts request =
-  let payload = envelope t request in
-  List.iter (fun dst -> Sim.Runtime.send dst payload) dsts;
-  let sent = List.length dsts in
-  ignore (settle t ~sent ~sent_bytes:(sent * String.length payload) [])
 
 (* One scatter round: per-destination distinct requests (each server gets
    its own fragment chunk, or its own read request), one quorum wait. *)
@@ -604,27 +596,19 @@ let write_fanout t =
    idempotently, so a retry after a lost ack cannot double-apply. *)
 let disseminate t (w : Payload.write) =
   let fanout = write_fanout t in
-  if t.cfg.paper_cost_model then begin
-    send_oneway t (server_set t fanout)
-      (Payload.Write_req { write = w; await_ack = false });
-    Ok ()
-  end
-  else begin
-    let request = Payload.Write_req { write = w; await_ack = true } in
-    let start = Sim.Runtime.now () in
-    let rec go ~retries ~tried =
-      let got =
-        acks
-          (quorum_round t ~phase:"write_quorum" ~k:fanout ~count:acks request)
-      in
-      if got >= fanout then Ok ()
-      else if retries > 0 && backoff_sleep t ~start ~attempt:tried then
-        go ~retries:(retries - 1) ~tried:(tried + 1)
-      else if got = 0 then Error Write_rejected
-      else Error (No_quorum { wanted = fanout; got })
+  let request = Payload.Write_req w in
+  let start = Sim.Runtime.now () in
+  let rec go ~retries ~tried =
+    let got =
+      acks (quorum_round t ~phase:"write_quorum" ~k:fanout ~count:acks request)
     in
-    go ~retries:t.cfg.write_retries ~tried:0
-  end
+    if got >= fanout then Ok ()
+    else if retries > 0 && backoff_sleep t ~start ~attempt:tried then
+      go ~retries:(retries - 1) ~tried:(tried + 1)
+    else if got = 0 then Error Write_rejected
+    else Error (No_quorum { wanted = fanout; got })
+  in
+  go ~retries:t.cfg.write_retries ~tried:0
 
 (* Escalate every pending Mac_fast write to third-party-verifiable Batch
    evidence: sign one Merkle root over the pending bodies, then offer
@@ -661,9 +645,7 @@ let flush_escalations t =
           (fun (from, resp) ->
             match resp with
             | Payload.Denied _ ->
-              ignore
-                (rpc t ~quorum:1 [ from ]
-                   (Payload.Write_req { write = w; await_ack = true }))
+              ignore (rpc t ~quorum:1 [ from ] (Payload.Write_req w))
             | _ -> ())
           replies)
       (Signbatch.sign_writes ~key:t.key writes)

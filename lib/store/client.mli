@@ -19,6 +19,9 @@
 
     Every write, replicated, dispersed or Merkle-batched, runs as one
     write op: one ["write"] span, one Invoke/Return pair in the history,
+    one acknowledged round to b+1 servers (2b+1 for multi-writer data,
+    escalating to the rest when acks fall short; section 6 counts the
+    same write one-way, see {!Quorums.cost}),
     and one context update, made only when the write lands (CC sets the
     item's entry, MRC observes it). The signed CC context carries the
     write's own entry bumped (Fig. 2), but a refused write leaves the
@@ -34,7 +37,7 @@
     harness, or a real transport. *)
 
 type consistency = MRC | CC
-type mode = Single_writer | Multi_writer
+type mode = Quorums.data_class = Single_writer | Multi_writer
 
 type signing_mode =
   | Per_write_sig  (** one RSA signature per write — the paper's baseline *)
@@ -59,10 +62,6 @@ type config = {
   consistency : consistency;
   mode : mode;
   timeout : float;
-  paper_cost_model : bool;
-      (** fire-and-forget data writes, exactly the b+1 (or 2b+1) one-way
-          messages of section 6; otherwise writes wait for acks and expand
-          on failure *)
   read_spread : bool;
       (** poll a random read set instead of a fixed one (exercises
           dissemination; used by experiment E7) *)

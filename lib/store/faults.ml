@@ -166,7 +166,7 @@ let handle_typed behavior server ~now ~from env =
   | Stale when is_write_or_gossip env ->
     (* Pretend to cooperate but never change state. *)
     (match env.Payload.request with
-    | Payload.Write_req { await_ack = true; _ } -> Some Payload.Ack
+    | Payload.Write_req _ -> Some Payload.Ack
     (* acks the fragment stream, stores nothing: silent fragment loss *)
     | Payload.Frag_put _ -> Some Payload.Ack
     | _ -> None)

@@ -118,7 +118,7 @@ type request =
   | Ctx_write of { client : string; records : (string * ctx_record) list }
   | Read_query of { uid : Uid.t; ship : bool }
   | Value_read of { uid : Uid.t; stamp : Stamp.t }
-  | Write_req of { write : write; await_ack : bool }
+  | Write_req of write
   | Group_query of { group : string }
   | Gossip_push of {
       writes : write list;
@@ -312,10 +312,9 @@ let encode_request enc = function
     Codec.Enc.u8 enc 3;
     Uid.encode enc uid;
     Stamp.encode enc stamp
-  | Write_req { write; await_ack } ->
+  | Write_req write ->
     Codec.Enc.u8 enc 4;
-    encode_write enc write;
-    Codec.Enc.bool enc await_ack
+    encode_write enc write
   | Group_query { group } ->
     Codec.Enc.u8 enc 6;
     Codec.Enc.string enc group
@@ -383,10 +382,7 @@ let decode_request dec =
     let uid = Uid.decode dec in
     let stamp = Stamp.decode dec in
     Value_read { uid; stamp }
-  | 4 ->
-    let write = decode_write dec in
-    let await_ack = Codec.Dec.bool dec in
-    Write_req { write; await_ack }
+  | 4 -> Write_req (decode_write dec)
   | 6 -> Group_query { group = Codec.Dec.string dec }
   | 7 ->
     let writes = Codec.Dec.list dec decode_write in

@@ -120,7 +120,9 @@ type request =
       (** Fig. 2's fetch: the write stored under exactly [stamp]
           ({!Value_reply}), for a read whose shipped write was not the
           freshest or the vouched one *)
-  | Write_req of { write : write; await_ack : bool }
+  | Write_req of write
+      (** answered {!Ack} (stored or held), [Denied "write rejected"] or
+          [Denied "draining"] *)
   | Group_query of { group : string }
       (** all current writes in a group — context reconstruction *)
   | Gossip_push of {

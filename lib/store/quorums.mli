@@ -1,4 +1,5 @@
-(** Quorum-size arithmetic from the paper (sections 5 and 6).
+(** Quorum arithmetic from the paper (sections 5 and 6): the quorum
+    sizes, and section 6's per-operation costs ({!cost}).
 
     [n] servers, at most [b] faulty (crash or Byzantine). *)
 
@@ -43,3 +44,41 @@ val validate : n:int -> b:int -> (unit, string) result
 
 val max_b : n:int -> int
 (** Largest tolerable [b] for [n] servers: ⌊(n-1)/3⌋. *)
+
+(** {1 Section 6's costs} *)
+
+type data_class = Single_writer | Multi_writer  (** section 5.2 / 5.3 data *)
+type op = Context_read | Context_store | Write | Read_hit | Read_miss
+
+type cost = {
+  requests : int;
+  replies : int;
+  signs : int;  (** at the client *)
+  server_verifies : int;
+  client_verifies : int;
+  digests : int;  (** counted apart from signatures ({!Metrics}) *)
+}
+
+val messages : cost -> int
+(** [requests + replies]: what {!Metrics} counts as messages. *)
+
+val cost : ?batched:bool -> op -> n:int -> b:int -> data_class -> cost
+(** One fault-free op whose first round is answered:
+    - [Context_read] (Fig. 1, connect): q = {!context_quorum} requests
+      and replies, one client verify (the newest record checks out);
+    - [Context_store] (disconnect): q requests and replies, one sign, q
+      server verifies;
+    - [Write]: b+1 requests (2b+1 multi-writer), one ack each, one sign
+      and one server verify per request. The paper's one-way write
+      costs its [requests];
+    - [Read_hit]: the shipper holds the value to return, so one round of
+      b+1 (2b+1) requests and replies, what a write costs; one client
+      verify for single-writer data, none for multi-writer data, whose
+      b+1 vouching servers stand in for it;
+    - [Read_miss]: the shipper lacks it; Fig. 2's fetch adds a request
+      and its reply.
+
+    Multi-writer data ops also count the digest that binds the value to
+    its 3-tuple stamp. [batched] (default [false], the paper's one
+    signature per write) prices Merkle-batch evidence: one more digest,
+    the inclusion path, per check of a data write's evidence. *)

@@ -776,26 +776,24 @@ let handle t ~now ~from (env : Payload.envelope) : Payload.response option =
             (log_writes t uid)
         in
         Some (Payload.Value_reply found))
-  | Payload.Write_req { write; await_ack } ->
+  | Payload.Write_req write ->
     auth ~expect_client:write.writer ~group:(Uid.group write.uid) ~op:`Write
       (fun () ->
         if t.draining then
           (* Departing server: no new writes. The client treats this
              like any other refusal and lands the write on the current
              epoch's members instead. *)
-          if await_ack then Some (Payload.Denied "draining") else None
+          Some (Payload.Denied "draining")
         else
-        let result =
-          match write.evidence with
-          | Payload.Mac _ -> accept_mac_write t write
-          | Payload.Sig _ | Payload.Batch _ -> accept_write t write
-        in
-        if await_ack then
+          let result =
+            match write.evidence with
+            | Payload.Mac _ -> accept_mac_write t write
+            | Payload.Sig _ | Payload.Batch _ -> accept_write t write
+          in
           Some
             (match result with
             | `Accepted | `Held | `Duplicate -> Payload.Ack
-            | `Rejected -> Payload.Denied "write rejected")
-        else None)
+            | `Rejected -> Payload.Denied "write rejected"))
   | Payload.Evidence_upgrade { uid; stamp; writer; evidence } ->
     auth ~expect_client:writer ~group:(Uid.group uid) ~op:`Write (fun () ->
         let st = item_state t uid in
@@ -970,7 +968,7 @@ let handle t ~now ~from (env : Payload.envelope) : Payload.response option =
    cache), so a caller skipping this loses speed, never safety. *)
 let preverify t (env : Payload.envelope) =
   match env.request with
-  | Payload.Write_req { write; _ } -> Signing.warm_write t.keyring write
+  | Payload.Write_req write -> Signing.warm_write t.keyring write
   | Payload.Gossip_push { writes; _ } ->
     List.iter (Signing.warm_write t.keyring) writes
   | Payload.Ctx_write { client; records } ->

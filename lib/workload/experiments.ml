@@ -7,7 +7,6 @@ let measured fn =
 
 let grid = [ (4, 1); (7, 2); (10, 3); (13, 4); (19, 6); (31, 10) ]
 
-let paper cfg = { cfg with Client.paper_cost_model = true }
 let mw cfg = { cfg with Client.mode = Client.Multi_writer }
 let cc cfg = { cfg with Client.consistency = Client.CC }
 
@@ -32,7 +31,7 @@ let e1_context_messages () =
         [
           Table.cell_int n; Table.cell_int b; Table.cell_int q;
           Table.cell_int read_msgs; Table.cell_int store_msgs;
-          Table.cell_int (2 * q);
+          Table.cell_int (Quorums.messages (Quorums.cost Context_store ~n ~b Single_writer));
           Table.cell_int (2 * Quorums.masking_quorum ~n ~b);
         ])
       grid
@@ -57,7 +56,6 @@ let e2_context_crypto () =
     List.map
       (fun (n, b) ->
         let w = Worlds.make ~n ~b () in
-        let q = Quorums.context_quorum ~n ~b in
         let store_m, read_m =
           Worlds.in_direct w (fun () ->
               let alice = Worlds.connect w "alice" ~group:"g" in
@@ -73,7 +71,7 @@ let e2_context_crypto () =
           Table.cell_int store_m.Metrics.signs;
           Table.cell_int store_m.Metrics.server_verifies;
           Table.cell_int read_m.Metrics.verifies;
-          Table.cell_int q;
+          Table.cell_int (Quorums.cost Context_store ~n ~b Single_writer).server_verifies;
         ])
       grid
   in
@@ -89,32 +87,35 @@ let e2_context_crypto () =
 
 (* ------------------------------------------------------------------ E3 *)
 
+(* One session's write, then its read, in a fresh (n, b) world. *)
+let write_then_read ~n ~b cfg =
+  let w = Worlds.make ~n ~b () in
+  Worlds.in_direct w (fun () ->
+      let alice = Worlds.connect w "alice" ~group:"g" ~cfg in
+      let _, wm = measured (fun () -> Result.get_ok (Client.write alice ~item:"x" "v")) in
+      let _, rm =
+        measured (fun () ->
+            match Client.read alice ~item:"x" with
+            | Ok _ -> ()
+            | Error e -> failwith (Client.error_to_string e))
+      in
+      (wm, rm))
+
 let e3_data_costs () =
-  let consistency_rows label cfg_mod =
+  let consistency_rows label cfg =
     List.map
       (fun (n, b) ->
-        let w = Worlds.make ~n ~b () in
-        Worlds.in_direct w (fun () ->
-            let alice =
-              Worlds.connect w "alice" ~group:"g" ~cfg:(fun c -> paper (cfg_mod c))
-            in
-            let _, wm = measured (fun () -> Result.get_ok (Client.write alice ~item:"x" "v")) in
-            let _, rm =
-              measured (fun () ->
-                  match Client.read alice ~item:"x" with
-                  | Ok _ -> ()
-                  | Error e -> failwith (Client.error_to_string e))
-            in
-            [
-              label; Table.cell_int n; Table.cell_int b;
-              Table.cell_int wm.Metrics.messages;
-              Table.cell_int (b + 1);
-              Table.cell_int wm.Metrics.signs;
-              Table.cell_int wm.Metrics.server_verifies;
-              Table.cell_int rm.Metrics.messages;
-              Table.cell_int (2 * (b + 1));
-              Table.cell_int rm.Metrics.verifies;
-            ]))
+        let wm, rm = write_then_read ~n ~b cfg in
+        [
+          label; Table.cell_int n; Table.cell_int b;
+          Table.cell_int wm.Metrics.messages;
+          Table.cell_int (Quorums.cost Write ~n ~b Single_writer).requests;
+          Table.cell_int wm.Metrics.signs;
+          Table.cell_int wm.Metrics.server_verifies;
+          Table.cell_int rm.Metrics.messages;
+          Table.cell_int (Quorums.messages (Quorums.cost Read_hit ~n ~b Single_writer));
+          Table.cell_int rm.Metrics.verifies;
+        ])
       grid
   in
   {
@@ -128,7 +129,7 @@ let e3_data_costs () =
     rows = consistency_rows "MRC" Fun.id @ consistency_rows "CC" cc;
     notes =
       [
-        "writes use the paper's fire-and-forget cost model";
+        "write msgs count the b+1 acks; the paper counts the write one-way (paper b+1)";
         "read cost is the paper's best case, one round: the shipper holds a fresh copy";
       ];
   }
@@ -139,27 +140,16 @@ let e4_multi_writer_costs () =
   let rows =
     List.map
       (fun (n, b) ->
-        let w = Worlds.make ~n ~b () in
-        Worlds.in_direct w (fun () ->
-            let alice =
-              Worlds.connect w "alice" ~group:"g" ~cfg:(fun c -> paper (mw c))
-            in
-            let _, wm = measured (fun () -> Result.get_ok (Client.write alice ~item:"x" "v")) in
-            let _, rm =
-              measured (fun () ->
-                  match Client.read alice ~item:"x" with
-                  | Ok _ -> ()
-                  | Error e -> failwith (Client.error_to_string e))
-            in
-            [
-              Table.cell_int n; Table.cell_int b;
-              Table.cell_int wm.Metrics.messages;
-              Table.cell_int ((2 * b) + 1);
-              Table.cell_int rm.Metrics.messages;
-              Table.cell_int (2 * ((2 * b) + 1));
-              Table.cell_int rm.Metrics.verifies;
-              Table.cell_int rm.Metrics.digests;
-            ]))
+        let wm, rm = write_then_read ~n ~b mw in
+        [
+          Table.cell_int n; Table.cell_int b;
+          Table.cell_int wm.Metrics.messages;
+          Table.cell_int (Quorums.cost Write ~n ~b Multi_writer).requests;
+          Table.cell_int rm.Metrics.messages;
+          Table.cell_int (Quorums.messages (Quorums.cost Read_hit ~n ~b Multi_writer));
+          Table.cell_int rm.Metrics.verifies;
+          Table.cell_int rm.Metrics.digests;
+        ])
       grid
   in
   {
@@ -188,9 +178,7 @@ let e5_quorum_comparison () =
         let w = Worlds.make ~n ~b () in
         let ours =
           Worlds.in_direct w (fun () ->
-              let alice =
-                Worlds.connect w "alice" ~group:"g" ~cfg:paper
-              in
+              let alice = Worlds.connect w "alice" ~group:"g" in
               let _, wm = measured (fun () -> Result.get_ok (Client.write alice ~item:"x" "v")) in
               let _, rm =
                 measured (fun () -> Result.get_ok (Result.map ignore (Client.read alice ~item:"x")))
@@ -306,7 +294,10 @@ let e6_pbft_messages () =
         Sim.Engine.run engine;
         assert !committed;
         let m = Metrics.read () in
-        let ours_total = (f + 1) + (2 * (f + 1)) in
+        let ours_total =
+          Quorums.messages (Quorums.cost Write ~n ~b:f Single_writer)
+          + Quorums.messages (Quorums.cost Read_hit ~n ~b:f Single_writer)
+        in
         [
           Table.cell_int n; Table.cell_int f;
           Table.cell_int m.Metrics.messages;
@@ -325,7 +316,7 @@ let e6_pbft_messages () =
     notes =
       [
         "formula: 1 + (n-1) + (n-1)^2 + n(n-1) + n (request, pre-prepare, prepare, commit, replies)";
-        "store column: (b+1) + 2(b+1) with b=f, for the same logical write+read";
+        "store column: 2(b+1) + 2(b+1) with b=f, for the same logical write+read, acks included";
       ];
   }
 
@@ -422,7 +413,7 @@ let e7_dissemination ?(seed = 42) () =
         (float_of_int !fresh_reads /. float_of_int (max 1 !total_reads));
       Table.cell_float ~decimals:2 (Sim.Stats.mean lag_stats);
       Table.cell_float ~decimals:1 mean_msgs;
-      Table.cell_int (2 * (b + 1));
+      Table.cell_int (Quorums.messages (Quorums.cost Read_hit ~n ~b Single_writer));
       Table.cell_float ~decimals:2 mean_rounds;
       Table.cell_ms (Sim.Stats.percentile latency_stats 95.0);
       Table.cell_int !failed_reads;
@@ -548,7 +539,7 @@ let e8b_spurious_context () =
           (Server.handle s ~now:0.0 ~from:(-1)
              {
                Payload.token = None; epoch = 0;
-               request = Payload.Write_req { write = poisoned; await_ack = true };
+               request = Payload.Write_req poisoned;
              }))
       w.servers;
     Worlds.in_direct w (fun () ->
@@ -714,11 +705,11 @@ let e11_read_hit_miss () =
         let run case servers =
           let w = Worlds.make ~n ~b () in
           Worlds.in_direct w (fun () ->
-              let alice = Worlds.connect w "alice" ~group:"g" ~cfg:paper in
+              let alice = Worlds.connect w "alice" ~group:"g" in
               Result.get_ok (Client.write alice ~item:"x" value);
               let bob =
                 Worlds.connect w "bob" ~group:"g"
-                  ~cfg:(fun c -> paper { c with Client.servers })
+                  ~cfg:(fun c -> { c with Client.servers })
               in
               let _, m =
                 measured (fun () ->
@@ -787,7 +778,7 @@ let e12_dispersal () =
         (* Replication (paper write: b+1 full copies), never dispersed. *)
         let replication =
           measure "replication (b+1)" size_label
-            ~cfg:(fun c -> { (paper c) with Client.dispersal_threshold = 0 })
+            ~cfg:(fun c -> { c with Client.dispersal_threshold = 0 })
             ~write:(fun c v -> Client.write c ~item:"x" v)
             ~read:(fun c -> Client.read c ~item:"x")
             value

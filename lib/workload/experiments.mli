@@ -13,12 +13,13 @@ val e2_context_crypto : unit -> Table.t
     client verify. *)
 
 val e3_data_costs : unit -> Table.t
-(** Single-writer data ops, MRC and CC: b+1 write messages, best-case
-    read cost, 1 sign / b+1 server verifies / 1 client verify. *)
+(** Single-writer data ops, MRC and CC: b+1 write requests and their
+    acks, best-case read cost (the same 2(b+1) messages), 1 sign / b+1
+    server verifies / 1 client verify. *)
 
 val e4_multi_writer_costs : unit -> Table.t
-(** Malicious-client variant: 2b+1 fan-outs, b+1 vouching, no client
-    verification on reads. *)
+(** Malicious-client variant: 2b+1 fan-outs (acked writes), b+1
+    vouching, no client verification on reads. *)
 
 val e5_quorum_comparison : unit -> Table.t
 (** Ours vs Byzantine masking quorum vs crash majority, same ops. *)

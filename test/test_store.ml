@@ -251,7 +251,7 @@ let test_payload_roundtrips () =
       Payload.Ctx_write { client = "alice"; records = [] };
       Payload.Read_query { uid = u1; ship = true };
       Payload.Value_read { uid = u2; stamp = Stamp.scalar 4 };
-      Payload.Write_req { write = sample_write; await_ack = true };
+      Payload.Write_req sample_write;
       Payload.Read_query { uid = u1; ship = false };
       Payload.Group_query { group = "g" };
       Payload.Ctx_check { client = "alice"; group = "g"; known = String.make 16 'k' };
@@ -713,7 +713,7 @@ let test_fork_detection () =
   let push i write =
     ignore
       (Server.handle w.servers.(i) ~now:0.0 ~from:(-1)
-         { Payload.token = None; epoch = 0; request = Payload.Write_req { write; await_ack = true } })
+         { Payload.token = None; epoch = 0; request = Payload.Write_req write })
   in
   Array.iteri (fun i _ -> push i w1) w.servers;
   Array.iteri (fun i _ -> push i w2) w.servers;
@@ -746,7 +746,7 @@ let test_malicious_context_held () =
         (Server.handle s ~now:0.0 ~from:(-1)
            {
              Payload.token = None; epoch = 0;
-             request = Payload.Write_req { write = poisoned; await_ack = true };
+             request = Payload.Write_req poisoned;
            }))
     w.servers;
   Alcotest.(check bool) "held, not announced" true
@@ -799,7 +799,7 @@ let test_guard_holds_out_of_order_gossip () =
   let push i write =
     ignore
       (Server.handle w.servers.(i) ~now:0.0 ~from:(-1)
-         { Payload.token = None; epoch = 0; request = Payload.Write_req { write; await_ack = true } })
+         { Payload.token = None; epoch = 0; request = Payload.Write_req write })
   in
   (* doc arrives before dep: held. *)
   push 0 doc_write;
@@ -832,7 +832,7 @@ let test_eager_report_masked_by_vouching () =
         (Server.handle s ~now:0.0 ~from:(-1)
            {
              Payload.token = None; epoch = 0;
-             request = Payload.Write_req { write = poisoned; await_ack = true };
+             request = Payload.Write_req poisoned;
            }))
     w.servers;
   in_world w (fun () ->
@@ -860,15 +860,13 @@ let test_log_keeps_overwritten_value () =
   Alcotest.(check string) "newest first" "v2" (List.hd log).Payload.value
 
 (* ------------------------------------------------------------------ *)
-(* One-round reads (the default read, paper cost model)               *)
+(* One-round reads                                                    *)
 (* ------------------------------------------------------------------ *)
-
-let inline cfg = { cfg with Client.paper_cost_model = true }
 
 let test_one_read_roundtrip () =
   let w = make_world () in
   in_world w (fun () ->
-      let alice = connect w "alice" ~group:"g" ~cfg:inline in
+      let alice = connect w "alice" ~group:"g" in
       ok (Client.write alice ~item:"x" "vv");
       Alcotest.(check string) "inline read" "vv" (ok (Client.read alice ~item:"x")))
 
@@ -877,7 +875,7 @@ let test_one_read_one_round_cost () =
     (fun (n, b) ->
       let w = make_world ~n ~b () in
       in_world w (fun () ->
-          let alice = connect w "alice" ~group:"g" ~cfg:inline in
+          let alice = connect w "alice" ~group:"g" in
           ok (Client.write alice ~item:"x" "v");
           Metrics.reset ();
           ok (Result.map ignore (Client.read alice ~item:"x"));
@@ -906,7 +904,7 @@ let test_one_read_falls_back () =
   in_world w (fun () ->
       let alice =
         connect w "alice" ~group:"g"
-          ~cfg:(fun c -> { (inline c) with Client.servers = [ 2; 3; 0; 1 ] })
+          ~cfg:(fun c -> { c with Client.servers = [ 2; 3; 0; 1 ] })
       in
       Alcotest.(check string) "fallback finds fresh" "v2"
         (ok (Client.read alice ~item:"x")))
@@ -915,7 +913,7 @@ let test_one_read_survives_corruption () =
   let w = make_world () in
   wrap w 0 Faults.Corrupt_value;
   in_world w (fun () ->
-      let alice = connect w "alice" ~group:"g" ~cfg:inline in
+      let alice = connect w "alice" ~group:"g" in
       ok (Client.write alice ~item:"x" "precious");
       Alcotest.(check string) "corrupt inline reply skipped" "precious"
         (ok (Client.read alice ~item:"x")))
@@ -1191,7 +1189,9 @@ let test_evidence_proves_corrupt_server () =
       Metrics.reset ();
       Alcotest.(check string) "shrunk read" "v1" (ok (Client.read alice ~item:"x"));
       let m = Metrics.read () in
-      Alcotest.(check int) "one-server read round" 2 m.Metrics.messages)
+      Alcotest.(check int) "one-server read round"
+        (Quorums.messages (Quorums.cost Read_hit ~n:4 ~b:0 Single_writer))
+        m.Metrics.messages)
 
 let test_evidence_shrinks_context_quorum () =
   let w = make_world ~n:4 ~b:1 () in
@@ -1210,7 +1210,8 @@ let test_evidence_shrinks_context_quorum () =
          the rounding hides it; what must hold is that the proven server
          was never contacted and the session still works. *)
       Alcotest.(check bool) "quorum reachable without proven server" true
-        (m.Metrics.messages <= 2 * 3));
+        (m.Metrics.messages
+        <= Quorums.messages (Quorums.cost Context_store ~n:4 ~b:1 Single_writer)));
   (* Larger n shows the shrink: q 7 -> 6 for n=10, b 3 -> 2. *)
   let w = make_world ~n:10 ~b:3 () in
   let evidence = Fault_evidence.create ~servers:(List.init 10 Fun.id) ~b:3 in
@@ -1224,7 +1225,7 @@ let test_evidence_shrinks_context_quorum () =
       Metrics.reset ();
       ok (Client.disconnect alice);
       Alcotest.(check int) "ctx quorum shrinks to 2*ceil((10+2+1)/2)=14"
-        (2 * 7)
+        (Quorums.messages (Quorums.cost Context_store ~n:10 ~b:2 Single_writer))
         (Metrics.read ()).Metrics.messages)
 
 let test_evidence_never_goes_negative () =
@@ -1710,7 +1711,7 @@ let test_audit_localizes_equivocation () =
   let deliver i wr =
     match
       Server.handle w.servers.(i) ~now:0.0 ~from:(-9)
-        { Payload.token = None; epoch = 0; request = Payload.Write_req { write = wr; await_ack = true } }
+        { Payload.token = None; epoch = 0; request = Payload.Write_req wr }
     with
     | Some Payload.Ack -> ()
     | _ -> Alcotest.failf "server %d rejected the write" i
@@ -1830,14 +1831,79 @@ let test_evidence_and_audit_catch_rollback () =
   check_invariants w.servers
 
 (* ------------------------------------------------------------------ *)
-(* Paper cost formulas (the section 6 accounting, as tests)           *)
+(* Section 6's costs (Quorums.cost)                                   *)
 (* ------------------------------------------------------------------ *)
+
+(* One session writes, reads, closes and reconnects; then a second
+   session reads through a stale shipper, the first server the write
+   skipped. Each op's measured counts must be [Quorums.cost]'s, whatever
+   the consistency level and signing mode. With b = 0 the shipper is the
+   whole read set, so a stale one leaves no stamp to fetch: no miss. *)
+let prop_op_costs =
+  let gen =
+    QCheck.Gen.(
+      int_range 0 4 >>= fun b ->
+      int_range ((3 * b) + 1) 13 >>= fun n ->
+      oneofl [ Client.MRC; Client.CC ] >>= fun consistency ->
+      oneofl [ Client.Single_writer; Client.Multi_writer ] >>= fun mode ->
+      opt (int_range 1 8) >|= fun batch -> (n, b, consistency, mode, batch))
+  in
+  let print (n, b, consistency, mode, batch) =
+    Printf.sprintf "n=%d b=%d %s %s %s" n b
+      (if consistency = Client.CC then "CC" else "MRC")
+      (if mode = Client.Multi_writer then "multi-writer" else "single-writer")
+      (match batch with Some k -> Printf.sprintf "Merkle_batch %d" k | None -> "Per_write_sig")
+  in
+  QCheck.Test.make ~name:"ops cost what Quorums.cost says" ~count:500
+    (QCheck.make ~print gen)
+    (fun (n, b, consistency, mode, batch) ->
+      let w = make_world ~n ~b () in
+      let signing =
+        match batch with Some k -> Client.Merkle_batch k | None -> Client.Per_write_sig
+      in
+      let cfg c = { c with Client.consistency; mode; signing } in
+      let costs name op fn =
+        Metrics.reset ();
+        ignore (fn ());
+        let m = Metrics.read () and c = Quorums.cost ~batched:(batch <> None) op ~n ~b mode in
+        let show = Printf.sprintf "msgs %d signs %d verifies %d+%d (server+client) digests %d" in
+        let measured = show m.messages m.signs m.server_verifies m.verifies m.digests
+        and expected =
+          show (Quorums.messages c) c.signs c.server_verifies c.client_verifies c.digests
+        in
+        measured = expected
+        || QCheck.Test.fail_reportf "%s: measured %s, expected %s" name measured expected
+      in
+      in_world w (fun () ->
+          let alice = connect w "alice" ~group:"g" ~cfg in
+          let miss () =
+            let stale = (Quorums.cost Write ~n ~b mode).requests in
+            let servers = stale :: List.filter (( <> ) stale) (List.init n Fun.id) in
+            let bob = connect w "bob" ~group:"g" ~cfg:(fun c -> { (cfg c) with Client.servers }) in
+            costs "read miss" Read_miss (fun () -> ok (Client.read bob ~item:"x"))
+          in
+          costs "write" Write (fun () -> ok (Client.write alice ~item:"x" "v"))
+          && costs "read hit" Read_hit (fun () -> ok (Client.read alice ~item:"x"))
+          && costs "context store" Context_store (fun () -> ok (Client.disconnect alice))
+          && costs "context read" Context_read (fun () -> connect w "alice" ~group:"g" ~cfg)
+          && (b = 0 || miss ())))
+
+(* The same counts at fixed sizes, each against the section 6 formula
+   written out, so a change to [Quorums.cost] itself shows here too. *)
 
 let snapshot_around fn =
   Metrics.reset ();
-  let before = Metrics.read () in
   let v = fn () in
-  (v, Metrics.diff (Metrics.read ()) before)
+  (v, Metrics.read ())
+
+let check_cost label op ~n ~b data_class (m : Metrics.snapshot) =
+  let c = Quorums.cost op ~n ~b data_class in
+  Alcotest.(check int) (label ^ ": messages = Quorums.cost") (Quorums.messages c) m.messages;
+  Alcotest.(check int) (label ^ ": signs = Quorums.cost") c.signs m.signs;
+  Alcotest.(check int) (label ^ ": server verifies = Quorums.cost") c.server_verifies
+    m.server_verifies;
+  Alcotest.(check int) (label ^ ": client verifies = Quorums.cost") c.client_verifies
+    m.verifies
 
 let test_costs_context_ops () =
   List.iter
@@ -1852,13 +1918,15 @@ let test_costs_context_ops () =
             (Printf.sprintf "ctx store msgs n=%d b=%d" n b)
             (2 * q) m.Metrics.messages;
           Alcotest.(check int) "one signature" 1 m.Metrics.signs;
-          Alcotest.(check int) "q server verifies" q m.Metrics.server_verifies);
+          Alcotest.(check int) "q server verifies" q m.Metrics.server_verifies;
+          check_cost "ctx store" Context_store ~n ~b Single_writer m);
       in_world w (fun () ->
           let (_ : Client.t), m = snapshot_around (fun () -> connect w "alice" ~group:"g") in
           Alcotest.(check int)
             (Printf.sprintf "ctx read msgs n=%d b=%d" n b)
             (2 * q) m.Metrics.messages;
-          Alcotest.(check int) "best case one verification" 1 m.Metrics.verifies))
+          Alcotest.(check int) "best case one verification" 1 m.Metrics.verifies;
+          check_cost "ctx read" Context_read ~n ~b Single_writer m))
     [ (4, 1); (7, 2); (10, 3); (13, 4) ]
 
 let test_costs_data_write () =
@@ -1866,16 +1934,16 @@ let test_costs_data_write () =
     (fun (n, b) ->
       let w = make_world ~n ~b () in
       in_world w (fun () ->
-          let alice =
-            connect w "alice" ~group:"g"
-              ~cfg:(fun c -> { c with Client.paper_cost_model = true })
-          in
+          let alice = connect w "alice" ~group:"g" in
           let _, m = snapshot_around (fun () -> ok (Client.write alice ~item:"x" "v")) in
+          (* b+1 requests, each acknowledged. *)
           Alcotest.(check int)
-            (Printf.sprintf "write msgs = b+1 (n=%d b=%d)" n b)
-            (b + 1) m.Metrics.messages;
+            (Printf.sprintf "write msgs = 2(b+1) (n=%d b=%d)" n b)
+            (2 * (b + 1))
+            m.Metrics.messages;
           Alcotest.(check int) "one signature" 1 m.Metrics.signs;
-          Alcotest.(check int) "b+1 server verifies" (b + 1) m.Metrics.server_verifies))
+          Alcotest.(check int) "b+1 server verifies" (b + 1) m.Metrics.server_verifies;
+          check_cost "write" Write ~n ~b Single_writer m))
     [ (4, 1); (7, 2); (10, 3) ]
 
 let test_costs_data_read () =
@@ -1883,10 +1951,7 @@ let test_costs_data_read () =
     (fun (n, b) ->
       let w = make_world ~n ~b () in
       in_world w (fun () ->
-          let alice =
-            connect w "alice" ~group:"g"
-              ~cfg:(fun c -> { c with Client.paper_cost_model = true })
-          in
+          let alice = connect w "alice" ~group:"g" in
           ok (Client.write alice ~item:"x" "v");
           let _, m = snapshot_around (fun () -> ok (Client.read alice ~item:"x")) in
           (* One round: b+1 requests, b+1 replies, one carrying the value. *)
@@ -1895,7 +1960,8 @@ let test_costs_data_read () =
             (2 * (b + 1))
             m.Metrics.messages;
           Alcotest.(check int) "one client verification" 1 m.Metrics.verifies;
-          Alcotest.(check int) "no signing on read" 0 m.Metrics.signs))
+          Alcotest.(check int) "no signing on read" 0 m.Metrics.signs;
+          check_cost "read" Read_hit ~n ~b Single_writer m))
     [ (4, 1); (7, 2); (10, 3) ]
 
 let test_costs_multi_writer () =
@@ -1903,24 +1969,23 @@ let test_costs_multi_writer () =
     (fun (n, b) ->
       let w = make_world ~n ~b () in
       in_world w (fun () ->
-          let alice =
-            connect w "alice" ~group:"g"
-              ~cfg:(fun c -> { (mw c) with Client.paper_cost_model = true })
-          in
+          let alice = connect w "alice" ~group:"g" ~cfg:mw in
           let _, mw_write =
             snapshot_around (fun () -> ok (Client.write alice ~item:"x" "v"))
           in
           Alcotest.(check int)
-            (Printf.sprintf "mw write msgs = 2b+1 (n=%d b=%d)" n b)
-            ((2 * b) + 1)
+            (Printf.sprintf "mw write msgs = 2(2b+1) (n=%d b=%d)" n b)
+            (2 * ((2 * b) + 1))
             mw_write.Metrics.messages;
+          check_cost "mw write" Write ~n ~b Multi_writer mw_write;
           let _, mw_read = snapshot_around (fun () -> ok (Client.read alice ~item:"x")) in
           Alcotest.(check int)
             (Printf.sprintf "mw read msgs = 2(2b+1) (n=%d b=%d)" n b)
             (2 * ((2 * b) + 1))
             mw_read.Metrics.messages;
           Alcotest.(check int) "no client verify on vouched read" 0
-            mw_read.Metrics.verifies))
+            mw_read.Metrics.verifies;
+          check_cost "mw read" Read_hit ~n ~b Multi_writer mw_read))
     [ (4, 1); (7, 2); (10, 3) ]
 
 (* ------------------------------------------------------------------ *)
@@ -2125,9 +2190,9 @@ let test_span_vocabulary () =
 (* Server unit behaviours                                             *)
 (* ------------------------------------------------------------------ *)
 
-let direct_write w i write ~await_ack =
+let direct_write w i write =
   Server.handle w.servers.(i) ~now:0.0 ~from:(-1)
-    { Payload.token = None; epoch = 0; request = Payload.Write_req { write; await_ack } }
+    { Payload.token = None; epoch = 0; request = Payload.Write_req write }
 
 let test_server_rejects_duplicates () =
   let w = make_world () in
@@ -2137,11 +2202,11 @@ let test_server_rejects_duplicates () =
       ~stamp:(Stamp.scalar 5) "v"
   in
   Alcotest.(check bool) "first accepted" true
-    (direct_write w 0 write ~await_ack:true = Some Payload.Ack);
+    (direct_write w 0 write = Some Payload.Ack);
   (* An identical resend is a client retry after a lost ack: it must be
      acknowledged (idempotently), not rejected, and stored only once. *)
   Alcotest.(check bool) "identical retry acked" true
-    (direct_write w 0 write ~await_ack:true = Some Payload.Ack);
+    (direct_write w 0 write = Some Payload.Ack);
   Alcotest.(check int) "stored once" 1 (List.length (Server.log_writes w.servers.(0) uid));
   (* A *different* body under the same stamp is not a retry. *)
   let forged =
@@ -2149,7 +2214,7 @@ let test_server_rejects_duplicates () =
       ~stamp:(Stamp.scalar 5) "forged"
   in
   Alcotest.(check bool) "same-stamp different-body rejected" true
-    (direct_write w 0 forged ~await_ack:true
+    (direct_write w 0 forged
     = Some (Payload.Denied "write rejected"));
   Alcotest.(check int) "still stored once" 1
     (List.length (Server.log_writes w.servers.(0) uid))
@@ -2165,9 +2230,9 @@ let test_server_rejects_stamp_kind_mix () =
     Signing.sign_write ~key:(key_of "alice") ~writer:"alice" ~uid
       ~stamp:(Stamp.multi ~time:9 ~writer:"alice" ~value:"w") "w"
   in
-  ignore (direct_write w 0 scalar_write ~await_ack:true);
+  ignore (direct_write w 0 scalar_write);
   Alcotest.(check bool) "kind mix rejected" true
-    (direct_write w 0 multi_write ~await_ack:true
+    (direct_write w 0 multi_write
     = Some (Payload.Denied "write rejected"));
   match Server.current_write w.servers.(0) uid with
   | Some stored -> Alcotest.(check string) "scalar value kept" "v" stored.Payload.value
@@ -2299,7 +2364,7 @@ let test_snapshot_preserves_held_writes () =
   in
   ignore
     (Server.handle w.servers.(0) ~now:0.0 ~from:(-1)
-       { Payload.token = None; epoch = 0; request = Payload.Write_req { write = doc_write; await_ack = true } });
+       { Payload.token = None; epoch = 0; request = Payload.Write_req doc_write });
   Alcotest.(check int) "held before snapshot" 1 (Server.pending_count w.servers.(0) doc);
   let config =
     { (Server.default_config ~n:4 ~b:1) with Server.malicious_client_guard = true }
@@ -2315,7 +2380,7 @@ let test_snapshot_preserves_held_writes () =
     in
     ignore
       (Server.handle restored ~now:0.0 ~from:(-1)
-         { Payload.token = None; epoch = 0; request = Payload.Write_req { write = dep_write; await_ack = true } });
+         { Payload.token = None; epoch = 0; request = Payload.Write_req dep_write });
     Alcotest.(check bool) "released after restart" true
       (Server.current_write restored doc <> None);
     check_invariants [| restored |]
@@ -2379,7 +2444,7 @@ let test_epoch_stale_gate () =
   let env epoch request = { Payload.token = None; epoch; request } in
   let handle e = Server.handle w.servers.(0) ~now:0.0 ~from:(-1) e in
   (* A pre-epoch (version 0) envelope is superseded. *)
-  (match handle (env 0 (Payload.Write_req { write; await_ack = true })) with
+  (match handle (env 0 (Payload.Write_req write)) with
   | Some (Payload.Stale_epoch cur) ->
     Alcotest.(check int) "piggybacked config" 1 (Config_epoch.version cur)
   | _ -> Alcotest.fail "expected Stale_epoch");
@@ -2387,7 +2452,7 @@ let test_epoch_stale_gate () =
     (Server.current_write w.servers.(0) uid = None);
   (* The same request at the current epoch is served. *)
   Alcotest.(check bool) "current-epoch write accepted" true
-    (handle (env 1 (Payload.Write_req { write; await_ack = true }))
+    (handle (env 1 (Payload.Write_req write))
     = Some Payload.Ack);
   (match handle (env 1 (Payload.Read_query { uid; ship = true })) with
   | Some (Payload.Read_reply { write = Some stored; _ }) ->
@@ -2513,14 +2578,14 @@ let test_drain_denies_new_writes () =
       ~stamp:(Stamp.scalar 5) "kept"
   in
   Alcotest.(check bool) "write before drain" true
-    (direct_write w 0 before ~await_ack:true = Some Payload.Ack);
+    (direct_write w 0 before = Some Payload.Ack);
   Server.begin_drain w.servers.(0);
   let after =
     Signing.sign_write ~key:(key_of "alice") ~writer:"alice" ~uid
       ~stamp:(Stamp.scalar 6) "refused"
   in
   Alcotest.(check bool) "new write denied" true
-    (direct_write w 0 after ~await_ack:true
+    (direct_write w 0 after
     = Some (Payload.Denied "draining"));
   (* Context records are not gossiped on the write path, so one stored
      on a departing server would be lost at handoff: also denied. *)
@@ -2557,7 +2622,7 @@ let test_drain_restart_preserves_writes () =
       ~stamp:(Stamp.scalar 5) "survives"
   in
   Alcotest.(check bool) "acked" true
-    (direct_write w 0 write ~await_ack:true = Some Payload.Ack);
+    (direct_write w 0 write = Some Payload.Ack);
   let e =
     Config_epoch.sign (force (Config_epoch.genesis ~servers:[ 0; 1; 2; 3 ] ~b:1 ())) admin
   in
@@ -2591,7 +2656,7 @@ let test_snapshot_corruption_rejected () =
     Signing.sign_write ~key:(key_of "alice") ~writer:"alice" ~uid
       ~stamp:(Stamp.scalar 5) "v"
   in
-  ignore (direct_write w 0 write ~await_ack:true);
+  ignore (direct_write w 0 write);
   let blob = Server.snapshot w.servers.(0) in
   let expect_corrupt label blob =
     match Server.restore_result ~id:0 ~keyring:w.keyring ~n:4 ~b:1 blob with
@@ -2936,13 +3001,13 @@ let test_mac_write_stamp_kind_mix_refused () =
     Signing.sign_write ~key:(key_of "alice") ~writer:"alice" ~uid
       ~stamp:(Stamp.scalar 5) "v"
   in
-  ignore (direct_write w 0 scalar_write ~await_ack:true);
+  ignore (direct_write w 0 scalar_write);
   let mw =
     mac_write_exn w ~writer:"alice" ~item:"x"
       ~stamp:(Stamp.multi ~time:9 ~writer:"alice" ~value:"w") "w"
   in
   Alcotest.(check bool) "mac kind mix rejected" true
-    (direct_write w 0 mw ~await_ack:true = Some (Payload.Denied "write rejected"));
+    (direct_write w 0 mw = Some (Payload.Denied "write rejected"));
   Alcotest.(check int) "nothing held" 0 (Server.maced_count w.servers.(0) uid)
 
 let test_mac_write_held_and_upgraded () =
@@ -2950,12 +3015,12 @@ let test_mac_write_held_and_upgraded () =
   let uid = Uid.make ~group:"g" ~item:"x" in
   let mw = mac_write_exn w ~writer:"alice" ~item:"x" ~stamp:(Stamp.scalar 5) "v" in
   Alcotest.(check bool) "mac write acked" true
-    (direct_write w 0 mw ~await_ack:true = Some Payload.Ack);
+    (direct_write w 0 mw = Some Payload.Ack);
   Alcotest.(check bool) "invisible to reads" true
     (Server.current_write w.servers.(0) uid = None);
   Alcotest.(check int) "held in mac slot" 1 (Server.maced_count w.servers.(0) uid);
   Alcotest.(check bool) "identical mac retry acked" true
-    (direct_write w 0 mw ~await_ack:true = Some Payload.Ack);
+    (direct_write w 0 mw = Some Payload.Ack);
   Alcotest.(check int) "held once" 1 (Server.maced_count w.servers.(0) uid);
   match batch_evidence_of ~key:(key_of "alice") [ mw ] with
   | [ upgraded ] ->
@@ -3010,7 +3075,7 @@ let test_mac_binding_rejects_replay () =
     | None -> Alcotest.fail "MAC keys missing"
   in
   Alcotest.(check bool) "missing tag rejected" true
-    (direct_write w 0 only1 ~await_ack:true
+    (direct_write w 0 only1
     = Some (Payload.Denied "write rejected"));
   (* Relabelling server 1's tag as server 0's fails: the MAC body binds
      the destination server id. *)
@@ -3021,7 +3086,7 @@ let test_mac_binding_rejects_replay () =
     | _ -> Alcotest.fail "unexpected vector shape"
   in
   Alcotest.(check bool) "relabelled tag rejected" true
-    (direct_write w 0 relabeled ~await_ack:true
+    (direct_write w 0 relabeled
     = Some (Payload.Denied "write rejected"));
   (* Splicing a genuine vector onto a different write fails: the tags
      cover the write body, not just the stamp. *)
@@ -3029,7 +3094,7 @@ let test_mac_binding_rejects_replay () =
   let other = mac_write_exn w ~writer:"alice" ~item:"x" ~stamp:(Stamp.scalar 6) "other" in
   let spliced = { other with Payload.evidence = genuine.Payload.evidence } in
   Alcotest.(check bool) "cross-write splice rejected" true
-    (direct_write w 0 spliced ~await_ack:true
+    (direct_write w 0 spliced
     = Some (Payload.Denied "write rejected"));
   Alcotest.(check int) "nothing held" 0 (Server.maced_count w.servers.(0) uid)
 
@@ -3056,7 +3121,7 @@ let test_snapshot_preserves_maced () =
   let w = make_world () in
   let uid = Uid.make ~group:"g" ~item:"x" in
   let mw = mac_write_exn w ~writer:"alice" ~item:"x" ~stamp:(Stamp.scalar 5) "v" in
-  ignore (direct_write w 0 mw ~await_ack:true);
+  ignore (direct_write w 0 mw);
   Alcotest.(check int) "held before snapshot" 1 (Server.maced_count w.servers.(0) uid);
   match Server.restore ~id:0 ~keyring:w.keyring ~n:4 ~b:1 (Server.snapshot w.servers.(0)) with
   | None -> Alcotest.fail "restore failed"
@@ -3656,7 +3721,7 @@ let soak_case name speed fn =
 
 let push_write server write =
   Server.handle server ~now:0.0 ~from:(-1)
-    { Payload.token = None; epoch = 0; request = Payload.Write_req { write; await_ack = true } }
+    { Payload.token = None; epoch = 0; request = Payload.Write_req write }
 
 let guarded_config ?(log_depth = 4) () =
   {
@@ -4162,7 +4227,8 @@ let test_read_single_writer_miss () =
       in
       Metrics.reset ();
       Alcotest.(check string) "newer value fetched" "v2" (ok (Client.read bob ~item:"x"));
-      Alcotest.(check int) "poll round then fetch round" ((2 * 2) + 2)
+      Alcotest.(check int) "poll round then fetch round"
+        (Quorums.messages (Quorums.cost Read_miss ~n:4 ~b:1 Single_writer))
         (Metrics.read ()).Metrics.messages)
 
 (* The shipper's current write has one voucher, short of b+1: the
@@ -4176,11 +4242,12 @@ let test_read_multi_writer_miss () =
       let stamp = Stamp.multi ~time:1_000_000 ~writer:"alice" ~value:"v2" in
       let v2 = Signing.sign_write ~key:(key_of "alice") ~writer:"alice" ~uid ~stamp "v2" in
       Alcotest.(check bool) "only server 0 holds v2" true
-        (direct_write w 0 v2 ~await_ack:true = Some Payload.Ack);
+        (direct_write w 0 v2 = Some Payload.Ack);
       let bob = connect w "bob" ~group:"g" ~cfg:mw in
       Metrics.reset ();
       Alcotest.(check string) "vouched value fetched" "v1" (ok (Client.read bob ~item:"x"));
-      Alcotest.(check int) "poll round then fetch round" ((2 * 3) + 2)
+      Alcotest.(check int) "poll round then fetch round"
+        (Quorums.messages (Quorums.cost Read_miss ~n:4 ~b:1 Multi_writer))
         (Metrics.read ()).Metrics.messages)
 
 (* A corrupting multi-writer shipper is skipped, proven, and the value
@@ -4441,7 +4508,8 @@ let () =
           Alcotest.test_case "data write" `Quick test_costs_data_write;
           Alcotest.test_case "data read" `Quick test_costs_data_read;
           Alcotest.test_case "multi-writer" `Quick test_costs_multi_writer;
-        ] );
+        ]
+        @ qsuite [ prop_op_costs ] );
       ( "sigcache",
         [
           Alcotest.test_case "lru mechanics" `Quick test_sigcache_lru;

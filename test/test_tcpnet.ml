@@ -423,7 +423,7 @@ let test_push_size_flat_in_items () =
       Store.Server.handle server ~now:0.0 ~from:(-1)
         {
           Store.Payload.token = None; epoch = 0;
-          request = Store.Payload.Write_req { write = w; await_ack = true };
+          request = Store.Payload.Write_req w;
         }
     with
     | Some Store.Payload.Ack -> ()
@@ -788,7 +788,7 @@ let test_gossip_requeue_dead_peer () =
     Store.Payload.encode_envelope
       {
         Store.Payload.token = None; epoch = 0;
-        request = Store.Payload.Write_req { write = w; await_ack = true };
+        request = Store.Payload.Write_req w;
       }
   in
   let pool = Tcpnet.Pool.create () in

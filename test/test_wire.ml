@@ -107,17 +107,13 @@ let prop_envelope_bitflip =
           request =
             Store.Payload.Write_req
               {
-                write =
-                  {
-                    Store.Payload.uid;
-                    stamp = Store.Stamp.scalar 42;
-                    wctx = None;
-                    value = "some value";
-                    writer = "alice";
-                    evidence = Store.Payload.Sig (String.make 64 's');
-                    frags = None;
-                  };
-                await_ack = true;
+                Store.Payload.uid;
+                stamp = Store.Stamp.scalar 42;
+                wctx = None;
+                value = "some value";
+                writer = "alice";
+                evidence = Store.Payload.Sig (String.make 64 's');
+                frags = None;
               };
         }
       in

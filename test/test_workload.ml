@@ -13,45 +13,50 @@ let find_col (t : Workload.Table.t) name =
 
 let cell t row col_name = List.nth row (find_col t col_name)
 
+(* The paper's side of every cost table is [Store.Quorums.cost]: each
+   listed column, measured or "paper", must equal what [expected] reads
+   off the row's costs (messages are requests + replies; the paper
+   counts a write one-way, its requests). *)
+let num t row col = int_of_string (cell t row col)
+let msgs = Store.Quorums.messages
+
+let check_costs ?(data_class = Store.Quorums.Single_writer) ?(b = "b") t columns =
+  List.iter
+    (fun row ->
+      let cost op = Store.Quorums.cost op ~n:(num t row "n") ~b:(num t row b) data_class in
+      List.iter
+        (fun (col, expected) -> Alcotest.(check int) col (expected cost) (num t row col))
+        columns)
+    t.Workload.Table.rows
+
 let test_e1_matches_formula () =
   let t = Workload.Experiments.e1_context_messages () in
   Alcotest.(check bool) "has rows" true (List.length t.Workload.Table.rows >= 4);
-  List.iter
-    (fun row ->
-      Alcotest.(check string) "read msgs = paper" (cell t row "paper 2q")
-        (cell t row "read msgs");
-      Alcotest.(check string) "store msgs = paper" (cell t row "paper 2q")
-        (cell t row "store msgs"))
-    t.Workload.Table.rows
+  check_costs t
+    [ ("read msgs", fun c -> msgs (c Context_read));
+      ("store msgs", fun c -> msgs (c Context_store));
+      ("paper 2q", fun c -> msgs (c Context_store)) ]
 
 let test_e2_single_sign () =
-  let t = Workload.Experiments.e2_context_crypto () in
-  List.iter
-    (fun row ->
-      Alcotest.(check string) "1 sign" "1" (cell t row "store signs");
-      Alcotest.(check string) "1 read verify" "1" (cell t row "read verifies");
-      Alcotest.(check string) "q server verifies" (cell t row "q")
-        (cell t row "store srv-verifies"))
-    t.Workload.Table.rows
+  check_costs (Workload.Experiments.e2_context_crypto ())
+    [ ("store signs", fun c -> (c Context_store).signs);
+      ("store srv-verifies", fun c -> (c Context_store).server_verifies);
+      ("read verifies", fun c -> (c Context_read).client_verifies);
+      ("q", fun c -> (c Context_store).server_verifies) ]
 
 let test_e3_matches_formula () =
-  let t = Workload.Experiments.e3_data_costs () in
-  List.iter
-    (fun row ->
-      Alcotest.(check string) "write = b+1" (cell t row "paper b+1")
-        (cell t row "write msgs");
-      Alcotest.(check string) "read formula" (cell t row "paper 2(b+1)")
-        (cell t row "read msgs"))
-    t.Workload.Table.rows
+  check_costs (Workload.Experiments.e3_data_costs ())
+    [ ("write msgs", fun c -> msgs (c Write)); ("paper b+1", fun c -> (c Write).requests);
+      ("signs", fun c -> (c Write).signs); ("srv-verifies", fun c -> (c Write).server_verifies);
+      ("read msgs", fun c -> msgs (c Read_hit)); ("paper 2(b+1)", fun c -> msgs (c Read_hit));
+      ("read verifies", fun c -> (c Read_hit).client_verifies) ]
 
 let test_e4_matches_formula () =
-  let t = Workload.Experiments.e4_multi_writer_costs () in
-  List.iter
-    (fun row ->
-      Alcotest.(check string) "write = 2b+1" (cell t row "paper 2b+1")
-        (cell t row "write msgs");
-      Alcotest.(check string) "no client verify" "0" (cell t row "read verifies"))
-    t.Workload.Table.rows
+  check_costs ~data_class:Multi_writer (Workload.Experiments.e4_multi_writer_costs ())
+    [ ("write msgs", fun c -> msgs (c Write)); ("paper 2b+1", fun c -> (c Write).requests);
+      ("read msgs", fun c -> msgs (c Read_hit)); ("paper 2(2b+1)", fun c -> msgs (c Read_hit));
+      ("read verifies", fun c -> (c Read_hit).client_verifies);
+      ("read digests", fun c -> (c Read_hit).digests) ]
 
 let test_e6_matches_formula () =
   let t = Workload.Experiments.e6_pbft_messages () in
@@ -59,7 +64,9 @@ let test_e6_matches_formula () =
     (fun row ->
       Alcotest.(check string) "pbft O(n^2)" (cell t row "formula")
         (cell t row "msgs/op"))
-    t.Workload.Table.rows
+    t.Workload.Table.rows;
+  check_costs ~b:"f" t
+    [ ("store write+read msgs", fun c -> msgs (c Write) + msgs (c Read_hit)) ]
 
 let test_e8b_guard () =
   let t = Workload.Experiments.e8b_spurious_context () in
@@ -92,7 +99,7 @@ let test_e8_no_violations () =
 let test_e12_strategies () =
   let n = 7 and b = 2 in
   let t = Workload.Experiments.e12_dispersal () in
-  let num row col = int_of_string (cell t row col) in
+  let num = num t in
   let size row =
     match cell t row "value" with
     | "1 KiB" -> 1024
