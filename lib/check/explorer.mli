@@ -49,8 +49,8 @@ type schedule = {
   byzantine : (int * Store.Faults.behavior) list;  (** at most [b] *)
   signing : Store.Client.signing_mode;
       (** write-evidence mode for every client in the run; random
-          schedules draw per-write-sig (weighted), Merkle batching, or
-          the MAC fast path so the oracle checks all three *)
+          schedules draw per-write-sig (three draws in four) or the MAC
+          fast path so the oracle checks both *)
   canary : bool;
       (** client 0 runs with [canary_skip_freshness] — the deliberately
           broken client the oracle must flag *)

@@ -153,9 +153,3 @@ let to_json t =
   Buffer.contents buf
 
 let digest t = Crypto.Sha256.hex_digest (to_json t)
-
-let save_json t ~path =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_json t))

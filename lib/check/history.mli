@@ -31,4 +31,3 @@ val to_json : t -> string
 (** One JSON object: [{"events": [...]}], stamps rendered as objects,
     context vectors as arrays of [uid, stamp] pairs. *)
 
-val save_json : t -> path:string -> unit

@@ -234,5 +234,3 @@ let check events =
     evs;
   List.rev !violations
 
-let first_violation events =
-  match check events with [] -> None | v :: _ -> Some v

@@ -48,8 +48,6 @@ val check : Store.Trace.event list -> violation list
     them (so the head is the first moment the history went wrong).
     Events may be passed in any order; the oracle sorts by [seq]. *)
 
-val first_violation : Store.Trace.event list -> violation option
-
 val properties : (string * string) list
 (** [(name, one-line definition)] for every property checked — used by
     reports and docs. *)

@@ -45,7 +45,6 @@ type closed = {
   trace : string;  (* "" when the span is not part of a distributed trace *)
   parent : int;  (* 0 when this span is a trace root (or untraced) *)
   flags : int;
-  links : (string * int) list;
 }
 
 (* A span being built on some thread. Phases and attrs accumulate
@@ -61,7 +60,6 @@ type live = {
   mutable ltrace : string;
   mutable lparent : int;
   mutable lflags : int;
-  mutable llinks : (string * int) list;
 }
 
 let on = ref false
@@ -122,12 +120,6 @@ let force () =
     match current () with
     | Some l when l.ltrace <> "" -> l.lflags <- l.lflags lor flag_forced
     | _ -> ()
-
-let add_link ~trace ~span =
-  if !on then
-    match current () with
-    | Some l -> l.llinks <- (trace, span) :: l.llinks
-    | None -> ()
 
 let current_ctx () =
   if not !on then None
@@ -387,26 +379,13 @@ let trace_families () =
 
 (* --- JSON dump ---------------------------------------------------------- *)
 
-let json_escape = Jsonx.escape
-
 let span_json buf c =
   Printf.bprintf buf
     "{\"id\":%d,\"op\":\"%s\",\"thread\":%d,\"start\":%.6f,\"dur_ns\":%.0f,"
     c.id (Jsonx.escape c.op) c.thread c.start c.dur_ns;
-  if c.trace <> "" then begin
+  if c.trace <> "" then
     Printf.bprintf buf "\"trace\":\"%s\",\"parent\":%d,\"flags\":%d,"
       (Jsonx.to_hex c.trace) c.parent c.flags;
-    if c.links <> [] then begin
-      Buffer.add_string buf "\"links\":[";
-      List.iteri
-        (fun i (t, s) ->
-          if i > 0 then Buffer.add_char buf ',';
-          Printf.bprintf buf "{\"trace\":\"%s\",\"span\":%d}" (Jsonx.to_hex t)
-            s)
-        c.links;
-      Buffer.add_string buf "],"
-    end
-  end;
   if !node_name <> "" then
     Printf.bprintf buf "\"node\":\"%s\"," (Jsonx.escape !node_name);
   Buffer.add_string buf "\"attrs\":[";
@@ -494,7 +473,6 @@ let close_span l =
       trace = l.ltrace;
       parent = l.lparent;
       flags = l.lflags;
-      links = List.rev l.llinks;
     }
   in
   (* One registry lock for the whole span (total + every phase) rather
@@ -576,7 +554,6 @@ let with_op ?ctx op f =
           ltrace = trace;
           lparent = parent;
           lflags = flags;
-          llinks = [];
         }
       in
       Hashtbl.replace tls tid l;

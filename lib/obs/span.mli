@@ -86,7 +86,6 @@ type closed = {
   trace : string;  (** raw trace id, [""] when untraced *)
   parent : int;  (** remote parent span id, [0] at the trace root *)
   flags : int;
-  links : (string * int) list;  (** related (trace, span) pairs *)
 }
 
 val set_enabled : bool -> unit
@@ -133,10 +132,6 @@ val force : unit -> unit
     recorder instead of riding sampling luck. Subsequent wire contexts
     carry the bit downstream. *)
 
-val add_link : trace:string -> span:int -> unit
-(** Record a link to a related span in another trace (an epoch-repair
-    detour, say). No-op outside a span. *)
-
 val current_ctx : unit -> ctx option
 (** The wire context for this thread's active span: its trace id, its
     own span id (the receiver's parent) and its flags. [None] when
@@ -168,13 +163,10 @@ val recent : ?limit:int -> unit -> closed list
 val spans_json : ?limit:int -> unit -> string
 (** [{"spans": [...]}] — newest first; each span carries its op, thread,
     start, duration, attributes, phase timings (offsets in ns) and — for
-    trace members — trace id, parent, flags and links. All embedded
+    trace members — trace id, parent and flags. All embedded
     strings go through {!Jsonx.escape}. *)
 
 val reset_journal : unit -> unit
-
-val json_escape : string -> string
-(** Alias of {!Jsonx.escape} (the shared escaper). *)
 
 (** {1 Flight recorder} *)
 

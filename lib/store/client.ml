@@ -2,12 +2,11 @@ type consistency = MRC | CC
 type mode = Quorums.data_class = Single_writer | Multi_writer
 
 (* How writes get their evidence. [Per_write_sig] is the paper's
-   baseline: one RSA signature per write. [Merkle_batch k] amortizes the
-   signature over up to k writes (one root signature + per-write
-   inclusion proofs). [Mac_fast] replaces the signature with a
-   per-server HMAC vector and escalates to batch evidence lazily —
-   before reads, at disconnect, or every [escalate_every] writes. *)
-type signing_mode = Per_write_sig | Merkle_batch of int | Mac_fast
+   baseline: one RSA signature per write. [Mac_fast] replaces the
+   signature with a per-server HMAC vector and escalates to batch
+   evidence lazily — before reads, at disconnect, or every
+   [escalate_every] writes. *)
+type signing_mode = Per_write_sig | Mac_fast
 
 type config = {
   n : int;
@@ -182,7 +181,16 @@ let effective_b t =
   | Some e -> Fault_evidence.effective_b e
   | None -> ( match t.epoch with Some e -> e.Config_epoch.b | None -> t.cfg.b)
 
-let context_quorum t = Quorums.context_quorum ~n:(active_n t) ~b:(effective_b t)
+(* Counted over the servers the session can still use: with p servers
+   proven faulty, this quorum and any other client's ⌈(n+b+1)/2⌉ one
+   still share b−p+1 servers, at most b−p of them faulty. *)
+let context_quorum t =
+  let n =
+    match t.cfg.evidence with
+    | Some e -> List.length (Fault_evidence.preferred_servers e)
+    | None -> active_n t
+  in
+  Quorums.context_quorum ~n ~b:(effective_b t)
 
 let report_proof t ~server event =
   match t.cfg.evidence with
@@ -985,7 +993,6 @@ let read_write_resolved t ~item =
       (Trace.Read { uid });
   result
 
-let read_write t ~item = Result.map fst (read_write_resolved t ~item)
 let read t ~item = Result.map snd (read_write_resolved t ~item)
 
 (* ---------------- Writes ----------------------------------------------- *)
@@ -1032,10 +1039,6 @@ let write_op t ~item ~value produce =
       ~outcome:(outcome_of_result (fun () -> Trace.Ok_unit) result)
       (kind ());
   result
-
-(* A write for {!Signbatch.sign_writes}, which replaces its evidence. *)
-let unsigned t ~uid ~stamp ?wctx value =
-  { Payload.uid; stamp; wctx; value; writer = t.uid; evidence = Sig ""; frags = None }
 
 (* ---------------- Dispersed writes ------------------------------------- *)
 
@@ -1121,8 +1124,8 @@ let scatter_fragments t ~uid ~stamp (meta : Payload.dispersal_meta) fragments =
    bounded on the servers — the metadata quorum is the sole commit
    point, so atomicity under crash needs no cleanup protocol. Dispersed
    writes always carry a per-write signature: the descriptor rides
-   inside the signed body, which the MAC and Merkle-batch fast paths do
-   not thread through. *)
+   inside the signed body, which the MAC fast path does not thread
+   through. *)
 let write_dispersed t ~item value =
   write_op t ~item ~value @@ fun uid ->
   let m = 1 + List.fold_left max 0 (active_servers t) in
@@ -1159,16 +1162,9 @@ let write_replicated t ~item value =
               ~servers:(active_servers t) value)
     in
     let w =
-      match (mac, t.cfg.signing) with
-      | Some w, _ -> w
-      | None, Merkle_batch _ ->
-        (* A synchronous single write under batching degenerates to a
-           batch of one: same Batch evidence shape every verifier expects,
-           no extra latency. Throughput callers use {!write_batch} to
-           actually amortize the signature. *)
-        List.hd
-          (Signbatch.sign_writes ~key:t.key [ unsigned t ~uid ~stamp ?wctx value ])
-      | None, (Per_write_sig | Mac_fast) ->
+      match mac with
+      | Some w -> w
+      | None ->
         (* Under Mac_fast, missing pairwise keys: fall back to the
            signature rather than send a write some addressed server
            could never verify. *)
@@ -1190,51 +1186,6 @@ let write t ~item value =
   ensure_connected t @@ fun () ->
   if should_disperse t value then write_dispersed t ~item value
   else write_replicated t ~item value
-
-(* Throughput path: write many items amortizing the signature cost.
-   Under [Merkle_batch k] the items are chunked into batches of k. Each
-   chunk is stamped and (for CC) context-threaded in one pass, so each
-   write's signed context covers its in-chunk predecessors, then signed
-   with a single RSA operation over the chunk's Merkle root. Its writes
-   then land one by one through {!write_op}, so traced operations never
-   overlap and dissemination order still satisfies each write's causal
-   context. Under the other modes this is just [write] in a loop. *)
-let write_chunk t chunk =
-  let _, writes =
-    List.fold_left_map
-      (fun ctx (item, value) ->
-        let uid = Uid.make ~group:t.group ~item in
-        let stamp = make_stamp t ~value in
-        match t.cfg.consistency with
-        | CC ->
-          let ctx = Context.set ctx uid stamp in
-          (ctx, unsigned t ~uid ~stamp ~wctx:ctx value)
-        | MRC -> (ctx, unsigned t ~uid ~stamp value))
-      t.ctx chunk
-  in
-  List.map2
-    (fun (item, value) (w : Payload.write) ->
-      (* [w] is already signed with the chunk's threaded context. *)
-      write_op t ~item ~value (fun _ -> (w.stamp, fun _ -> disseminate t w)))
-    chunk
-    (Signbatch.sign_writes ~key:t.key writes)
-
-let write_batch t items =
-  if not t.connected then List.map (fun _ -> Error Disconnected) items
-  else
-    match (items, t.cfg.signing) with
-    | [], _ -> []
-    | _, (Per_write_sig | Mac_fast) ->
-      List.map (fun (item, value) -> write t ~item value) items
-    | _, Merkle_batch k ->
-      let k = max 1 k in
-      let rec chunks acc cur n = function
-        | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
-        | x :: rest ->
-          if n = k then chunks (List.rev cur :: acc) [ x ] 1 rest
-          else chunks acc (x :: cur) (n + 1) rest
-      in
-      List.concat_map (write_chunk t) (chunks [] [] 0 items)
 
 let flush t =
   ensure_connected t @@ fun () ->

@@ -17,7 +17,7 @@
     2's fetch runs only when the shipped write is not the one to return
     (section 6's best case: a read costs what a write does).
 
-    Every write, replicated, dispersed or Merkle-batched, runs as one
+    Every write, replicated or dispersed, runs as one
     write op: one ["write"] span, one Invoke/Return pair in the history,
     one acknowledged round to b+1 servers (2b+1 for multi-writer data,
     escalating to the rest when acks fall short; section 6 counts the
@@ -41,19 +41,15 @@ type mode = Quorums.data_class = Single_writer | Multi_writer
 
 type signing_mode =
   | Per_write_sig  (** one RSA signature per write — the paper's baseline *)
-  | Merkle_batch of int
-      (** one signature per batch of up to k writes: {!write_batch} signs
-          the Merkle root of the chunk's write bodies, each write carries
-          root + inclusion proof ({!Payload.Batch}); single {!write}s
-          degenerate to batches of one *)
   | Mac_fast
       (** no signature on the write path at all: a per-server HMAC vector
           ({!Payload.Mac}) gets the write accepted into servers' held
           slots, and a background escalation ({!Payload.Evidence_upgrade},
           triggered every [escalate_every] writes, before reads, and at
-          disconnect) swaps in Merkle-batch evidence so the write can be
-          announced and gossiped. Falls back to a signature when pairwise
-          keys are missing. *)
+          disconnect) signs one Merkle root over the pending writes and
+          swaps in each write's batch leaf ({!Payload.Batch}), so the
+          write can be announced and gossiped. Falls back to a signature
+          when pairwise keys are missing. *)
 
 type config = {
   n : int;
@@ -239,16 +235,6 @@ val write : t -> item:string -> string -> (unit, error) result
     protocol — fragments without committed metadata stay invisible, so
     the two phases are atomic under a crash at any point. *)
 
-val write_batch :
-  t -> (string * string) list -> (unit, error) result list
-(** Write several [(item, value)] pairs, amortizing signatures under
-    [Merkle_batch k] (one RSA sign per chunk of k); results come back in
-    argument order. Writes disseminate sequentially, so each CC write's
-    context covers its in-batch predecessors. Under the other signing
-    modes this is {!write} in a loop. As with {!write}, each write's
-    Invoke event in the history records the context from before that
-    write, and only a write that lands enters the session's context. *)
-
 val flush : t -> (unit, error) result
 (** Escalate any pending Mac_fast writes to signed (batch) evidence now.
     Reads, {!reconstruct} and {!disconnect} do this implicitly. *)
@@ -258,13 +244,6 @@ val read : t -> item:string -> (string, error) result
     digest-authentic fragments and decodes them (so a successful read
     proves integrity end to end); replicated items return the stored
     bytes as before. *)
-
-val read_write : t -> item:string -> (Payload.write, error) result
-(** Like {!read} but returns the whole signed write (stamp, writer,
-    context). For a dispersed item this is the *metadata* write — its
-    [value] is the descriptor's digest root, not the data; the
-    fragments are still gathered and verified (the result is [Error
-    Not_enough_fragments] if the value is unrecoverable). *)
 
 val server_set : t -> int -> Sim.Runtime.node_id list
 (** The [k] servers an operation's first round asks: healthy servers

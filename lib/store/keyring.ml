@@ -29,6 +29,3 @@ let register_mac t ~client ~server secret =
 
 let mac_key t ~client ~server = Hashtbl.find_opt t.macs (client, server)
 
-let macs_complete t ~client ~n =
-  let rec go s = s >= n || (Hashtbl.mem t.macs (client, s) && go (s + 1)) in
-  go 0

@@ -28,6 +28,3 @@ val register_mac : t -> client:string -> server:int -> string -> unit
 
 val mac_key : t -> client:string -> server:int -> string option
 
-val macs_complete : t -> client:string -> n:int -> bool
-(** Does [client] share a MAC key with every server in [0, n)? The
-    client-side precondition for choosing the MAC fast path. *)

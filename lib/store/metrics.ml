@@ -229,7 +229,7 @@ let pp_endpoint_health ~now fmt h =
 
    Per-phase span histograms are experiment-scoped like the counters, so
    they clear here too: a bench running several phases in one process
-   (e18 runs three signing modes back to back) must not report one
+   (several signing modes back to back, say) must not report one
    mode's percentiles polluted by another's samples. *)
 let reset () =
   Obs.Span.reset_stats ();

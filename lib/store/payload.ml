@@ -254,16 +254,6 @@ let decode_write dec =
   let frags = Codec.Dec.option dec decode_dispersal_meta in
   { uid; stamp; wctx; value; writer; evidence; frags }
 
-(* Pre-dispersal wire image (snapshot versions <= 3): no [frags] field. *)
-let decode_write_v3 dec =
-  let uid = Uid.decode dec in
-  let stamp = Stamp.decode dec in
-  let wctx = Codec.Dec.option dec Context.decode in
-  let value = Codec.Dec.string dec in
-  let writer = Codec.Dec.string dec in
-  let evidence = decode_evidence dec in
-  { uid; stamp; wctx; value; writer; evidence; frags = None }
-
 let encode_ctx_record enc r =
   Codec.Enc.varint enc r.seq;
   Context.encode enc r.ctx;
@@ -274,13 +264,6 @@ let decode_ctx_record dec =
   let ctx = Context.decode dec in
   let evidence = decode_evidence dec in
   { seq; ctx; evidence }
-
-(* Pre-evidence image (snapshot versions <= 4): a bare signature. *)
-let decode_ctx_record_v4 dec =
-  let seq = Codec.Dec.varint dec in
-  let ctx = Context.decode dec in
-  let signature = Codec.Dec.string dec in
-  { seq; ctx; evidence = Sig signature }
 
 (* A record is named by a 128-bit prefix of the SHA-256 of its
    encoding: it only has to tell apart one client's own records, and a
@@ -523,27 +506,3 @@ let decode_response s =
                | _ -> raise (Codec.Error "bad context verdict")))
       | _ -> raise (Codec.Error "bad response tag"))
     s
-
-let pp_response fmt = function
-  | Ctx_reply None -> Format.pp_print_string fmt "Ctx_reply None"
-  | Ctx_reply (Some r) -> Format.fprintf fmt "Ctx_reply (seq=%d %a)" r.seq Context.pp r.ctx
-  | Read_reply { stamps; writer_faulty; write } ->
-    Format.fprintf fmt "Read_reply (%d stamps%s%s)" (List.length stamps)
-      (if Option.is_some write then ", write" else "")
-      (if writer_faulty then ", writer faulty" else "")
-  | Value_reply None -> Format.pp_print_string fmt "Value_reply None"
-  | Value_reply (Some w) -> Format.fprintf fmt "Value_reply %a %a" Uid.pp w.uid Stamp.pp w.stamp
-  | Ack -> Format.pp_print_string fmt "Ack"
-  | Group_reply writes -> Format.fprintf fmt "Group_reply (%d writes)" (List.length writes)
-  | Denied reason -> Format.fprintf fmt "Denied %s" reason
-  | Epoch_reply None -> Format.pp_print_string fmt "Epoch_reply None"
-  | Epoch_reply (Some e) -> Format.fprintf fmt "Epoch_reply %a" Config_epoch.pp e
-  | Stale_epoch e -> Format.fprintf fmt "Stale_epoch %a" Config_epoch.pp e
-  | Frag_reply None -> Format.pp_print_string fmt "Frag_reply None"
-  | Frag_reply (Some { total; data }) ->
-    Format.fprintf fmt "Frag_reply (%d of %d bytes)" (String.length data) total
-  | Ctx_same -> Format.pp_print_string fmt "Ctx_same"
-  | Ctx_written verdicts ->
-    Format.fprintf fmt "Ctx_written (%d of %d stored)"
-      (List.length (List.filter (fun v -> v = Stored) verdicts))
-      (List.length verdicts)

@@ -226,16 +226,8 @@ val decode_write : Wire.Codec.Dec.t -> write
 (** Exposed for {!Server}'s snapshot codec; raises {!Wire.Codec.Error}
     on malformed input like every decoder here. *)
 
-val decode_write_v3 : Wire.Codec.Dec.t -> write
-(** Decoder for the pre-dispersal wire image (snapshot versions <= 3):
-    no [frags] field; restored writes get [frags = None]. *)
-
 val encode_ctx_record : Wire.Codec.Enc.t -> ctx_record -> unit
 val decode_ctx_record : Wire.Codec.Dec.t -> ctx_record
-
-val decode_ctx_record_v4 : Wire.Codec.Dec.t -> ctx_record
-(** Decoder for the pre-evidence image (snapshot versions <= 4): a bare
-    signature string, restored as [Sig] evidence. *)
 
 val encode_evidence : Wire.Codec.Enc.t -> evidence -> unit
 val decode_evidence : Wire.Codec.Dec.t -> evidence
@@ -245,4 +237,3 @@ val decode_envelope : string -> envelope option
 val encode_response : response -> string
 val decode_response : string -> response option
 
-val pp_response : Format.formatter -> response -> unit

@@ -31,15 +31,13 @@ type cost = {
 
 let messages c = c.requests + c.replies
 
-let cost ?(batched = false) op ~n ~b data_class =
+let cost op ~n ~b data_class =
   let mw = data_class = Multi_writer in
   let q = context_quorum ~n ~b in
   (* A multi-writer value is bound to its stamp by one digest: the
-     writer's, or the reader's check of the vouched stamp. A Merkle-batch
-     leaf adds one path digest to every check of its evidence. *)
+     writer's, or the reader's check of the vouched stamp. *)
   let data requests ~signs ~server_verifies ~client_verifies =
-    let path = if batched then server_verifies + client_verifies else 0 in
-    let digests = (if mw then 1 else 0) + path in
+    let digests = if mw then 1 else 0 in
     { requests; replies = requests; signs; server_verifies; client_verifies; digests }
   in
   let read ~fetch =

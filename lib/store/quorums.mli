@@ -62,8 +62,9 @@ type cost = {
 val messages : cost -> int
 (** [requests + replies]: what {!Metrics} counts as messages. *)
 
-val cost : ?batched:bool -> op -> n:int -> b:int -> data_class -> cost
-(** One fault-free op whose first round is answered:
+val cost : op -> n:int -> b:int -> data_class -> cost
+(** One fault-free op whose first round is answered, priced with the
+    paper's one RSA signature per write:
     - [Context_read] (Fig. 1, connect): q = {!context_quorum} requests
       and replies, one client verify (the newest record checks out);
     - [Context_store] (disconnect): q requests and replies, one sign, q
@@ -79,6 +80,6 @@ val cost : ?batched:bool -> op -> n:int -> b:int -> data_class -> cost
       and its reply.
 
     Multi-writer data ops also count the digest that binds the value to
-    its 3-tuple stamp. [batched] (default [false], the paper's one
-    signature per write) prices Merkle-batch evidence: one more digest,
-    the inclusion path, per check of a data write's evidence. *)
+    its 3-tuple stamp. A [Mac_fast] write that has escalated carries
+    Merkle-batch evidence, whose inclusion-path digests this does not
+    model. *)

@@ -70,12 +70,6 @@ let first_error results =
     (fun acc r -> match acc with Ok () -> r | Error _ -> acc)
     (Ok ()) results
 
-(* Run an action on every open session, reporting the first error but
-   visiting all of them (a failed shard must not strand another shard's
-   pending escalations). *)
-let flush_all t =
-  first_error (Hashtbl.fold (fun _ c acc -> Client.flush c :: acc) t.sessions [])
-
 (* Close every session with one signature: prepare each write-back,
    sign the bodies as one batch (a lone body keeps a plain signature),
    then store every record of a shard in one round. Sessions whose

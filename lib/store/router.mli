@@ -45,9 +45,6 @@ val session : t -> group:string -> (Client.t, Client.error) result
 val write : t -> uid:Uid.t -> string -> (unit, Client.error) result
 val read : t -> uid:Uid.t -> (string, Client.error) result
 
-val flush_all : t -> (unit, Client.error) result
-(** Flush pending Mac_fast escalations on every open session. *)
-
 val disconnect : t -> (unit, Client.error) result
 (** Disconnect every open session with at most one RSA signature: the
     context write-backs of all sessions are signed as one Merkle batch

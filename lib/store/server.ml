@@ -1251,22 +1251,17 @@ let rebuild_waiters t =
       if announce t st w then wake t key)
     !ready
 
-(* Version 2: writes carry structured evidence (the v1 flat signature
-   string became the evidence codec) and items persist their MAC-held
-   writes, so a restart does not silently drop fast-path writes awaiting
-   escalation. Version 3 appends the config epoch (a restarted server
-   must rejoin the membership generation it left in, not genesis) and
-   wraps the whole body in a trailing SHA-256, so truncation or
-   corruption is detected before any field is decoded. Version 4 writes
-   the dispersal-aware write image and appends the fragment store —
-   including orphans, so a crash between a client's fragment scatter and
-   its metadata quorum still commits once the metadata arrives after
-   restart. Versions 2/3 restore through {!Payload.decode_write_v3}.
-   Version 5 stores each context record's evidence (a signature or a
-   batch leaf) in place of its bare signature; older contexts restore as
-   signature evidence. Version 6 stores the audit trail as its count,
-   frontier peaks, folded digest and window in place of every announced
-   write; older blobs fold their stored list. *)
+(* The one format a server writes and reads. Items persist their
+   MAC-held writes, so a restart does not silently drop fast-path writes
+   awaiting escalation; the config epoch rides along, so a restarted
+   server rejoins the membership generation it left in, not genesis; the
+   fragment store is kept, orphans included, so a crash between a
+   client's fragment scatter and its metadata quorum still commits once
+   the metadata arrives after restart; context records keep their
+   evidence (a signature or a batch leaf); and the audit trail is stored
+   as its count, frontier peaks, folded digest and window. A trailing
+   SHA-256 over the body detects truncation or corruption before any
+   field is decoded. Blobs of any other version are refused. *)
 let snapshot_version = 6
 
 let integrity_len = 32
@@ -1328,10 +1323,9 @@ let snapshot t =
 
 let restore_result ?config ~id ~keyring ~n ~b blob =
   let open Wire.Codec in
-  (* v3 blobs end in a SHA-256 of everything before it; check it before
+  (* The blob ends in a SHA-256 of everything before it; check it before
      decoding a single field, so a truncated or bit-flipped file yields
-     a clear refusal, never a decoder exception. (A pre-v3 blob has no
-     trailer; it is given one legacy decode attempt below.) *)
+     a clear refusal, never a decoder exception. *)
   let len = String.length blob in
   let integrity_ok =
     len > integrity_len
@@ -1343,18 +1337,14 @@ let restore_result ?config ~id ~keyring ~n ~b blob =
   match
     decode
       (fun dec ->
-        if Dec.string dec <> "securestore-snapshot" then
-          raise (Wire.Codec.Error "bad magic");
-        let version = Dec.varint dec in
-        if version < 2 || version > snapshot_version then
-          raise (Wire.Codec.Error "unsupported snapshot version");
-        if version >= 3 && not integrity_ok then
+        if not integrity_ok then
           raise
             (Wire.Codec.Error "integrity check failed (truncated or corrupt)");
-        (* pre-v4 blobs carry the pre-dispersal write image *)
-        let decode_write =
-          if version >= 4 then Payload.decode_write else Payload.decode_write_v3
-        in
+        if Dec.string dec <> "securestore-snapshot" then
+          raise (Wire.Codec.Error "bad magic");
+        if Dec.varint dec <> snapshot_version then
+          raise (Wire.Codec.Error "unsupported snapshot version");
+        let decode_write = Payload.decode_write in
         let saved_id = Dec.varint dec in
         if saved_id <> id then raise (Wire.Codec.Error "server id mismatch");
         let t = create ?config ~id ~keyring ~n ~b () in
@@ -1379,66 +1369,53 @@ let restore_result ?config ~id ~keyring ~n ~b blob =
                 } ))
         in
         List.iter (fun (key, st) -> Hashtbl.replace t.items key st) items;
-        (* pre-v5 blobs store a context's bare signature *)
-        let decode_ctx_record =
-          if version >= 5 then Payload.decode_ctx_record
-          else Payload.decode_ctx_record_v4
-        in
         let contexts =
           Dec.list dec (fun dec ->
               let client = Dec.string dec in
               let group = Dec.string dec in
-              ((client, group), decode_ctx_record dec))
+              ((client, group), Payload.decode_ctx_record dec))
         in
         List.iter (fun (key, r) -> Hashtbl.replace t.contexts key r) contexts;
         List.iter
           (fun writer -> Hashtbl.replace t.faulty_writers writer ())
           (Dec.list dec Dec.string);
         t.gossip_buffer <- Dec.list dec decode_write;
-        if version >= 6 then begin
-          let count = Dec.varint dec in
-          let peaks = Dec.list dec Dec.string in
-          let sum = Dec.string dec in
-          let window = Dec.list dec decode_write in
-          match
-            Crypto.Merkle.frontier_of_peaks ~size:(count - List.length window) peaks
-          with
-          | Some base
-            when String.length sum = 32
-                 && (Crypto.Merkle.frontier_size base = 0
-                    || List.length window = audit_window) ->
-            t.audit_base <- base;
-            t.audit_base_sum <- sum;
-            List.iter (audit_append t) window
-          | Some _ | None -> raise (Wire.Codec.Error "bad audit frontier")
-        end
-        else
-          (* the whole announced history, newest first *)
-          List.iter (audit_append t) (List.rev (Dec.list dec decode_write));
-        if version >= 3 then begin
-          t.epoch <- Dec.option dec Config_epoch.decode;
-          t.draining <- Dec.bool dec;
-          (match t.epoch with
-          | Some e -> Metrics.set_epoch_version e.Config_epoch.version
-          | None -> ())
-        end;
-        if version >= 4 then
-          List.iter
-            (fun (fkey, e) ->
-              add_frag t fkey e;
-              if not e.fverified then t.orphans <- fkey :: t.orphans)
-            (Dec.list dec (fun dec ->
-                 let key = Dec.string dec in
-                 let stamp = Stamp.decode dec in
-                 let index = Dec.varint dec in
-                 let fdata = Dec.string dec in
-                 let fverified = Dec.bool dec in
-                 ( (key, stamp, index),
-                   {
-                     fdata;
-                     fdigest = Crypto.Sha256.digest fdata;
-                     fverified;
-                   } )));
+        let count = Dec.varint dec in
+        let peaks = Dec.list dec Dec.string in
+        let sum = Dec.string dec in
+        let window = Dec.list dec decode_write in
+        (match
+           Crypto.Merkle.frontier_of_peaks ~size:(count - List.length window) peaks
+         with
+        | Some base
+          when String.length sum = 32
+               && (Crypto.Merkle.frontier_size base = 0
+                  || List.length window = audit_window) ->
+          t.audit_base <- base;
+          t.audit_base_sum <- sum;
+          List.iter (audit_append t) window
+        | Some _ | None -> raise (Wire.Codec.Error "bad audit frontier"));
+        t.epoch <- Dec.option dec Config_epoch.decode;
+        t.draining <- Dec.bool dec;
+        (match t.epoch with
+        | Some e -> Metrics.set_epoch_version e.Config_epoch.version
+        | None -> ());
+        List.iter
+          (fun (fkey, e) ->
+            add_frag t fkey e;
+            if not e.fverified then t.orphans <- fkey :: t.orphans)
+          (Dec.list dec (fun dec ->
+               let key = Dec.string dec in
+               let stamp = Stamp.decode dec in
+               let index = Dec.varint dec in
+               let fdata = Dec.string dec in
+               let fverified = Dec.bool dec in
+               ( (key, stamp, index),
+                 {
+                   fdata;
+                   fdigest = Crypto.Sha256.digest fdata;
+                   fverified;
+                 } )));
         rebuild_waiters t;
         t)
       body
@@ -1446,8 +1423,8 @@ let restore_result ?config ~id ~keyring ~n ~b blob =
   | t -> Ok t
   | exception Wire.Codec.Error msg -> Error ("corrupt snapshot: " ^ msg)
   | exception e ->
-    (* Any other decoder failure (short reads on a truncated pre-v3
-       blob, bad lengths) is still a refusal, not a crash. *)
+    (* Any other decoder failure (a well-trailed blob with bad lengths)
+       is still a refusal, not a crash. *)
     Error ("corrupt snapshot: " ^ Printexc.to_string e)
 
 let restore ?config ~id ~keyring ~n ~b blob =

@@ -248,9 +248,8 @@ val restore_result :
   (t, string) result
 (** Rebuild a server from {!snapshot} output. A failed integrity check
     (truncated or bit-flipped blob), bad magic, version or id mismatch
-    yield [Error] with a clear reason — never a decoder exception.
-    Version-2 blobs (pre-epoch, no integrity trailer) still load; a
-    pre-v6 blob's stored audit list is folded into frontier and window.
+    yield [Error] with a clear reason — never a decoder exception. Only
+    the current snapshot version loads; older blobs are refused.
     Restored state is what an honest restarted server would have — every
     write it re-announces still carries its original client signature. *)
 

@@ -5,7 +5,7 @@
     root signature, and an inclusion proof. Sign cost amortizes over the
     batch while every leaf stays individually third-party verifiable
     (one cached RSA verify plus a Merkle path per leaf on the receiving
-    side). Write batches and context batches share it; the
+    side). Mac_fast escalations and router closes share it; the
     {!Payload.batch_domain} in the signed root keeps them apart.
 
     {!sign_writes} and {!sign_contexts} sign a whole list in one call;

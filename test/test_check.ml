@@ -286,7 +286,7 @@ let test_chaos_decision_digest_deterministic () =
   Alcotest.(check string) "same seed, same fault schedule" d5 d5';
   Alcotest.(check bool) "different seed, different schedule" true (d5 <> d6)
 
-(* Every signing mode — baseline, Merkle batching, MAC fast path — must
+(* Every signing mode — the per-write baseline and the MAC fast path — must
    satisfy the oracle even with a downgrading server leaking MAC-held
    writes and stripping batch proofs. *)
 let test_signing_modes_clean () =
@@ -307,7 +307,6 @@ let test_signing_modes_clean () =
           (O.violation_to_string v))
     [
       ("per-write-sig", Store.Client.Per_write_sig);
-      ("merkle-batch", Store.Client.Merkle_batch 4);
       ("mac-fast", Store.Client.Mac_fast);
     ]
 
@@ -434,6 +433,10 @@ let test_history_json_and_recording_guard () =
        with Not_found -> false
      in
      has "check-violation-v1" && has "read-freshness");
+  Alcotest.(check (option string)) "report parses, schedule intact"
+    (Some (E.describe out.E.schedule))
+    (Option.bind (Obs.Jsonx.parse report) (fun v ->
+         Option.bind (Obs.Jsonx.member "schedule" v) Obs.Jsonx.str_of));
   (* The recorder is process-global and must refuse to nest. *)
   let h = Check.History.create () in
   Check.History.recording h (fun () ->

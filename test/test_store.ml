@@ -1212,7 +1212,8 @@ let test_evidence_shrinks_context_quorum () =
       Alcotest.(check bool) "quorum reachable without proven server" true
         (m.Metrics.messages
         <= Quorums.messages (Quorums.cost Context_store ~n:4 ~b:1 Single_writer)));
-  (* Larger n shows the shrink: q 7 -> 6 for n=10, b 3 -> 2. *)
+  (* Larger n shows the shrink: q 7 -> 6 for n=10, b 3 -> 2, counted
+     over the nine servers not proven faulty. *)
   let w = make_world ~n:10 ~b:3 () in
   let evidence = Fault_evidence.create ~servers:(List.init 10 Fun.id) ~b:3 in
   Fault_evidence.report_proof evidence ~server:9 Fault_evidence.Forged_context;
@@ -1224,8 +1225,8 @@ let test_evidence_shrinks_context_quorum () =
       ok (Client.write alice ~item:"x" "v1");
       Metrics.reset ();
       ok (Client.disconnect alice);
-      Alcotest.(check int) "ctx quorum shrinks to 2*ceil((10+2+1)/2)=14"
-        (Quorums.messages (Quorums.cost Context_store ~n:10 ~b:2 Single_writer))
+      Alcotest.(check int) "ctx quorum shrinks to 2*ceil((9+2+1)/2)=12"
+        (Quorums.messages (Quorums.cost Context_store ~n:9 ~b:2 Single_writer))
         (Metrics.read ()).Metrics.messages)
 
 let test_evidence_never_goes_negative () =
@@ -1837,7 +1838,7 @@ let test_evidence_and_audit_catch_rollback () =
 (* One session writes, reads, closes and reconnects; then a second
    session reads through a stale shipper, the first server the write
    skipped. Each op's measured counts must be [Quorums.cost]'s, whatever
-   the consistency level and signing mode. With b = 0 the shipper is the
+   the consistency level and data class. With b = 0 the shipper is the
    whole read set, so a stale one leaves no stamp to fetch: no miss. *)
 let prop_op_costs =
   let gen =
@@ -1845,27 +1846,23 @@ let prop_op_costs =
       int_range 0 4 >>= fun b ->
       int_range ((3 * b) + 1) 13 >>= fun n ->
       oneofl [ Client.MRC; Client.CC ] >>= fun consistency ->
-      oneofl [ Client.Single_writer; Client.Multi_writer ] >>= fun mode ->
-      opt (int_range 1 8) >|= fun batch -> (n, b, consistency, mode, batch))
+      oneofl [ Client.Single_writer; Client.Multi_writer ] >|= fun mode ->
+      (n, b, consistency, mode))
   in
-  let print (n, b, consistency, mode, batch) =
-    Printf.sprintf "n=%d b=%d %s %s %s" n b
+  let print (n, b, consistency, mode) =
+    Printf.sprintf "n=%d b=%d %s %s" n b
       (if consistency = Client.CC then "CC" else "MRC")
       (if mode = Client.Multi_writer then "multi-writer" else "single-writer")
-      (match batch with Some k -> Printf.sprintf "Merkle_batch %d" k | None -> "Per_write_sig")
   in
   QCheck.Test.make ~name:"ops cost what Quorums.cost says" ~count:500
     (QCheck.make ~print gen)
-    (fun (n, b, consistency, mode, batch) ->
+    (fun (n, b, consistency, mode) ->
       let w = make_world ~n ~b () in
-      let signing =
-        match batch with Some k -> Client.Merkle_batch k | None -> Client.Per_write_sig
-      in
-      let cfg c = { c with Client.consistency; mode; signing } in
+      let cfg c = { c with Client.consistency; mode } in
       let costs name op fn =
         Metrics.reset ();
         ignore (fn ());
-        let m = Metrics.read () and c = Quorums.cost ~batched:(batch <> None) op ~n ~b mode in
+        let m = Metrics.read () and c = Quorums.cost op ~n ~b mode in
         let show = Printf.sprintf "msgs %d signs %d verifies %d+%d (server+client) digests %d" in
         let measured = show m.messages m.signs m.server_verifies m.verifies m.digests
         and expected =
@@ -2142,9 +2139,6 @@ let test_span_vocabulary () =
       expect "disconnect" ~op:"disconnect" [ "sign" ] (last ());
       Alcotest.(check (pair int int)) "one-group close: one sign, one ctx_write" (1, 1)
         (count "sign" (last ()), count "ctx_write" (last ()));
-      let bob = session "bob" (Client.Merkle_batch 4) in
-      ok (Client.write bob ~item:"y" "v1");
-      expect "batch write" ~op:"write" [ "batch_sign"; "write_quorum" ] (last ());
       let carol = session "carol" Client.Mac_fast in
       ok (Client.write carol ~item:"z" "v1");
       expect "mac write" ~op:"write" [ "mac"; "write_quorum" ] (last ());
@@ -2956,13 +2950,11 @@ let prop_sigcache_verdict_stable =
       cold = warm && warm = not corrupt)
 
 (* ------------------------------------------------------------------ *)
-(* Write-path fast paths: MAC vectors, Merkle batches, escalation     *)
+(* Write-path fast path: MAC vectors and their batch escalation      *)
 (* ------------------------------------------------------------------ *)
 
 let mac_fast cfg =
   { cfg with Client.signing = Client.Mac_fast; escalate_every = 100 }
-
-let merkle4 cfg = { cfg with Client.signing = Client.Merkle_batch 4 }
 
 let mac_write_exn w ~writer ~item ~stamp value =
   let uid = Uid.make ~group:"g" ~item in
@@ -3175,12 +3167,11 @@ let test_mac_fast_client_end_to_end () =
         (ok (Client.read bob ~item:"x"));
       ok (Client.disconnect alice))
 
-(* The structural fact behind the fast signing modes: over 24 writes
-   with escalation every 8, per-write signing pays one RSA sign per
-   write, while a Merkle batch of 8 and MAC-fast escalation each pay one
-   per 8 writes. Counted after [flush], before the disconnect's context
-   sign. *)
-let test_write_batch_amortizes_signs () =
+(* The structural fact behind the MAC fast path: over 24 writes with
+   escalation every 8, per-write signing pays one RSA sign per write,
+   while MAC-fast escalation pays one per 8 writes. Counted after
+   [flush], before the disconnect's context sign. *)
+let test_mac_fast_amortizes_signs () =
   let writes = 24 in
   let items =
     List.init writes (fun i -> ("it" ^ string_of_int i, "v" ^ string_of_int i))
@@ -3193,7 +3184,7 @@ let test_write_batch_amortizes_signs () =
             ~cfg:(fun c -> { c with Client.signing; escalate_every = 8 })
         in
         Metrics.reset ();
-        List.iter (fun r -> ok r) (Client.write_batch alice items);
+        List.iter (fun (item, v) -> ok (Client.write alice ~item v)) items;
         ok (Client.flush alice);
         let signs = (Metrics.read ()).Metrics.signs in
         Alcotest.(check int) (label ^ ": RSA signs") want_signs signs;
@@ -3220,13 +3211,12 @@ let test_write_batch_amortizes_signs () =
     List.map signs_of
       [
         ("per-write-sig", Client.Per_write_sig, writes, None);
-        ("merkle-batch8", Client.Merkle_batch 8, 3, Some 8);
         ("mac-fast", Client.Mac_fast, 3, Some 8);
       ]
   with
-  | [ per_write; merkle; mac ] ->
-    Alcotest.(check bool) "both fast modes sign less than per-write" true
-      (merkle < per_write && mac < per_write)
+  | [ per_write; mac ] ->
+    Alcotest.(check bool) "mac-fast signs less than per-write" true
+      (mac < per_write)
   | _ -> assert false
 
 let test_downgrade_server_proven_faulty () =
@@ -3261,9 +3251,12 @@ let test_downgrade_strips_batch_proofs_detected () =
   wrap w 0 Faults.Downgrade;
   let evidence = Fault_evidence.create ~servers:(List.init 4 Fun.id) ~b:1 in
   in_world w (fun () ->
-      let alice = connect w "alice" ~group:"g" ~cfg:merkle4 in
-      List.iter (fun r -> ok r)
-        (Client.write_batch alice [ ("x", "b1"); ("y", "b2") ]);
+      (* Two MAC writes escalated together: one root signature over a
+         two-leaf batch, so each write's inclusion proof is non-empty. *)
+      let alice = connect w "alice" ~group:"g" ~cfg:mac_fast in
+      ok (Client.write alice ~item:"x" "b1");
+      ok (Client.write alice ~item:"y" "b2");
+      ok (Client.flush alice);
       let bob =
         connect w "bob" ~group:"g"
           ~cfg:(fun c -> { c with Client.evidence = Some evidence })
@@ -3519,57 +3512,6 @@ let test_snapshot_keeps_ctx_batches () =
           (Signing.verify_context w.keyring ~client:"alice" ~group r))
       closed;
     check_invariants [| restored |]
-
-(* A version-4 snapshot (contexts with a bare signature) still loads;
-   its records become signature evidence. *)
-let test_snapshot_v4_contexts_load () =
-  let w = make_world () in
-  let ctx = Context.of_bindings [ (u1, Stamp.scalar 7) ] in
-  let record = Signing.sign_context ~key:(key_of "alice") ~client:"alice" ~group:"g" ~seq:6 ctx in
-  let signature =
-    match record.Payload.evidence with Payload.Sig s -> s | _ -> assert false
-  in
-  let open Wire.Codec in
-  let body =
-    encode
-      (fun enc () ->
-        Enc.string enc "securestore-snapshot";
-        Enc.varint enc 4;
-        Enc.varint enc 0;
-        Enc.list enc (fun _ () -> ()) [];
-        Enc.list enc
-          (fun enc (client, group) ->
-            Enc.string enc client;
-            Enc.string enc group;
-            Enc.varint enc 6;
-            Context.encode enc ctx;
-            Enc.string enc signature)
-          [ ("alice", "g") ];
-        Enc.list enc Enc.string [];
-        Enc.list enc (fun _ () -> ()) [];
-        Enc.list enc (fun _ () -> ()) [];
-        Enc.option enc Config_epoch.encode None;
-        Enc.bool enc false;
-        Enc.list enc (fun _ () -> ()) [])
-      ()
-  in
-  match
-    Server.restore_result ~id:0 ~keyring:w.keyring ~n:4 ~b:1
-      (body ^ Crypto.Sha256.digest body)
-  with
-  | Error e -> Alcotest.failf "v4 snapshot refused: %s" e
-  | Ok restored -> (
-    match
-      Server.handle restored ~now:0.0 ~from:(-1)
-        { Payload.token = None; epoch = 0; request = Payload.Ctx_read { client = "alice"; group = "g" } }
-    with
-    | Some (Payload.Ctx_reply (Some r)) ->
-      Alcotest.(check bool) "restored as the signed record" true
-        (Payload.ctx_record_digest r = Payload.ctx_record_digest record);
-      Alcotest.(check bool) "verifies" true
-        (Signing.verify_context w.keyring ~client:"alice" ~group:"g" r);
-      check_invariants [| restored |]
-    | _ -> Alcotest.fail "v4 context lost")
 
 (* Every truncation of a version-5 body, even one carrying a matching
    integrity trailer, is refused with an error — never an exception. *)
@@ -3962,45 +3904,87 @@ let read_fixture name =
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-(* A version-5 snapshot written by the previous format (300 writes of
-   three items, each announced) restores with the audit count and root
-   that format computed over its stored list, now as a frontier and a
-   window, and survives a v6 round trip. *)
-let test_snapshot_v5_audit_fixture () =
+(* A server whose audit trail has folded past its window: 300 announced
+   writes of three items. *)
+let folded_audit_server () =
   let w = make_world () in
-  let restore blob = Server.restore_result ~id:0 ~keyring:w.keyring ~n:4 ~b:1 blob in
-  match restore (read_fixture "snapshot_v5.bin") with
-  | Error e -> Alcotest.failf "v5 fixture refused: %s" e
-  | Ok server -> (
-    let expect (c : Audit.commitment) =
-      Alcotest.(check int) "audit count" 300 c.size;
-      Alcotest.(check string) "audit root"
-        "3c18003574a8fb1ebc1977debb79336b5f9b193c87a408806e1581adb64b71f3"
-        (Crypto.Hexs.encode c.root)
+  let server = w.servers.(0) in
+  let items = Array.init 3 (fun i -> Uid.make ~group:"g" ~item:(Printf.sprintf "i%d" i)) in
+  for i = 1 to 300 do
+    let wr =
+      Signing.sign_write ~key:(key_of "alice") ~writer:"alice" ~uid:items.(i mod 3)
+        ~stamp:(Stamp.scalar i) (Printf.sprintf "v%d" i)
     in
-    expect (Audit.commit server);
-    Alcotest.(check int) "window" Server.audit_window (List.length (Server.audit_log server));
-    Alcotest.(check int) "items" 3 (Server.item_count server);
-    check_invariants [| server |];
-    match restore (Server.snapshot server) with
-    | Error e -> Alcotest.failf "v6 round trip refused: %s" e
-    | Ok again ->
-      expect (Audit.commit again);
-      Alcotest.(check string) "digest survives" (Server.audit_digest server)
-        (Server.audit_digest again);
-      check_invariants [| again |])
+    match push_write server wr with
+    | Some Payload.Ack -> ()
+    | _ -> Alcotest.failf "write %d refused" i
+  done;
+  (w, server)
+
+(* Only the current snapshot version loads; any other is refused with an
+   error — never an exception. *)
+let refuse_snapshot w label blob =
+  match Server.restore_result ~id:0 ~keyring:w.keyring ~n:4 ~b:1 blob with
+  | Ok _ -> Alcotest.failf "%s loaded" label
+  | Error e ->
+    Alcotest.(check bool) (label ^ ": " ^ e) true
+      (Str.string_match (Str.regexp ".*unsupported snapshot version") e 0)
+  | exception e -> Alcotest.failf "%s raised %s" label (Printexc.to_string e)
+
+(* The committed version-5 fixture is refused. *)
+let test_snapshot_v5_fixture_refused () =
+  let w = make_world () in
+  refuse_snapshot w "v5 fixture" (read_fixture "snapshot_v5.bin")
+
+(* A version-4 body holding a signed context record, and a current body
+   relabelled as any other version, are refused even under a matching
+   integrity trailer. *)
+let test_snapshot_other_versions_refused () =
+  let w = make_world () in
+  let ctx = Context.of_bindings [ (u1, Stamp.scalar 7) ] in
+  let record = Signing.sign_context ~key:(key_of "alice") ~client:"alice" ~group:"g" ~seq:6 ctx in
+  let signature =
+    match record.Payload.evidence with Payload.Sig s -> s | _ -> assert false
+  in
+  let v4 =
+    let open Wire.Codec in
+    encode
+      (fun enc () ->
+        Enc.string enc "securestore-snapshot";
+        Enc.varint enc 4;
+        Enc.varint enc 0;
+        Enc.list enc (fun _ () -> ()) [];
+        Enc.list enc
+          (fun enc (client, group) ->
+            Enc.string enc client;
+            Enc.string enc group;
+            Enc.varint enc 6;
+            Context.encode enc ctx;
+            Enc.string enc signature)
+          [ ("alice", "g") ];
+        Enc.list enc Enc.string [];
+        Enc.list enc (fun _ () -> ()) [];
+        Enc.list enc (fun _ () -> ()) [];
+        Enc.option enc Config_epoch.encode None;
+        Enc.bool enc false;
+        Enc.list enc (fun _ () -> ()) [])
+      ()
+  in
+  refuse_snapshot w "v4 contexts" (v4 ^ Crypto.Sha256.digest v4);
+  let blob = Server.snapshot w.servers.(0) in
+  let body = String.sub blob 0 (String.length blob - 32) in
+  (* the magic is a length byte and 20 characters; the version follows *)
+  Alcotest.(check int) "current version" 6 (Char.code body.[21]);
+  List.iter
+    (fun v ->
+      let body = String.mapi (fun i c -> if i = 21 then Char.chr v else c) body in
+      refuse_snapshot w (Printf.sprintf "v%d" v) (body ^ Crypto.Sha256.digest body))
+    [ 2; 3; 4; 5; 7 ]
 
 (* A v6 body whose audit trail has a folded frontier, cut short anywhere
    (even under a matching integrity trailer), is refused. *)
 let test_snapshot_v6_truncations_refused () =
-  let w = make_world () in
-  let server =
-    match
-      Server.restore_result ~id:0 ~keyring:w.keyring ~n:4 ~b:1 (read_fixture "snapshot_v5.bin")
-    with
-    | Ok s -> s
-    | Error e -> Alcotest.failf "v5 fixture refused: %s" e
-  in
+  let w, server = folded_audit_server () in
   let blob = Server.snapshot server in
   let body = String.sub blob 0 (String.length blob - 32) in
   let len = String.length body in
@@ -4179,9 +4163,17 @@ let test_overwrite_drops_only_own_fragments () =
       (Server.fragment again target ~stamp:s2 ~index:1);
     check_others again;
     check_invariants [| again |]);
-  match Server.restore_result ~id:0 ~keyring:w.keyring ~n:4 ~b:1 (read_fixture "snapshot_v5.bin") with
-  | Error e -> Alcotest.failf "v5 fixture refused: %s" e
-  | Ok old -> check_invariants [| old |]
+  (* a folded audit trail survives the same round trip *)
+  let fw, folded = folded_audit_server () in
+  match
+    Server.restore_result ~id:0 ~keyring:fw.keyring ~n:4 ~b:1 (Server.snapshot folded)
+  with
+  | Error e -> Alcotest.failf "folded audit trail refused: %s" e
+  | Ok again ->
+    Alcotest.(check int) "audit count" 300 (Audit.commit again).size;
+    Alcotest.(check string) "audit digest" (Server.audit_digest folded)
+      (Server.audit_digest again);
+    check_invariants [| again |]
 
 let qsuite props = List.map QCheck_alcotest.to_alcotest props
 
@@ -4446,10 +4438,10 @@ let () =
             test_ctx_batch_cross_group_forged;
           Alcotest.test_case "snapshot keeps batches" `Quick
             test_snapshot_keeps_ctx_batches;
-          Alcotest.test_case "v4 snapshot contexts load" `Quick
-            test_snapshot_v4_contexts_load;
           Alcotest.test_case "v5 truncations refused" `Quick
             test_snapshot_v5_truncations_refused;
+          Alcotest.test_case "other snapshot versions refused" `Quick
+            test_snapshot_other_versions_refused;
           Alcotest.test_case "read trace carries digest" `Quick
             test_read_trace_carries_digest;
           Alcotest.test_case "per-record verdicts" `Quick
@@ -4482,8 +4474,8 @@ let () =
           Alcotest.test_case "held writes capped" `Quick test_guard_bounds_held_writes;
           Alcotest.test_case "audit frontier = full tree" `Quick
             test_audit_frontier_matches_tree;
-          Alcotest.test_case "v5 audit fixture restores" `Quick
-            test_snapshot_v5_audit_fixture;
+          Alcotest.test_case "v5 fixture refused" `Quick
+            test_snapshot_v5_fixture_refused;
           Alcotest.test_case "v6 truncations refused" `Quick
             test_snapshot_v6_truncations_refused;
           Alcotest.test_case "unnamed gossip records no holders" `Quick
@@ -4533,7 +4525,7 @@ let () =
           Alcotest.test_case "mac-fast end to end" `Quick
             test_mac_fast_client_end_to_end;
           Alcotest.test_case "batch amortizes signs" `Quick
-            test_write_batch_amortizes_signs;
+            test_mac_fast_amortizes_signs;
           Alcotest.test_case "downgrade proven" `Quick
             test_downgrade_server_proven_faulty;
           Alcotest.test_case "stripped proofs proven" `Quick
