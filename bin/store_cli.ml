@@ -169,9 +169,8 @@ let demo_cmd =
       (r.Store.Metrics.p50_ns /. 1e3);
     let now = Unix.gettimeofday () in
     List.iter
-      (fun h ->
-        Format.printf "endpoint %a@." (Store.Metrics.pp_endpoint_health ~now) h)
-      (Store.Metrics.endpoint_health ());
+      (fun h -> Format.printf "endpoint %a@." (Tcpnet.Pool.pp_health ~now) h)
+      (Tcpnet.Pool.health (Tcpnet.Pool.shared ()));
     Printf.printf "demo ok\n"
   in
   Cmd.v (Cmd.info "demo" ~doc:"Self-contained networked demo") Term.(const run $ const ())

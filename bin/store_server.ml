@@ -72,6 +72,14 @@ let run id port n b clients guard log_depth peers gossip_period snapshot
           (Store.Server.item_count server)
           epoch;
         server
+      | Error msg when String.starts_with ~prefix:"inconsistent" msg ->
+        (* The file passed its integrity check, so it holds real data:
+           starting fresh would overwrite it at the next save. *)
+        Printf.eprintf
+          "error: snapshot %s: %s; refusing to start (move the file aside \
+           to start fresh)\n%!"
+          path msg;
+        exit 1
       | Error msg ->
         (* Truncated or tampered snapshots are detected (v3 carries an
            integrity trailer) and refused loudly, not half-loaded. *)
@@ -92,23 +100,6 @@ let run id port n b clients guard log_depth peers gossip_period snapshot
         (s, make_server ~gid:((s * n) + id) ~snapshot:snap, snap))
       shard_ids
   in
-  (if snapshot <> None then
-     ignore
-       (Thread.create
-          (fun () ->
-            while true do
-              Thread.delay snapshot_period;
-              List.iter
-                (fun (_, server, snap) ->
-                  match snap with
-                  | Some path -> (
-                    try Store.Server.save_file server ~path
-                    with Sys_error msg ->
-                      Printf.eprintf "snapshot failed: %s\n" msg)
-                  | None -> ())
-                hosted
-            done)
-          ()));
   let peer_list =
     match peers with
     | "" -> []
@@ -131,6 +122,42 @@ let run id port n b clients guard log_depth peers gossip_period snapshot
     in
     Tcpnet.Server_host.start_sharded ~gossip_period ~shards:specs ~port ()
   in
+  (* Each shard's blob is taken under its lock, so it is one consistent
+     state, and written outside it. [save_lock] keeps the periodic save
+     and the shutdown save from writing the same file at once. Returns
+     the longest time a shard's lock was held. *)
+  let save_lock = Mutex.create () in
+  let save_all () =
+    Mutex.protect save_lock @@ fun () ->
+    List.fold_left
+      (fun held (shard, _, snap) ->
+        match snap with
+        | Some path -> (
+          let t0 = Unix.gettimeofday () in
+          let blob = Tcpnet.Server_host.snapshot host ~shard in
+          let held = Float.max held (Unix.gettimeofday () -. t0) in
+          try
+            Store.Server.write_snapshot ~path blob;
+            held
+          with Sys_error msg ->
+            Printf.eprintf "snapshot failed: %s\n%!" msg;
+            held)
+        | None -> held)
+      0.0 hosted
+  in
+  (* A shard's requests wait while its state is serialized; waiting
+     nine times the last hold before the next save keeps that stall
+     under a tenth of the time however large the state grows. *)
+  if snapshot <> None then
+    ignore
+      (Thread.create
+         (fun () ->
+           let held = ref 0.0 in
+           while true do
+             Thread.delay (Float.max snapshot_period (9.0 *. !held));
+             held := save_all ()
+           done)
+         ());
   Printf.printf
     "secure store server replica %d of shards [%s] (n=%d, b=%d, guard=%b) \
      listening on 127.0.0.1:%d\n%!"
@@ -164,6 +191,7 @@ let run id port n b clients guard log_depth peers gossip_period snapshot
             ( Obs.Expo.content_type,
               Obs.Expo.render
                 (Store.Metrics.families ()
+                @ Tcpnet.Pool.families (Tcpnet.Pool.shared ())
                 @ Store.Signing.sigcache_families ()
                 @ Obs.Span.trace_families ()
                 @ [ Obs.Span.phase_family () ]) ) );
@@ -182,8 +210,7 @@ let run id port n b clients guard log_depth peers gossip_period snapshot
      let pp_peers now fmt hs =
        List.iter
          (fun h ->
-           Format.fprintf fmt "@,stats: peer %a"
-             (Store.Metrics.pp_endpoint_health ~now) h)
+           Format.fprintf fmt "@,stats: peer %a" (Tcpnet.Pool.pp_health ~now) h)
          hs
      in
      (* One line per hosted shard: items, dispatched requests, handling
@@ -250,31 +277,22 @@ let run id port n b clients guard log_depth peers gossip_period snapshot
                 (ms rpc.Store.Metrics.p99_ns)
                 tr_sampled tr_forced tr_held
                 (pp_peers now)
-                (Store.Metrics.endpoint_health ())
+                (Tcpnet.Pool.health (Tcpnet.Pool.shared ()))
                 pp_shards ()
             done)
           ()));
   (* Graceful departure: deny new client writes, push the remaining
      gossip backlog (including MAC-held writes already escalated) to
-     peers, snapshot every hosted shard, exit. Run for --drain and on
-     SIGTERM/SIGINT, so a rolling replacement loses no accepted write:
-     what this server held is either at its peers or in the snapshot. *)
-  let save_all () =
-    List.iter
-      (fun (_, server, snap) ->
-        match snap with
-        | Some path -> (
-          try Store.Server.save_file server ~path
-          with Sys_error msg -> Printf.eprintf "snapshot failed: %s\n%!" msg)
-        | None -> ())
-      hosted
-  in
+     peers, stop serving, snapshot every hosted shard, exit. Run for
+     --drain and on SIGTERM/SIGINT, so a rolling replacement loses no
+     accepted write: what this server held is either at its peers or in
+     the snapshot, which is taken after the last request. *)
   let shutdown () =
     Printf.printf "draining: flushing gossip backlog to %d peer(s)\n%!"
       (List.length peer_list);
     Tcpnet.Server_host.drain host;
-    save_all ();
     Tcpnet.Server_host.stop host;
+    ignore (save_all ());
     Printf.printf "drained; exiting\n%!";
     exit 0
   in
@@ -317,7 +335,11 @@ let cmd =
                                      (sharded hosts use FILE.s<shard> per shard).")
   in
   let snapshot_period =
-    Arg.(value & opt float 10.0 & info [ "snapshot-period" ] ~doc:"Seconds between snapshots.")
+    Arg.(value & opt float 10.0 & info [ "snapshot-period" ] ~doc:
+             "Seconds between snapshots. A shard serves no request while \
+              its state is serialized, so when that takes longer than a \
+              ninth of this period the next snapshot waits nine times as \
+              long as the last one held the shard.")
   in
   let stats_period =
     Arg.(value & opt float 0.0

@@ -33,27 +33,11 @@ let retries = ref 0
 let escalations = ref 0
 
 (* Transport gauges live outside the snapshot: the in-flight high-water
-   mark, a log-scale histogram of RPC round durations (fixed counters,
-   mergeable — this replaced the old 4096-sample reservoir), and a
-   registry of per-endpoint RPC-latency histograms filled by the pool
-   when tracing is enabled. *)
+   mark and a log-scale histogram of RPC round durations (fixed counters,
+   mergeable — this replaced the old 4096-sample reservoir).
+   Per-endpoint state belongs to the transport pool, not here. *)
 let inflight_hwm = ref 0
 let rpc_histo = Obs.Histo.create ()
-let ep_histos : (string, Obs.Histo.t) Hashtbl.t = Hashtbl.create 8
-let ep_histos_lock = Mutex.create ()
-
-let endpoint_rpc_histo endpoint =
-  Mutex.lock ep_histos_lock;
-  let h =
-    match Hashtbl.find_opt ep_histos endpoint with
-    | Some h -> h
-    | None ->
-      let h = Obs.Histo.create () in
-      Hashtbl.add ep_histos endpoint h;
-      h
-  in
-  Mutex.unlock ep_histos_lock;
-  h
 
 (* Reconfiguration state, outside the snapshot for the same reason as
    the transport gauges: the current epoch version and the transition /
@@ -91,12 +75,6 @@ let frag_gets () = !frag_gets_c
 let frag_repairs () = !frag_repairs_c
 let dispersed_writes () = !dispersed_writes_c
 let dispersed_reads () = !dispersed_reads_c
-
-let endpoint_rpc_histos () =
-  Mutex.lock ep_histos_lock;
-  let all = Hashtbl.fold (fun ep h acc -> (ep, h) :: acc) ep_histos [] in
-  Mutex.unlock ep_histos_lock;
-  List.sort (fun (a, _) (b, _) -> String.compare a b) all
 
 (* --- per-shard registries ------------------------------------------- *)
 
@@ -172,60 +150,11 @@ let reset_shards () =
   Hashtbl.reset shard_server_tbl;
   Mutex.unlock shard_lock
 
-(* --- per-endpoint transport health (a registry of gauges, like the
-   in-flight high-water mark: outside the snapshot) ------------------- *)
-
-type health_state = Healthy | Suspected | Probing
-
-type endpoint_health = {
-  endpoint : string;  (** "host:port" *)
-  connections : int;  (** live pooled connections *)
-  consecutive_failures : int;
-  last_error : string option;
-  down_until : float;  (** when the next probe is due (or the redial backoff ends) *)
-  state : health_state;  (** read this, not [down_until], for health *)
-  probes : int;  (** probes the pool has sent *)
-}
-
-let health_tbl : (string, endpoint_health) Hashtbl.t = Hashtbl.create 8
-let health_lock = Mutex.create ()
-
-let note_endpoint_health h =
-  Mutex.lock health_lock;
-  Hashtbl.replace health_tbl h.endpoint h;
-  Mutex.unlock health_lock
-
-(* Membership churn retires endpoints for good; without this their
-   health rows (and suspicion state) would accumulate forever. *)
-let forget_endpoint_health endpoint =
-  Mutex.lock health_lock;
-  Hashtbl.remove health_tbl endpoint;
-  Mutex.unlock health_lock
-
-let endpoint_health () =
-  Mutex.lock health_lock;
-  let all = Hashtbl.fold (fun _ h acc -> h :: acc) health_tbl [] in
-  Mutex.unlock health_lock;
-  List.sort (fun a b -> compare a.endpoint b.endpoint) all
-
-let pp_endpoint_health ~now fmt h =
-  Format.fprintf fmt "%s: %s, %d conn, %d consecutive failures, %d probes%s"
-    h.endpoint
-    (match h.state with
-    | Healthy -> "healthy"
-    | Probing -> "suspected, probing"
-    | Suspected when h.down_until > now ->
-      Printf.sprintf "suspected, probe in %.2fs" (h.down_until -. now)
-    | Suspected -> "suspected, probe due")
-    h.connections h.consecutive_failures h.probes
-    (match h.last_error with Some e -> ", last error: " ^ e | None -> "")
-
 (* [reset] clears the per-operation counters an experiment snapshots
    around a measured op — and nothing an operator watches live: the
-   endpoint-health registry and the in-flight high-water mark survive,
-   so a bench or periodic snapshot reset no longer blanks the health
-   view mid-observation. Tests that need a truly pristine slate call
-   [reset_gauges] too.
+   in-flight high-water mark and the epoch and dispersal tallies
+   survive. Tests that need a truly pristine slate call [reset_gauges]
+   too.
 
    Per-phase span histograms are experiment-scoped like the counters, so
    they clear here too: a bench running several phases in one process
@@ -252,12 +181,6 @@ let reset () =
   reset_shards ()
 
 let reset_gauges () =
-  Mutex.lock health_lock;
-  Hashtbl.reset health_tbl;
-  Mutex.unlock health_lock;
-  Mutex.lock ep_histos_lock;
-  Hashtbl.reset ep_histos;
-  Mutex.unlock ep_histos_lock;
   inflight_hwm := 0;
   cur_epoch_version := 0;
   epoch_transitions_c := 0;
@@ -350,10 +273,10 @@ let rpc_latency_stats () =
 let rsa_verifies s = s.sigcache_misses
 
 (* Everything this module tracks, as exposition families for a /metrics
-   scrape: the section 6 counters, the operator gauges (in-flight
-   high-water, per-endpoint health), and the RPC latency histograms
-   (global and per-endpoint). Span phase histograms are Obs.Span's own
-   family; the server binary concatenates both. *)
+   scrape: the section 6 counters, the operator gauges and the RPC round
+   latency histogram. Span phase histograms and the pool's per-endpoint
+   families are their owners' own; the server binary concatenates
+   them. *)
 let families () =
   let s = read () in
   let c name help v =
@@ -404,14 +327,6 @@ let families () =
         (dispersed_reads ());
     ]
   in
-  let health = endpoint_health () in
-  let ep_gauge name help value =
-    Obs.Expo.family ~name:("securestore_" ^ name) ~help
-      (Obs.Expo.Gauge
-         (List.map
-            (fun h -> ([ ("endpoint", h.endpoint) ], value h))
-            health))
-  in
   let gauges =
     [
       Obs.Expo.gauge ~name:"securestore_inflight_high_water"
@@ -420,15 +335,6 @@ let families () =
       Obs.Expo.gauge ~name:"securestore_epoch_version"
         ~help:"Highest config epoch version adopted by this process."
         (float_of_int (epoch_version ()));
-      ep_gauge "endpoint_health"
-        "1 when the endpoint is healthy, 0 while it is suspected: its \
-         requests fail fast until a pool probe gets an answer."
-        (fun h -> if h.state = Healthy then 1.0 else 0.0);
-      ep_gauge "endpoint_connections" "Live pooled connections." (fun h ->
-          float_of_int h.connections);
-      ep_gauge "endpoint_consecutive_failures"
-        "RPC failures since the endpoint's last success." (fun h ->
-          float_of_int h.consecutive_failures);
     ]
   in
   let shard_label s = [ ("shard", string_of_int s) ] in
@@ -484,14 +390,6 @@ let families () =
       Obs.Expo.family ~name:"securestore_rpc_duration_seconds"
         ~help:"Quorum RPC round duration over the pooled transport."
         (Obs.Expo.Histogram [ ([], rpc_histo) ]);
-      Obs.Expo.family ~name:"securestore_endpoint_rpc_duration_seconds"
-        ~help:
-          "Per-endpoint request-to-reply latency (recorded while tracing \
-           is enabled)."
-        (Obs.Expo.Histogram
-           (List.map
-              (fun (ep, h) -> ([ ("endpoint", ep) ], h))
-              (endpoint_rpc_histos ())));
     ]
   in
   counters @ gauges @ histograms

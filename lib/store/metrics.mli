@@ -3,7 +3,12 @@
     These implement the paper's section 6 accounting: messages exchanged
     between client and servers, signatures produced, signatures verified,
     digests computed. Counters are global and reset per measured
-    operation; experiment drivers snapshot deltas. *)
+    operation; experiments snapshot deltas.
+
+    The module holds no per-endpoint state: endpoint health and
+    per-endpoint latency belong to the transport pool
+    ([Tcpnet.Pool.health], [Tcpnet.Pool.families]), which drops them
+    with the endpoint. *)
 
 type snapshot = {
   messages : int;  (** protocol messages, both directions *)
@@ -30,16 +35,17 @@ val reset : unit -> unit
     latency histogram, and the per-phase span histograms
     ({!Obs.Span.reset_stats}) — everything experiment-scoped, so
     back-to-back bench phases in one process start from clean
-    percentiles. Operator gauges — {!endpoint_health},
-    {!inflight_high_water}, the per-endpoint latency registry — are
-    deliberately left alone so a measurement reset cannot blank the
-    health view a live operator is watching; use {!reset_gauges} for
-    those. *)
+    percentiles. Operator gauges — {!inflight_high_water}, the epoch
+    and dispersal tallies — are deliberately left alone so a
+    measurement reset cannot blank what a live operator is watching;
+    use {!reset_gauges} for those. Per-endpoint health and latency are
+    not here at all: the transport pool owns them
+    ([Tcpnet.Pool.health]), and neither function touches them. *)
 
 val reset_gauges : unit -> unit
-(** Clear the operator gauges: the endpoint-health registry, the
-    per-endpoint latency histograms and the in-flight high-water mark.
-    For tests that need a pristine slate. *)
+(** Clear the operator gauges: the in-flight high-water mark and the
+    epoch and dispersal tallies. For tests that need a pristine
+    slate. *)
 
 val read : unit -> snapshot
 val diff : snapshot -> snapshot -> snapshot
@@ -89,52 +95,6 @@ val note_shard_request : shard:int -> float -> unit
 val shard_client_stats : unit -> (int * shard_client) list
 val shard_request_stats : unit -> (int * shard_server) list
 (** Sorted by shard id; cells are live references. *)
-
-(** {1 Per-endpoint transport health}
-
-    The transport pool reports each endpoint's health here (a registry
-    of gauges, outside {!snapshot}): whether it is suspected, the
-    probes sent, consecutive failures and the last error seen — what
-    operators need to tell "slow" from "suspected down". *)
-
-type health_state =
-  | Healthy
-  | Suspected  (** requests fail fast; a probe is booked *)
-  | Probing  (** still suspected, with the pool's probe in flight *)
-
-type endpoint_health = {
-  endpoint : string;  (** "host:port" *)
-  connections : int;  (** live pooled connections *)
-  consecutive_failures : int;
-      (** RPC failures (drops, timeouts, failed dials) since the last
-          success *)
-  last_error : string option;
-  down_until : float;
-      (** the later of the dial backoff and the suspicion window's end
-          (when the next probe is due); [0.] when neither was ever
-          set. A past time does not mean healthy: read [state]. *)
-  state : health_state;
-  probes : int;  (** probes the pool has sent the endpoint *)
-}
-
-val note_endpoint_health : endpoint_health -> unit
-(** Record the endpoint's current health (keyed by [endpoint];
-    overwrites the previous report). *)
-
-val forget_endpoint_health : string -> unit
-(** Drop an endpoint's health row entirely. Called when membership churn
-    retires an endpoint for good ({!Tcpnet.Pool.evict}); without it,
-    rows for servers no longer in any active config accumulate
-    forever. *)
-
-val endpoint_health : unit -> endpoint_health list
-(** Every reported endpoint, sorted by endpoint string. Cleared by
-    {!reset_gauges}, not {!reset}. *)
-
-val pp_endpoint_health : now:float -> Format.formatter -> endpoint_health -> unit
-(** One line: state, connections, failures, probes, last error. [now]
-    turns a suspected endpoint's [down_until] into the time to its next
-    probe. *)
 
 val note_inflight : int -> unit
 (** Report the current number of in-flight requests; the high-water mark
@@ -194,13 +154,6 @@ val record_rpc_ns : float -> unit
     latency histogram (fixed bucket counters; replaced the old
     4096-sample reservoir). *)
 
-val endpoint_rpc_histo : string -> Obs.Histo.t
-(** The per-endpoint ("host:port") RPC-latency histogram, created on
-    first use. The pool records into it while tracing is enabled. *)
-
-val endpoint_rpc_histos : unit -> (string * Obs.Histo.t) list
-(** Every per-endpoint histogram, sorted by endpoint. *)
-
 type rpc_stats = {
   rpc_count : int;  (** samples ever recorded *)
   p50_ns : float;
@@ -214,9 +167,10 @@ val rpc_latency_stats : unit -> rpc_stats
 
 val families : unit -> Obs.Expo.family list
 (** Everything this module tracks as Prometheus exposition families
-    ([securestore_*]): counters, operator gauges (including per-endpoint
-    health) and RPC latency histograms. Span phase histograms are
-    {!Obs.Span.phase_family}'s job. *)
+    ([securestore_*]): counters, operator gauges and the RPC round
+    latency histogram. Span phase histograms are
+    {!Obs.Span.phase_family}'s job, per-endpoint health and latency
+    [Tcpnet.Pool.families]'s. *)
 
 val rsa_verifies : snapshot -> int
 (** RSA exponentiations actually performed for verification — the cache

@@ -1032,7 +1032,9 @@ let audit_digest t =
 
 (* --- invariants ----------------------------------------------------------- *)
 
-let invariants t =
+(* [~epoch:false] skips the admin-signature check of the epoch, which
+   depends on the configured key rather than on the state. *)
+let check_state ~epoch t =
   let exception Broken of string in
   let fail fmt = Printf.ksprintf (fun m -> raise (Broken m)) fmt in
   try
@@ -1096,7 +1098,7 @@ let invariants t =
     if folded > 0 && window < audit_window then
       fail "%d audited writes folded while the window holds only %d" folded window;
     (match (t.config.epoch_admin, t.epoch) with
-    | Some pub, Some e -> (
+    | Some pub, Some e when epoch -> (
       match t.epoch_checked with
       | Some seen when seen == e -> ()
       | Some _ | None ->
@@ -1108,6 +1110,8 @@ let invariants t =
     | _ -> ());
     Ok ()
   with Broken m -> Error m
+
+let invariants t = check_state ~epoch:true t
 
 (* --- fragment introspection and repair ---------------------------------- *)
 
@@ -1348,13 +1352,15 @@ let restore_result ?config ~id ~keyring ~n ~b blob =
         let saved_id = Dec.varint dec in
         if saved_id <> id then raise (Wire.Codec.Error "server id mismatch");
         let t = create ?config ~id ~keyring ~n ~b () in
+        (* Lists bounded by the config are cut to the restoring one's
+           depths, as its next write would cut them. *)
         let items =
           Dec.list dec (fun dec ->
               let key = Dec.string dec in
               let current = Dec.option dec decode_write in
-              let log = Dec.list dec decode_write in
+              let log = trim t.config.log_depth (Dec.list dec decode_write) in
               let pending = Dec.list dec decode_write in
-              let maced = Dec.list dec decode_write in
+              let maced = trim t.config.mac_hold_depth (Dec.list dec decode_write) in
               let forked = Dec.bool dec in
               let erased_below = Stamp.decode dec in
               ( key,
@@ -1420,7 +1426,14 @@ let restore_result ?config ~id ~keyring ~n ~b blob =
         t)
       body
   with
-  | t -> Ok t
+  | t -> (
+    (* A blob that decodes may still hold a state no honest server can
+       reach (one torn by a save racing a request, say): refuse it. The
+       epoch is not checked against this config's admin key: changing
+       the key is a configuration change, not a torn state. *)
+    match check_state ~epoch:false t with
+    | Ok () -> Ok t
+    | Error msg -> Error ("inconsistent snapshot: " ^ msg))
   | exception Wire.Codec.Error msg -> Error ("corrupt snapshot: " ^ msg)
   | exception e ->
     (* Any other decoder failure (a well-trailed blob with bad lengths)
@@ -1432,13 +1445,15 @@ let restore ?config ~id ~keyring ~n ~b blob =
   | Ok t -> Some t
   | Error _ -> None
 
-let save_file t ~path =
+let write_snapshot ~path blob =
   let tmp = path ^ ".tmp" in
   let oc = open_out_bin tmp in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (snapshot t));
+    (fun () -> output_string oc blob);
   Sys.rename tmp path
+
+let save_file t ~path = write_snapshot ~path (snapshot t)
 
 let load_result ?config ~id ~keyring ~n ~b ~path () =
   match open_in_bin path with

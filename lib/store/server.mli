@@ -249,7 +249,12 @@ val restore_result :
 (** Rebuild a server from {!snapshot} output. A failed integrity check
     (truncated or bit-flipped blob), bad magic, version or id mismatch
     yield [Error] with a clear reason — never a decoder exception. Only
-    the current snapshot version loads; older blobs are refused.
+    the current snapshot version loads; older blobs are refused. So is
+    a blob whose state fails {!invariants} ("inconsistent snapshot"),
+    once each item's log and MAC-held writes are cut to [config]'s
+    depths (a smaller [log_depth] than the saving server's is not a
+    failure) and without checking the epoch against [config]'s admin
+    key.
     Restored state is what an honest restarted server would have — every
     write it re-announces still carries its original client signature. *)
 
@@ -258,9 +263,13 @@ val restore :
   t option
 (** {!restore_result} with the reason dropped. *)
 
+val write_snapshot : path:string -> string -> unit
+(** Write a {!snapshot} blob to a file, atomically (write to
+    [path ^ ".tmp"], then rename) — a crash mid-save never clobbers the
+    previous snapshot. *)
+
 val save_file : t -> path:string -> unit
-(** {!snapshot} to a file, atomically (write to [path ^ ".tmp"], then
-    rename) — a crash mid-save never clobbers the previous snapshot. *)
+(** {!snapshot} then {!write_snapshot}. *)
 
 val load_result :
   ?config:config -> id:int -> keyring:Keyring.t -> n:int -> b:int ->

@@ -36,7 +36,13 @@ let sockaddr (host, port) = Unix.ADDR_INET (inet_addr host, port)
 let set_nodelay fd =
   try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ()
 
-let connect ?read_timeout endpoint =
+(* A blocking connect to a host that drops SYNs (a full accept queue)
+   waits for the kernel's retries, minutes. Linux bounds connect by
+   SO_SNDTIMEO (a timed-out one fails with EINPROGRESS), so the dial
+   sets it to the time left before [deadline] and clears it afterwards,
+   leaving later writes unbounded. Unlike a non-blocking connect waited
+   on with select, this works for any descriptor number. *)
+let connect ?read_timeout ~deadline endpoint =
   match sockaddr endpoint with
   | exception _ -> None
   | addr -> (
@@ -48,7 +54,11 @@ let connect ?read_timeout endpoint =
         try Unix.setsockopt_float fd Unix.SO_RCVTIMEO t
         with Unix.Unix_error _ -> ())
       | None -> ());
-      Unix.connect fd addr
+      (* 0 would mean no limit: a past deadline still gets 1 ms. *)
+      Unix.setsockopt_float fd Unix.SO_SNDTIMEO
+        (Float.max 1e-3 (deadline -. Unix.gettimeofday ()));
+      Unix.connect fd addr;
+      Unix.setsockopt_float fd Unix.SO_SNDTIMEO 0.0
     with
     | () -> Some fd
     | exception _ ->

@@ -13,7 +13,11 @@ val sockaddr : string * int -> Unix.sockaddr
 val set_nodelay : Unix.file_descr -> unit
 (** Best-effort [TCP_NODELAY] (no-op on non-TCP sockets). *)
 
-val connect : ?read_timeout:float -> string * int -> Unix.file_descr option
+val connect :
+  ?read_timeout:float -> deadline:float -> string * int -> Unix.file_descr option
 (** Dial the endpoint: fresh socket, [TCP_NODELAY], optional
-    [SO_RCVTIMEO] so blocked reads fail deterministically. [None] when
-    the host is unparsable or the connect fails (the socket is closed). *)
+    [SO_RCVTIMEO] so blocked reads fail deterministically. The connect
+    gives up at [deadline] (absolute, [Unix.gettimeofday] time), so a
+    host that drops SYNs cannot hold the caller for the kernel's
+    minutes of retries. [None] when the host is unparsable, the connect
+    fails or the deadline passes (the socket is closed). *)

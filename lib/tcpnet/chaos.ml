@@ -253,7 +253,7 @@ let accept_loop t () =
         try Unix.close fd with Unix.Unix_error _ -> ()
       end
       else (
-        match Addr.connect t.target with
+        match Addr.connect ~deadline:(Unix.gettimeofday () +. 5.0) t.target with
         | Some server_fd -> splice t fd server_fd
         | None ->
           (try Unix.close fd with Unix.Unix_error _ -> ()))

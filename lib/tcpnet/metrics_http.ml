@@ -153,7 +153,10 @@ let stop t =
   match t.accept_th with Some th -> Thread.join th | None -> ()
 
 let get ?(host = "127.0.0.1") ~port ~path () =
-  match Addr.connect ~read_timeout:5.0 (host, port) with
+  match
+    Addr.connect ~read_timeout:5.0 ~deadline:(Unix.gettimeofday () +. 5.0)
+      (host, port)
+  with
   | None -> Error (Printf.sprintf "connect to %s:%d failed" host port)
   | Some fd ->
     Fun.protect

@@ -5,13 +5,15 @@
    flight at once and replies may come back in any order. A dedicated
    reader thread per connection completes a pending-request table;
    callers wait on a Condition, woken either by quorum completion or by
-   the pool's single timekeeper thread at their deadline (self-pipe +
-   select — no polling). Dead connections are detected by the reader
+   the pool's single timekeeper thread at their deadline (a self-pipe
+   read with a receive timeout — no polling). Dead connections are detected by the reader
    (EOF) or the writer (EPIPE), their pending requests fail fast, and
-   the next use redials, behind a capped exponential backoff. An
-   endpoint that keeps failing is suspected: its requests fail fast
-   until a probe the timekeeper sends on its own gets an answer, so no
-   user request ever waits on a server that has gone silent. *)
+   the next use redials; a dial gives up at its caller's deadline. A
+   failed dial is one more RPC failure, and an endpoint that keeps
+   failing is suspected: its requests fail fast until a probe the
+   timekeeper sends on its own gets an answer, so no user request ever
+   waits on a server that has gone silent. The pool is the one owner of
+   this per-endpoint health; {!families} exposes it. *)
 
 type result = Reply of string | Rejected of string | No_reply | Dropped
 
@@ -47,17 +49,14 @@ and endpoint_state = {
   econd : Condition.t; (* signalled when a dial resolves either way *)
   mutable conns : conn list;
   mutable dialing : int;
-  mutable fail_streak : int;
-  mutable down_until : float;
-  mutable last_backoff : float;
   mutable ever_connected : bool;
-  (* Health beyond dial backoff: RPC-level consecutive failures
+  (* The endpoint's one failure state: RPC-level consecutive failures
      (timeouts, dead connections, failed dials) make the endpoint
      suspected, and submissions fail fast even though live connections
      may exist (a blackholed server accepts connections and says
      nothing). The endpoint stays suspected until any framed reply
      arrives. When the window ([suspect_until]) expires the timekeeper
-     sends one probe ([probing]); a timeout re-arms a doubled window.
+     sends one probe ([probing]); a failure re-arms a doubled window.
      [suspect_until = 0.] means not suspected. *)
   mutable rpc_fail_streak : int;
   mutable last_error : string option;
@@ -66,12 +65,7 @@ and endpoint_state = {
   mutable probing : bool;
   mutable probes : int;
   mutable probe_shard : int option;  (* shard of the last failed request *)
-  (* Resolved lazily on the first traced submit and kept: the reply
-     path records into it before waking the quorum waiter, so it must
-     not pay a registry lookup per reply. (A Metrics.reset_gauges
-     while tracing is live detaches this cache from the registry;
-     gauge resets are a test-only pristine-slate affair.) *)
-  mutable ep_histo : Obs.Histo.t option;
+  latency : Obs.Histo.t;  (* request-to-reply, recorded while tracing *)
 }
 
 (* A quorum fan-out in progress. [outstanding] remembers every (conn,
@@ -107,8 +101,6 @@ type t = {
   endpoints : (string * int, endpoint_state) Hashtbl.t;
   timer : timer;
   max_conns : int;
-  backoff_base : float;
-  backoff_max : float;
   suspect_after : int;
   suspect_base : float;
   suspect_max : float;
@@ -149,11 +141,20 @@ let timer_loop timer ~probe () =
     else begin
       let now = Unix.gettimeofday () in
       let wait = match next with None -> -1.0 | Some d -> d -. now in
+      (* The wait is a read bounded by SO_RCVTIMEO (0 waits without
+         limit): unlike select, it works for any descriptor number. The
+         kernel rounds it up to its clock tick, so a deadline may fire a
+         few milliseconds late, never early. *)
       (if wait > 0.0 || next = None then
-         match Unix.select [ timer.pipe_rd ] [] [] wait with
-         | [ fd ], _, _ -> ignore (Unix.read fd buf 0 64)
+         match
+           Unix.setsockopt_float timer.pipe_rd Unix.SO_RCVTIMEO
+             (if next = None then 0.0 else Float.max 1e-4 wait);
+           Unix.read timer.pipe_rd buf 0 64
+         with
          | _ -> ()
-         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+         | exception
+             Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _)
+           -> ());
       let now = Unix.gettimeofday () in
       Mutex.lock timer.tlock;
       let fired, rest = split_due now [] timer.entries in
@@ -205,15 +206,11 @@ let timer_probe timer at st =
 
 (* --- pool -------------------------------------------------------------- *)
 
-(* Forward declaration dance avoided: defined below, used here only
-   after the state exists. *)
-let publish_health_ref = ref (fun (_ : endpoint_state) -> ())
-
 let endpoint_state pool ep =
   Mutex.lock pool.lock;
-  let st, created =
+  let st =
     match Hashtbl.find_opt pool.endpoints ep with
-    | Some st -> (st, false)
+    | Some st -> st
     | None ->
       let st =
         {
@@ -223,9 +220,6 @@ let endpoint_state pool ep =
           econd = Condition.create ();
           conns = [];
           dialing = 0;
-          fail_streak = 0;
-          down_until = 0.0;
-          last_backoff = 0.0;
           ever_connected = false;
           rpc_fail_streak = 0;
           last_error = None;
@@ -234,16 +228,13 @@ let endpoint_state pool ep =
           probing = false;
           probes = 0;
           probe_shard = None;
-          ep_histo = None;
+          latency = Obs.Histo.create ();
         }
       in
       Hashtbl.replace pool.endpoints ep st;
-      (st, true)
+      st
   in
   Mutex.unlock pool.lock;
-  (* First sighting: publish a healthy row so introspection shows every
-     endpoint the pool knows, not only the ones that have failed. *)
-  if created then !publish_health_ref st;
   st
 
 let next_id pool =
@@ -259,41 +250,13 @@ let track_inflight pool d =
 
 (* --- endpoint health --------------------------------------------------- *)
 
-(* Call with [st.elock] held. *)
-let health_state st : Store.Metrics.health_state =
-  if st.suspect_until = 0.0 then Healthy
-  else if st.probing then Probing
-  else Suspected
-
-let publish_health st =
-  Mutex.lock st.elock;
-  let h =
-    {
-      Store.Metrics.endpoint = st.ep_name;
-      connections = List.length st.conns;
-      consecutive_failures = st.rpc_fail_streak;
-      last_error = st.last_error;
-      down_until = max st.down_until st.suspect_until;
-      state = health_state st;
-      probes = st.probes;
-    }
-  in
-  Mutex.unlock st.elock;
-  Store.Metrics.note_endpoint_health h
-
-let () = publish_health_ref := publish_health
-
 let note_rpc_ok st =
   Mutex.lock st.elock;
-  let changed =
-    st.rpc_fail_streak <> 0 || st.suspect_until <> 0.0 || st.last_error <> None
-  in
   st.rpc_fail_streak <- 0;
   st.last_error <- None;
   st.suspect_until <- 0.0;
   st.suspect_backoff <- 0.0;
-  Mutex.unlock st.elock;
-  if changed then publish_health st
+  Mutex.unlock st.elock
 
 (* [shard] is the failed request's, so the probe asks a shard the host
    serves: a host answers a shard it does not host with a framed
@@ -316,8 +279,7 @@ let note_rpc_fail ?shard pool st error =
     end
   in
   Mutex.unlock st.elock;
-  Option.iter (fun at -> timer_probe pool.timer at st) probe_at;
-  publish_health st
+  Option.iter (fun at -> timer_probe pool.timer at st) probe_at
 
 (* Fail fast from the first suspicion until a framed reply clears it:
    an expired window only books the pool's probe, it admits nothing. *)
@@ -343,8 +305,7 @@ let kill_conn pool st conn =
     (try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with _ -> ())
   end;
   if was_alive && orphans <> [] then
-    note_rpc_fail pool st "connection died with requests in flight"
-  else if was_alive then publish_health st;
+    note_rpc_fail pool st "connection died with requests in flight";
   track_inflight pool (-List.length orphans);
   List.iter (fun p -> p.complete Dropped) orphans
 
@@ -389,86 +350,70 @@ let reader pool st conn () =
   kill_conn pool st conn;
   try Unix.close conn.fd with _ -> ()
 
-let backoff_delay pool streak =
-  min pool.backoff_max (pool.backoff_base *. (2.0 ** float_of_int (streak - 1)))
+let least_loaded conns =
+  List.fold_left
+    (fun acc c ->
+      match acc with Some b when b.in_flight <= c.in_flight -> acc | _ -> Some c)
+    None conns
 
 (* Pick the least-loaded live connection; dial a new one only when every
-   existing connection is busy and the per-endpoint cap allows it. When
-   the cap is already consumed by dials in flight (no connection to
-   reuse yet), wait for a dial to resolve rather than over-dialing past
-   the bound. *)
-let acquire pool st =
+   existing connection is busy, the per-endpoint cap allows it, and the
+   endpoint has no RPC failure since its last framed reply. When the cap
+   is already consumed by dials in flight (no connection to reuse yet),
+   wait for a dial to resolve rather than over-dialing past the bound.
+
+   A dial gives up at [deadline]. A failed dial is one more RPC failure
+   ([note_rpc_fail], so repeated ones suspect the endpoint); a failed
+   extra dial falls back to the least-loaded live connection instead of
+   dropping the request. *)
+let acquire ?shard pool st ~deadline =
   Mutex.lock st.elock;
   let rec pick () =
-    (* Backoff only gates dialing: a failed extra dial must not take
-       usable live connections out of service, so with live connections
-       we fall through and reuse the least-loaded one instead. *)
-    let in_backoff = Unix.gettimeofday () < st.down_until in
-    if st.conns = [] && in_backoff then begin
+    let at_cap = List.length st.conns + st.dialing >= pool.max_conns in
+    match least_loaded st.conns with
+    | Some c when c.in_flight = 0 || at_cap || st.rpc_fail_streak > 0 ->
       Mutex.unlock st.elock;
-      None
-    end
-    else begin
-      let best =
-        List.fold_left
-          (fun acc c ->
-            match acc with
-            | Some b when b.in_flight <= c.in_flight -> acc
-            | _ -> Some c)
-          None st.conns
-      in
-      let at_cap = List.length st.conns + st.dialing >= pool.max_conns in
-      match best with
-      | Some c when c.in_flight = 0 || at_cap || in_backoff ->
+      Store.Metrics.incr_tcp_reuse ();
+      Some c
+    | None when at_cap ->
+      (* Every slot is a dial in progress; its completion (either
+         way) is broadcast on [econd]. *)
+      Condition.wait st.econd st.elock;
+      pick ()
+    | _ -> (
+      st.dialing <- st.dialing + 1;
+      Mutex.unlock st.elock;
+      let fd = Addr.connect ~deadline st.ep in
+      Mutex.lock st.elock;
+      st.dialing <- st.dialing - 1;
+      Condition.broadcast st.econd;
+      match fd with
+      | Some fd ->
+        let conn =
+          {
+            fd;
+            owner = st;
+            pending = Hashtbl.create 8;
+            plock = Mutex.create ();
+            wlock = Mutex.create ();
+            alive = true;
+            in_flight = 0;
+          }
+        in
+        st.conns <- conn :: st.conns;
+        let reconnect = st.ever_connected in
+        st.ever_connected <- true;
         Mutex.unlock st.elock;
-        Store.Metrics.incr_tcp_reuse ();
-        Some c
-      | None when at_cap ->
-        (* Every slot is a dial in progress; its completion (either
-           way) is broadcast on [econd]. *)
-        Condition.wait st.econd st.elock;
-        pick ()
-      | _ ->
-        st.dialing <- st.dialing + 1;
+        Store.Metrics.incr_tcp_connect ();
+        if reconnect then Store.Metrics.incr_tcp_reconnect ();
+        ignore (Thread.create (reader pool st conn) ());
+        Some conn
+      | None ->
+        let fallback = least_loaded st.conns in
         Mutex.unlock st.elock;
-        let fd = Addr.connect st.ep in
-        Mutex.lock st.elock;
-        st.dialing <- st.dialing - 1;
-        (match fd with
-        | Some fd ->
-          let conn =
-            {
-              fd;
-              owner = st;
-              pending = Hashtbl.create 8;
-              plock = Mutex.create ();
-              wlock = Mutex.create ();
-              alive = true;
-              in_flight = 0;
-            }
-          in
-          st.conns <- conn :: st.conns;
-          st.fail_streak <- 0;
-          st.down_until <- 0.0;
-          st.last_backoff <- 0.0;
-          let reconnect = st.ever_connected in
-          st.ever_connected <- true;
-          Condition.broadcast st.econd;
-          Mutex.unlock st.elock;
-          Store.Metrics.incr_tcp_connect ();
-          if reconnect then Store.Metrics.incr_tcp_reconnect ();
-          publish_health st;
-          ignore (Thread.create (reader pool st conn) ());
-          Some conn
-        | None ->
-          st.fail_streak <- st.fail_streak + 1;
-          let delay = backoff_delay pool st.fail_streak in
-          st.last_backoff <- delay;
-          st.down_until <- Unix.gettimeofday () +. delay;
-          Condition.broadcast st.econd;
-          Mutex.unlock st.elock;
-          None)
-    end
+        note_rpc_fail ?shard pool st "dial failed";
+        if fallback <> None then Store.Metrics.incr_tcp_reuse ();
+        fallback)
   in
   pick ()
 
@@ -519,11 +464,8 @@ let rec submit ?(attempts = 2) ?(probe = false) pool group st ~from buf =
   if is_suspected st && not probe then group_complete group ~from Dropped
   else if attempts = 0 then group_complete group ~from Dropped
   else
-    match acquire pool st with
-    | None ->
-      note_rpc_fail ?shard:group.shard pool st
-        "dial failed or endpoint in backoff";
-      group_complete group ~from Dropped
+    match acquire ?shard:group.shard pool st ~deadline:group.deadline with
+    | None -> group_complete group ~from Dropped
     | Some conn -> (
       let id = next_id pool in
       (* Tracing hook, behind [Obs.Span.enabled] so the traced-off hot
@@ -533,17 +475,7 @@ let rec submit ?(attempts = 2) ?(probe = false) pool group st ~from buf =
          per-endpoint percentiles it contributed to. *)
       let histo, t0 =
         if not (Obs.Span.enabled ()) then (None, 0.0)
-        else begin
-          let h =
-            match st.ep_histo with
-            | Some h -> h
-            | None ->
-              let h = Store.Metrics.endpoint_rpc_histo st.ep_name in
-              st.ep_histo <- Some h;
-              h
-          in
-          (Some h, Unix.gettimeofday ())
-        end
+        else (Some st.latency, Unix.gettimeofday ())
       in
       let complete r = group_complete group ~from r in
       Mutex.lock conn.plock;
@@ -656,9 +588,15 @@ let finish_group pool group =
 let run_group pool group dsts =
   let start = Unix.gettimeofday () in
   timer_register pool.timer group.deadline group;
-  List.iter
-    (fun (from, ep, buf) -> submit pool group (endpoint_state pool ep) ~from buf)
-    dsts;
+  (* Destinations with a pooled connection go first: a dial may wait up
+     to the deadline, and must not hold back requests that need none.
+     The unlocked read of [conns] only decides the order. *)
+  let warm, cold =
+    List.partition
+      (fun (_, st, _) -> st.conns <> [])
+      (List.map (fun (from, ep, buf) -> (from, endpoint_state pool ep, buf)) dsts)
+  in
+  List.iter (fun (from, st, buf) -> submit pool group st ~from buf) (warm @ cold);
   (* One annotation per round, not per destination: an (ep, corr) pair
      for every request actually registered, so a slow span's attrs
      point straight at the per-endpoint histograms involved. Rendering
@@ -725,6 +663,8 @@ let call pool ?(timeout = 5.0) ?shard endpoint payload =
   | (_, payload) :: _ -> Reply payload
   | [] -> ( match group.last_error with Some err -> err | None -> Dropped)
 
+(* A one-way has no deadline of its own; its dial gets [suspect_base],
+   the time a probe has to answer. *)
 let send pool ?shard endpoint payload =
   let st = endpoint_state pool endpoint in
   let frame = Frame.encode_oneway ?shard ?trace:(wire_trace ()) payload in
@@ -732,10 +672,11 @@ let send pool ?shard endpoint payload =
     if attempts = 0 then false
     else if is_suspected st then false
     else
-      match acquire pool st with
-      | None ->
-        note_rpc_fail ?shard pool st "dial failed or endpoint in backoff";
-        false
+      match
+        acquire ?shard pool st
+          ~deadline:(Unix.gettimeofday () +. pool.suspect_base)
+      with
+      | None -> false
       | Some conn -> (
         match write_frame_on conn frame with
         | () -> true
@@ -767,7 +708,7 @@ let probe_request =
 (* One probe of a suspected endpoint, on a thread of its own. A framed
    reply clears the suspicion (the reader's [note_rpc_ok]); a timeout or
    a failed dial re-arms a doubled window and books the next probe
-   ([note_rpc_fail]). *)
+   ([note_rpc_fail]). Nothing gates the probe's dial. *)
 let run_probe pool st () =
   let shard = st.probe_shard in
   let group =
@@ -787,8 +728,7 @@ let run_probe pool st () =
   if again <> 0.0 then
     timer_probe pool.timer
       (Float.max again (Unix.gettimeofday () +. pool.suspect_base))
-      st;
-  publish_health st
+      st
 
 (* Called by the timekeeper when [st]'s window expires: at most one probe
    per endpoint in flight, none for an endpoint already cleared or
@@ -807,15 +747,11 @@ let start_probe pool st =
     st.probes <- st.probes + 1
   end;
   Mutex.unlock st.elock;
-  if go then begin
-    publish_health st;
-    ignore (Thread.create (run_probe pool st) ())
-  end
+  if go then ignore (Thread.create (run_probe pool st) ())
 
-let create ?(max_connections_per_endpoint = 2) ?(backoff_base = 0.05)
-    ?(backoff_max = 2.0) ?(suspect_after = 5) ?(suspect_base = 0.25)
-    ?(suspect_max = 5.0) () =
-  let pipe_rd, pipe_wr = Unix.pipe () in
+let create ?(max_connections_per_endpoint = 2) ?(suspect_after = 5)
+    ?(suspect_base = 0.25) ?(suspect_max = 5.0) () =
+  let pipe_rd, pipe_wr = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.set_nonblock pipe_wr;
   let timer =
     {
@@ -833,8 +769,6 @@ let create ?(max_connections_per_endpoint = 2) ?(backoff_base = 0.05)
       endpoints = Hashtbl.create 16;
       timer;
       max_conns = max 1 max_connections_per_endpoint;
-      backoff_base;
-      backoff_max;
       suspect_after = max 1 suspect_after;
       suspect_base;
       suspect_max;
@@ -864,20 +798,6 @@ let connection_count pool ep =
     Mutex.unlock st.elock;
     n
 
-let current_backoff pool ep =
-  match
-    Mutex.lock pool.lock;
-    let st = Hashtbl.find_opt pool.endpoints ep in
-    Mutex.unlock pool.lock;
-    st
-  with
-  | None -> 0.0
-  | Some st ->
-    Mutex.lock st.elock;
-    let b = st.last_backoff in
-    Mutex.unlock st.elock;
-    b
-
 let in_flight pool = Atomic.get pool.inflight
 
 let suspected pool ep =
@@ -886,7 +806,7 @@ let suspected pool ep =
   Mutex.unlock pool.lock;
   match st with Some st -> is_suspected st | None -> false
 
-type state = Store.Metrics.health_state = Healthy | Suspected | Probing
+type state = Healthy | Suspected | Probing
 
 type health = {
   endpoint : string * int;
@@ -898,36 +818,77 @@ type health = {
   probes : int;
 }
 
-let health pool =
-  let states =
-    Mutex.lock pool.lock;
-    let ss = Hashtbl.fold (fun _ st acc -> st :: acc) pool.endpoints [] in
-    Mutex.unlock pool.lock;
-    ss
+(* Every endpoint the pool knows, sorted. *)
+let endpoint_states pool =
+  Mutex.lock pool.lock;
+  let ss = Hashtbl.fold (fun _ st acc -> st :: acc) pool.endpoints [] in
+  Mutex.unlock pool.lock;
+  List.sort (fun a b -> compare a.ep b.ep) ss
+
+let snap st =
+  Mutex.lock st.elock;
+  let h =
+    {
+      endpoint = st.ep;
+      connections = List.length st.conns;
+      consecutive_failures = st.rpc_fail_streak;
+      last_error = st.last_error;
+      down_until = st.suspect_until;
+      state =
+        (if st.suspect_until = 0.0 then Healthy
+         else if st.probing then Probing
+         else Suspected);
+      probes = st.probes;
+    }
   in
-  let snap st =
-    Mutex.lock st.elock;
-    let h =
-      {
-        endpoint = st.ep;
-        connections = List.length st.conns;
-        consecutive_failures = st.rpc_fail_streak;
-        last_error = st.last_error;
-        down_until = max st.down_until st.suspect_until;
-        state = health_state st;
-        probes = st.probes;
-      }
-    in
-    Mutex.unlock st.elock;
-    h
+  Mutex.unlock st.elock;
+  h
+
+let health pool = List.map snap (endpoint_states pool)
+
+let pp_health ~now fmt h =
+  Format.fprintf fmt "%s:%d: %s, %d conn, %d consecutive failures, %d probes%s"
+    (fst h.endpoint) (snd h.endpoint)
+    (match h.state with
+    | Healthy -> "healthy"
+    | Probing -> "suspected, probing"
+    | Suspected when h.down_until > now ->
+      Printf.sprintf "suspected, probe in %.2fs" (h.down_until -. now)
+    | Suspected -> "suspected, probe due")
+    h.connections h.consecutive_failures h.probes
+    (match h.last_error with Some e -> ", last error: " ^ e | None -> "")
+
+let families pool =
+  let states = endpoint_states pool in
+  let rows = List.map (fun st -> (st.ep_name, snap st)) states in
+  let gauge name help value =
+    Obs.Expo.family ~name:("securestore_" ^ name) ~help
+      (Obs.Expo.Gauge
+         (List.map (fun (ep, h) -> ([ ("endpoint", ep) ], value h)) rows))
   in
-  List.sort compare (List.map snap states)
+  [
+    gauge "endpoint_health"
+      "1 when the endpoint is healthy, 0 while it is suspected: its \
+       requests fail fast until a pool probe gets an answer."
+      (fun h -> if h.state = Healthy then 1.0 else 0.0);
+    gauge "endpoint_connections" "Live pooled connections." (fun h ->
+        float_of_int h.connections);
+    gauge "endpoint_consecutive_failures"
+      "RPC failures since the endpoint's last success." (fun h ->
+        float_of_int h.consecutive_failures);
+    Obs.Expo.family ~name:"securestore_endpoint_rpc_duration_seconds"
+      ~help:
+        "Per-endpoint request-to-reply latency (recorded while tracing \
+         is enabled)."
+      (Obs.Expo.Histogram
+         (List.map (fun st -> ([ ("endpoint", st.ep_name) ], st.latency)) states));
+  ]
 
 (* Retire an endpoint for good (membership churn): drop its state —
-   connections, backoff, suspicion counters — and its health row. A
-   later submission to the same address starts from a clean slate, like
-   a first sighting; without eviction, suspicion state for servers no
-   longer in any active config accumulates forever. *)
+   connections, suspicion, latency histogram. A later submission to the
+   same address starts from a clean slate, like a first sighting;
+   without eviction, state for servers no longer in any active config
+   accumulates forever. *)
 let evict pool ep =
   let st =
     Mutex.lock pool.lock;
@@ -942,8 +903,7 @@ let evict pool ep =
     Mutex.lock st.elock;
     let conns = st.conns in
     Mutex.unlock st.elock;
-    List.iter (fun conn -> kill_conn pool st conn) conns;
-    Store.Metrics.forget_endpoint_health st.ep_name
+    List.iter (fun conn -> kill_conn pool st conn) conns
 
 let shutdown pool =
   Mutex.lock pool.timer.tlock;

@@ -6,21 +6,25 @@
     connection has one reader thread resolving a pending-request table;
     quorum fan-outs wait on a Condition woken by completion or by a
     single timekeeper thread at the deadline — there is no polling, no
-    per-call thread, and no per-call socket. Failed endpoints back off
-    exponentially up to a cap before redial. An endpoint that keeps
-    failing is suspected (see {!health}): its requests fail fast, and
-    only the pool's own probes reach it until one is answered.
+    per-call thread, and no per-call socket. A dial gives up at the
+    round's deadline, and destinations with a pooled connection are sent
+    to before those that need a dial.
 
-    Transport counters ([tcp_connects]/[tcp_reuses]/[tcp_reconnects]/
-    [rpcs], the in-flight high-water mark, RPC latency percentiles) are
-    reported through {!Store.Metrics}. *)
+    The pool is the one owner of per-endpoint health. It keeps one
+    failure state per endpoint: a failed dial, a dead connection and a
+    timeout all count as RPC failures, and an endpoint that keeps
+    failing is suspected (see {!health}): its requests fail fast, and
+    only the pool's own probes reach it until one is answered. {!health}
+    and {!families} read that state, and {!evict} drops it.
+
+    Process-wide transport counters ([tcp_connects]/[tcp_reuses]/
+    [tcp_reconnects]/[rpcs], the in-flight high-water mark, RPC round
+    percentiles) are reported through {!Store.Metrics}. *)
 
 type t
 
 val create :
   ?max_connections_per_endpoint:int (** default 2 *) ->
-  ?backoff_base:float (** first redial delay, default 0.05 s *) ->
-  ?backoff_max:float (** backoff cap, default 2 s *) ->
   ?suspect_after:int
     (** consecutive RPC failures (timeouts, dead connections, failed
         dials) before the endpoint is suspected, default 5 *) ->
@@ -84,10 +88,10 @@ val call_scatter :
 val send : t -> ?shard:int -> string * int -> string -> bool
 (** Fire-and-forget one-way message on a pooled connection (gossip
     pushes). Retries once on a connection found dead at write time.
-    [false] when the message could not even be written (endpoint down,
-    in backoff, or suspected) — the caller can requeue; [true] means
-    written, not delivered. [shard] addresses one shard of a
-    multi-shard host. *)
+    [false] when the message could not even be written (endpoint down
+    or suspected) — the caller can requeue; [true] means written, not
+    delivered. A dial gives up after [suspect_base]. [shard] addresses
+    one shard of a multi-shard host. *)
 
 val connection_count : t -> string * int -> int
 (** Live pooled connections to the endpoint (introspection). *)
@@ -98,7 +102,7 @@ val suspected : t -> string * int -> bool
     healthy, and asking creates no state for it. {!Live} ranks each
     round's destinations by this. *)
 
-type state = Store.Metrics.health_state =
+type state =
   | Healthy
   | Suspected  (** requests fail fast; a probe is booked *)
   | Probing  (** still suspected, with the pool's probe in flight *)
@@ -111,9 +115,9 @@ type health = {
           since the last framed response from the endpoint *)
   last_error : string option;
   down_until : float;
-      (** the later of the dial backoff and the suspicion window's end
-          (when the next probe is due); [0.] when neither is set. A
-          past time does not mean healthy: read [state]. *)
+      (** the suspicion window's end (when the next probe is due); [0.]
+          when healthy. A past time does not mean healthy: read
+          [state]. *)
   state : state;
   probes : int;  (** probes the pool has sent the endpoint *)
 }
@@ -125,25 +129,37 @@ val health : t -> health list
     connections and says nothing). User requests never probe it. When
     the suspicion window expires, the timekeeper sends one probe of its
     own on a separate thread: a well-formed store request to the shard
-    of the last failure, with [suspect_base] to answer. Any framed
-    reply clears the suspicion; a timeout re-arms a doubled window, up
-    to [suspect_max], and books the next probe. The same data is
-    published to {!Store.Metrics.endpoint_health} as it changes. *)
+    of the last failure, with [suspect_base] to answer. The probe
+    always dials when no connection is pooled. Any framed reply clears
+    the suspicion; a timeout or failed dial re-arms a doubled window,
+    from [suspect_base] up to [suspect_max], and books the next probe.
 
-val current_backoff : t -> string * int -> float
-(** The endpoint's current redial backoff delay in seconds; [0.] when
-    healthy (introspection for tests). *)
+    An extra connection is dialled only while the endpoint has no
+    failure since its last reply; a failed extra dial counts as a
+    failure and the request rides the least-loaded live connection. *)
+
+val pp_health : now:float -> Format.formatter -> health -> unit
+(** One line: state, connections, failures, probes, last error. [now]
+    turns a suspected endpoint's [down_until] into the time to its next
+    probe. *)
+
+val families : t -> Obs.Expo.family list
+(** The pool's per-endpoint state as exposition families, each labelled
+    by [endpoint="host:port"]: [securestore_endpoint_health] (1 healthy,
+    0 suspected), [securestore_endpoint_connections],
+    [securestore_endpoint_consecutive_failures] and the
+    [securestore_endpoint_rpc_duration_seconds] histogram, which records
+    request-to-reply latency while tracing is enabled. *)
 
 val in_flight : t -> int
 (** Requests currently registered and unanswered across the pool. *)
 
 val evict : t -> string * int -> unit
 (** Retire an endpoint for good (membership churn): close its
-    connections, drop its backoff and suspicion state, and remove its
-    {!Store.Metrics.endpoint_health} row — without this, health and
-    suspicion entries for servers no longer in any active config
-    accumulate forever. A later submission to the same address starts
-    from a clean slate. *)
+    connections and drop its state — suspicion, health row and latency
+    histogram. Without this, entries for servers no longer in any
+    active config accumulate forever. A later submission to the same
+    address starts from a clean slate. *)
 
 val shutdown : t -> unit
 (** Close every pooled connection and stop the timekeeper. The pool must

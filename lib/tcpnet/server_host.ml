@@ -60,11 +60,8 @@ let untrack_conn t fd =
    Byzantine behaviour reuses the simulator's wrappers unchanged — a
    misbehaving host diverges only in what it says on the wire, never in
    the underlying honest state machine. Behaviour is per shard, so one
-   host can be Byzantine inside one shard and honest in the others. *)
-(* Server-side request spans ride the global Span switch. The untraced
-   arm repeats the six-line body rather than calling [with_phase]
-   no-ops, which would still pay a span lookup per phase on every
-   request. *)
+   host can be Byzantine inside one shard and honest in the others.
+   Server-side request spans ride the global Span switch. *)
 
 let span_ctx = function
   | Some (c : Frame.trace_ctx) ->
@@ -75,33 +72,21 @@ let process st ?ctx raw : (Store.Payload.response option, string) Result.t =
   let t0 = Unix.gettimeofday () in
   (match ctx with Some _ -> st.slast_trace <- ctx | None -> ());
   let result =
+    Obs.Span.with_op ?ctx:(span_ctx ctx) "server_request" @@ fun () ->
     if Obs.Span.enabled () then
-      Obs.Span.with_op ?ctx:(span_ctx ctx) "server_request" @@ fun () ->
       Obs.Span.annotate
-        (Printf.sprintf "server=%d shard=%d" (Store.Server.id st.sserver)
-           st.sid);
-      match
-        Obs.Span.with_phase "decode" (fun () ->
-            Store.Payload.decode_envelope raw)
-      with
-      | None -> Error "malformed envelope"
-      | Some env ->
-        Obs.Span.with_phase "verify" (fun () ->
-            Store.Server.preverify st.sserver env);
-        Ok
-          (Obs.Span.with_phase "apply" (fun () ->
-               with_lock st (fun () ->
-                   Store.Faults.handle_typed st.sbehavior st.sserver
-                     ~now:(Unix.gettimeofday ()) ~from:(-1) env)))
-    else
-      match Store.Payload.decode_envelope raw with
-      | None -> Error "malformed envelope"
-      | Some env ->
-        Store.Server.preverify st.sserver env;
-        Ok
-          (with_lock st (fun () ->
-               Store.Faults.handle_typed st.sbehavior st.sserver
-                 ~now:(Unix.gettimeofday ()) ~from:(-1) env))
+        (Printf.sprintf "server=%d shard=%d" (Store.Server.id st.sserver) st.sid);
+    match
+      Obs.Span.with_phase "decode" (fun () -> Store.Payload.decode_envelope raw)
+    with
+    | None -> Error "malformed envelope"
+    | Some env ->
+      Obs.Span.with_phase "verify" (fun () -> Store.Server.preverify st.sserver env);
+      Ok
+        (Obs.Span.with_phase "apply" (fun () ->
+             with_lock st (fun () ->
+                 Store.Faults.handle_typed st.sbehavior st.sserver
+                   ~now:(Unix.gettimeofday ()) ~from:(-1) env)))
   in
   Store.Metrics.note_shard_request ~shard:st.sid
     ((Unix.gettimeofday () -. t0) *. 1e9);
@@ -363,6 +348,11 @@ let start_sharded ?(gossip_period = 1.0) ~shards ~port () =
 
 let port t = t.bound_port
 let hosted_shards t = List.sort compare (Hashtbl.fold (fun s _ acc -> s :: acc) t.shards [])
+
+let snapshot t ~shard =
+  match Hashtbl.find_opt t.shards shard with
+  | Some st -> with_lock st (fun () -> Store.Server.snapshot st.sserver)
+  | None -> invalid_arg (Printf.sprintf "Server_host.snapshot: shard %d not hosted" shard)
 
 (* Graceful departure: stop accepting new client writes on every hosted
    shard, then synchronously push the remaining gossip backlog to the

@@ -67,13 +67,21 @@ val port : t -> int
 val hosted_shards : t -> int list
 (** Shard ids this host serves, ascending. *)
 
+val snapshot : t -> shard:int -> string
+(** {!Store.Server.snapshot} of one hosted shard, taken under the
+    shard's lock so it never interleaves with a request's state change:
+    the blob is one consistent state that {!Store.Server.restore_result}
+    accepts. Write it out with {!Store.Server.write_snapshot}, outside
+    the lock. Usable after {!stop}.
+    @raise Invalid_argument when the shard is not hosted. *)
+
 val drain : ?max_passes:int -> t -> unit
 (** Graceful departure, the first half of a handoff: put every hosted
     shard's server into draining mode (new client writes are denied;
     reads, gossip and {!Store.Payload.Evidence_upgrade} still served),
     then synchronously push the remaining gossip backlog to the peers —
     up to [max_passes] (default 10) rounds, so a dead peer cannot wedge
-    the drain. The caller then snapshots and {!stop}s. *)
+    the drain. The caller then {!stop}s and {!snapshot}s. *)
 
 val stop : t -> unit
 (** Close the listener, stop the gossip thread, and shut down accepted

@@ -310,40 +310,83 @@ let test_metrics_endpoint_roundtrip () =
 
 (* --- Metrics reset split ------------------------------------------------- *)
 
+(* Metrics.reset clears the experiment counters and leaves the operator
+   gauges; the transport pool's per-endpoint health and latency are not
+   Metrics' to clear at all. One traced reply from a live host and one
+   refused dial give the pool a latency sample and a failure row. *)
 let test_reset_keeps_gauges () =
   Store.Metrics.reset ();
   Store.Metrics.reset_gauges ();
   Store.Metrics.incr_rpc ();
   Store.Metrics.record_rpc_ns 5e6;
   Store.Metrics.note_inflight 7;
-  Store.Metrics.note_endpoint_health
-    {
-      Store.Metrics.endpoint = "h:1";
-      connections = 1;
-      consecutive_failures = 2;
-      last_error = Some "x";
-      down_until = 0.0;
-      state = Store.Metrics.Healthy;
-      probes = 0;
-    };
-  Obs.Histo.observe (Store.Metrics.endpoint_rpc_histo "h:1") 5e6;
+  let server =
+    Store.Server.create ~id:0 ~keyring:(Store.Keyring.create ()) ~n:1 ~b:0 ()
+  in
+  let host = Tcpnet.Server_host.start ~server ~port:0 () in
+  let pool = Tcpnet.Pool.create () in
+  Fun.protect
+    ~finally:(fun () ->
+      Tcpnet.Pool.shutdown pool;
+      Tcpnet.Server_host.stop host)
+  @@ fun () ->
+  let live = ("127.0.0.1", Tcpnet.Server_host.port host) in
+  let refused =
+    let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+    let port =
+      match Unix.getsockname s with Unix.ADDR_INET (_, p) -> p | _ -> assert false
+    in
+    Unix.close s;
+    ("127.0.0.1", port)
+  in
+  let query =
+    Store.Payload.encode_envelope
+      {
+        Store.Payload.token = None;
+        epoch = 0;
+        request =
+          Store.Payload.Read_query
+            { uid = Store.Uid.make ~group:"obs" ~item:"x"; ship = false };
+      }
+  in
+  with_tracing (fun () ->
+      match Tcpnet.Pool.call pool ~timeout:2.0 live query with
+      | Tcpnet.Pool.Reply _ -> ()
+      | _ -> Alcotest.fail "live host should answer");
+  (match Tcpnet.Pool.call pool ~timeout:0.5 refused query with
+  | Tcpnet.Pool.Dropped -> ()
+  | _ -> Alcotest.fail "refused dial should drop");
+  let latency_count () =
+    let needle =
+      Printf.sprintf "securestore_endpoint_rpc_duration_seconds_count{endpoint=\"127.0.0.1:%d\"} "
+        (snd live)
+    in
+    match
+      find_lines (starts_with needle)
+        (Obs.Expo.render (Tcpnet.Pool.families pool))
+    with
+    | [ line ] -> String.sub line (String.length needle) (String.length line - String.length needle)
+    | _ -> Alcotest.fail "no latency row for the live endpoint"
+  in
+  let health_before = Tcpnet.Pool.health pool in
+  Alcotest.(check string) "latency sampled" "1" (latency_count ());
+  Alcotest.(check (list int)) "failures before reset" [ 0; 1 ]
+    (List.sort compare
+       (List.map (fun (h : Tcpnet.Pool.health) -> h.consecutive_failures) health_before));
   Store.Metrics.reset ();
   Alcotest.(check int) "counters cleared" 0 (Store.Metrics.read ()).rpcs;
   Alcotest.(check int) "rpc histogram cleared" 0
     (Store.Metrics.rpc_latency_stats ()).rpc_count;
-  Alcotest.(check int) "health survives reset" 1
-    (List.length (Store.Metrics.endpoint_health ()));
-  Alcotest.(check int) "endpoint latency survives reset" 1
-    (List.length (Store.Metrics.endpoint_rpc_histos ()));
   Alcotest.(check int) "hwm survives reset" 7
     (Store.Metrics.inflight_high_water ());
   Store.Metrics.reset_gauges ();
-  Alcotest.(check int) "health cleared by reset_gauges" 0
-    (List.length (Store.Metrics.endpoint_health ()));
-  Alcotest.(check int) "endpoint latency cleared by reset_gauges" 0
-    (List.length (Store.Metrics.endpoint_rpc_histos ()));
   Alcotest.(check int) "hwm cleared by reset_gauges" 0
-    (Store.Metrics.inflight_high_water ())
+    (Store.Metrics.inflight_high_water ());
+  Alcotest.(check bool) "pool health untouched by either reset" true
+    (Tcpnet.Pool.health pool = health_before);
+  Alcotest.(check string) "pool latency untouched by either reset" "1"
+    (latency_count ())
 
 (* Regression: Metrics.reset must also clear the per-phase span
    histograms, or a benchmark's second mode inherits the first mode's

@@ -2387,6 +2387,45 @@ let force = function
   | Ok v -> v
   | Error msg -> Alcotest.failf "unexpected error: %s" msg
 
+(* A restore applies the restoring config: a smaller [log_depth] cuts
+   each log as that server's next write would, and another admin key is
+   a configuration change, not a torn state. Neither refuses the blob. *)
+let test_snapshot_restores_under_new_config () =
+  let w = make_world () in
+  in_world w (fun () ->
+      let alice = connect w "alice" ~group:"g" in
+      for i = 1 to 5 do
+        ok (Client.write alice ~item:"x" (Printf.sprintf "v%d" i))
+      done;
+      ok (Client.disconnect alice));
+  let uid = Uid.make ~group:"g" ~item:"x" in
+  Alcotest.(check int) "current and four logged" 5
+    (List.length (Server.log_writes w.servers.(0) uid));
+  Server.set_epoch w.servers.(0)
+    (Config_epoch.sign
+       (force (Config_epoch.genesis ~servers:[ 0; 1; 2; 3 ] ~b:1 ()))
+       (key_of "admin"));
+  let blob = Server.snapshot w.servers.(0) in
+  let restore config =
+    match Server.restore_result ~config ~id:0 ~keyring:w.keyring ~n:4 ~b:1 blob with
+    | Ok t -> t
+    | Error msg -> Alcotest.failf "restore refused: %s" msg
+  in
+  let shallow = restore { (Server.default_config ~n:4 ~b:1) with log_depth = 2 } in
+  Alcotest.(check int) "item back" 1 (Server.item_count shallow);
+  Alcotest.(check (list string)) "newest writes kept" [ "v5"; "v4"; "v3" ]
+    (List.map (fun (w : Payload.write) -> w.value) (Server.log_writes shallow uid));
+  check_invariants [| shallow |];
+  let rekeyed =
+    restore
+      {
+        (Server.default_config ~n:4 ~b:1) with
+        epoch_admin = Some (key_of "mallory").Crypto.Rsa.public;
+      }
+  in
+  Alcotest.(check int) "item back under another admin" 1 (Server.item_count rekeyed);
+  Alcotest.(check int) "epoch kept" 1 (Server.epoch_version rekeyed)
+
 let test_epoch_chain_and_codec () =
   let admin = key_of "admin" in
   let g = force (Config_epoch.genesis ~servers:[ 3; 0; 1; 2; 1 ] ~b:1 ()) in
@@ -4426,6 +4465,8 @@ let () =
           Alcotest.test_case "snapshot/restore" `Quick test_snapshot_restore;
           Alcotest.test_case "save/load file" `Quick test_save_load_file;
           Alcotest.test_case "held writes survive" `Quick test_snapshot_preserves_held_writes;
+          Alcotest.test_case "restores under a new config" `Quick
+            test_snapshot_restores_under_new_config;
           Alcotest.test_case "corruption rejected" `Quick
             test_snapshot_corruption_rejected;
         ] );

@@ -655,14 +655,14 @@ let test_pool_reconnect () =
   let host1 = Tcpnet.Server_host.start ~server ~port:0 () in
   let port = Tcpnet.Server_host.port host1 in
   let ep = ("127.0.0.1", port) in
-  let pool = Tcpnet.Pool.create ~backoff_base:0.01 ~backoff_max:0.05 () in
+  let pool = Tcpnet.Pool.create () in
   (match Tcpnet.Pool.call pool ~timeout:2.0 ep read_query_payload with
   | Tcpnet.Pool.Reply _ -> ()
   | _ -> Alcotest.fail "first call should succeed");
   let before = (Store.Metrics.read ()).Store.Metrics.tcp_reconnects in
   Tcpnet.Server_host.stop host1;
   (* Restart on the same port: the pool must notice the dead connection
-     and transparently redial (within its backoff). *)
+     and transparently redial. *)
   let host2 = Tcpnet.Server_host.start ~server ~port () in
   let rec until tries =
     match Tcpnet.Pool.call pool ~timeout:0.5 ep read_query_payload with
@@ -681,41 +681,176 @@ let test_pool_reconnect () =
   Alcotest.(check bool) "calls succeed after restart" true reconnected;
   Alcotest.(check bool) "a reconnect was counted" true (after > before)
 
-let test_backoff_cap () =
-  (* An endpoint nobody listens on: each dial attempt fails and doubles
-     the backoff until the cap. *)
+(* A refused dial is one RPC failure like any other. With
+   [suspect_after:1] the first one suspects the endpoint; after that only
+   the pool's probes dial, and each refused probe doubles the suspicion
+   window from the base up to the cap. Each window is read from
+   [Pool.health]: the failure that armed it happened between the last
+   read showing the old [down_until] and the first showing the new one,
+   so [down_until] minus those two read times brackets the window. *)
+let test_suspicion_cap () =
+  let base = 0.05 and cap = 0.2 in
+  let pool =
+    Tcpnet.Pool.create ~suspect_after:1 ~suspect_base:base ~suspect_max:cap ()
+  in
+  let ep =
+    let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+    let port =
+      match Unix.getsockname s with
+      | Unix.ADDR_INET (_, p) -> p
+      | Unix.ADDR_UNIX _ -> assert false
+    in
+    Unix.close s (* bound but never listening: connects are refused *);
+    ("127.0.0.1", port)
+  in
+  let read () =
+    let t0 = Unix.gettimeofday () in
+    let h =
+      match Tcpnet.Pool.health pool with
+      | [ h ] -> h
+      | hs -> Alcotest.failf "expected one endpoint, got %d" (List.length hs)
+    in
+    (t0, h, Unix.gettimeofday ())
+  in
+  let t0 = Unix.gettimeofday () in
+  (match Tcpnet.Pool.call pool ~timeout:0.5 ep read_query_payload with
+  | Tcpnet.Pool.Dropped -> ()
+  | _ -> Alcotest.fail "refused endpoint should drop");
+  let _, first, t1 = read () in
+  Alcotest.(check bool) "suspected after one refused dial" true
+    (first.Tcpnet.Pool.state <> Tcpnet.Pool.Healthy);
+  (* (lowest, highest) possible window per armed failure, oldest first *)
+  let windows = ref [ (first.down_until -. t1, first.down_until -. t0) ] in
+  let rec watch ~last_old (h : Tcpnet.Pool.health) =
+    if List.length !windows < 5 then begin
+      if Unix.gettimeofday () > t0 +. 10.0 then Alcotest.fail "probes stalled";
+      let before, h', after = read () in
+      if h'.down_until <> h.down_until then begin
+        windows := (h'.down_until -. after, h'.down_until -. last_old) :: !windows;
+        watch ~last_old:before h'
+      end
+      else begin
+        Thread.delay 0.001;
+        watch ~last_old:before h
+      end
+    end
+  in
+  watch ~last_old:t1 first;
+  let last = match read () with _, h, _ -> h in
+  Tcpnet.Pool.shutdown pool;
+  List.iteri
+    (fun i (lo, hi) ->
+      let want = Float.min cap (base *. (2.0 ** float_of_int i)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "window %d is %.2f s (read %.4f..%.4f)" i want lo hi)
+        true
+        (lo <= want +. 1e-6 && want <= hi +. 1e-6);
+      Alcotest.(check bool) "never exceeds the cap" true (lo <= cap +. 1e-6))
+    (List.rev !windows);
+  (* every window after the first was armed by a probe's refused dial *)
+  Alcotest.(check bool) "probes dialled" true
+    (last.probes >= 4 && last.consecutive_failures >= 5)
+
+(* A dial gives up at its round's deadline. A listener whose one-slot
+   accept queue is full drops SYNs, so a blocking connect would wait out
+   the kernel's retries; meanwhile the live host, which already has a
+   pooled connection and so is sent to first, answers. *)
+let test_dial_deadline () =
+  let keyring = Store.Keyring.create () in
+  let server = Store.Server.create ~id:0 ~keyring ~n:1 ~b:0 () in
+  let host = Tcpnet.Server_host.start ~server ~port:0 () in
+  let live = ("127.0.0.1", Tcpnet.Server_host.port host) in
   let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
-  let port =
+  Unix.listen listener 0;
+  let full =
     match Unix.getsockname listener with
-    | Unix.ADDR_INET (_, p) -> p
+    | Unix.ADDR_INET (_, p) -> ("127.0.0.1", p)
     | Unix.ADDR_UNIX _ -> assert false
   in
-  Unix.close listener (* bound but never listening: connects are refused *);
-  let cap = 0.04 in
-  let pool = Tcpnet.Pool.create ~backoff_base:0.01 ~backoff_max:cap () in
-  let ep = ("127.0.0.1", port) in
-  let backoffs = ref [] in
-  for _ = 1 to 6 do
-    (match Tcpnet.Pool.call pool ~timeout:0.2 ep read_query_payload with
-    | Tcpnet.Pool.Dropped -> ()
-    | _ -> Alcotest.fail "dead endpoint should drop");
-    let b = Tcpnet.Pool.current_backoff pool ep in
-    backoffs := b :: !backoffs;
-    (* Sleep past the window so the next call really redials. *)
-    Thread.delay (b +. 0.005)
-  done;
-  Tcpnet.Pool.shutdown pool;
-  (match !backoffs with
-  | last :: _ -> Alcotest.(check (float 1e-9)) "saturates at the cap" cap last
-  | [] -> assert false);
-  List.iter
-    (fun b -> Alcotest.(check bool) "never exceeds the cap" true (b <= cap +. 1e-9))
-    !backoffs;
-  (* The first failure starts at the base, not the cap. *)
-  match List.rev !backoffs with
-  | first :: _ -> Alcotest.(check (float 1e-9)) "starts at the base" 0.01 first
-  | [] -> assert false
+  let filler = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.connect filler (Unix.ADDR_INET (Unix.inet_addr_loopback, snd full));
+  let pool = Tcpnet.Pool.create () in
+  Fun.protect
+    ~finally:(fun () ->
+      Tcpnet.Pool.shutdown pool;
+      Tcpnet.Server_host.stop host;
+      Unix.close filler;
+      Unix.close listener)
+  @@ fun () ->
+  (match Tcpnet.Pool.call pool ~timeout:2.0 live read_query_payload with
+  | Tcpnet.Pool.Reply _ -> ()
+  | _ -> Alcotest.fail "live host should answer");
+  let t0 = Unix.gettimeofday () in
+  let replies =
+    Tcpnet.Pool.call_many pool ~timeout:0.3 ~quorum:1
+      [ (0, full); (1, live) ]
+      read_query_payload
+  in
+  let took = Unix.gettimeofday () -. t0 in
+  Alcotest.(check (list int)) "the live host's reply" [ 1 ] (List.map fst replies);
+  Alcotest.(check bool) (Printf.sprintf "returned in %.2f s" took) true (took < 1.0);
+  match
+    List.find_opt
+      (fun (h : Tcpnet.Pool.health) -> h.endpoint = full)
+      (Tcpnet.Pool.health pool)
+  with
+  | Some h ->
+    Alcotest.(check int) "the timed-out dial is a failure" 1 h.consecutive_failures
+  | None -> Alcotest.fail "no health row for the full listener"
+
+(* A pool works with descriptors above select's FD_SETSIZE (1024), as
+   in a server holding over a thousand sockets: 1,100 open files push
+   the pool's own and its dials' descriptors past it. The dial still
+   connects, and the timekeeper still ends a round at its deadline. *)
+let test_pool_high_fds () =
+  let keyring = Store.Keyring.create () in
+  let server = Store.Server.create ~id:0 ~keyring ~n:1 ~b:0 () in
+  let host = Tcpnet.Server_host.start ~server ~port:0 () in
+  let live = ("127.0.0.1", Tcpnet.Server_host.port host) in
+  let listener = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen listener 8;
+  let silent =
+    match Unix.getsockname listener with
+    | Unix.ADDR_INET (_, p) -> ("127.0.0.1", p)
+    | Unix.ADDR_UNIX _ -> assert false
+  in
+  let held = List.init 1100 (fun _ -> Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0) in
+  let pool = Tcpnet.Pool.create () in
+  Fun.protect
+    ~finally:(fun () ->
+      Tcpnet.Pool.shutdown pool;
+      List.iter Unix.close held;
+      Unix.close listener;
+      Tcpnet.Server_host.stop host)
+  @@ fun () ->
+  (match Tcpnet.Pool.call pool ~timeout:2.0 live read_query_payload with
+  | Tcpnet.Pool.Reply _ -> ()
+  | _ -> Alcotest.fail "a dial from a high descriptor should reach the host");
+  (* The silent listener accepts (the kernel completes the handshake)
+     but never answers: only the timekeeper can end this call. *)
+  let result = ref None in
+  let caller =
+    Thread.create
+      (fun () ->
+        let t0 = Unix.gettimeofday () in
+        ignore (Tcpnet.Pool.call pool ~timeout:0.3 silent read_query_payload);
+        result := Some (Unix.gettimeofday () -. t0))
+      ()
+  in
+  let rec await n =
+    match !result with
+    | Some took -> took
+    | None when n = 0 -> Alcotest.fail "a 0.3 s call had not returned after 5 s"
+    | None ->
+      Thread.delay 0.05;
+      await (n - 1)
+  in
+  let took = await 100 in
+  Thread.join caller;
+  Alcotest.(check bool) (Printf.sprintf "returned in %.2f s" took) true (took < 1.0)
 
 let test_concurrent_quorum_clients () =
   with_cluster (fun ~keyring ~endpoints ~hosts:_ ~servers:_ ~n ~b ->
@@ -819,6 +954,76 @@ let test_gossip_requeue_dead_peer () =
   Alcotest.(check bool) "requeued write delivered after peer recovery" true
     delivered
 
+(* Live snapshots are consistent: two writer threads overwrite a few
+   items through the host while a third thread snapshots the shard
+   through [Server_host.snapshot]. The lock makes each blob one state,
+   so every blob restores; [restore_result] refuses any that fails the
+   server's invariants (a log entry not older than the current write is
+   what a save racing an overwrite would leave). *)
+let test_snapshot_under_writes () =
+  let keyring = Store.Keyring.create () in
+  Store.Keyring.register keyring "alice" alice_key.Crypto.Rsa.public;
+  let server = Store.Server.create ~id:0 ~keyring ~n:1 ~b:0 () in
+  let host = Tcpnet.Server_host.start ~server ~port:0 () in
+  let ep = ("127.0.0.1", Tcpnet.Server_host.port host) in
+  let pool = Tcpnet.Pool.create () in
+  Fun.protect
+    ~finally:(fun () ->
+      Tcpnet.Pool.shutdown pool;
+      Tcpnet.Server_host.stop host)
+  @@ fun () ->
+  let write item v =
+    let uid = Store.Uid.make ~group:"snap" ~item in
+    let w =
+      Store.Signing.sign_write ~key:alice_key ~writer:"alice" ~uid
+        ~stamp:(Store.Stamp.scalar v) (Printf.sprintf "%s=%d" item v)
+    in
+    Store.Payload.encode_envelope
+      { Store.Payload.token = None; epoch = 0; request = Store.Payload.Write_req w }
+  in
+  (* Signing is the slow part: sign everything before the race. *)
+  let writes item = List.init 150 (fun v -> write item (v + 1)) in
+  let batches = [ writes "a"; writes "b" ] in
+  let writing = Atomic.make (List.length batches) in
+  let writers =
+    List.map
+      (fun batch ->
+        Thread.create
+          (fun () ->
+            List.iter
+              (fun payload ->
+                match Tcpnet.Pool.call pool ~timeout:2.0 ep payload with
+                | Tcpnet.Pool.Reply _ -> ()
+                | _ -> Alcotest.fail "write through the host failed")
+              batch;
+            Atomic.decr writing)
+          ())
+      batches
+  in
+  let blobs = ref [] in
+  while Atomic.get writing > 0 do
+    blobs := Tcpnet.Server_host.snapshot host ~shard:0 :: !blobs;
+    Thread.yield ()
+  done;
+  List.iter Thread.join writers;
+  blobs := Tcpnet.Server_host.snapshot host ~shard:0 :: !blobs;
+  let refused =
+    List.filter_map
+      (fun blob ->
+        match Store.Server.restore_result ~id:0 ~keyring ~n:1 ~b:0 blob with
+        | Ok _ -> None
+        | Error msg -> Some msg)
+      !blobs
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d snapshots taken" (List.length !blobs))
+    true
+    (List.length !blobs > 10);
+  Alcotest.(check (list string)) "every snapshot restores" [] refused;
+  match Store.Server.restore_result ~id:0 ~keyring ~n:1 ~b:0 (List.hd !blobs) with
+  | Ok s -> Alcotest.(check int) "the last one holds both items" 2 (Store.Server.item_count s)
+  | Error e -> Alcotest.fail e
+
 (* Per-endpoint health: consecutive failures trip a suspicion window
    (fail-fast), the window expiring admits a probe, and a success clears
    the state. *)
@@ -848,13 +1053,12 @@ let test_pool_health_suspicion () =
   | _ -> Alcotest.fail "suspected endpoint should fail fast");
   Alcotest.(check bool) "fail-fast under suspicion" true
     (Unix.gettimeofday () -. t0 < 0.5);
-  (* The same health is published through Store.Metrics. *)
-  Alcotest.(check bool) "published to metrics" true
-    (List.exists
-       (fun (h : Store.Metrics.endpoint_health) ->
-         h.endpoint = Printf.sprintf "127.0.0.1:%d" port
-         && h.consecutive_failures >= 2)
-       (Store.Metrics.endpoint_health ()));
+  (* The same health is exposed through the pool's /metrics families. *)
+  Alcotest.(check bool) "exposed as metrics" true
+    (List.mem
+       (Printf.sprintf "securestore_endpoint_health{endpoint=\"127.0.0.1:%d\"} 0" port)
+       (String.split_on_char '\n'
+          (Obs.Expo.render (Tcpnet.Pool.families pool))));
   (* Replace the blackhole with a live server on the same port: once the
      window expires the half-open probe succeeds and clears suspicion. *)
   teardown ();
@@ -883,10 +1087,10 @@ let test_pool_health_suspicion () =
   Tcpnet.Pool.shutdown pool
 
 (* Membership churn retires endpoints for good: eviction closes pooled
-   connections, clears backoff/suspicion state and removes the health
-   row (pool-local and in Store.Metrics) — and a later submission to the
-   same address starts from a clean slate instead of sitting out a stale
-   suspicion window inherited from the departed server. *)
+   connections, clears suspicion state and removes the endpoint's health
+   and latency rows — and a later submission to the same address starts
+   from a clean slate instead of sitting out a stale suspicion window
+   inherited from the departed server. *)
 let test_pool_evict () =
   let keyring = Store.Keyring.create () in
   Store.Keyring.register keyring "alice" alice_key.Crypto.Rsa.public;
@@ -899,9 +1103,13 @@ let test_pool_evict () =
   let pool =
     Tcpnet.Pool.create ~suspect_after:2 ~suspect_base:30.0 ~suspect_max:30.0 ()
   in
+  (* Traced, so the reply leaves a latency sample. *)
+  Obs.Span.set_enabled true;
   (match Tcpnet.Pool.call pool ~timeout:2.0 ep read_query_payload with
-  | Tcpnet.Pool.Reply _ -> ()
-  | _ -> Alcotest.fail "first call should succeed");
+  | Tcpnet.Pool.Reply _ -> Obs.Span.set_enabled false
+  | _ ->
+    Obs.Span.set_enabled false;
+    Alcotest.fail "first call should succeed");
   Alcotest.(check bool) "connection pooled" true
     (Tcpnet.Pool.connection_count pool ep >= 1);
   (* The server departs; unanswered calls drive the endpoint into
@@ -915,21 +1123,30 @@ let test_pool_evict () =
     Alcotest.(check bool) "suspected before eviction" true
       (h.Tcpnet.Pool.down_until > Unix.gettimeofday ())
   | hs -> Alcotest.failf "expected one endpoint, got %d" (List.length hs));
-  let metrics_row () =
-    List.exists
-      (fun (h : Store.Metrics.endpoint_health) ->
-        h.endpoint = Printf.sprintf "127.0.0.1:%d" port)
-      (Store.Metrics.endpoint_health ())
+  let rows family =
+    let prefix =
+      Printf.sprintf "%s{endpoint=\"127.0.0.1:%d\"" family port
+    in
+    List.length
+      (List.filter
+         (fun line ->
+           String.length line >= String.length prefix
+           && String.sub line 0 (String.length prefix) = prefix)
+         (String.split_on_char '\n'
+            (Obs.Expo.render (Tcpnet.Pool.families pool))))
   in
-  Alcotest.(check bool) "metrics row before eviction" true (metrics_row ());
+  let latency_rows () = rows "securestore_endpoint_rpc_duration_seconds_count" in
+  Alcotest.(check int) "health row before eviction" 1
+    (rows "securestore_endpoint_health");
+  Alcotest.(check int) "latency row before eviction" 1 (latency_rows ());
   Tcpnet.Pool.evict pool ep;
   Alcotest.(check int) "connections closed" 0
     (Tcpnet.Pool.connection_count pool ep);
   Alcotest.(check int) "health row removed" 0
     (List.length (Tcpnet.Pool.health pool));
-  Alcotest.(check bool) "metrics row removed" false (metrics_row ());
-  Alcotest.(check (float 1e-9)) "backoff cleared" 0.
-    (Tcpnet.Pool.current_backoff pool ep);
+  Alcotest.(check int) "metrics health row removed" 0
+    (rows "securestore_endpoint_health");
+  Alcotest.(check int) "latency row removed" 0 (latency_rows ());
   (* A joining server reuses the address: with the old suspicion gone,
      traffic lands immediately instead of failing fast for 30 s. *)
   let host2 = Tcpnet.Server_host.start ~server ~port () in
@@ -2079,7 +2296,9 @@ let () =
             test_pipelined_out_of_order;
           Alcotest.test_case "framed errors" `Quick test_framed_errors;
           Alcotest.test_case "reconnect after restart" `Quick test_pool_reconnect;
-          soak_case "backoff cap" `Quick test_backoff_cap;
+          soak_case "suspicion window cap" `Quick test_suspicion_cap;
+          Alcotest.test_case "dial deadline" `Quick test_dial_deadline;
+          Alcotest.test_case "descriptors above 1024" `Quick test_pool_high_fds;
           Alcotest.test_case "concurrent quorum clients" `Quick
             test_concurrent_quorum_clients;
         ] );
@@ -2090,6 +2309,8 @@ let () =
           soak_case "pool health and suspicion" `Quick
             test_pool_health_suspicion;
           Alcotest.test_case "evict retires endpoint" `Quick test_pool_evict;
+          Alcotest.test_case "snapshots under writes restore" `Quick
+            test_snapshot_under_writes;
           Alcotest.test_case "silent replica leaves the op path" `Quick
             test_silent_replica_off_op_path;
           Alcotest.test_case "live context reconstruction" `Quick
